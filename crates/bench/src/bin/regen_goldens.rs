@@ -8,8 +8,9 @@
 use std::fs;
 
 use powadapt_bench::golden::{
-    cluster_eval_summary, figure_summary, golden_scale, goldens_dir, obs_events_summary,
-    placement_eval_summary, CLUSTER_FIXTURE, FIGURES, GOLDEN_SEED, OBS_FIXTURE, PLACEMENT_FIXTURE,
+    checkpoint_digests_summary, cluster_eval_summary, figure_summary, golden_scale, goldens_dir,
+    obs_events_summary, placement_eval_summary, CHECKPOINT_FIXTURE, CLUSTER_FIXTURE, FIGURES,
+    GOLDEN_SEED, OBS_FIXTURE, PLACEMENT_FIXTURE,
 };
 use powadapt_io::ParallelConfig;
 
@@ -38,5 +39,6 @@ fn main() {
     write_fixture(&dir, OBS_FIXTURE, &obs_events_summary(&cfg));
     write_fixture(&dir, CLUSTER_FIXTURE, &cluster_eval_summary(&cfg));
     write_fixture(&dir, PLACEMENT_FIXTURE, &placement_eval_summary(&cfg));
+    write_fixture(&dir, CHECKPOINT_FIXTURE, &checkpoint_digests_summary());
     println!("fixtures written to {}", dir.display());
 }

@@ -752,6 +752,142 @@ fn placement_eval_summary_with(
     doc(PLACEMENT_FIXTURE, GOLDEN_SEED, &rows)
 }
 
+/// Name of the committed checkpoint-digest fixture
+/// (`crates/bench/goldens/checkpoint_digests.json`). It is not a figure,
+/// so it stays out of [`FIGURES`].
+pub const CHECKPOINT_FIXTURE: &str = "checkpoint_digests";
+
+fn digest_row(name: &str, sealed: &[u8]) -> String {
+    format!(
+        "{{\"checkpoint\": \"{name}\", \"len\": {}, \"fnv1a64\": \"{:016x}\"}}",
+        sealed.len(),
+        powadapt_snap::fnv1a_64(sealed)
+    )
+}
+
+/// A device checkpointed mid-IO: a mixed read/write burst submitted, a
+/// prefix of the event stream drained, the state sealed.
+fn device_checkpoint(mut dev: Box<dyn StorageDevice>) -> Vec<u8> {
+    use powadapt_device::{IoId, IoKind, IoRequest, MIB};
+    for i in 0..24u64 {
+        let kind = if i % 3 == 0 {
+            IoKind::Write
+        } else {
+            IoKind::Read
+        };
+        // Injected IO errors are part of the faulted workload.
+        let _ = dev.submit(IoRequest::new(IoId(i), kind, i * 4 * MIB, 256 * KIB));
+    }
+    for _ in 0..10 {
+        if let Some(t) = dev.next_event() {
+            dev.advance_to(t);
+        }
+    }
+    let mut w = powadapt_snap::SnapWriter::new();
+    dev.write_state(&mut w).expect("device state serializes");
+    powadapt_snap::seal(&w.into_payload())
+}
+
+/// Length and FNV-1a-64 of real sealed checkpoints: every `cluster_eval`
+/// cell at its midpoint, every `placement_eval` cell at its quarter point
+/// (mid-migration for the temperature-driven arm), every long-horizon
+/// checkpoint (mid-outage failover, mid-roll firmware, diurnal
+/// midnights), and mid-IO SSD, HDD, and fault-injected devices. The
+/// fixture pins the snapshot byte layout itself, not just the results a
+/// resume reproduces.
+///
+/// # Panics
+///
+/// Panics if a run or snapshot fails.
+pub fn checkpoint_digests_summary() -> String {
+    use powadapt_cluster::longhaul::{
+        day, diurnal_churn, regional_failover, rolling_firmware, run_with_midnight_checkpoints,
+    };
+    use powadapt_cluster::{
+        oversubscribed_cluster, placement_cluster, ClusterSim, ClusterSpec, PlacementArm,
+        SelectionPolicy,
+    };
+
+    let at = |spec: ClusterSpec, num: u64, den: u64| {
+        let mut sim = ClusterSim::new(spec).expect("cell builds");
+        let span = sim.end_time().duration_since(sim.start_time()).as_nanos();
+        let t = sim.start_time() + SimDuration::from_nanos(span / den * num);
+        sim.run_to(t).expect("cell runs to checkpoint");
+        sim.snapshot().expect("snapshot serializes")
+    };
+    let until = |spec: ClusterSpec, t: SimTime| {
+        let mut sim = ClusterSim::new(spec).expect("cell builds");
+        sim.run_to(t).expect("cell runs to checkpoint");
+        sim.snapshot().expect("snapshot serializes")
+    };
+    let policies = [SelectionPolicy::ModelDriven, SelectionPolicy::UniformStatic];
+    let mut rows = Vec::new();
+    for seed in [GOLDEN_SEED, GOLDEN_SEED + 1] {
+        for policy in policies {
+            let snap = at(oversubscribed_cluster(policy, seed), 1, 2);
+            rows.push(digest_row(
+                &format!("cluster_eval/{policy}/{seed}/mid"),
+                &snap,
+            ));
+        }
+    }
+    for arm in [
+        PlacementArm::TempDriven,
+        PlacementArm::StaticSpread,
+        PlacementArm::NoMigration,
+    ] {
+        let snap = at(placement_cluster(arm, GOLDEN_SEED), 1, 4);
+        rows.push(digest_row(
+            &format!("placement_eval/{arm:?}/{GOLDEN_SEED}/quarter"),
+            &snap,
+        ));
+    }
+    for policy in policies {
+        let snap = until(
+            regional_failover(policy, GOLDEN_SEED),
+            SimTime::from_millis(120),
+        );
+        rows.push(digest_row(&format!("longhaul/failover/{policy}"), &snap));
+        let snap = until(
+            rolling_firmware(policy, GOLDEN_SEED),
+            SimTime::from_millis(100),
+        );
+        rows.push(digest_row(&format!("longhaul/firmware/{policy}"), &snap));
+        let (_, snaps) =
+            run_with_midnight_checkpoints(diurnal_churn(policy, 5, GOLDEN_SEED), day())
+                .expect("churn runs");
+        for (i, snap) in snaps.iter().enumerate() {
+            rows.push(digest_row(
+                &format!("longhaul/diurnal/{policy}/midnight{}", i + 1),
+                snap,
+            ));
+        }
+    }
+    let devices: [(&str, Box<dyn StorageDevice>); 5] = [
+        ("device/ssd1", Box::new(catalog::ssd1_pm9a3(GOLDEN_SEED))),
+        ("device/ssd2", Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED))),
+        ("device/evo", Box::new(catalog::evo_860(GOLDEN_SEED))),
+        (
+            "device/hdd",
+            Box::new(catalog::hdd_exos_7e2000(GOLDEN_SEED)),
+        ),
+        (
+            "device/faulted_ssd2",
+            Box::new(FaultInjector::seeded(
+                Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED)),
+                FaultPlan::none()
+                    .io_errors(0.05)
+                    .latency_spikes(0.4, SimDuration::from_millis(20)),
+                99,
+            )),
+        ),
+    ];
+    for (name, dev) in devices {
+        rows.push(digest_row(name, &device_checkpoint(dev)));
+    }
+    doc(CHECKPOINT_FIXTURE, GOLDEN_SEED, &rows)
+}
+
 /// Produces the canonical JSON summary of one figure under the given
 /// executor configuration. The output is byte-identical for every worker
 /// count — that invariant is what the golden suite enforces.
