@@ -18,8 +18,8 @@ use powadapt_core::{
 };
 use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB};
 use powadapt_io::{
-    full_sweep, run_cells, run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter,
-    LeastLoadedRouter, OpenLoopSpec, ParallelConfig, SweepScale, Workload,
+    full_sweep, run_cells, run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig,
+    CircuitBreakerRouter, LeastLoadedRouter, OpenLoopSpec, ParallelConfig, SweepScale, Workload,
 };
 use powadapt_model::PowerThroughputModel;
 use powadapt_sim::{SimDuration, SimTime};
@@ -73,12 +73,26 @@ fn consolidation_section() {
         let baseline = {
             let mut devices = evo_fleet(8);
             let mut router = LeastLoadedRouter::default();
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("runs")
         };
         let consolidated = {
             let mut devices = evo_fleet(8);
             let mut router = ConsolidatingRouter::new(8, cfg).expect("valid");
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("runs")
         };
         (baseline, consolidated)
     });
@@ -141,12 +155,26 @@ fn segregation_section() {
     let uniform = {
         let mut devices = ssd2_fleet(4);
         let mut router = AllCapped::default();
-        run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+        run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs")
     };
     let segregated = {
         let mut devices = ssd2_fleet(4);
         let mut router = WriteSegregationRouter::new(3, PowerStateId(2));
-        run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+        run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs")
     };
     println!(
         "   all-capped (ps2 everywhere): {:>6.1} W, write avg {:>7.0} us, write p99 {:>8.0} us",
@@ -249,7 +277,8 @@ fn scenario_section() {
     let r = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(50),
     )
     .expect("runs");
@@ -305,7 +334,14 @@ fn fault_section() {
     let healthy = {
         let mut devices = fleet(false);
         let mut router = LeastLoadedRouter::default();
-        run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+        run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs")
     };
     let faulted = {
         let mut devices = fleet(true);
@@ -315,7 +351,14 @@ fn fault_section() {
             probe_successes: 2,
         };
         let mut router = CircuitBreakerRouter::new(LeastLoadedRouter::default(), cfg);
-        let r = run_fleet(&mut devices, &mut router, &spec, interval).expect("runs");
+        let r = run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs");
         println!("   breaker timeline:");
         for e in router.events() {
             println!(

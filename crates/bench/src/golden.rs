@@ -18,8 +18,8 @@ use powadapt_cluster::ClusterReport;
 use powadapt_core::AdaptiveController;
 use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB};
 use powadapt_io::{
-    run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter, LeastLoadedRouter,
-    OpenLoopSpec, ParallelConfig, SweepScale, Workload,
+    run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig, CircuitBreakerRouter,
+    LeastLoadedRouter, OpenLoopSpec, ParallelConfig, SweepScale, Workload,
 };
 use powadapt_meter::PowerTrace;
 use powadapt_model::{ConfigPoint, PowerThroughputModel};
@@ -338,7 +338,8 @@ fn traced_fleet_cell(cell: u64) -> u64 {
     let r = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("traced fleet cell runs");

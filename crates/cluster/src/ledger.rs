@@ -34,9 +34,8 @@
 //! their SLO target.
 
 use powadapt_obs::{emit, EventKind};
-use powadapt_sim::snapshot::{read_time, write_time};
 use powadapt_sim::SimTime;
-use powadapt_snap::{SnapError, SnapReader, SnapWriter};
+use powadapt_snap::SnapError;
 
 use crate::tree::{NodeId, NodeKind, PowerTree};
 
@@ -380,87 +379,27 @@ impl EnergyLedger {
     }
 }
 
-impl powadapt_snap::Snapshot for EnergyLedger {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.seq_len(self.leaf_fj.len());
-        for &fj in &self.leaf_fj {
-            w.u128(fj);
-        }
-        w.seq_len(self.leaf_uw.len());
-        for &uw in &self.leaf_uw {
-            w.u64(uw);
-        }
-        w.seq_len(self.tenant_fj.len());
-        for &fj in &self.tenant_fj {
-            w.u128(fj);
-        }
-        w.u128(self.idle_fj);
-        w.u128(self.system_fj);
-        w.u128(self.audited_fj);
-        w.seq_len(self.last_bytes.len());
-        for &b in &self.last_bytes {
-            w.u64(b);
-        }
-        w.u64(self.last_system_bytes);
-        write_time(w, self.last_accrue);
-        w.u64(self.audits);
-        w.u64(self.violations);
-        Ok(())
+powadapt_snap::snapshot! {
+    EnergyLedger {
+        leaf_fj: seq,
+        leaf_uw: seq,
+        tenant_fj: seq,
+        idle_fj,
+        system_fj,
+        audited_fj,
+        last_bytes: seq,
+        last_system_bytes,
+        last_accrue,
+        audits,
+        violations,
     }
+    after restore_books
 }
 
-impl powadapt_snap::Restore for EnergyLedger {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.seq_len()?;
-        if n != self.leaf_fj.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} leaf energy accounts, ledger has {}",
-                self.leaf_fj.len()
-            )));
-        }
-        for fj in &mut self.leaf_fj {
-            *fj = r.u128()?;
-        }
-        let n = r.seq_len()?;
-        if n != self.leaf_uw.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} held leaf powers, ledger has {}",
-                self.leaf_uw.len()
-            )));
-        }
-        for uw in &mut self.leaf_uw {
-            *uw = r.u64()?;
-        }
-        let n = r.seq_len()?;
-        if n != self.tenant_fj.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} tenant energy accounts, ledger has {}",
-                self.tenant_fj.len()
-            )));
-        }
-        for fj in &mut self.tenant_fj {
-            *fj = r.u128()?;
-        }
-        self.idle_fj = r.u128()?;
-        self.system_fj = r.u128()?;
-        self.audited_fj = r.u128()?;
-        let n = r.seq_len()?;
-        if n != self.last_bytes.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} tenant byte marks, ledger has {}",
-                self.last_bytes.len()
-            )));
-        }
-        for b in &mut self.last_bytes {
-            *b = r.u64()?;
-        }
-        self.last_system_bytes = r.u64()?;
-        self.last_accrue = read_time(r)?;
-        self.audits = r.u64()?;
-        self.violations = r.u64()?;
-
-        // The attributed books must balance what has been audited, and
-        // nothing can be audited that was never accrued.
+impl EnergyLedger {
+    /// The attributed books must balance what has been audited, and
+    /// nothing can be audited that was never accrued.
+    fn restore_books(&mut self) -> Result<(), SnapError> {
         let total = self.total_fj();
         if self.audited_fj > total {
             return Err(SnapError::InvalidValue(format!(
@@ -483,7 +422,7 @@ impl powadapt_snap::Restore for EnergyLedger {
 mod tests {
     use super::*;
     use crate::tree::PowerTree;
-    use powadapt_snap::{Restore, Snapshot};
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     fn small_tree() -> PowerTree {
         let mut tree = PowerTree::root("cluster", NodeKind::Cluster, 100.0, 1.0);

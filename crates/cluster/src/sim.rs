@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
-use powadapt_core::{AdaptiveController, ControlError, DeviceAction, Slo, SloWindow};
+use powadapt_core::{AdaptiveController, ControlError, DeviceAction, SloWindow};
 use powadapt_device::{
     DeviceClass, DeviceError, IoCompletion, IoId, IoKind, IoRequest, StandbyState, StorageDevice,
 };
@@ -26,7 +26,6 @@ use powadapt_io::Arrival;
 use powadapt_model::PowerThroughputModel;
 use powadapt_obs::{emit, EventKind};
 use powadapt_place::{DeviceSlot, MigrationIo, MigrationPhase, PlacementConfig, PlacementTier};
-use powadapt_sim::snapshot::{read_time, write_time};
 use powadapt_sim::units::Micros;
 use powadapt_sim::{SimDuration, SimTime};
 use powadapt_snap::{SnapError, SnapReader, SnapWriter};
@@ -90,6 +89,14 @@ enum IoOwner {
     MigrationRead(u64),
     /// The destination write of migration `id`.
     MigrationWrite(u64),
+}
+
+powadapt_snap::codec! {
+    enum IoOwner {
+        0 => Tenant(tenant),
+        1 => MigrationRead(id),
+        2 => MigrationWrite(id),
+    }
 }
 
 /// Errors from a cluster run.
@@ -307,65 +314,15 @@ impl fmt::Display for ClusterReport {
     }
 }
 
-// powadapt-lint: allow(d6, reason = "fields are serialized inline by ClusterSim's write_state/read_state; slo is spec config")
+/// What a tenant's arrivals feed: its SLO window and submit/drop counts.
+/// The SLO itself is spec config (`TenantSpec::slo`).
 struct TenantAccount {
     window: SloWindow,
-    slo: Slo,
     submitted: u64,
     dropped: u64,
 }
 
-fn write_arrival(w: &mut SnapWriter, a: &Arrival) {
-    write_time(w, a.at);
-    w.u8(match a.kind {
-        IoKind::Read => 0,
-        IoKind::Write => 1,
-    });
-    w.u64(a.offset);
-    w.u64(a.len);
-}
-
-fn read_arrival(r: &mut SnapReader<'_>) -> Result<Arrival, SnapError> {
-    let at = read_time(r)?;
-    let kind = match r.u8()? {
-        0 => IoKind::Read,
-        1 => IoKind::Write,
-        other => {
-            return Err(SnapError::InvalidValue(format!(
-                "arrival kind {other} out of range"
-            )))
-        }
-    };
-    let offset = r.u64()?;
-    let len = r.u64()?;
-    Ok(Arrival {
-        at,
-        kind,
-        offset,
-        len,
-    })
-}
-
-fn write_f64s(w: &mut SnapWriter, vs: &[f64]) {
-    w.seq_len(vs.len());
-    for &v in vs {
-        w.f64(v);
-    }
-}
-
-fn read_f64s_into(r: &mut SnapReader<'_>, dst: &mut [f64], what: &str) -> Result<(), SnapError> {
-    let n = r.seq_len()?;
-    if n != dst.len() {
-        return Err(SnapError::InvalidValue(format!(
-            "snapshot has {n} {what} entries, cluster has {}",
-            dst.len()
-        )));
-    }
-    for v in dst {
-        *v = r.f64()?;
-    }
-    Ok(())
-}
+powadapt_snap::codec! { TenantAccount { window, submitted, dropped } }
 
 /// Interns every tree node's path once, indexed by `NodeId`.
 fn tree_node_tracks(tree: &PowerTree) -> Vec<&'static str> {
@@ -390,32 +347,23 @@ fn tree_node_tracks(tree: &PowerTree) -> Vec<&'static str> {
 /// emitting anything, so restored runs do not double-count events.
 pub struct ClusterSim {
     // Configuration, rebuilt from the spec on construction and resume.
-    // powadapt-lint: allow(d6, reason = "topology; rebuilt from the spec on resume")
     tree: PowerTree,
-    // powadapt-lint: allow(d6, reason = "derived from the tree; rebuilt on resume")
     leaves: Vec<NodeId>,
     /// Interned tree-path track names, indexed like the tree's nodes, so
     /// the per-sample `PowerSample` emit is a pointer copy.
-    // powadapt-lint: allow(d6, reason = "derived from the tree; rebuilt on resume")
     node_tracks: Vec<&'static str>,
     tenants: Vec<TenantSpec>,
-    // powadapt-lint: allow(d6, reason = "spec configuration; rebuilt on resume")
     policy: SelectionPolicy,
-    // powadapt-lint: allow(d6, reason = "spec configuration; rebuilt on resume")
     control_interval: SimDuration,
-    // powadapt-lint: allow(d6, reason = "spec configuration; rebuilt on resume")
     sample_interval: SimDuration,
-    // powadapt-lint: allow(d6, reason = "spec configuration; rebuilt on resume")
     planning_margin: f64,
-    // powadapt-lint: allow(d6, reason = "spec configuration; rebuilt on resume")
     duration: SimDuration,
-    // powadapt-lint: allow(d6, reason = "model tables; rebuilt from the spec on resume")
     enc_models: Vec<Vec<PowerThroughputModel>>,
     /// Global device index → (enclosure, device-in-enclosure).
     flat: Vec<(usize, usize)>,
     start: SimTime,
     t_end: SimTime,
-    // Dynamic state, carried by `write_state`/`read_state`.
+    // Dynamic state, carried by the snapshot field list below.
     controllers: Vec<AdaptiveController>,
     streams: Vec<TenantStream>,
     pending: Vec<Option<Arrival>>,
@@ -451,20 +399,16 @@ pub struct ClusterSim {
     now: SimTime,
     /// Reused completion buffer for the per-step device drain; transient,
     /// never serialized.
-    // powadapt-lint: allow(d6, reason = "transient per-step scratch; contents never live across a snapshot")
     drain_scratch: Vec<IoCompletion>,
     /// Fixed-capacity hand-off from the hot completion drain to the
     /// migration dispatcher: `(move id, was the destination write)`.
     /// Pre-sized to the engine's concurrency cap (each in-flight move has
     /// at most one IO outstanding) and always drained within the same
     /// step, so it never grows and never lives across a snapshot.
-    // powadapt-lint: allow(d6, reason = "transient per-step scratch; contents never live across a snapshot")
     mig_scratch: Vec<(u64, bool)>,
     /// Live prefix length of `mig_scratch`.
-    // powadapt-lint: allow(d6, reason = "transient per-step scratch; always zero at snapshot points")
     mig_scratch_len: usize,
     /// Reused holder buffer for placement-routed arrivals; transient.
-    // powadapt-lint: allow(d6, reason = "transient per-arrival scratch; contents never live across a snapshot")
     holders_scratch: Vec<u32>,
 }
 
@@ -650,7 +594,6 @@ impl ClusterSim {
             streams.push(stream);
             accounts.push(TenantAccount {
                 window: SloWindow::new(),
-                slo: t.slo.clone(),
                 submitted: 0,
                 dropped: 0,
             });
@@ -865,7 +808,7 @@ impl ClusterSim {
                 dropped: a.dropped,
                 mean_latency_us: a.window.mean_latency().map_or(0.0, Micros::get),
                 p99_latency_us: a.window.p99_latency().map_or(0.0, Micros::get),
-                slo_ok: a.window.satisfies(&a.slo, self.duration),
+                slo_ok: a.window.satisfies(&t.slo, self.duration),
             })
             .collect();
         let total_bytes: u64 = tenant_reports.iter().map(|t| t.bytes).sum();
@@ -1523,7 +1466,7 @@ impl ClusterSim {
                 name: &t.name,
                 bytes: a.window.bytes(),
                 p99_latency_us: a.window.p99_latency().map(Micros::get),
-                slo_p99_us: a.slo.max_p99_latency(),
+                slo_p99_us: t.slo.max_p99_latency(),
             })
             .collect();
         // Grant enforcement only applies to grants the tree actually
@@ -1551,309 +1494,119 @@ impl ClusterSim {
     }
 }
 
-impl powadapt_snap::Snapshot for ClusterSim {
-    /// Serializes the cluster's complete dynamic state: the event-loop
-    /// cursors, routing and accounting vectors, in-flight ownership,
-    /// tenant streams and SLO windows, every controller (devices, health,
-    /// quarantine), and the tree-fault phases. Configuration — topology,
-    /// models, tenants, intervals — is rebuilt from the spec on resume.
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        write_time(w, self.now);
-        w.u64(self.next_id);
-        write_time(w, self.next_control);
-        write_time(w, self.next_sample);
-        w.u64(self.rebalance_rounds);
-        w.u64(self.replans);
-        w.u64(self.infeasible_rounds);
-        w.u64(self.node_samples);
-
-        w.seq_len(self.routable.len());
-        for &v in &self.routable {
-            w.bool(v);
-        }
-        write_f64s(w, &self.node_max);
-        write_f64s(w, &self.node_sum);
-        write_f64s(w, &self.last_grants);
-        w.seq_len(self.last_applied.len());
-        for &v in &self.last_applied {
-            w.opt_f64(v);
-        }
-
-        w.seq_len(self.owners.len());
-        for (&id, &owner) in &self.owners {
-            w.u64(id);
-            match owner {
-                IoOwner::Tenant(tenant) => {
-                    w.u8(0);
-                    w.usize(tenant);
-                }
-                IoOwner::MigrationRead(m) => {
-                    w.u8(1);
-                    w.u64(m);
-                }
-                IoOwner::MigrationWrite(m) => {
-                    w.u8(2);
-                    w.u64(m);
-                }
-            }
-        }
-
-        w.seq_len(self.streams.len());
-        for s in &self.streams {
-            powadapt_snap::Snapshot::write_state(s, w)?;
-        }
-        w.seq_len(self.pending.len());
-        for p in &self.pending {
-            match p {
-                Some(a) => {
-                    w.bool(true);
-                    write_arrival(w, a);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.seq_len(self.accounts.len());
-        for a in &self.accounts {
-            powadapt_snap::Snapshot::write_state(&a.window, w)?;
-            w.u64(a.submitted);
-            w.u64(a.dropped);
-        }
-
-        w.seq_len(self.controllers.len());
-        for ctl in &self.controllers {
-            ctl.write_state(w)?;
-        }
-        powadapt_snap::Snapshot::write_state(&self.faults, w)?;
-        powadapt_snap::Snapshot::write_state(&self.ledger, w)?;
-
-        // Placement tier: presence must match the spec on restore; the
-        // backlog and system byte count ride alongside.
-        w.u64(self.mig_bytes);
-        w.seq_len(self.mig_backlog.len());
-        for io in &self.mig_backlog {
-            w.u64(io.migration);
-            w.u32(io.dev);
-            w.bool(io.write);
-            w.u64(io.offset);
-            w.u64(io.len);
-        }
-        match &self.place {
-            Some(tier) => {
-                w.bool(true);
-                powadapt_snap::Snapshot::write_state(tier, w)
-            }
-            None => {
-                w.bool(false);
-                Ok(())
-            }
-        }
+// The cluster's complete dynamic state: event-loop cursors, routing and
+// accounting vectors, in-flight ownership, tenant streams and SLO windows,
+// every controller (devices, health, quarantine), the tree-fault phases,
+// the ledger, and the placement tier with its migration backlog.
+// Configuration — topology, models, tenants, intervals — is rebuilt from
+// the spec on resume.
+powadapt_snap::snapshot! {
+    ClusterSim {
+        now,
+        next_id,
+        next_control,
+        next_sample,
+        rebalance_rounds,
+        replans,
+        infeasible_rounds,
+        node_samples,
+        routable: seq,
+        node_max: seq,
+        node_sum: seq,
+        last_grants: seq,
+        last_applied: seq,
+        owners,
+        streams: seq_state,
+        pending: seq,
+        accounts: seq,
+        controllers: seq_state,
+        faults: state,
+        ledger: state,
+        mig_bytes,
+        mig_backlog,
+        place: state,
     }
+    skip {
+        tree: "spec config: the power topology",
+        leaves: "derived from the tree",
+        node_tracks: "telemetry labels, derived from the tree",
+        tenants: "spec config",
+        policy: "spec config",
+        control_interval: "spec config",
+        sample_interval: "spec config",
+        planning_margin: "spec config",
+        duration: "spec config",
+        enc_models: "spec config: the model tables",
+        flat: "derived from the enclosures",
+        start: "derived from the devices",
+        t_end: "derived from the spec",
+        drain_scratch: "per-step scratch, empty between steps",
+        mig_scratch: "per-step scratch, drained within the step",
+        mig_scratch_len: "per-step scratch, zero between steps",
+        holders_scratch: "per-arrival scratch",
+    }
+    after restore_clock, restore_owners, restore_backlog
 }
 
-impl powadapt_snap::Restore for ClusterSim {
-    #[allow(clippy::too_many_lines)]
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = read_time(r)?;
+impl ClusterSim {
+    fn restore_clock(&mut self) -> Result<(), SnapError> {
         if self.now < self.start || self.now > self.t_end {
             return Err(SnapError::InvalidValue(format!(
                 "checkpoint time {:?} outside the run [{:?}, {:?}]",
                 self.now, self.start, self.t_end
             )));
         }
-        self.next_id = r.u64()?;
-        self.next_control = read_time(r)?;
-        self.next_sample = read_time(r)?;
-        self.rebalance_rounds = r.u64()?;
-        self.replans = r.u64()?;
-        self.infeasible_rounds = r.u64()?;
-        self.node_samples = r.u64()?;
+        Ok(())
+    }
 
-        let n = r.seq_len()?;
-        if n != self.routable.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} routable flags, cluster has {}",
-                self.routable.len()
-            )));
-        }
-        for v in &mut self.routable {
-            *v = r.bool()?;
-        }
-        read_f64s_into(r, &mut self.node_max, "node max")?;
-        read_f64s_into(r, &mut self.node_sum, "node sum")?;
-        read_f64s_into(r, &mut self.last_grants, "grant")?;
-        let n = r.seq_len()?;
-        if n != self.last_applied.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} applied budgets, cluster has {}",
-                self.last_applied.len()
-            )));
-        }
-        for v in &mut self.last_applied {
-            *v = r.opt_f64()?;
-        }
-
-        let n = r.seq_len()?;
-        let mut owners = BTreeMap::new();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let owner = match r.u8()? {
-                0 => {
-                    let tenant = r.usize()?;
-                    if tenant >= self.tenants.len() {
-                        return Err(SnapError::InvalidValue(format!(
-                            "in-flight IO {id} owned by tenant {tenant}, cluster has {}",
-                            self.tenants.len()
-                        )));
-                    }
-                    IoOwner::Tenant(tenant)
-                }
-                1 => IoOwner::MigrationRead(r.u64()?),
-                2 => IoOwner::MigrationWrite(r.u64()?),
-                other => {
-                    return Err(SnapError::InvalidValue(format!(
-                        "in-flight IO {id} owner discriminant {other} out of range"
-                    )))
-                }
-            };
+    /// Every in-flight IO sits below the next request id and belongs to a
+    /// tenant of the spec or to an unfinished migration leg in the
+    /// matching phase.
+    fn restore_owners(&mut self) -> Result<(), SnapError> {
+        for (&id, &owner) in &self.owners {
             if id >= self.next_id {
                 return Err(SnapError::InvalidValue(format!(
                     "in-flight IO {id} at or past the next request id {}",
                     self.next_id
                 )));
             }
-            if owners.insert(id, owner).is_some() {
-                return Err(SnapError::InvalidValue(format!(
-                    "duplicate in-flight IO id {id}"
-                )));
-            }
-        }
-        self.owners = owners;
-
-        let n = r.seq_len()?;
-        if n != self.streams.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} tenant streams, cluster has {}",
-                self.streams.len()
-            )));
-        }
-        for s in &mut self.streams {
-            powadapt_snap::Restore::read_state(s, r)?;
-        }
-        let n = r.seq_len()?;
-        if n != self.pending.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} pending arrivals, cluster has {}",
-                self.pending.len()
-            )));
-        }
-        for p in &mut self.pending {
-            *p = if r.bool()? {
-                Some(read_arrival(r)?)
-            } else {
-                None
-            };
-        }
-        let n = r.seq_len()?;
-        if n != self.accounts.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} tenant accounts, cluster has {}",
-                self.accounts.len()
-            )));
-        }
-        for a in &mut self.accounts {
-            powadapt_snap::Restore::read_state(&mut a.window, r)?;
-            a.submitted = r.u64()?;
-            a.dropped = r.u64()?;
-        }
-
-        let n = r.seq_len()?;
-        if n != self.controllers.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} controllers, cluster has {}",
-                self.controllers.len()
-            )));
-        }
-        for ctl in &mut self.controllers {
-            ctl.read_state(r)?;
-        }
-        powadapt_snap::Restore::read_state(&mut self.faults, r)?;
-        powadapt_snap::Restore::read_state(&mut self.ledger, r)?;
-
-        self.mig_bytes = r.u64()?;
-        let n = r.seq_len()?;
-        self.mig_backlog.clear();
-        for _ in 0..n {
-            let migration = r.u64()?;
-            let dev = r.u32()?;
-            if dev as usize >= self.flat.len() {
-                return Err(SnapError::InvalidValue(format!(
-                    "backlogged migration IO targets device {dev}, cluster has {}",
-                    self.flat.len()
-                )));
-            }
-            let write = r.bool()?;
-            let offset = r.u64()?;
-            let len = r.u64()?;
-            self.mig_backlog.push_back(MigrationIo {
-                migration,
-                dev,
-                write,
-                offset,
-                len,
-            });
-        }
-        let has_tier = r.bool()?;
-        if has_tier != self.place.is_some() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot {} a placement tier, the spec {}",
-                if has_tier { "carries" } else { "lacks" },
-                if self.place.is_some() {
-                    "configures one"
-                } else {
-                    "does not"
+            let (mid, phase) = match owner {
+                IoOwner::Tenant(t) if t < self.tenants.len() => continue,
+                IoOwner::Tenant(t) => {
+                    return Err(SnapError::InvalidValue(format!(
+                        "in-flight IO {id} owned by tenant {t}, cluster has {}",
+                        self.tenants.len()
+                    )))
                 }
-            )));
-        }
-        if let Some(tier) = self.place.as_mut() {
-            powadapt_snap::Restore::read_state(tier, r)?;
-        }
-
-        // In-flight migration owners must map to unfinished moves in the
-        // matching phase; the backlog must not double-issue a leg that is
-        // already in flight.
-        for (&id, &owner) in &self.owners {
-            let mid = match owner {
-                IoOwner::Tenant(_) => continue,
-                IoOwner::MigrationRead(m) | IoOwner::MigrationWrite(m) => m,
+                IoOwner::MigrationRead(m) => (m, MigrationPhase::Reading),
+                IoOwner::MigrationWrite(m) => (m, MigrationPhase::Writing),
             };
-            let want = if matches!(owner, IoOwner::MigrationRead(_)) {
-                MigrationPhase::Reading
-            } else {
-                MigrationPhase::Writing
-            };
-            let ok = self
-                .place
-                .as_ref()
-                .and_then(|tier| tier.migration(mid))
-                .is_some_and(|m| m.phase == want);
-            if !ok {
+            if !self.migration_in_phase(mid, phase) {
                 return Err(SnapError::InvalidValue(format!(
                     "in-flight IO {id} belongs to migration {mid}, which is missing or out of phase"
                 )));
             }
         }
+        Ok(())
+    }
+
+    /// Backlogged migration legs target real devices and never
+    /// double-issue a leg already in flight.
+    fn restore_backlog(&mut self) -> Result<(), SnapError> {
         for io in &self.mig_backlog {
-            let want = if io.write {
+            if io.dev as usize >= self.flat.len() {
+                return Err(SnapError::InvalidValue(format!(
+                    "backlogged migration IO targets device {}, cluster has {}",
+                    io.dev,
+                    self.flat.len()
+                )));
+            }
+            let phase = if io.write {
                 MigrationPhase::Writing
             } else {
                 MigrationPhase::Reading
             };
-            let ok = self
-                .place
-                .as_ref()
-                .and_then(|tier| tier.migration(io.migration))
-                .is_some_and(|m| m.phase == want);
-            if !ok {
+            if !self.migration_in_phase(io.migration, phase) {
                 return Err(SnapError::InvalidValue(format!(
                     "backlogged migration IO for move {}, which is missing or out of phase",
                     io.migration
@@ -1861,6 +1614,13 @@ impl powadapt_snap::Restore for ClusterSim {
             }
         }
         Ok(())
+    }
+
+    fn migration_in_phase(&self, id: u64, phase: MigrationPhase) -> bool {
+        self.place
+            .as_ref()
+            .and_then(|tier| tier.migration(id))
+            .is_some_and(|m| m.phase == phase)
     }
 }
 

@@ -140,7 +140,6 @@ pub struct TenantStream {
 }
 
 #[derive(Debug)]
-// powadapt-lint: allow(d6, reason = "swing/period are spec config; the rng is serialized inline by TenantStream")
 struct Thinning {
     swing: f64,
     period: SimDuration,
@@ -211,44 +210,46 @@ impl TenantStream {
     }
 }
 
-impl powadapt_snap::Snapshot for TenantStream {
-    /// Serializes the stream's cursor: the arrival generator plus, for
-    /// diurnal tenants, the thinning RNG. The swing and period are spec
-    /// configuration and are rebuilt, not serialized.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        powadapt_snap::Snapshot::write_state(&self.gen, w)?;
-        match &self.thin {
-            None => w.bool(false),
-            Some(t) => {
-                w.bool(true);
-                powadapt_snap::Snapshot::write_state(&t.rng, w)?;
-            }
-        }
-        Ok(())
-    }
-}
+/// Wire form of a tenant's thinning: the acceptance draws are its only
+/// state (a presence byte, then the RNG); the sinusoid is spec config,
+/// kept from the stream the spec built.
+struct ThinningDraws;
 
-impl powadapt_snap::Restore for TenantStream {
-    fn read_state(
-        &mut self,
+impl powadapt_snap::Wire<Option<Thinning>> for ThinningDraws {
+    fn encode(thin: &Option<Thinning>, w: &mut powadapt_snap::SnapWriter) {
+        w.bool(thin.is_some());
+        if let Some(Thinning {
+            swing: _,
+            period: _,
+            rng,
+        }) = thin
+        {
+            powadapt_snap::Codec::encode(rng, w);
+        }
+    }
+
+    fn restore(
+        thin: &mut Option<Thinning>,
         r: &mut powadapt_snap::SnapReader<'_>,
     ) -> Result<(), powadapt_snap::SnapError> {
-        powadapt_snap::Restore::read_state(&mut self.gen, r)?;
         let has_thin = r.bool()?;
-        match (&mut self.thin, has_thin) {
-            (None, false) => Ok(()),
-            (Some(t), true) => powadapt_snap::Restore::read_state(&mut t.rng, r),
-            (thin, _) => Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "thinning presence mismatch: stream has {}, snapshot has {}",
-                thin.is_some(),
-                has_thin
+        match thin {
+            Some(t) if has_thin => {
+                t.rng = powadapt_snap::Codec::decode(r)?;
+                Ok(())
+            }
+            None if !has_thin => Ok(()),
+            _ => Err(powadapt_snap::SnapError::InvalidValue(format!(
+                "thinning presence mismatch: stream has {}, snapshot has {has_thin}",
+                thin.is_some()
             ))),
         }
     }
 }
+
+// The stream's cursor: the arrival generator plus, for diurnal tenants,
+// the thinning RNG.
+powadapt_snap::snapshot! { TenantStream { gen: state, thin: with(ThinningDraws) } }
 
 impl Iterator for TenantStream {
     type Item = Arrival;

@@ -18,9 +18,8 @@
 //! [`BreakerRestore`](powadapt_obs::EventKind::BreakerRestore)), so the
 //! machinery is reusable by any driver over a [`PowerTree`].
 
-use powadapt_sim::snapshot::{read_time, write_time};
 use powadapt_sim::SimTime;
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::{restore_len, Codec, SnapError, SnapReader, SnapWriter, WireWith};
 
 use crate::tree::{NodeId, PowerTree};
 
@@ -36,6 +35,8 @@ pub struct TreeFaultWindow {
     pub until: SimTime,
 }
 
+powadapt_snap::codec! { TreeFaultWindow { node, from, until } }
+
 /// Lifecycle of one window: each transition fires exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -47,26 +48,7 @@ enum Phase {
     Done,
 }
 
-impl Phase {
-    fn to_u8(self) -> u8 {
-        match self {
-            Phase::Pending => 0,
-            Phase::Tripped => 1,
-            Phase::Done => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, SnapError> {
-        match v {
-            0 => Ok(Phase::Pending),
-            1 => Ok(Phase::Tripped),
-            2 => Ok(Phase::Done),
-            other => Err(SnapError::InvalidValue(format!(
-                "tree fault phase {other} out of range"
-            ))),
-        }
-    }
-}
+powadapt_snap::codec! { enum Phase { 0 => Pending, 1 => Tripped, 2 => Done } }
 
 /// One transition yielded by [`TreeFaultSchedule::due`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +63,57 @@ pub enum TreeFaultEvent {
 #[derive(Debug, Clone)]
 pub struct TreeFaultSchedule {
     windows: Vec<TreeFaultWindow>,
-    // powadapt-lint: allow(d6, reason = "node paths resolved at construction; rebuilt from the spec on resume")
     nodes: Vec<NodeId>,
     phase: Vec<Phase>,
+}
+
+/// Wire form of the phases: each paired with the window it tracks, so a
+/// checkpoint from a different fault schedule cannot silently re-time an
+/// outage. Restore checks each window against the spec's and overwrites
+/// only the phase.
+struct PhasedWindows;
+
+impl WireWith<Vec<Phase>, Vec<TreeFaultWindow>> for PhasedWindows {
+    fn encode(
+        phase: &Vec<Phase>,
+        windows: &Vec<TreeFaultWindow>,
+        w: &mut SnapWriter,
+    ) -> Result<(), SnapError> {
+        w.seq_len(phase.len());
+        for (p, fw) in phase.iter().zip(windows) {
+            p.encode(w);
+            fw.encode(w);
+        }
+        Ok(())
+    }
+
+    fn restore(
+        phase: &mut Vec<Phase>,
+        windows: &Vec<TreeFaultWindow>,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        restore_len(r, windows.len(), "tree fault window")?;
+        for (i, (p, want)) in phase.iter_mut().zip(windows).enumerate() {
+            let got_phase = Phase::decode(r)?;
+            let got = TreeFaultWindow::decode(r)?;
+            if got != *want {
+                return Err(SnapError::InvalidValue(format!(
+                    "tree fault window {i} mismatch: snapshot {} [{:?}, {:?}), spec {} [{:?}, {:?})",
+                    got.node, got.from, got.until, want.node, want.from, want.until
+                )));
+            }
+            *p = got_phase;
+        }
+        Ok(())
+    }
+}
+
+powadapt_snap::snapshot! {
+    TreeFaultSchedule { phase: with(PhasedWindows, windows) }
+    skip {
+        windows: "spec config; the checkpoint's copy is checked against it",
+        nodes: "derived: node ids resolved from the window paths",
+    }
 }
 
 impl TreeFaultSchedule {
@@ -157,54 +187,10 @@ impl TreeFaultSchedule {
     /// True while some tripped window covers `node` (the window names the
     /// node itself or one of its ancestors).
     pub fn is_down(&self, tree: &PowerTree, node: NodeId) -> bool {
-        self.nodes.iter().zip(&self.phase).any(|(&fault_node, &p)| {
-            p == Phase::Tripped
+        self.nodes.iter().zip(&self.phase).any(|(&fault_node, p)| {
+            *p == Phase::Tripped
                 && (fault_node == node || tree.ancestors(node).contains(&fault_node))
         })
-    }
-}
-
-impl Snapshot for TreeFaultSchedule {
-    /// Serializes only the per-window phases — the windows themselves are
-    /// spec configuration.
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.seq_len(self.phase.len());
-        for (p, fw) in self.phase.iter().zip(&self.windows) {
-            w.u8(p.to_u8());
-            // Pin the window identity so a snapshot from a different fault
-            // schedule cannot silently re-time an outage.
-            w.str(&fw.node);
-            write_time(w, fw.from);
-            write_time(w, fw.until);
-        }
-        Ok(())
-    }
-}
-
-impl Restore for TreeFaultSchedule {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.seq_len()?;
-        if n != self.windows.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "snapshot has {n} tree fault windows, spec has {}",
-                self.windows.len()
-            )));
-        }
-        for i in 0..n {
-            let phase = Phase::from_u8(r.u8()?)?;
-            let node = r.str()?;
-            let from = read_time(r)?;
-            let until = read_time(r)?;
-            let fw = &self.windows[i];
-            if node != fw.node || from != fw.from || until != fw.until {
-                return Err(SnapError::InvalidValue(format!(
-                    "tree fault window {i} mismatch: snapshot {node} [{from:?}, {until:?}), spec {} [{:?}, {:?})",
-                    fw.node, fw.from, fw.until
-                )));
-            }
-            self.phase[i] = phase;
-        }
-        Ok(())
     }
 }
 
@@ -212,6 +198,7 @@ impl Restore for TreeFaultSchedule {
 mod tests {
     use super::*;
     use crate::tree::NodeKind;
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     fn tree() -> PowerTree {
         let mut t = PowerTree::root("cluster", NodeKind::Cluster, 30.0, 1.0);

@@ -214,9 +214,7 @@ pub fn plan_budget(
 #[derive(Debug)]
 pub struct AdaptiveController {
     devices: Vec<Box<dyn StorageDevice>>,
-    // powadapt-lint: allow(d6, reason = "static power/throughput model tables; rebuilt from configuration")
     models: Vec<PowerThroughputModel>,
-    // powadapt-lint: allow(d6, reason = "static retry policy configuration")
     retry: RetryPolicy,
     health: Vec<DeviceHealth>,
     /// Remaining cooldown rounds per device; non-zero = quarantined.
@@ -225,7 +223,6 @@ pub struct AdaptiveController {
     /// tier's spin-down consolidation): excluded from planning, always
     /// given a standby action, never woken by a budget.
     pinned: Vec<bool>,
-    // powadapt-lint: allow(d6, reason = "telemetry sink; re-captured from the global slot at construction")
     rec: RecorderHandle,
 }
 
@@ -564,69 +561,16 @@ impl AdaptiveController {
             }
         }
     }
+}
 
-    /// Serializes the controller's dynamic state: every device's state
-    /// (via [`StorageDevice::write_state`]), health EWMAs, quarantine
-    /// cooldowns, and standby pins. Models and retry policy are
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SnapError`](powadapt_snap::SnapError) from a
-    /// device codec.
-    pub fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.seq_len(self.devices.len());
-        for d in &self.devices {
-            d.write_state(w)?;
-        }
-        for h in &self.health {
-            powadapt_snap::Snapshot::write_state(h, w)?;
-        }
-        for &q in &self.quarantine {
-            w.u32(q);
-        }
-        for &p in &self.pinned {
-            w.bool(p);
-        }
-        Ok(())
-    }
-
-    /// Overlays state written by [`AdaptiveController::write_state`] onto
-    /// a controller freshly built with the same devices and models. Emits
-    /// no observability events.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::InvalidValue`](powadapt_snap::SnapError::InvalidValue)
-    /// when the snapshot's fleet size differs from this controller's, or
-    /// any error from a device codec.
-    pub fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let n = r.seq_len()?;
-        if n != self.devices.len() {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "snapshot holds {n} devices, controller has {}",
-                self.devices.len()
-            )));
-        }
-        for d in &mut self.devices {
-            d.read_state(r)?;
-        }
-        for h in &mut self.health {
-            powadapt_snap::Restore::read_state(h, r)?;
-        }
-        for q in &mut self.quarantine {
-            *q = r.u32()?;
-        }
-        for p in &mut self.pinned {
-            *p = r.bool()?;
-        }
-        Ok(())
+// Every device's state, health EWMAs, quarantine cooldowns, and standby
+// pins; models and retry policy are configuration.
+powadapt_snap::snapshot! {
+    AdaptiveController { devices: seq_state, health: each, quarantine: each, pinned: each }
+    skip {
+        models: "spec config: the power/throughput model tables",
+        retry: "spec config: the retry policy",
+        rec: "telemetry sink, re-captured at construction",
     }
 }
 
@@ -801,6 +745,7 @@ mod tests {
 
     #[test]
     fn pins_survive_a_snapshot_roundtrip() {
+        use powadapt_snap::{Restore, Snapshot};
         let mut ctl = controller();
         ctl.set_pinned_standby(1, true);
         ctl.apply_budget(30.0).unwrap();

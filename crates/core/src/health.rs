@@ -93,33 +93,19 @@ impl DeviceHealth {
     }
 }
 
-impl powadapt_snap::Snapshot for DeviceHealth {
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.f64(self.ewma);
-        w.u64(self.commands);
-        w.u64(self.failures);
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    value DeviceHealth { ewma, commands, failures }
+    after restore_counts
 }
 
-impl powadapt_snap::Restore for DeviceHealth {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        self.ewma = r.f64()?;
-        let commands = r.u64()?;
-        let failures = r.u64()?;
-        if failures > commands {
+impl DeviceHealth {
+    fn restore_counts(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        if self.failures > self.commands {
             return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "{failures} failures exceed {commands} commands"
+                "{} failures exceed {} commands",
+                self.failures, self.commands
             )));
         }
-        self.commands = commands;
-        self.failures = failures;
         Ok(())
     }
 }

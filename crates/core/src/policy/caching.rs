@@ -192,7 +192,7 @@ mod tests {
     use super::*;
     use powadapt_device::{catalog, StandbyState, StorageDevice, KIB};
     use powadapt_io::{
-        run_fleet_arrivals, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter, OpenLoopSpec,
+        run_fleet, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter, OpenLoopSpec,
     };
 
     fn read_at(ms: u64, offset: u64) -> Arrival {
@@ -352,7 +352,7 @@ mod tests {
                 for b in 0..512u64 {
                     let _ = r_touch(&mut router, b * 16 * KIB, &fleet_view);
                 }
-                let r = run_fleet_arrivals(
+                let r = run_fleet(
                     &mut devices,
                     &mut router,
                     arrivals,
@@ -363,7 +363,7 @@ mod tests {
                 (r, devices[0].standby_state())
             } else {
                 let mut router = SleepFirst::default();
-                let r = run_fleet_arrivals(
+                let r = run_fleet(
                     &mut devices,
                     &mut router,
                     arrivals,
@@ -414,10 +414,11 @@ mod tests {
             1300,
             SimDuration::from_micros(5),
         );
-        let r = powadapt_io::run_fleet(
+        let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("runs");

@@ -166,7 +166,9 @@ impl Router for WriteSegregationRouter {
 mod tests {
     use super::*;
     use powadapt_device::{catalog, StorageDevice, GIB, KIB};
-    use powadapt_io::{run_fleet, AccessPattern, Arrivals, LeastLoadedRouter, OpenLoopSpec};
+    use powadapt_io::{
+        run_fleet, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter, OpenLoopSpec,
+    };
     use powadapt_sim::SimDuration;
 
     fn evo_fleet(n: usize) -> Vec<Box<dyn StorageDevice>> {
@@ -207,12 +209,26 @@ mod tests {
         let baseline = {
             let mut devices = evo_fleet(4);
             let mut router = LeastLoadedRouter::default();
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("baseline runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("baseline runs")
         };
         let consolidated = {
             let mut devices = evo_fleet(4);
             let mut router = ConsolidatingRouter::new(4, redirection_cfg()).expect("valid");
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("policy runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("policy runs")
         };
 
         assert_eq!(baseline.total.ios(), consolidated.total.ios(), "same work");
@@ -232,7 +248,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(100),
         )
         .expect("policy runs");
@@ -254,7 +271,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(100),
         )
         .expect("policy runs");
@@ -287,7 +305,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("policy runs");
@@ -356,12 +375,26 @@ mod tests {
         let uniform = {
             let mut devices = fleet();
             let mut router = AllCapped::default();
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("runs")
         };
         let segregated = {
             let mut devices = fleet();
             let mut router = WriteSegregationRouter::new(3, PowerStateId(2));
-            run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+            run_fleet(
+                &mut devices,
+                &mut router,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
+                interval,
+            )
+            .expect("runs")
         };
 
         assert_eq!(

@@ -148,7 +148,9 @@ mod tests {
     use crate::budget::PowerEventCause;
     use powadapt_device::{catalog, PowerStateId, StorageDevice, GIB, KIB};
     use powadapt_io::{full_sweep, SweepScale};
-    use powadapt_io::{run_fleet, AccessPattern, Arrivals, JobSpec, OpenLoopSpec, Workload};
+    use powadapt_io::{
+        run_fleet, AccessPattern, ArrivalGen, Arrivals, JobSpec, OpenLoopSpec, Workload,
+    };
     use powadapt_sim::SimDuration;
 
     fn model_for(label: &str) -> PowerThroughputModel {
@@ -206,7 +208,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("scenario runs");
@@ -252,7 +255,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("scenario survives");
@@ -296,7 +300,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("scenario runs");

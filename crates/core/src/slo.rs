@@ -262,43 +262,23 @@ impl SloWindow {
     }
 }
 
-impl powadapt_snap::Snapshot for SloWindow {
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.seq_len(self.lat_us.len());
-        for &l in &self.lat_us {
-            w.f64(l);
-        }
-        w.u64(self.bytes);
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    value SloWindow { lat_us, bytes }
+    after restore_latencies
 }
 
-impl powadapt_snap::Restore for SloWindow {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let n = r.seq_len()?;
-        let mut lat_us = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = r.f64()?;
-            if !l.is_finite() {
-                return Err(powadapt_snap::SnapError::InvalidValue(
-                    "non-finite latency in SLO window".into(),
-                ));
-            }
-            if lat_us.last().is_some_and(|&prev: &f64| prev > l) {
-                return Err(powadapt_snap::SnapError::InvalidValue(
-                    "SLO window latencies not sorted".into(),
-                ));
-            }
-            lat_us.push(l);
+impl SloWindow {
+    fn restore_latencies(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        if self.lat_us.iter().any(|l| !l.is_finite()) {
+            return Err(powadapt_snap::SnapError::InvalidValue(
+                "non-finite latency in SLO window".into(),
+            ));
         }
-        self.lat_us = lat_us;
-        self.bytes = r.u64()?;
+        if self.lat_us.windows(2).any(|pair| pair[0] > pair[1]) {
+            return Err(powadapt_snap::SnapError::InvalidValue(
+                "SLO window latencies not sorted".into(),
+            ));
+        }
         Ok(())
     }
 }

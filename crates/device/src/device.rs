@@ -4,7 +4,7 @@ use std::fmt;
 
 use powadapt_obs::RecorderHandle;
 use powadapt_sim::SimTime;
-use powadapt_snap::{SnapError, SnapReader, SnapWriter};
+use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::error::DeviceError;
 use crate::io::{IoCompletion, IoRequest};
@@ -202,6 +202,20 @@ pub trait StorageDevice: fmt::Debug {
         Err(SnapError::Unsupported(
             "this device type does not implement snapshotting",
         ))
+    }
+}
+
+/// A boxed device is a snapshot component, so fleets and decorators can
+/// list their devices in a `snapshot!` field list.
+impl Snapshot for Box<dyn StorageDevice> {
+    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        StorageDevice::write_state(&**self, w)
+    }
+}
+
+impl Restore for Box<dyn StorageDevice> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        StorageDevice::read_state(&mut **self, r)
     }
 }
 

@@ -47,7 +47,6 @@ use crate::device::StorageDevice;
 use crate::error::DeviceError;
 use crate::io::{IoCompletion, IoRequest};
 use crate::power::{PowerStateDesc, PowerStateId, StandbyDepth, StandbyState};
-use crate::snapcodec;
 use crate::spec::DeviceSpec;
 
 /// What a scheduled [`FaultWindow`] does while it is active.
@@ -207,6 +206,8 @@ pub struct FaultStats {
     pub latency_spikes: u64,
 }
 
+powadapt_snap::codec! { FaultStats { io_errors, unavailable, admin_failures, latency_spikes } }
+
 impl FaultStats {
     /// Total injected faults across all categories.
     pub fn total(&self) -> u64 {
@@ -218,17 +219,25 @@ impl FaultStats {
 /// [`StorageDevice`]. See the [module docs](self) for the fault taxonomy.
 pub struct FaultInjector {
     inner: Box<dyn StorageDevice>,
-    // powadapt-lint: allow(d6, reason = "static fault schedule; rebuilt from configuration on resume")
     plan: FaultPlan,
     rng: SimRng,
     /// Spiked completions not yet released: `(release time, completion)`
     /// with `completion.completed` already set to the release time.
     held: Vec<IoCompletion>,
     stats: FaultStats,
-    // powadapt-lint: allow(d6, reason = "telemetry sink; re-captured from the global slot at construction")
     rec: RecorderHandle,
-    // powadapt-lint: allow(d6, reason = "telemetry label; re-derived at construction")
     track: &'static str,
+}
+
+// The plan is configuration: a restored injector is rebuilt with the same
+// plan, so only the stochastic and in-flight state travels.
+powadapt_snap::snapshot! {
+    FaultInjector { inner: state, rng, held, stats }
+    skip {
+        plan: "spec config: the fault schedule",
+        rec: "telemetry sink, re-captured at construction",
+        track: "telemetry label",
+    }
 }
 
 impl fmt::Debug for FaultInjector {
@@ -473,27 +482,11 @@ impl StorageDevice for FaultInjector {
     }
 
     fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        // The plan is configuration: a restored injector is rebuilt with the
-        // same plan, so only the stochastic and in-flight state travels.
-        self.inner.write_state(w)?;
-        Snapshot::write_state(&self.rng, w)?;
-        snapcodec::write_completions(w, &self.held);
-        w.u64(self.stats.io_errors);
-        w.u64(self.stats.unavailable);
-        w.u64(self.stats.admin_failures);
-        w.u64(self.stats.latency_spikes);
-        Ok(())
+        Snapshot::write_state(self, w)
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.inner.read_state(r)?;
-        Restore::read_state(&mut self.rng, r)?;
-        self.held = snapcodec::read_completions(r)?;
-        self.stats.io_errors = r.u64()?;
-        self.stats.unavailable = r.u64()?;
-        self.stats.admin_failures = r.u64()?;
-        self.stats.latency_spikes = r.u64()?;
-        Ok(())
+        Restore::read_state(self, r)
     }
 }
 

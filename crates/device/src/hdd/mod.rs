@@ -16,7 +16,6 @@ pub use config::HddConfig;
 use std::collections::{BTreeSet, VecDeque};
 
 use powadapt_obs::{emit, span, EventKind, RecorderHandle};
-use powadapt_sim::snapshot::{read_time, write_time};
 use powadapt_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -24,7 +23,6 @@ use crate::device::StorageDevice;
 use crate::error::DeviceError;
 use crate::io::{IoCompletion, IoId, IoKind, IoRequest};
 use crate::power::{PowerStateDesc, PowerStateId, StandbyPhase, StandbyState};
-use crate::snapcodec;
 use crate::spec::DeviceSpec;
 
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +69,20 @@ enum MediaPhase {
     Transferring,
 }
 
+powadapt_snap::codec! { Pending { id, kind, offset, len, submitted } }
+powadapt_snap::codec! { enum MediaKind { 0 => ReadReq(p), 1 => CacheDrain, 2 => WriteThrough(p) } }
+powadapt_snap::codec! { MediaOp { kind, offset, len, enqueued } }
+powadapt_snap::codec! {
+    enum Ev {
+        0 => CmdDone(p),
+        1 => MediaPositioned(op),
+        2 => MediaDone(op),
+        3 => SpinDone,
+        4 => NoiseTick,
+    }
+}
+powadapt_snap::codec! { enum MediaPhase { 0 => Idle, 1 => Positioning, 2 => Transferring } }
+
 /// A simulated spinning hard disk. See the [module docs](self).
 ///
 /// # Examples
@@ -84,9 +96,7 @@ enum MediaPhase {
 /// ```
 #[derive(Debug)]
 pub struct Hdd {
-    // powadapt-lint: allow(d6, reason = "static device spec; the restorer constructs the device from it")
     spec: DeviceSpec,
-    // powadapt-lint: allow(d6, reason = "static device configuration; the restorer constructs from it")
     cfg: HddConfig,
     now: SimTime,
     events: EventQueue<Ev>,
@@ -113,16 +123,42 @@ pub struct Hdd {
 
     // Telemetry sink (captured from the global slot at construction;
     // write-only, never feeds back into device behavior).
-    // powadapt-lint: allow(d6, reason = "telemetry sink; re-captured from the global slot at construction")
     rec: RecorderHandle,
-    // powadapt-lint: allow(d6, reason = "telemetry label; re-derived at construction")
     track: &'static str,
     // Prebuilt media span labels: span emission clones a refcount
     // instead of converting a string per event.
-    // powadapt-lint: allow(d6, reason = "telemetry labels; constant")
     lbl_seek: &'static str,
-    // powadapt-lint: allow(d6, reason = "telemetry labels; constant")
     lbl_xfer: &'static str,
+}
+
+powadapt_snap::snapshot! {
+    Hdd {
+        now,
+        events: state,
+        rng,
+        power_now,
+        phase,
+        standby_requested,
+        noise_w,
+        noise_scheduled,
+        ctrl_busy,
+        cmd_queue,
+        media_phase,
+        pending_media,
+        head_pos,
+        cache_used,
+        cache_waiters,
+        inflight_ids,
+        done,
+    }
+    skip {
+        spec: "spec config; resume builds the device from it",
+        cfg: "spec config",
+        rec: "telemetry sink, re-captured at construction",
+        track: "telemetry label",
+        lbl_seek: "telemetry label",
+        lbl_xfer: "telemetry label",
+    }
 }
 
 impl Hdd {
@@ -621,178 +657,12 @@ impl StorageDevice for Hdd {
     }
 
     fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        write_time(w, self.now);
-        self.events.write_state(w, write_ev)?;
-        Snapshot::write_state(&self.rng, w)?;
-        w.f64(self.power_now);
-        snapcodec::write_standby_phase(w, self.phase);
-        w.bool(self.standby_requested);
-        w.f64(self.noise_w);
-        w.bool(self.noise_scheduled);
-        w.bool(self.ctrl_busy);
-        write_pendings(w, self.cmd_queue.iter());
-        w.u8(match self.media_phase {
-            MediaPhase::Idle => 0,
-            MediaPhase::Positioning => 1,
-            MediaPhase::Transferring => 2,
-        });
-        w.seq_len(self.pending_media.len());
-        for op in &self.pending_media {
-            write_media_op(w, op);
-        }
-        w.u64(self.head_pos);
-        w.u64(self.cache_used);
-        write_pendings(w, self.cache_waiters.iter());
-        w.seq_len(self.inflight_ids.len());
-        for &id in &self.inflight_ids {
-            w.u64(id);
-        }
-        snapcodec::write_completions(w, &self.done);
-        Ok(())
+        Snapshot::write_state(self, w)
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = read_time(r)?;
-        self.events.read_state(r, read_ev)?;
-        Restore::read_state(&mut self.rng, r)?;
-        self.power_now = r.f64()?;
-        self.phase = snapcodec::read_standby_phase(r)?;
-        self.standby_requested = r.bool()?;
-        self.noise_w = r.f64()?;
-        self.noise_scheduled = r.bool()?;
-        self.ctrl_busy = r.bool()?;
-        self.cmd_queue = read_pendings(r)?;
-        self.media_phase = match r.u8()? {
-            0 => MediaPhase::Idle,
-            1 => MediaPhase::Positioning,
-            2 => MediaPhase::Transferring,
-            b => {
-                return Err(SnapError::InvalidValue(format!("media phase byte {b}")));
-            }
-        };
-        let n = r.seq_len()?;
-        self.pending_media.clear();
-        for _ in 0..n {
-            self.pending_media.push_back(read_media_op(r)?);
-        }
-        self.head_pos = r.u64()?;
-        self.cache_used = r.u64()?;
-        self.cache_waiters = read_pendings(r)?;
-        let n = r.seq_len()?;
-        self.inflight_ids.clear();
-        for _ in 0..n {
-            let id = r.u64()?;
-            if !self.inflight_ids.insert(id) {
-                return Err(SnapError::InvalidValue(format!(
-                    "duplicate inflight id {id}"
-                )));
-            }
-        }
-        self.done = snapcodec::read_completions(r)?;
-        Ok(())
+        Restore::read_state(self, r)
     }
-}
-
-fn write_pending(w: &mut SnapWriter, p: &Pending) {
-    w.u64(p.id.0);
-    snapcodec::write_io_kind(w, p.kind);
-    w.u64(p.offset);
-    w.u64(p.len);
-    write_time(w, p.submitted);
-}
-
-fn read_pending(r: &mut SnapReader<'_>) -> Result<Pending, SnapError> {
-    Ok(Pending {
-        id: IoId(r.u64()?),
-        kind: snapcodec::read_io_kind(r)?,
-        offset: r.u64()?,
-        len: r.u64()?,
-        submitted: read_time(r)?,
-    })
-}
-
-fn write_pendings<'a, I>(w: &mut SnapWriter, it: I)
-where
-    I: ExactSizeIterator<Item = &'a Pending>,
-{
-    w.seq_len(it.len());
-    for p in it {
-        write_pending(w, p);
-    }
-}
-
-fn read_pendings(r: &mut SnapReader<'_>) -> Result<VecDeque<Pending>, SnapError> {
-    let n = r.seq_len()?;
-    let mut out = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        out.push_back(read_pending(r)?);
-    }
-    Ok(out)
-}
-
-fn write_media_op(w: &mut SnapWriter, op: &MediaOp) {
-    match &op.kind {
-        MediaKind::ReadReq(p) => {
-            w.u8(0);
-            write_pending(w, p);
-        }
-        MediaKind::CacheDrain => w.u8(1),
-        MediaKind::WriteThrough(p) => {
-            w.u8(2);
-            write_pending(w, p);
-        }
-    }
-    w.u64(op.offset);
-    w.u64(op.len);
-    write_time(w, op.enqueued);
-}
-
-fn read_media_op(r: &mut SnapReader<'_>) -> Result<MediaOp, SnapError> {
-    let kind = match r.u8()? {
-        0 => MediaKind::ReadReq(read_pending(r)?),
-        1 => MediaKind::CacheDrain,
-        2 => MediaKind::WriteThrough(read_pending(r)?),
-        b => {
-            return Err(SnapError::InvalidValue(format!("media kind byte {b}")));
-        }
-    };
-    Ok(MediaOp {
-        kind,
-        offset: r.u64()?,
-        len: r.u64()?,
-        enqueued: read_time(r)?,
-    })
-}
-
-fn write_ev(w: &mut SnapWriter, ev: &Ev) -> Result<(), SnapError> {
-    match ev {
-        Ev::CmdDone(p) => {
-            w.u8(0);
-            write_pending(w, p);
-        }
-        Ev::MediaPositioned(op) => {
-            w.u8(1);
-            write_media_op(w, op);
-        }
-        Ev::MediaDone(op) => {
-            w.u8(2);
-            write_media_op(w, op);
-        }
-        Ev::SpinDone => w.u8(3),
-        Ev::NoiseTick => w.u8(4),
-    }
-    Ok(())
-}
-
-fn read_ev(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
-    Ok(match r.u8()? {
-        0 => Ev::CmdDone(read_pending(r)?),
-        1 => Ev::MediaPositioned(read_media_op(r)?),
-        2 => Ev::MediaDone(read_media_op(r)?),
-        3 => Ev::SpinDone,
-        4 => Ev::NoiseTick,
-        b => return Err(SnapError::InvalidValue(format!("hdd event byte {b}"))),
-    })
 }
 
 #[cfg(test)]

@@ -115,6 +115,10 @@ impl IoCompletion {
     }
 }
 
+powadapt_snap::codec! { IoId(u64) }
+powadapt_snap::codec! { enum IoKind { 0 => Read, 1 => Write } }
+powadapt_snap::codec! { IoCompletion { id, kind, len, submitted, completed } }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,6 @@ mod io;
 mod nvme;
 mod power;
 mod sata;
-mod snapcodec;
 mod spec;
 pub mod ssd;
 

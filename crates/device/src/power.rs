@@ -120,6 +120,16 @@ pub(crate) enum StandbyPhase {
     Exiting { until: SimTime },
 }
 
+powadapt_snap::codec! {
+    enum StandbyPhase {
+        0 => Active,
+        1 => Entering { until },
+        2 => Standby,
+        3 => Exiting { until },
+    }
+}
+powadapt_snap::codec! { enum StandbyDepth { 0 => Partial, 1 => Slumber } }
+
 impl StandbyPhase {
     pub(crate) fn state(self) -> StandbyState {
         match self {

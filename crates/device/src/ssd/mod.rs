@@ -25,9 +25,10 @@ pub use config::SsdConfig;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use powadapt_obs::{emit, span, EventKind, RecorderHandle};
-use powadapt_sim::snapshot::{read_time, write_time};
 use powadapt_sim::{EventQueue, RollingMean, SimDuration, SimRng, SimTime, Slab};
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::{
+    restore_len, Codec, Restore, SnapError, SnapReader, SnapWriter, Snapshot, Wire, WireWith,
+};
 
 use crate::device::StorageDevice;
 use crate::error::DeviceError;
@@ -35,7 +36,6 @@ use crate::io::{IoCompletion, IoId, IoKind, IoRequest, MIB};
 use crate::power::{
     PowerStateDesc, PowerStateId, StandbyConfig, StandbyDepth, StandbyPhase, StandbyState,
 };
-use crate::snapcodec;
 use crate::spec::DeviceSpec;
 
 /// Governor retry cadence when starts are blocked by a power cap.
@@ -62,20 +62,26 @@ impl Pending {
     }
 }
 
+powadapt_snap::codec! { Pending { id, kind, offset, len, submitted, waf } }
+
 #[derive(Debug, Clone, Copy)]
 enum DieWork {
-    /// One page read belonging to the in-flight read at this `reads`-slab
-    /// slot. Slots are O(1) to resolve on the hot completion path;
-    /// snapshots translate them back to stable [`IoId`]s.
+    /// One page read belonging to an in-flight read, by its `reads`-slab
+    /// slot: an O(1) handle on the hot completion path. Checkpoints carry
+    /// the read's id instead (see [`ReadIds`]).
     Read(usize),
     /// One (possibly partial) program unit of buffer drain.
     Program,
 }
 
+powadapt_snap::codec! { enum DieWork { 0 => Read(slot), 1 => Program } }
+
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     pending: Pending,
 }
+
+powadapt_snap::codec! { Transfer { pending } }
 
 #[derive(Debug)]
 enum Ev {
@@ -89,10 +95,163 @@ enum Ev {
     IdleFlush,
 }
 
+powadapt_snap::codec! {
+    enum Ev {
+        0 => CmdDone(p),
+        1 => IfaceDone(t),
+        2 => Complete(p),
+        3 => DieDone { die, work },
+        4 => StandbyDone,
+        5 => NoiseTick,
+        6 => RetryTick,
+        7 => IdleFlush,
+    }
+}
+
 #[derive(Debug)]
 struct ReadState {
     pending: Pending,
     remaining: usize,
+}
+
+powadapt_snap::codec! { ReadState { pending, remaining } }
+
+/// Wire form of the in-flight read table: `(id, read)` pairs in id order,
+/// so the bytes never depend on which arena slot a read landed in.
+struct ReadTable;
+
+impl Wire<Slab<ReadState>> for ReadTable {
+    fn encode(reads: &Slab<ReadState>, w: &mut SnapWriter) {
+        let mut table: Vec<&ReadState> = reads.iter().map(|(_, rs)| rs).collect();
+        table.sort_unstable_by_key(|rs| rs.pending.id.0);
+        w.seq_len(table.len());
+        for rs in table {
+            rs.pending.id.encode(w);
+            rs.encode(w);
+        }
+    }
+
+    fn restore(reads: &mut Slab<ReadState>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.seq_len()?;
+        reads.clear();
+        let mut ids = BTreeSet::new();
+        for _ in 0..n {
+            let id = IoId::decode(r)?;
+            let rs = ReadState::decode(r)?;
+            if id.0 != rs.pending.id.0 || !ids.insert(id.0) {
+                return Err(SnapError::InvalidValue(format!(
+                    "duplicate or mismatched read id {}",
+                    id.0
+                )));
+            }
+            reads.insert(rs);
+        }
+        Ok(())
+    }
+}
+
+/// Wire form of die work that names an in-flight read by `reads`-slab
+/// slot, in the event and die queues: the read's id, because slots
+/// depend on the arena's freelist history. Restore maps each id to the
+/// slot its read occupies in the restored table.
+struct ReadIds;
+
+impl ReadIds {
+    fn id(reads: &Slab<ReadState>, slot: usize) -> Result<usize, SnapError> {
+        reads
+            .get(slot)
+            .map(|rs| rs.pending.id.0 as usize)
+            .ok_or_else(|| SnapError::InvalidValue(format!("vacant read slot {slot} referenced")))
+    }
+
+    fn slots(reads: &Slab<ReadState>) -> BTreeMap<usize, usize> {
+        reads
+            .iter()
+            .map(|(slot, rs)| (rs.pending.id.0 as usize, slot))
+            .collect()
+    }
+
+    fn slot(slot_of: &BTreeMap<usize, usize>, id: usize) -> Result<usize, SnapError> {
+        slot_of
+            .get(&id)
+            .copied()
+            .ok_or_else(|| SnapError::InvalidValue(format!("unknown in-flight read id {id}")))
+    }
+}
+
+impl WireWith<EventQueue<Ev>, Slab<ReadState>> for ReadIds {
+    fn encode(
+        events: &EventQueue<Ev>,
+        reads: &Slab<ReadState>,
+        w: &mut SnapWriter,
+    ) -> Result<(), SnapError> {
+        events.write_state(w, |w, ev| {
+            match *ev {
+                Ev::DieDone {
+                    die,
+                    work: DieWork::Read(slot),
+                } => Ev::DieDone {
+                    die,
+                    work: DieWork::Read(Self::id(reads, slot)?),
+                }
+                .encode(w),
+                ref other => other.encode(w),
+            }
+            Ok(())
+        })
+    }
+
+    fn restore(
+        events: &mut EventQueue<Ev>,
+        reads: &Slab<ReadState>,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        let slot_of = Self::slots(reads);
+        events.read_state(r, |r| {
+            let mut ev = Ev::decode(r)?;
+            if let Ev::DieDone {
+                work: DieWork::Read(id),
+                ..
+            } = &mut ev
+            {
+                *id = Self::slot(&slot_of, *id)?;
+            }
+            Ok(ev)
+        })
+    }
+}
+
+impl WireWith<Vec<VecDeque<usize>>, Slab<ReadState>> for ReadIds {
+    fn encode(
+        die_q: &Vec<VecDeque<usize>>,
+        reads: &Slab<ReadState>,
+        w: &mut SnapWriter,
+    ) -> Result<(), SnapError> {
+        w.seq_len(die_q.len());
+        for q in die_q {
+            w.seq_len(q.len());
+            for &slot in q {
+                w.usize(Self::id(reads, slot)?);
+            }
+        }
+        Ok(())
+    }
+
+    fn restore(
+        die_q: &mut Vec<VecDeque<usize>>,
+        reads: &Slab<ReadState>,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        let slot_of = Self::slots(reads);
+        restore_len(r, die_q.len(), "die_q")?;
+        for q in die_q {
+            q.clear();
+            for _ in 0..r.seq_len()? {
+                q.push_back(Self::slot(&slot_of, r.usize()?)?);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// LRU set of recently read page indices (controller read cache).
@@ -101,6 +260,15 @@ struct PageCache {
     order: VecDeque<u64>,
     set: BTreeSet<u64>,
     capacity: usize,
+}
+
+powadapt_snap::codec! {
+    PageCache { order }
+    skip {
+        set: "derived index over order; restore_set rebuilds it",
+        capacity: "spec config; Ssd::restore_cache reapplies it",
+    }
+    after restore_set
 }
 
 impl PageCache {
@@ -114,6 +282,17 @@ impl PageCache {
 
     fn contains(&self, page: u64) -> bool {
         self.set.contains(&page)
+    }
+
+    fn restore_set(&mut self) -> Result<(), SnapError> {
+        for &page in &self.order {
+            if !self.set.insert(page) {
+                return Err(SnapError::InvalidValue(format!(
+                    "duplicate cached page {page}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn insert(&mut self, page: u64) {
@@ -143,7 +322,6 @@ impl PageCache {
 /// ```
 #[derive(Debug)]
 pub struct Ssd {
-    // powadapt-lint: allow(d6, reason = "static device spec; the restorer constructs the device from it")
     spec: DeviceSpec,
     cfg: SsdConfig,
     now: SimTime,
@@ -195,13 +373,10 @@ pub struct Ssd {
 
     // Telemetry sink (captured from the global slot at construction;
     // write-only, never feeds back into device behavior).
-    // powadapt-lint: allow(d6, reason = "telemetry sink; re-captured from the global slot at construction")
     rec: RecorderHandle,
-    // powadapt-lint: allow(d6, reason = "telemetry label; re-derived at construction")
     track: &'static str,
     // Precomputed per-die span labels ("die{i}.program" / "die{i}.read"):
     // span emission clones a refcount instead of formatting per event.
-    // powadapt-lint: allow(d6, reason = "telemetry labels; re-derived from the die count at construction")
     die_labels: Vec<DieLabels>,
 }
 
@@ -219,6 +394,52 @@ fn die_labels(dies: usize) -> Vec<DieLabels> {
             read: powadapt_obs::intern(&format!("die{d}.read")),
         })
         .collect()
+}
+
+// The in-flight read table precedes the event and die queues: those
+// reference reads by arena slot, and a restore can only translate the ids
+// written here back into slots once the table exists.
+powadapt_snap::snapshot! {
+    Ssd {
+        now,
+        reads: with(ReadTable),
+        events: with(ReadIds, reads),
+        rng,
+        power_now,
+        rolling: state,
+        ps_index,
+        phase,
+        depth,
+        standby_requested,
+        noise_w,
+        noise_scheduled,
+        ctrl_busy,
+        cmd_queue,
+        iface_busy,
+        iface_queue,
+        die_busy: seq,
+        die_q: with(ReadIds, reads),
+        busy_read,
+        busy_prog,
+        buffer_used,
+        nand_debt,
+        flushing,
+        buffer_waiters,
+        last_write_end,
+        cache,
+        inflight_ids,
+        done,
+        retry_pending,
+        idle_flush_pending,
+    }
+    skip {
+        spec: "spec config; resume builds the device from it",
+        cfg: "spec config",
+        rec: "telemetry sink, re-captured at construction",
+        track: "telemetry label",
+        die_labels: "telemetry labels, derived from the die count",
+    }
+    after restore_ps_index, restore_cache
 }
 
 impl Ssd {
@@ -285,6 +506,30 @@ impl Ssd {
             track,
             die_labels,
         })
+    }
+
+    fn restore_ps_index(&mut self) -> Result<(), SnapError> {
+        if self.ps_index < self.cfg.power_states.len() {
+            Ok(())
+        } else {
+            Err(SnapError::InvalidValue(format!(
+                "power state index {} out of range",
+                self.ps_index
+            )))
+        }
+    }
+
+    /// The cache's capacity is configuration; the checkpoint must fit it.
+    fn restore_cache(&mut self) -> Result<(), SnapError> {
+        self.cache.capacity = self.cfg.read_cache_pages;
+        if self.cache.order.len() > self.cache.capacity {
+            return Err(SnapError::InvalidValue(format!(
+                "cache holds {} pages, capacity {}",
+                self.cache.order.len(),
+                self.cache.capacity
+            )));
+        }
+        Ok(())
     }
 
     /// The configuration the device was built with.
@@ -995,297 +1240,12 @@ impl StorageDevice for Ssd {
     }
 
     fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        write_time(w, self.now);
-        // The in-flight read table precedes the event and die queues:
-        // those queues reference reads by arena slot, and a restore can
-        // only translate the stable ids written here back into slots once
-        // the table exists. Entries are ordered by id, not slot, so the
-        // byte stream is independent of freelist history.
-        let mut reads: Vec<(u64, &ReadState)> = self
-            .reads
-            .iter()
-            .map(|(_, rs)| (rs.pending.id.0, rs))
-            .collect();
-        reads.sort_unstable_by_key(|&(id, _)| id);
-        w.seq_len(reads.len());
-        for (id, rs) in reads {
-            w.u64(id);
-            write_pending(w, &rs.pending);
-            w.usize(rs.remaining);
-        }
-        self.events
-            .write_state(w, |w, ev| write_ev(w, ev, &self.reads))?;
-        Snapshot::write_state(&self.rng, w)?;
-        w.f64(self.power_now);
-        Snapshot::write_state(&self.rolling, w)?;
-        w.usize(self.ps_index);
-        snapcodec::write_standby_phase(w, self.phase);
-        snapcodec::write_standby_depth(w, self.depth);
-        w.bool(self.standby_requested);
-        w.f64(self.noise_w);
-        w.bool(self.noise_scheduled);
-        w.bool(self.ctrl_busy);
-        write_pendings(w, self.cmd_queue.iter());
-        w.bool(self.iface_busy);
-        w.seq_len(self.iface_queue.len());
-        for t in &self.iface_queue {
-            write_pending(w, &t.pending);
-        }
-        w.seq_len(self.die_busy.len());
-        for &b in &self.die_busy {
-            w.bool(b);
-        }
-        w.seq_len(self.die_q.len());
-        for q in &self.die_q {
-            w.seq_len(q.len());
-            for &slot in q {
-                w.u64(slot_id(&self.reads, slot)?);
-            }
-        }
-        w.usize(self.busy_read);
-        w.usize(self.busy_prog);
-        w.u64(self.buffer_used);
-        w.u64(self.nand_debt);
-        w.bool(self.flushing);
-        write_pendings(w, self.buffer_waiters.iter());
-        w.u64(self.last_write_end);
-        w.seq_len(self.cache.order.len());
-        for &page in &self.cache.order {
-            w.u64(page);
-        }
-        w.seq_len(self.inflight_ids.len());
-        for &id in &self.inflight_ids {
-            w.u64(id);
-        }
-        snapcodec::write_completions(w, &self.done);
-        w.bool(self.retry_pending);
-        w.bool(self.idle_flush_pending);
-        Ok(())
+        Snapshot::write_state(self, w)
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = read_time(r)?;
-        let n = r.seq_len()?;
-        self.reads.clear();
-        let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
-        for _ in 0..n {
-            let id = r.u64()?;
-            let pending = read_pending(r)?;
-            let remaining = r.usize()?;
-            let slot = self.reads.insert(ReadState { pending, remaining });
-            if slot_of.insert(id, slot).is_some() {
-                return Err(SnapError::InvalidValue(format!("duplicate read id {id}")));
-            }
-        }
-        self.events.read_state(r, |r| read_ev(r, &slot_of))?;
-        Restore::read_state(&mut self.rng, r)?;
-        self.power_now = r.f64()?;
-        Restore::read_state(&mut self.rolling, r)?;
-        let ps_index = r.usize()?;
-        if ps_index >= self.cfg.power_states.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "power state index {ps_index} out of range"
-            )));
-        }
-        self.ps_index = ps_index;
-        self.phase = snapcodec::read_standby_phase(r)?;
-        self.depth = snapcodec::read_standby_depth(r)?;
-        self.standby_requested = r.bool()?;
-        self.noise_w = r.f64()?;
-        self.noise_scheduled = r.bool()?;
-        self.ctrl_busy = r.bool()?;
-        self.cmd_queue = read_pendings(r)?;
-        self.iface_busy = r.bool()?;
-        let n = r.seq_len()?;
-        self.iface_queue.clear();
-        for _ in 0..n {
-            self.iface_queue.push_back(Transfer {
-                pending: read_pending(r)?,
-            });
-        }
-        let n = r.seq_len()?;
-        if n != self.die_busy.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "die count {n} does not match configured {}",
-                self.die_busy.len()
-            )));
-        }
-        for b in &mut self.die_busy {
-            *b = r.bool()?;
-        }
-        let n = r.seq_len()?;
-        if n != self.die_q.len() {
-            return Err(SnapError::InvalidValue(format!(
-                "die queue count {n} does not match configured {}",
-                self.die_q.len()
-            )));
-        }
-        for q in &mut self.die_q {
-            let m = r.seq_len()?;
-            q.clear();
-            for _ in 0..m {
-                let id = r.u64()?;
-                q.push_back(resolve_slot(&slot_of, id)?);
-            }
-        }
-        self.busy_read = r.usize()?;
-        self.busy_prog = r.usize()?;
-        self.buffer_used = r.u64()?;
-        self.nand_debt = r.u64()?;
-        self.flushing = r.bool()?;
-        self.buffer_waiters = read_pendings(r)?;
-        self.last_write_end = r.u64()?;
-        let n = r.seq_len()?;
-        if n > self.cache.capacity {
-            return Err(SnapError::InvalidValue(format!(
-                "cache holds {n} pages, capacity {}",
-                self.cache.capacity
-            )));
-        }
-        let mut order = VecDeque::with_capacity(n);
-        let mut set = BTreeSet::new();
-        for _ in 0..n {
-            let page = r.u64()?;
-            if !set.insert(page) {
-                return Err(SnapError::InvalidValue(format!(
-                    "duplicate cached page {page}"
-                )));
-            }
-            order.push_back(page);
-        }
-        self.cache.order = order;
-        self.cache.set = set;
-        let n = r.seq_len()?;
-        self.inflight_ids.clear();
-        for _ in 0..n {
-            let id = r.u64()?;
-            if !self.inflight_ids.insert(id) {
-                return Err(SnapError::InvalidValue(format!(
-                    "duplicate inflight id {id}"
-                )));
-            }
-        }
-        self.done = snapcodec::read_completions(r)?;
-        self.retry_pending = r.bool()?;
-        self.idle_flush_pending = r.bool()?;
-        Ok(())
+        Restore::read_state(self, r)
     }
-}
-
-fn write_pending(w: &mut SnapWriter, p: &Pending) {
-    w.u64(p.id.0);
-    snapcodec::write_io_kind(w, p.kind);
-    w.u64(p.offset);
-    w.u64(p.len);
-    write_time(w, p.submitted);
-    w.f64(p.waf);
-}
-
-fn read_pending(r: &mut SnapReader<'_>) -> Result<Pending, SnapError> {
-    Ok(Pending {
-        id: IoId(r.u64()?),
-        kind: snapcodec::read_io_kind(r)?,
-        offset: r.u64()?,
-        len: r.u64()?,
-        submitted: read_time(r)?,
-        waf: r.f64()?,
-    })
-}
-
-fn write_pendings<'a, I>(w: &mut SnapWriter, it: I)
-where
-    I: ExactSizeIterator<Item = &'a Pending>,
-{
-    w.seq_len(it.len());
-    for p in it {
-        write_pending(w, p);
-    }
-}
-
-fn read_pendings(r: &mut SnapReader<'_>) -> Result<VecDeque<Pending>, SnapError> {
-    let n = r.seq_len()?;
-    let mut out = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        out.push_back(read_pending(r)?);
-    }
-    Ok(out)
-}
-
-/// Translates an in-flight read's arena slot back to its stable id for
-/// serialization.
-fn slot_id(reads: &Slab<ReadState>, slot: usize) -> Result<u64, SnapError> {
-    reads
-        .get(slot)
-        .map(|rs| rs.pending.id.0)
-        .ok_or_else(|| SnapError::InvalidValue(format!("vacant read slot {slot} referenced")))
-}
-
-/// Translates a serialized read id back to the arena slot it occupies in
-/// the restored `reads` table.
-fn resolve_slot(slot_of: &BTreeMap<u64, usize>, id: u64) -> Result<usize, SnapError> {
-    slot_of
-        .get(&id)
-        .copied()
-        .ok_or_else(|| SnapError::InvalidValue(format!("unknown in-flight read id {id}")))
-}
-
-fn write_ev(w: &mut SnapWriter, ev: &Ev, reads: &Slab<ReadState>) -> Result<(), SnapError> {
-    match ev {
-        Ev::CmdDone(p) => {
-            w.u8(0);
-            write_pending(w, p);
-        }
-        Ev::IfaceDone(t) => {
-            w.u8(1);
-            write_pending(w, &t.pending);
-        }
-        Ev::Complete(p) => {
-            w.u8(2);
-            write_pending(w, p);
-        }
-        Ev::DieDone { die, work } => {
-            w.u8(3);
-            w.usize(*die);
-            match work {
-                DieWork::Read(slot) => {
-                    w.u8(0);
-                    w.u64(slot_id(reads, *slot)?);
-                }
-                DieWork::Program => w.u8(1),
-            }
-        }
-        Ev::StandbyDone => w.u8(4),
-        Ev::NoiseTick => w.u8(5),
-        Ev::RetryTick => w.u8(6),
-        Ev::IdleFlush => w.u8(7),
-    }
-    Ok(())
-}
-
-fn read_ev(r: &mut SnapReader<'_>, slot_of: &BTreeMap<u64, usize>) -> Result<Ev, SnapError> {
-    Ok(match r.u8()? {
-        0 => Ev::CmdDone(read_pending(r)?),
-        1 => Ev::IfaceDone(Transfer {
-            pending: read_pending(r)?,
-        }),
-        2 => Ev::Complete(read_pending(r)?),
-        3 => {
-            let die = r.usize()?;
-            let work = match r.u8()? {
-                0 => DieWork::Read(resolve_slot(slot_of, r.u64()?)?),
-                1 => DieWork::Program,
-                b => {
-                    return Err(SnapError::InvalidValue(format!("die work byte {b}")));
-                }
-            };
-            Ev::DieDone { die, work }
-        }
-        4 => Ev::StandbyDone,
-        5 => Ev::NoiseTick,
-        6 => Ev::RetryTick,
-        7 => Ev::IdleFlush,
-        b => return Err(SnapError::InvalidValue(format!("ssd event byte {b}"))),
-    })
 }
 
 #[cfg(test)]

@@ -17,10 +17,9 @@ use powadapt_meter::{PowerRig, PowerTrace};
 use powadapt_obs::{emit, EventKind};
 use powadapt_sim::{SimDuration, SimRng, SimTime};
 
-use crate::openloop::{Arrival, ArrivalGen, OpenLoopSpec};
+use crate::openloop::Arrival;
 use crate::runner::ExperimentError;
 use crate::stats::IoStats;
-use crate::wltrace::ArrivalTrace;
 
 /// A router's view of one device.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,11 +272,13 @@ fn command_target(cmd: &DeviceCommand) -> usize {
     }
 }
 
-/// Runs an open-loop stream against a fleet.
+/// Runs an arrival stream against a fleet: a synthetic
+/// [`ArrivalGen`](crate::ArrivalGen) or a recorded
+/// [`ArrivalTrace`](crate::ArrivalTrace) (`trace.arrivals().iter().copied()`).
 ///
 /// All devices advance in lockstep so the 1 kHz fleet-power samples are
-/// coherent sums. The run ends when the stream is exhausted and every
-/// device has drained.
+/// coherent sums, measured by a rig seeded from `meter_seed`. The run
+/// ends when the stream is exhausted and every device has drained.
 ///
 /// Transient device errors ([`DeviceError::is_transient`]) do not abort
 /// the run: a refused submit is reported to the router
@@ -288,61 +289,14 @@ fn command_target(cmd: &DeviceCommand) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError::InvalidJob`] for a bad stream spec and
-/// [`ExperimentError::Device`] if a submit or a router command is rejected
-/// with a non-transient (wiring) error.
+/// Returns [`ExperimentError::Device`] if a submit or a router command is
+/// rejected with a non-transient (wiring) error.
 ///
 /// # Panics
 ///
 /// Panics if `devices` is empty or the router returns an out-of-range
 /// index.
-pub fn run_fleet(
-    devices: &mut [Box<dyn StorageDevice>],
-    router: &mut dyn Router,
-    spec: &OpenLoopSpec,
-    control_interval: SimDuration,
-) -> Result<FleetResult, ExperimentError> {
-    let gen = ArrivalGen::new(spec).map_err(ExperimentError::InvalidJob)?;
-    run_fleet_arrivals(devices, router, gen, spec.seed, control_interval)
-}
-
-/// Replays a recorded [`ArrivalTrace`] against a fleet. See [`run_fleet`].
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
-///
-/// # Panics
-///
-/// Same as [`run_fleet`].
-pub fn run_fleet_trace(
-    devices: &mut [Box<dyn StorageDevice>],
-    router: &mut dyn Router,
-    trace: &ArrivalTrace,
-    meter_seed: u64,
-    control_interval: SimDuration,
-) -> Result<FleetResult, ExperimentError> {
-    run_fleet_arrivals(
-        devices,
-        router,
-        trace.arrivals().iter().copied(),
-        meter_seed,
-        control_interval,
-    )
-}
-
-/// Runs an arbitrary arrival stream against a fleet — the generic engine
-/// behind [`run_fleet`] (synthetic streams) and [`run_fleet_trace`]
-/// (recorded traces).
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
-///
-/// # Panics
-///
-/// Same as [`run_fleet`].
-pub fn run_fleet_arrivals<I>(
+pub fn run_fleet<I>(
     devices: &mut [Box<dyn StorageDevice>],
     router: &mut dyn Router,
     arrivals: I,
@@ -561,7 +515,7 @@ where
 mod tests {
     use super::*;
     use crate::job::AccessPattern;
-    use crate::openloop::Arrivals;
+    use crate::openloop::{ArrivalGen, Arrivals, OpenLoopSpec};
     use powadapt_device::{catalog, GIB};
 
     fn fleet(n: usize) -> Vec<Box<dyn StorageDevice>> {
@@ -592,7 +546,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("fleet runs");
@@ -609,7 +564,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("fleet runs");
@@ -630,7 +586,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(50),
         )
         .expect("fleet runs");
@@ -666,7 +623,8 @@ mod tests {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(20),
         )
         .expect("fleet runs");
@@ -686,7 +644,8 @@ mod tests {
             run_fleet(
                 &mut devices,
                 &mut router,
-                &spec,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
                 SimDuration::from_millis(50),
             )
             .unwrap()
@@ -694,10 +653,10 @@ mod tests {
         let replayed = {
             let mut devices = fleet(2);
             let mut router = LeastLoadedRouter::default();
-            run_fleet_trace(
+            run_fleet(
                 &mut devices,
                 &mut router,
-                &trace,
+                trace.arrivals().iter().copied(),
                 spec.seed,
                 SimDuration::from_millis(50),
             )
@@ -721,7 +680,8 @@ mod tests {
             let r = run_fleet(
                 &mut devices,
                 &mut router,
-                &spec,
+                ArrivalGen::new(&spec).expect("valid arrival spec"),
+                spec.seed,
                 SimDuration::from_millis(50),
             )
             .expect("fleet runs");

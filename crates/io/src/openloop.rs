@@ -121,6 +121,8 @@ pub struct Arrival {
     pub len: u64,
 }
 
+powadapt_snap::codec! { Arrival { at, kind, offset, len } }
+
 /// Deterministic generator of an open-loop arrival stream.
 ///
 /// # Examples
@@ -144,7 +146,6 @@ pub struct Arrival {
 /// ```
 #[derive(Debug)]
 pub struct ArrivalGen {
-    // powadapt-lint: allow(d6, reason = "configuration; the restorer constructs the generator from the same spec")
     spec: OpenLoopSpec,
     rng: SimRng,
     clock: SimTime,
@@ -152,7 +153,6 @@ pub struct ArrivalGen {
     phase_end: Option<SimTime>,
     cursor: u64,
     blocks: u64,
-    // powadapt-lint: allow(d6, reason = "derived from spec.zipf_theta; rebuilt at construction, not serialized")
     zipf: Option<powadapt_sim::Zipf>,
     done: bool,
 }
@@ -237,41 +237,29 @@ impl ArrivalGen {
     }
 }
 
-impl powadapt_snap::Snapshot for ArrivalGen {
-    /// Dynamic state only: RNG position, clock, on/off phase, sequential
-    /// cursor, and the done flag. The spec (and with it `blocks` and the
-    /// Zipf table) is configuration the restorer rebuilds from.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        powadapt_snap::Snapshot::write_state(&self.rng, w)?;
-        powadapt_sim::snapshot::write_time(w, self.clock);
-        powadapt_sim::snapshot::write_opt_time(w, self.phase_end);
-        w.u64(self.cursor);
-        w.bool(self.done);
-        Ok(())
+// Dynamic state only: RNG position, clock, on/off phase, sequential
+// cursor, and the done flag. The spec (and with it `blocks` and the Zipf
+// table) is configuration the restorer rebuilds from.
+powadapt_snap::snapshot! {
+    ArrivalGen { rng, clock, phase_end, cursor, done }
+    skip {
+        spec: "spec config; resume builds the generator from it",
+        blocks: "derived from the spec's region and block size",
+        zipf: "derived from spec.zipf_theta",
     }
+    after restore_cursor
 }
 
-impl powadapt_snap::Restore for ArrivalGen {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        powadapt_snap::Restore::read_state(&mut self.rng, r)?;
-        self.clock = powadapt_sim::snapshot::read_time(r)?;
-        self.phase_end = powadapt_sim::snapshot::read_opt_time(r)?;
-        let cursor = r.u64()?;
-        if cursor >= self.blocks {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "sequential cursor {cursor} outside {} blocks",
-                self.blocks
-            )));
+impl ArrivalGen {
+    fn restore_cursor(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        if self.cursor < self.blocks {
+            Ok(())
+        } else {
+            Err(powadapt_snap::SnapError::InvalidValue(format!(
+                "sequential cursor {} outside {} blocks",
+                self.cursor, self.blocks
+            )))
         }
-        self.cursor = cursor;
-        self.done = r.bool()?;
-        Ok(())
     }
 }
 

@@ -12,7 +12,7 @@
 //! The lock file is intentionally human-diffable: the struct inventory
 //! is spelled out line by line, so the PR diff *is* the ABI review.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use crate::lexer::{lex, TokKind};
 use crate::model::Model;
@@ -65,21 +65,27 @@ pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> S
             .unwrap_or("")
             .to_string()
     };
-    // Snapshot-active: some impl-owned write_state/read_state fn exists
-    // for the struct in the same crate (mirrors rule D6's definition).
-    let mut active: BTreeMap<(String, String), bool> = BTreeMap::new();
+    // Snapshot-active: a `snapshot!` field list names the struct, or some
+    // impl-owned write_state/read_state fn exists for it, in the same
+    // crate.
+    let mut active: BTreeSet<(String, String)> = BTreeSet::new();
     for f in &model.fns {
         if f.name != "write_state" && f.name != "read_state" {
             continue;
         }
         if let Some(owner) = &f.owner {
-            active.insert((crate_key(files[f.file].path), owner.clone()), true);
+            active.insert((crate_key(files[f.file].path), owner.clone()));
+        }
+    }
+    for site in &model.macros {
+        if let Some(ty) = site.snapshot_type(files[site.file].toks) {
+            active.insert((crate_key(files[site.file].path), ty.to_string()));
         }
     }
     let mut entries: Vec<String> = Vec::new();
     for s in &model.structs {
         let key = (crate_key(files[s.file].path), s.name.clone());
-        if !active.contains_key(&key) {
+        if !active.contains(&key) {
             continue;
         }
         let fields: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
@@ -191,6 +197,23 @@ mod tests {
         assert!(text.contains("format_version = 2"));
         assert!(text.contains("sim/SimRng: s0, s1"));
         assert!(parse_lock(&text).is_some());
+    }
+
+    #[test]
+    fn macro_declared_struct_is_snapshot_active() {
+        let src = "struct Meter { window: u64, samples: Vec<f64>, label: &'static str }\n\
+            struct Other { x: u64 }\n\
+            powadapt_snap::snapshot! {\n    Meter { window, samples }\n    \
+            skip { label: \"telemetry label\" }\n}\n";
+        let text = lock_for(&[("crates/obs/src/meter.rs", src)], 4);
+        assert!(
+            text.contains("obs/Meter: window, samples, label\n"),
+            "{text}"
+        );
+        assert!(!text.contains("Other"));
+        let grown = src.replace("label: &'static str", "label: &'static str, peak: u64");
+        let new = lock_for(&[("crates/obs/src/meter.rs", &grown)], 4);
+        assert_eq!(check(&new, Some(&text)), AbiStatus::ChangedWithoutBump);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Identifier of an analyzer rule.
 ///
-/// `D1`-`D5` are the per-file token rules, `D6`-`D9` the cross-file
+/// `D1`-`D5` are the per-file token rules, `D7`-`D9` the cross-file
 /// semantic rules over the pass-1 symbol model; `S0`/`S1` police the
 /// suppression mechanism itself so the escape hatch cannot rot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,9 +24,6 @@ pub enum RuleId {
     D4,
     /// `unwrap`/`expect`/`panic!` in library code that must return errors.
     D5,
-    /// Snapshot completeness: every field of a `Snapshot`-implementing
-    /// struct must appear in its `write_state`/`read_state` bodies.
-    D6,
     /// Unit-dimension flow: no mixed-unit arithmetic or `.0` escapes
     /// outside the declared conversions in `units.rs`.
     D7,
@@ -45,13 +42,12 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
         RuleId::D4,
         RuleId::D5,
-        RuleId::D6,
         RuleId::D7,
         RuleId::D8,
         RuleId::D9,
@@ -67,7 +63,6 @@ impl RuleId {
             RuleId::D3 => "D3",
             RuleId::D4 => "D4",
             RuleId::D5 => "D5",
-            RuleId::D6 => "D6",
             RuleId::D7 => "D7",
             RuleId::D8 => "D8",
             RuleId::D9 => "D9",
@@ -79,7 +74,7 @@ impl RuleId {
     /// Parses a rule name as written in an `allow(...)` suppression.
     /// Only the domain rules are suppressible; `S0`/`S1` are not (a
     /// suppression that suppresses the suppression checker defeats it).
-    /// Lowercase ids (`d6`) are accepted — the semantic rules' docs use
+    /// Lowercase ids (`d7`) are accepted — the semantic rules' docs use
     /// them and there is no ambiguity.
     pub fn parse_suppressible(name: &str) -> Option<RuleId> {
         match name {
@@ -88,7 +83,6 @@ impl RuleId {
             "D3" | "d3" => Some(RuleId::D3),
             "D4" | "d4" => Some(RuleId::D4),
             "D5" | "d5" => Some(RuleId::D5),
-            "D6" | "d6" => Some(RuleId::D6),
             "D7" | "d7" => Some(RuleId::D7),
             "D8" | "d8" => Some(RuleId::D8),
             "D9" | "d9" => Some(RuleId::D9),
@@ -104,7 +98,6 @@ impl RuleId {
             RuleId::D3 => "no NaN-unsafe float comparison in figure/stat code",
             RuleId::D4 => "unit quantities in public APIs must use typed newtypes",
             RuleId::D5 => "no unwrap/expect/panic in device/io/core library code",
-            RuleId::D6 => "Snapshot impls must serialize every field",
             RuleId::D7 => "unit newtypes must not mix dimensions or leak raw values",
             RuleId::D8 => "emitted event kinds must be registered; no events on restore",
             RuleId::D9 => "hot-path functions must not allocate",
@@ -135,11 +128,6 @@ impl RuleId {
             RuleId::D5 => {
                 "return DeviceError (or the crate's error type) instead of \
                  panicking; panics in library paths kill whole fleet runs"
-            }
-            RuleId::D6 => {
-                "serialize the field in write_state/read_state (bump \
-                 FORMAT_VERSION), or mark it `// powadapt-lint: allow(d6, \
-                 reason = \"...\")` if it is rebuilt statically on restore"
             }
             RuleId::D7 => {
                 "convert through the declared unit operations in \

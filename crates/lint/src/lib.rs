@@ -84,7 +84,7 @@ pub struct FileAnalysis {
 ///
 /// `path` must be workspace-relative with `/` separators — it drives the
 /// per-rule scoping in [`AnalysisMode::Scoped`]. The file is treated as
-/// a one-file workspace, so the cross-file rules D6-D9 run with whatever
+/// a one-file workspace, so the cross-file rules D7-D9 run with whatever
 /// the single file declares (which is exactly what the ui fixtures
 /// exercise). For true cross-file analysis use [`analyze_files`].
 pub fn analyze_source(path: &str, src: &str, mode: AnalysisMode) -> FileAnalysis {
@@ -93,7 +93,7 @@ pub fn analyze_source(path: &str, src: &str, mode: AnalysisMode) -> FileAnalysis
 
 /// Analyzes a set of files as one workspace: pass 1 lexes every file and
 /// builds the shared symbol [`model::Model`]; pass 2 runs the per-file
-/// token rules (D1-D5) and the cross-file semantic rules (D6-D9) over
+/// token rules (D1-D5) and the cross-file semantic rules (D7-D9) over
 /// it. Suppressions are merged workspace-wide but keyed on (rule, file),
 /// so an allow in one file never covers — or masks the audit of — the
 /// same rule elsewhere.

@@ -1,10 +1,10 @@
 //! Pass 1: the workspace symbol model.
 //!
-//! The cross-file rules (D6-D9) need to know *what the code declares*,
+//! The cross-file rules (D7-D9) need to know *what the code declares*,
 //! not just which tokens appear: which structs exist and what fields
 //! they carry, which impl blocks provide `write_state`/`read_state`,
 //! where every `fn` body starts and ends, which `emit!`/`span!` calls
-//! sit inside which function, and what the obs kind registry contains.
+//! sit inside which function, which structs a `snapshot!` list declares, and what the obs kind registry contains.
 //!
 //! This module extracts exactly that from the existing lexer's token
 //! stream — still no `syn`, because the workspace builds fully offline.
@@ -43,9 +43,8 @@ pub struct StructDef {
     pub col: u32,
     /// Named fields; empty for tuple and unit structs.
     pub fields: Vec<FieldDef>,
-    /// True for tuple structs (fields unnamed, so D6 cannot audit them
-    /// by name; the unit newtypes are the intended members of this
-    /// class).
+    /// True for tuple structs (fields unnamed; the unit newtypes are the
+    /// intended members of this class).
     pub tuple: bool,
 }
 
@@ -86,10 +85,10 @@ pub struct ImplDef {
     pub body: (usize, usize),
 }
 
-/// One `emit!(...)` or `span!(...)` invocation.
+/// One `emit!(...)`, `span!(...)` or `snapshot! { ... }` invocation.
 #[derive(Debug, Clone)]
 pub struct MacroSite {
-    /// `emit` or `span`.
+    /// `emit`, `span` or `snapshot`.
     pub name: String,
     /// Index into the analyzed file list.
     pub file: usize,
@@ -101,11 +100,31 @@ pub struct MacroSite {
     pub col: u32,
     /// Top-level argument token ranges (inclusive), split on commas.
     pub args: Vec<(usize, usize)>,
-    /// Token index of the closing paren; `None` when the invocation is
-    /// not closed before the end of the file (lexically unbalanced).
+    /// Token index of the closing delimiter; `None` when the invocation
+    /// is not closed before the end of the file (lexically unbalanced).
     pub close: Option<usize>,
     /// Index into [`Model::fns`] of the innermost enclosing fn.
     pub enclosing_fn: Option<usize>,
+}
+
+impl MacroSite {
+    /// Is this an obs `emit!`/`span!` site (as opposed to a declarative
+    /// `snapshot!` field list)?
+    pub fn is_obs(&self) -> bool {
+        self.name != "snapshot"
+    }
+
+    /// The component a `snapshot! { [value] Ty ... }` site declares.
+    pub fn snapshot_type<'t>(&self, toks: &'t [Tok]) -> Option<&'t str> {
+        if self.is_obs() {
+            return None;
+        }
+        let mut i = self.tok + 3;
+        if ident_at(toks, i) == Some("value") {
+            i += 1;
+        }
+        ident_at(toks, i)
+    }
 }
 
 /// An enum declaration (the obs kind registry's `EventKind` is the one
@@ -729,10 +748,15 @@ fn extract_names_tables(toks: &[Tok], file: usize, out: &mut Vec<NamesTable>) {
 fn extract_macros(toks: &[Tok], file: usize, fns: &[FnDef], out: &mut Vec<MacroSite>) {
     let mut i = 0usize;
     while i < toks.len() {
+        let delim = match toks[i].text.as_str() {
+            "emit" | "span" => "(",
+            "snapshot" => "{",
+            _ => "",
+        };
         let is_site = toks[i].kind == TokKind::Ident
-            && (toks[i].text == "emit" || toks[i].text == "span")
+            && !delim.is_empty()
             && punct_at(toks, i + 1) == Some("!")
-            && punct_at(toks, i + 2) == Some("(");
+            && punct_at(toks, i + 2) == Some(delim);
         if !is_site {
             i += 1;
             continue;
@@ -747,7 +771,7 @@ fn extract_macros(toks: &[Tok], file: usize, fns: &[FnDef], out: &mut Vec<MacroS
         let open = i + 2;
         let close_idx = {
             let c = match_bracket(toks, open);
-            if c > open && toks[c].text == ")" {
+            if c > open && toks[c].text == if delim == "(" { ")" } else { "}" } {
                 Some(c)
             } else {
                 None
@@ -906,5 +930,18 @@ mod tests {
             "macro_rules! emit {\n    ($rec:expr, $at:expr) => {\n        if $rec.is_enabled() { emit!($rec, $at) }\n    };\n}\n",
         );
         assert!(m.macros.is_empty());
+    }
+
+    #[test]
+    fn snapshot_sites_name_their_component() {
+        let (m, toks) = model_of(
+            "struct A { x: u64 }\nstruct B { y: u64 }\n\
+             powadapt_snap::snapshot! { A { x } }\n\
+             snapshot! {\n    value B { y }\n}\n\
+             macro_rules! snapshot {\n    (value $ty:ident) => { $crate::snapshot! { value $ty } };\n}\n",
+        );
+        let names: Vec<_> = m.macros.iter().map(|s| s.snapshot_type(&toks)).collect();
+        assert_eq!(names, [Some("A"), Some("B")]);
+        assert!(m.macros.iter().all(|s| !s.is_obs() && s.close.is_some()));
     }
 }

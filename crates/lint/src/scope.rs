@@ -118,13 +118,6 @@ pub fn rule_applies(rule: RuleId, path: &str) -> bool {
         // checkpoints must surface as typed SnapErrors, never panics.
         // place's capacity accounting fails closed the same way.
         RuleId::D5 => in_crates(&["device", "io", "core", "cluster", "snap", "place"]),
-        // Snapshot completeness covers every crate whose state rides in a
-        // checkpoint: the sim kernel, devices, controllers, workloads,
-        // obs, the cluster layer, the placement tier, and snap's own
-        // codec machinery.
-        RuleId::D6 => in_crates(&[
-            "sim", "device", "core", "io", "obs", "cluster", "snap", "place",
-        ]),
         // Unit-dimension flow: every crate that does arithmetic on the
         // Watts/Joules/Millis/Micros newtypes.
         RuleId::D7 => in_crates(&[
@@ -341,25 +334,6 @@ mod tests {
 
     #[test]
     fn semantic_rule_scoping_by_path() {
-        // D6 covers exactly the crates whose state rides in a checkpoint.
-        for p in [
-            "crates/sim/src/queue.rs",
-            "crates/device/src/ssd/mod.rs",
-            "crates/core/src/controller.rs",
-            "crates/io/src/openloop.rs",
-            "crates/obs/src/recorder.rs",
-            "crates/cluster/src/sim.rs",
-            "crates/place/src/tier.rs",
-            "crates/snap/src/lib.rs",
-        ] {
-            assert!(rule_applies(RuleId::D6, p), "D6 must cover {p}");
-        }
-        assert!(!rule_applies(RuleId::D6, "crates/model/src/lib.rs"));
-        assert!(!rule_applies(
-            RuleId::D6,
-            "crates/bench/src/bin/kernel_bench.rs"
-        ));
-
         // D7 covers every crate doing unit-newtype arithmetic.
         for p in [
             "crates/sim/src/units.rs",

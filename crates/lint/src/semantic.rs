@@ -1,14 +1,10 @@
-//! Pass 2: the cross-file semantic rules D6-D9.
+//! Pass 2: the cross-file semantic rules D7-D9.
 //!
 //! Each rule is a pure function from the workspace [`Model`] (plus the
 //! per-file token streams) to findings; the driver in
 //! [`crate::analyze_files`] handles scoping, test regions, and
 //! suppressions exactly as for the token rules.
 //!
-//! - **D6** — snapshot completeness: every named field of a struct whose
-//!   impls provide `write_state`/`read_state` must be mentioned in those
-//!   bodies; structs reachable from `ClusterSim` holding snapshot-able
-//!   fields must provide their own impl.
 //! - **D7** — unit-dimension flow: `.get()` values of different unit
 //!   newtypes must not meet in one arithmetic/comparison expression, and
 //!   `.0` must not escape the newtypes outside `units.rs`.
@@ -217,158 +213,17 @@ pub fn attach_hot_marks(
     }
 }
 
-/// Runs all four semantic rule families over the model.
+/// Runs the three semantic rule families over the model.
 pub fn run(model: &Model, files: &[FileCtx<'_>]) -> Vec<SemFinding> {
     let file_crates: Vec<String> = files
         .iter()
         .map(|f| crate_key(f.path).to_string())
         .collect();
     let mut out = Vec::new();
-    d6_snapshot_completeness(model, files, &file_crates, &mut out);
     d7_unit_flow(model, files, &file_crates, &mut out);
     d8_obs_discipline(model, files, &mut out);
     d9_hot_allocation(model, files, &mut out);
     out
-}
-
-// ---------------------------------------------------------------------
-// D6 — snapshot completeness
-// ---------------------------------------------------------------------
-
-fn d6_snapshot_completeness(
-    model: &Model,
-    files: &[FileCtx<'_>],
-    file_crates: &[String],
-    out: &mut Vec<SemFinding>,
-) {
-    // Which structs are snapshot-active (some impl provides
-    // write_state/read_state), and what do those bodies mention?
-    let mut active: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    for (i, f) in model.fns.iter().enumerate() {
-        if f.name != "write_state" && f.name != "read_state" {
-            continue;
-        }
-        let Some(owner) = &f.owner else { continue };
-        active
-            .entry((file_crates[f.file].clone(), owner.clone()))
-            .or_default()
-            .push(i);
-    }
-
-    for s in &model.structs {
-        if s.tuple || s.fields.is_empty() {
-            continue;
-        }
-        let key = (file_crates[s.file].clone(), s.name.clone());
-        let Some(fn_ids) = active.get(&key) else {
-            continue;
-        };
-        // Union of identifiers mentioned across all snapshot bodies.
-        let mut mentioned: BTreeSet<&str> = BTreeSet::new();
-        for &fi in fn_ids {
-            let f = &model.fns[fi];
-            if let Some((a, b)) = f.body {
-                for t in &files[f.file].toks[a..=b] {
-                    if t.kind == TokKind::Ident {
-                        mentioned.insert(t.text.as_str());
-                    }
-                }
-            }
-        }
-        for field in &s.fields {
-            if !mentioned.contains(field.name.as_str()) {
-                out.push(SemFinding {
-                    rule: RuleId::D6,
-                    file: s.file,
-                    line: field.line,
-                    col: field.col,
-                    span_len: field.name.chars().count() as u32,
-                    message: format!(
-                        "field `{}` of `{}` is never mentioned in its \
-                         write_state/read_state bodies; snapshots will silently \
-                         drop it",
-                        field.name, s.name
-                    ),
-                });
-            }
-        }
-    }
-
-    // Reachability: structs the ClusterSim object graph can hold that
-    // contain snapshot-able state but provide no impl of their own.
-    let struct_index: BTreeMap<(&str, &str), usize> = model
-        .structs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ((file_crates[s.file].as_str(), s.name.as_str()), i))
-        .collect();
-    let by_name: BTreeMap<&str, Vec<usize>> = {
-        let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, s) in model.structs.iter().enumerate() {
-            m.entry(s.name.as_str()).or_default().push(i);
-        }
-        m
-    };
-    let resolve = |from: usize, name: &str| -> Option<usize> {
-        let home = file_crates[model.structs[from].file].as_str();
-        if let Some(&i) = struct_index.get(&(home, name)) {
-            return Some(i);
-        }
-        match by_name.get(name).map(Vec::as_slice) {
-            Some([only]) => Some(*only),
-            _ => None,
-        }
-    };
-
-    let mut queue: Vec<usize> = model
-        .structs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.name == "ClusterSim")
-        .map(|(i, _)| i)
-        .collect();
-    let mut reachable: BTreeSet<usize> = queue.iter().copied().collect();
-    while let Some(i) = queue.pop() {
-        for field in &model.structs[i].fields {
-            for t in &field.ty {
-                if let Some(j) = resolve(i, t) {
-                    if reachable.insert(j) {
-                        queue.push(j);
-                    }
-                }
-            }
-        }
-    }
-    for &i in &reachable {
-        let s = &model.structs[i];
-        let key = (file_crates[s.file].clone(), s.name.clone());
-        if active.contains_key(&key) {
-            continue;
-        }
-        // First field whose type is itself snapshot-active.
-        let offender = s.fields.iter().find(|f| {
-            f.ty.iter().any(|t| {
-                resolve(i, t).is_some_and(|j| {
-                    let ss = &model.structs[j];
-                    active.contains_key(&(file_crates[ss.file].clone(), ss.name.clone()))
-                })
-            })
-        });
-        if let Some(f) = offender {
-            out.push(SemFinding {
-                rule: RuleId::D6,
-                file: s.file,
-                line: s.line,
-                col: s.col,
-                span_len: s.name.chars().count() as u32,
-                message: format!(
-                    "`{}` is reachable from ClusterSim and holds snapshot-able \
-                     field `{}` but provides no write_state/read_state of its own",
-                    s.name, f.name
-                ),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -597,7 +452,7 @@ fn d8_obs_discipline(model: &Model, files: &[FileCtx<'_>], out: &mut Vec<SemFind
         }
     }
 
-    for site in &model.macros {
+    for site in model.macros.iter().filter(|m| m.is_obs()) {
         let toks = files[site.file].toks;
         let anchor = &toks[site.tok];
         let expected = if site.name == "emit" { 4 } else { 5 };
@@ -679,7 +534,12 @@ fn d8_obs_discipline(model: &Model, files: &[FileCtx<'_>], out: &mut Vec<SemFind
     }
 
     // One level of propagation: a restore fn calling a fn that emits.
-    let emitting: BTreeSet<usize> = model.macros.iter().filter_map(|m| m.enclosing_fn).collect();
+    let emitting: BTreeSet<usize> = model
+        .macros
+        .iter()
+        .filter(|m| m.is_obs())
+        .filter_map(|m| m.enclosing_fn)
+        .collect();
     for (fi, f) in model.fns.iter().enumerate() {
         if !is_restore_fn(&f.name) {
             continue;
@@ -728,7 +588,7 @@ fn exempt_ranges(model: &Model, file: usize) -> Vec<(usize, usize)> {
     model
         .macros
         .iter()
-        .filter(|m| m.file == file)
+        .filter(|m| m.file == file && m.is_obs())
         .filter_map(|m| m.close.map(|c| (m.tok, c)))
         .collect()
 }
@@ -1024,36 +884,6 @@ mod tests {
         out.into_iter()
             .map(|f| (f.rule.as_str().to_string(), f.line, f.message))
             .collect()
-    }
-
-    #[test]
-    fn d6_flags_missing_field_mention() {
-        let hits = run_on(&[(
-            "a.rs",
-            "struct S { a: u64, b: u64 }\n\
-             impl Snapshot for S {\n    fn write_state(&self, w: &mut W) { w.u64(self.a); }\n}\n\
-             impl Restore for S {\n    fn read_state(&mut self, r: &mut R) { self.a = r.u64(); }\n}\n",
-        )]);
-        let d6: Vec<_> = hits.iter().filter(|(r, ..)| r == "D6").collect();
-        assert_eq!(d6.len(), 1);
-        assert!(d6[0].2.contains("field `b`"));
-        assert_eq!(d6[0].1, 1);
-    }
-
-    #[test]
-    fn d6_reachability_flags_missing_impl() {
-        let hits = run_on(&[(
-            "a.rs",
-            "struct ClusterSim { inner: Holder }\n\
-             struct Holder { rng: SimRng }\n\
-             struct SimRng { state: u64 }\n\
-             impl Snapshot for SimRng { fn write_state(&self, w: &mut W) { w.u64(self.state); } }\n\
-             impl ClusterSim { fn write_state(&self) { self.inner; } fn read_state(&mut self) {} }\n",
-        )]);
-        let d6: Vec<_> = hits.iter().filter(|(r, ..)| r == "D6").collect();
-        assert_eq!(d6.len(), 1, "{d6:?}");
-        assert!(d6[0].2.contains("`Holder`"));
-        assert!(d6[0].2.contains("`rng`"));
     }
 
     #[test]

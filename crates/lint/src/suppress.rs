@@ -206,9 +206,7 @@ fn parse_body(body: &str) -> Result<(Vec<RuleId>, String), String> {
             reason = Some(unquoted.to_string());
         } else {
             let rule = RuleId::parse_suppressible(part).ok_or_else(|| {
-                format!(
-                    "unknown rule `{part}` (expected one of D1, D2, D3, D4, D5, D6, D7, D8, D9)"
-                )
+                format!("unknown rule `{part}` (expected one of D1, D2, D3, D4, D5, D7, D8, D9)")
             })?;
             rules.push(rule);
         }
@@ -332,13 +330,13 @@ mod tests {
     fn semantic_rules_parse_in_both_cases() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(d6, D9, reason = \"static config\")",
+                "// powadapt-lint: allow(d7, D9, reason = \"static config\")",
                 false,
             )],
             "x.rs",
         );
         assert!(set.errors.is_empty());
-        assert_eq!(set.entries[0].rules, vec![RuleId::D6, RuleId::D9]);
+        assert_eq!(set.entries[0].rules, vec![RuleId::D7, RuleId::D9]);
     }
 
     #[test]

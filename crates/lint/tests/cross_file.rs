@@ -48,69 +48,6 @@ fn d9_propagates_one_level_across_files() {
 }
 
 #[test]
-fn d6_unions_snapshot_bodies_across_files_of_one_crate() {
-    // Struct in one file, write_state in another, read_state in a third:
-    // a field mentioned in ANY of them counts, so only `lost` fires.
-    let analysis = analyze_files(
-        &files(&[
-            (
-                "crates/sim/src/state.rs",
-                "struct Kernel { kept_a: u64, kept_b: u64, lost: u64 }\n",
-            ),
-            (
-                "crates/sim/src/save.rs",
-                "impl Snapshot for Kernel {\n\
-                 fn write_state(&self, w: &mut W) { w.u64(self.kept_a); }\n\
-                 }\n",
-            ),
-            (
-                "crates/sim/src/load.rs",
-                "impl Restore for Kernel {\n\
-                 fn read_state(&mut self, r: &mut R) { self.kept_b = r.u64(); }\n\
-                 }\n",
-            ),
-        ]),
-        AnalysisMode::Scoped,
-    );
-    let d6: Vec<_> = analysis
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule.as_str() == "D6")
-        .collect();
-    assert_eq!(d6.len(), 1, "{:?}", analysis.diagnostics);
-    assert!(d6[0].message.contains("field `lost`"));
-    assert_eq!(d6[0].path, "crates/sim/src/state.rs");
-}
-
-#[test]
-fn d6_same_name_structs_in_different_crates_stay_separate() {
-    // sim's Counter is snapshot-active and incomplete; io's Counter has
-    // the same shape but no impl — it must not inherit sim's finding,
-    // nor trigger one of its own.
-    let analysis = analyze_files(
-        &files(&[
-            (
-                "crates/sim/src/counter.rs",
-                "struct Counter { n: u64, dropped: u64 }\n\
-                 impl Snapshot for Counter { fn write_state(&self, w: &mut W) { w.u64(self.n); } }\n",
-            ),
-            (
-                "crates/io/src/counter.rs",
-                "struct Counter { n: u64, dropped: u64 }\n",
-            ),
-        ]),
-        AnalysisMode::Scoped,
-    );
-    let d6: Vec<_> = analysis
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule.as_str() == "D6")
-        .collect();
-    assert_eq!(d6.len(), 1, "{:?}", analysis.diagnostics);
-    assert_eq!(d6[0].path, "crates/sim/src/counter.rs");
-}
-
-#[test]
 fn suppressions_are_keyed_per_file() {
     // Identical D2 violations in two files of one crate; only the file
     // that carries the allow is excused, and an allow that matches

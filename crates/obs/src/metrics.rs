@@ -40,12 +40,16 @@ impl Histogram {
     }
 }
 
+powadapt_snap::codec! { enum Histogram { 0 => Plain(sketch), 1 => Windowed(sketch) } }
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
+
+powadapt_snap::codec! { Inner { counters, gauges, histograms } }
 
 /// A thread-safe registry of named counters, gauges, and histograms.
 #[derive(Debug, Default)]
@@ -255,102 +259,10 @@ impl MetricsRegistry {
     }
 }
 
-impl powadapt_snap::Snapshot for MetricsRegistry {
-    /// Serializes the registry raw: counters, gauges, and each
-    /// histogram's full sketch state (not percentile summaries), so a
-    /// restored registry's windows keep evicting correctly and its
-    /// snapshots stay byte-identical.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let inner = self.lock();
-        w.seq_len(inner.counters.len());
-        for (k, &v) in &inner.counters {
-            w.str(k);
-            w.u64(v);
-        }
-        w.seq_len(inner.gauges.len());
-        for (k, &v) in &inner.gauges {
-            w.str(k);
-            w.f64(v);
-        }
-        w.seq_len(inner.histograms.len());
-        for (k, h) in &inner.histograms {
-            w.str(k);
-            match h {
-                Histogram::Plain(s) => {
-                    w.u8(0);
-                    s.write_state(w)?;
-                }
-                Histogram::Windowed(ws) => {
-                    w.u8(1);
-                    ws.write_state(w)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl powadapt_snap::Restore for MetricsRegistry {
-    /// Replaces the registry's contents with the checkpointed metrics;
-    /// observations after the restore accumulate on top.
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let mut fresh = Inner::default();
-        let n = r.seq_len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            if fresh.counters.insert(k.clone(), v).is_some() {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "duplicate counter {k:?}"
-                )));
-            }
-        }
-        let n = r.seq_len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let v = r.f64()?;
-            if fresh.gauges.insert(k.clone(), v).is_some() {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "duplicate gauge {k:?}"
-                )));
-            }
-        }
-        let n = r.seq_len()?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let hist = match r.u8()? {
-                0 => {
-                    let mut s = Sketch::new();
-                    s.read_state(r)?;
-                    Histogram::Plain(s)
-                }
-                1 => {
-                    let mut ws = WindowedSketch::new(SimDuration::ZERO);
-                    ws.read_state(r)?;
-                    Histogram::Windowed(ws)
-                }
-                tag => {
-                    return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                        "unknown histogram tag {tag}"
-                    )))
-                }
-            };
-            if fresh.histograms.insert(k.clone(), hist).is_some() {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "duplicate histogram {k:?}"
-                )));
-            }
-        }
-        *self.lock() = fresh;
-        Ok(())
-    }
-}
+// Serialized raw: counters, gauges, and each histogram's full sketch state
+// (not percentile summaries), so a restored registry's windows keep
+// evicting correctly and its snapshots stay byte-identical.
+powadapt_snap::snapshot! { MetricsRegistry { inner } }
 
 /// The process-global metrics registry.
 ///

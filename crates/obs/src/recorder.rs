@@ -121,6 +121,72 @@ impl LogInner {
     }
 }
 
+/// Wire form of the per-kind counters: `(kind name, count)` for every
+/// kind ever recorded, sorted by name. Names rather than dense indexes,
+/// so adding an event kind never changes what a checkpoint means.
+struct KindCounts;
+
+impl powadapt_snap::Wire<[u64; EventKind::COUNT]> for KindCounts {
+    fn encode(counts: &[u64; EventKind::COUNT], w: &mut powadapt_snap::SnapWriter) {
+        let mut named: Vec<(&'static str, u64)> = EventKind::NAMES
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(&k, &n)| (k, n))
+            .collect();
+        named.sort_unstable();
+        w.seq_len(named.len());
+        for (k, n) in named {
+            w.str(k);
+            w.u64(n);
+        }
+    }
+
+    fn restore(
+        counts: &mut [u64; EventKind::COUNT],
+        r: &mut powadapt_snap::SnapReader<'_>,
+    ) -> Result<(), powadapt_snap::SnapError> {
+        *counts = [0; EventKind::COUNT];
+        let mut seen = [false; EventKind::COUNT];
+        for _ in 0..r.seq_len()? {
+            let name = r.str()?;
+            let idx = EventKind::name_index(&name).ok_or_else(|| {
+                powadapt_snap::SnapError::InvalidValue(format!("unknown event kind {name:?}"))
+            })?;
+            if std::mem::replace(&mut seen[idx], true) {
+                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                    "duplicate event kind {name:?}"
+                )));
+            }
+            counts[idx] = r.u64()?;
+        }
+        Ok(())
+    }
+}
+
+// The durable accounting — per-kind counts, lifetime total, eviction
+// count — rides in checkpoints; events recorded after a restore
+// accumulate on top (no double-count, no reset).
+powadapt_snap::codec! {
+    LogInner { total, dropped, counts: with(KindCounts) }
+    skip { events: "the retained ring: a bounded debugging window, not run state" }
+    after restore_total
+}
+
+impl LogInner {
+    fn restore_total(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        let sum: u64 = self.counts.iter().sum();
+        if sum == self.total {
+            Ok(())
+        } else {
+            Err(powadapt_snap::SnapError::InvalidValue(format!(
+                "per-kind counts sum to {sum}, total says {}",
+                self.total
+            )))
+        }
+    }
+}
+
 /// A bounded, thread-safe event ring buffer.
 ///
 /// Holds the most recent `capacity` events; older events are dropped (and
@@ -129,7 +195,6 @@ impl LogInner {
 /// recorded, including dropped ones — counting never saturates.
 pub struct EventLog {
     inner: Mutex<LogInner>,
-    // powadapt-lint: allow(d6, reason = "configured ring capacity; restore keeps the attached log's configuration")
     capacity: usize,
 }
 
@@ -212,73 +277,18 @@ impl Default for EventLog {
     }
 }
 
-impl powadapt_snap::Snapshot for EventLog {
-    /// Serializes the durable accounting — per-kind counts, lifetime
-    /// total, eviction count — not the retained ring, which is a bounded
-    /// debugging window rather than run state.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let inner = self.lock();
-        let mut counts: Vec<(&'static str, u64)> = EventKind::NAMES
-            .iter()
-            .zip(inner.counts)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&k, n)| (k, n))
-            .collect();
-        counts.sort();
-        w.u64(inner.total);
-        w.u64(inner.dropped);
-        w.seq_len(counts.len());
-        for (k, v) in &counts {
-            w.str(k);
-            w.u64(*v);
-        }
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    EventLog { inner }
+    skip { capacity: "configured ring capacity; a restore keeps the attached log's" }
+    after restore_ring
 }
 
-impl powadapt_snap::Restore for EventLog {
-    /// Replaces this log's counters with the checkpointed ones, mapping
-    /// each serialized kind name back to its dense index via
-    /// [`EventKind::name_index`](crate::EventKind::name_index). Events
-    /// recorded after the restore accumulate on top — no double-count, no
-    /// reset.
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let total = r.u64()?;
-        let dropped = r.u64()?;
-        let n = r.seq_len()?;
-        let mut counts = [0u64; EventKind::COUNT];
-        let mut seen = [false; EventKind::COUNT];
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let name = r.str()?;
-            let idx = EventKind::name_index(&name).ok_or_else(|| {
-                powadapt_snap::SnapError::InvalidValue(format!("unknown event kind {name:?}"))
-            })?;
-            let v = r.u64()?;
-            if seen[idx] {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "duplicate event kind {name:?}"
-                )));
-            }
-            seen[idx] = true;
-            counts[idx] = v;
-            sum += v;
-        }
-        if sum != total {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "per-kind counts sum to {sum}, total says {total}"
-            )));
-        }
-        let mut inner = self.lock();
-        inner.counts = counts;
-        inner.total = total;
-        inner.dropped = dropped;
+impl EventLog {
+    /// Re-reserves the ring a restore replaced, so recording after a
+    /// resume never pays reallocation copies.
+    fn restore_ring(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        let capacity = self.capacity;
+        self.lock().events.reserve(capacity);
         Ok(())
     }
 }

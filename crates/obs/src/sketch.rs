@@ -40,6 +40,7 @@
 //! merge aligns slices by absolute slot so it stays order-independent.
 
 use powadapt_sim::SimDuration;
+use powadapt_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 /// The sketch's relative-error bound γ: any percentile estimate is within
 /// `γ * true_value` of the exact sample percentile, for samples inside
@@ -264,95 +265,99 @@ impl Sketch {
     }
 }
 
-impl powadapt_snap::Snapshot for Sketch {
-    /// Canonical sparse form: total, exact min/max bits (present only when
-    /// non-empty), then `(bucket, count)` pairs in ascending bucket order.
-    /// Restoring and re-serializing reproduces identical bytes.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.u64(self.total);
-        if self.total > 0 {
-            w.bool(true);
-            w.u64(self.min.to_bits());
-            w.u64(self.max.to_bits());
-        } else {
-            w.bool(false);
+/// Sparse wire form of a dense bucket array: the nonzero-bucket count,
+/// then `(bucket, count)` pairs in ascending bucket order.
+fn encode_buckets(counts: &[u64], w: &mut SnapWriter) {
+    w.seq_len(counts.iter().filter(|&&c| c != 0).count());
+    for (i, &c) in counts.iter().enumerate() {
+        if c != 0 {
+            w.u32(i as u32);
+            w.u64(c);
         }
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        w.seq_len(nonzero);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                w.u32(i as u32);
-                w.u64(c);
-            }
-        }
-        Ok(())
     }
 }
 
-impl powadapt_snap::Restore for Sketch {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let total = r.u64()?;
+/// Reads [`encode_buckets`] back into a dense `NBUCKETS` array, with its
+/// sum. Buckets must be in range, strictly ascending, and nonzero, so a
+/// decoded array re-encodes to the same bytes.
+fn decode_buckets(r: &mut SnapReader<'_>) -> Result<(Vec<u64>, u64), SnapError> {
+    let n = r.seq_len()?;
+    let mut counts = vec![0u64; NBUCKETS];
+    let mut sum = 0u64;
+    let mut prev: Option<u32> = None;
+    for _ in 0..n {
+        let idx = r.u32()?;
+        if idx as usize >= NBUCKETS || prev.is_some_and(|p| idx <= p) {
+            return Err(SnapError::InvalidValue(format!(
+                "sketch bucket {idx} out of range or order"
+            )));
+        }
+        prev = Some(idx);
+        let c = r.u64()?;
+        if c == 0 {
+            return Err(SnapError::InvalidValue(format!(
+                "sketch bucket {idx} has a zero count"
+            )));
+        }
+        counts[idx as usize] = c;
+        sum += c;
+    }
+    Ok((counts, sum))
+}
+
+/// Canonical sparse form: total, exact min/max bits (present only when
+/// non-empty), then the sparse buckets. Decoding and re-encoding
+/// reproduces identical bytes.
+impl Codec for Sketch {
+    fn encode(&self, w: &mut SnapWriter) {
+        let Sketch {
+            counts,
+            total,
+            min,
+            max,
+        } = self;
+        total.encode(w);
+        w.bool(*total > 0);
+        if *total > 0 {
+            min.encode(w);
+            max.encode(w);
+        }
+        encode_buckets(counts, w);
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let total = u64::decode(r)?;
         let (min, max) = if r.bool()? {
-            let min = f64::from_bits(r.u64()?);
-            let max = f64::from_bits(r.u64()?);
+            let (min, max) = (f64::decode(r)?, f64::decode(r)?);
             if min > max || min.is_nan() || max.is_nan() {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                return Err(SnapError::InvalidValue(format!(
                     "sketch range {min:?}..{max:?} is not ordered"
                 )));
             }
             (min, max)
-        } else {
-            if total != 0 {
-                return Err(powadapt_snap::SnapError::InvalidValue(
-                    "non-empty sketch without a min/max range".to_string(),
-                ));
-            }
+        } else if total == 0 {
             (f64::INFINITY, f64::NEG_INFINITY)
+        } else {
+            return Err(SnapError::InvalidValue(
+                "non-empty sketch without a min/max range".to_string(),
+            ));
         };
-        let n = r.seq_len()?;
-        let mut counts = vec![0u64; NBUCKETS];
-        let mut sum = 0u64;
-        let mut prev: Option<u32> = None;
-        for _ in 0..n {
-            let idx = r.u32()?;
-            if idx as usize >= NBUCKETS {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "sketch bucket {idx} out of range"
-                )));
-            }
-            if prev.is_some_and(|p| idx <= p) {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "sketch bucket {idx} out of order"
-                )));
-            }
-            prev = Some(idx);
-            let c = r.u64()?;
-            if c == 0 {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "sketch bucket {idx} has a zero count"
-                )));
-            }
-            counts[idx as usize] = c;
-            sum += c;
-        }
+        let (counts, sum) = decode_buckets(r)?;
         if sum != total {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
+            return Err(SnapError::InvalidValue(format!(
                 "sketch buckets sum to {sum}, total says {total}"
             )));
         }
-        self.counts = counts;
-        self.total = total;
-        self.min = min;
-        self.max = max;
-        Ok(())
+        Ok(Sketch {
+            counts,
+            total,
+            min,
+            max,
+        })
     }
 }
+
+powadapt_snap::snapshot! { value Sketch }
 
 /// One time slice of a [`WindowedSketch`]: the bucket array for samples
 /// whose slot `t / slice_width` equals `slot`.
@@ -512,129 +517,107 @@ fn slice_width_for(window_ns: u64) -> u64 {
     window_ns.div_ceil(WINDOW_SLICES as u64 - 1).max(1)
 }
 
-impl powadapt_snap::Snapshot for WindowedSketch {
-    /// Canonical form: configuration, then only the live slices in
-    /// ascending slot order (each as slot, total, min/max bits, sparse
-    /// buckets) — ring phase and dead slices never leak into the bytes.
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.u64(self.window_ns);
-        w.u64(self.slice_width);
-        w.u64(self.latest_slot);
-        let mut live: Vec<&Slice> = self.slices.iter().filter(|s| self.live(s)).collect();
+/// Canonical form: configuration, the newest slot, then only the live
+/// slices in ascending slot order (each as slot, total, min/max bits,
+/// sparse buckets) — ring phase and expired slices never reach the bytes.
+impl Codec for WindowedSketch {
+    fn encode(&self, w: &mut SnapWriter) {
+        let WindowedSketch {
+            window_ns,
+            slice_width,
+            latest_slot,
+            slices,
+        } = self;
+        window_ns.encode(w);
+        slice_width.encode(w);
+        latest_slot.encode(w);
+        let mut live: Vec<&Slice> = slices.iter().filter(|s| self.live(s)).collect();
         live.sort_by_key(|s| s.slot);
         w.seq_len(live.len());
         for s in live {
-            w.u64(s.slot);
-            w.u64(s.total);
-            w.u64(s.min.to_bits());
-            w.u64(s.max.to_bits());
-            let nonzero = s.counts.iter().filter(|&&c| c != 0).count();
-            w.seq_len(nonzero);
-            for (i, &c) in s.counts.iter().enumerate() {
-                if c != 0 {
-                    w.u32(i as u32);
-                    w.u64(c);
-                }
-            }
+            let Slice {
+                slot,
+                counts,
+                total,
+                min,
+                max,
+            } = s;
+            slot.encode(w);
+            total.encode(w);
+            min.encode(w);
+            max.encode(w);
+            encode_buckets(counts, w);
         }
-        Ok(())
     }
-}
 
-impl powadapt_snap::Restore for WindowedSketch {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let window_ns = r.u64()?;
-        let slice_width = r.u64()?;
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let window_ns = u64::decode(r)?;
+        let slice_width = u64::decode(r)?;
         if slice_width != slice_width_for(window_ns) {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
+            return Err(SnapError::InvalidValue(format!(
                 "slice width {slice_width} does not match window {window_ns}"
             )));
         }
-        let latest_slot = r.u64()?;
-        let mut slices = vec![Slice::vacant(); WINDOW_SLICES];
-        let ring = WINDOW_SLICES as u64;
+        let latest_slot = u64::decode(r)?;
         let n = r.seq_len()?;
         if n > WINDOW_SLICES {
-            return Err(powadapt_snap::SnapError::InvalidValue(format!(
+            return Err(SnapError::InvalidValue(format!(
                 "{n} window slices exceed the ring of {WINDOW_SLICES}"
             )));
         }
+        let ring = WINDOW_SLICES as u64;
+        let mut slices = vec![Slice::vacant(); WINDOW_SLICES];
         let mut prev: Option<u64> = None;
         for _ in 0..n {
-            let slot = r.u64()?;
+            let slot = u64::decode(r)?;
             if slot > latest_slot || slot + ring <= latest_slot {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                return Err(SnapError::InvalidValue(format!(
                     "window slice slot {slot} outside the live span of {latest_slot}"
                 )));
             }
             if prev.is_some_and(|p| slot <= p) {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                return Err(SnapError::InvalidValue(format!(
                     "window slice slot {slot} out of order"
                 )));
             }
             prev = Some(slot);
-            let total = r.u64()?;
-            let min = f64::from_bits(r.u64()?);
-            let max = f64::from_bits(r.u64()?);
+            let total = u64::decode(r)?;
+            let min = f64::decode(r)?;
+            let max = f64::decode(r)?;
             if total == 0 || min > max || min.is_nan() || max.is_nan() {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                return Err(SnapError::InvalidValue(format!(
                     "window slice {slot} is empty or has an unordered range"
                 )));
             }
-            let m = r.seq_len()?;
-            let s = &mut slices[(slot % ring) as usize];
-            s.slot = slot;
-            s.total = total;
-            s.min = min;
-            s.max = max;
-            let mut sum = 0u64;
-            let mut prev_idx: Option<u32> = None;
-            for _ in 0..m {
-                let idx = r.u32()?;
-                if idx as usize >= NBUCKETS {
-                    return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                        "window slice bucket {idx} out of range"
-                    )));
-                }
-                if prev_idx.is_some_and(|p| idx <= p) {
-                    return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                        "window slice bucket {idx} out of order"
-                    )));
-                }
-                prev_idx = Some(idx);
-                let c = r.u64()?;
-                if c == 0 {
-                    return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                        "window slice bucket {idx} has a zero count"
-                    )));
-                }
-                s.counts[idx as usize] = c;
-                sum += c;
-            }
+            let (counts, sum) = decode_buckets(r)?;
             if sum != total {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
+                return Err(SnapError::InvalidValue(format!(
                     "window slice {slot} buckets sum to {sum}, total says {total}"
                 )));
             }
+            slices[(slot % ring) as usize] = Slice {
+                slot,
+                counts,
+                total,
+                min,
+                max,
+            };
         }
-        self.window_ns = window_ns;
-        self.slice_width = slice_width;
-        self.latest_slot = latest_slot;
-        self.slices = slices;
-        Ok(())
+        Ok(WindowedSketch {
+            window_ns,
+            slice_width,
+            latest_slot,
+            slices,
+        })
     }
 }
+
+powadapt_snap::snapshot! { value WindowedSketch }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
+    use powadapt_snap::{Restore, Snapshot};
 
     fn sketch_of(values: &[f64]) -> Sketch {
         let mut s = Sketch::new();

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::{ById, Keyed, SnapError};
 
 use crate::temperature::Temperature;
 
@@ -33,36 +33,26 @@ pub struct Extent {
     pub temp: Temperature,
 }
 
-impl Snapshot for Extent {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u64(self.id);
-        w.u32(self.tenant);
-        w.u64(self.index);
-        w.seq_len(self.holders.len());
-        for &h in &self.holders {
-            w.u32(h);
-        }
-        self.temp.write_state(w)
-    }
+powadapt_snap::snapshot! {
+    value Extent { id, tenant, index, holders, temp }
+    after restore_holders
 }
 
-impl Restore for Extent {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.id = r.u64()?;
-        self.tenant = r.u32()?;
-        self.index = r.u64()?;
-        let n = r.seq_len()?;
-        if n == 0 {
+impl Extent {
+    fn restore_holders(&mut self) -> Result<(), SnapError> {
+        if self.holders.is_empty() {
             return Err(SnapError::InvalidValue(format!(
                 "extent {} has an empty holder list",
                 self.id
             )));
         }
-        self.holders.clear();
-        for _ in 0..n {
-            self.holders.push(r.u32()?);
-        }
-        self.temp.read_state(r)
+        Ok(())
+    }
+}
+
+impl Keyed for Extent {
+    fn key(&self) -> u64 {
+        self.id
     }
 }
 
@@ -149,33 +139,16 @@ impl ExtentCatalog {
     }
 }
 
-impl Snapshot for ExtentCatalog {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        // by_key is derived from extents and rebuilt on restore.
-        w.u64(self.next_id);
-        w.seq_len(self.extents.len());
-        for e in self.extents.values() {
-            e.write_state(w)?;
-        }
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    ExtentCatalog { next_id, extents: with(ById) }
+    skip { by_key: "derived index over extents; restore_by_key rebuilds it" }
+    after restore_by_key
 }
 
-impl Restore for ExtentCatalog {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.next_id = r.u64()?;
-        let n = r.seq_len()?;
-        self.extents.clear();
+impl ExtentCatalog {
+    fn restore_by_key(&mut self) -> Result<(), SnapError> {
         self.by_key.clear();
-        for _ in 0..n {
-            let mut e = Extent {
-                id: 0,
-                tenant: 0,
-                index: 0,
-                holders: Vec::new(),
-                temp: Temperature::new(),
-            };
-            e.read_state(r)?;
+        for e in self.extents.values() {
             if e.id >= self.next_id {
                 return Err(SnapError::InvalidValue(format!(
                     "extent id {} is not below next_id {}",
@@ -188,9 +161,6 @@ impl Restore for ExtentCatalog {
                     e.tenant, e.index
                 )));
             }
-            if self.extents.insert(e.id, e).is_some() {
-                return Err(SnapError::InvalidValue("duplicate extent id".to_string()));
-            }
         }
         Ok(())
     }
@@ -201,6 +171,7 @@ impl Restore for ExtentCatalog {
 #[allow(clippy::unwrap_used, clippy::float_cmp)]
 mod tests {
     use super::*;
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     #[test]
     fn insert_and_lookup() {

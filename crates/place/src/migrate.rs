@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use powadapt_sim::SimTime;
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::{ById, Keyed, SnapError};
 
 /// Lifecycle phase of a move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,24 +32,7 @@ pub enum MigrationPhase {
     Writing,
 }
 
-impl MigrationPhase {
-    fn to_u8(self) -> u8 {
-        match self {
-            MigrationPhase::Queued => 0,
-            MigrationPhase::Reading => 1,
-            MigrationPhase::Writing => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, SnapError> {
-        match v {
-            0 => Ok(MigrationPhase::Queued),
-            1 => Ok(MigrationPhase::Reading),
-            2 => Ok(MigrationPhase::Writing),
-            b => Err(SnapError::InvalidValue(format!("migration phase byte {b}"))),
-        }
-    }
-}
+powadapt_snap::codec! { enum MigrationPhase { 0 => Queued, 1 => Reading, 2 => Writing } }
 
 /// One extent move, from enqueue to commit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,29 +53,11 @@ pub struct Migration {
     pub phase: MigrationPhase,
 }
 
-impl Snapshot for Migration {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u64(self.id);
-        w.u64(self.extent);
-        w.u32(self.from);
-        w.u32(self.to);
-        w.u64(self.offset);
-        w.u64(self.len);
-        w.u8(self.phase.to_u8());
-        Ok(())
-    }
-}
+powadapt_snap::snapshot! { value Migration { id, extent, from, to, offset, len, phase } }
 
-impl Restore for Migration {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.id = r.u64()?;
-        self.extent = r.u64()?;
-        self.from = r.u32()?;
-        self.to = r.u32()?;
-        self.offset = r.u64()?;
-        self.len = r.u64()?;
-        self.phase = MigrationPhase::from_u8(r.u8()?)?;
-        Ok(())
+impl Keyed for Migration {
+    fn key(&self) -> u64 {
+        self.id
     }
 }
 
@@ -110,6 +75,8 @@ pub struct MigrationIo {
     /// Transfer length in bytes.
     pub len: u64,
 }
+
+powadapt_snap::codec! { MigrationIo { migration, dev, write, offset, len } }
 
 /// The deterministic move queue + token allowance.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,77 +255,44 @@ impl MigrationEngine {
     }
 }
 
-impl Snapshot for MigrationEngine {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        // rate_bps / burst_bytes / max_active are spec-derived and are
-        // serialized anyway so a resume cannot silently run under a
-        // different rate than the run that wrote the checkpoint.
-        w.u64(self.rate_bps);
-        w.u64(self.burst_bytes);
-        w.usize(self.max_active);
-        w.u64(self.next_id);
-        w.u64(self.spent_bytes);
-        w.usize(self.inflight);
-        w.u64(self.started);
-        w.u64(self.completed);
-        w.seq_len(self.moves.len());
-        for m in self.moves.values() {
-            m.write_state(w)?;
-        }
-        w.seq_len(self.queue.len());
-        for &id in &self.queue {
-            w.u64(id);
-        }
-        Ok(())
+// rate_bps / burst_bytes / max_active are spec-derived and are serialized
+// anyway so a resume cannot silently run under a different rate than the
+// run that wrote the checkpoint.
+powadapt_snap::snapshot! {
+    MigrationEngine {
+        rate_bps,
+        burst_bytes,
+        max_active,
+        next_id,
+        spent_bytes,
+        inflight,
+        started,
+        completed,
+        moves: with(ById),
+        queue,
     }
+    after restore_queue
 }
 
-impl Restore for MigrationEngine {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rate_bps = r.u64()?;
-        self.burst_bytes = r.u64()?;
-        self.max_active = r.usize()?;
-        self.next_id = r.u64()?;
-        self.spent_bytes = r.u64()?;
-        self.inflight = r.usize()?;
-        self.started = r.u64()?;
-        self.completed = r.u64()?;
-        let n = r.seq_len()?;
-        self.moves.clear();
-        for _ in 0..n {
-            let mut m = Migration {
-                id: 0,
-                extent: 0,
-                from: 0,
-                to: 0,
-                offset: 0,
-                len: 0,
-                phase: MigrationPhase::Queued,
-            };
-            m.read_state(r)?;
-            if m.id >= self.next_id {
-                return Err(SnapError::InvalidValue(format!(
-                    "migration id {} is not below next_id {}",
-                    m.id, self.next_id
-                )));
-            }
-            if self.moves.insert(m.id, m).is_some() {
-                return Err(SnapError::InvalidValue(
-                    "duplicate migration id".to_string(),
-                ));
-            }
+impl MigrationEngine {
+    /// Every move id is below `next_id`, the queue holds exactly the
+    /// queued moves, and the in-flight count matches the rest.
+    fn restore_queue(&mut self) -> Result<(), SnapError> {
+        if let Some(m) = self.moves.values().find(|m| m.id >= self.next_id) {
+            return Err(SnapError::InvalidValue(format!(
+                "migration id {} is not below next_id {}",
+                m.id, self.next_id
+            )));
         }
-        let q = r.seq_len()?;
-        self.queue.clear();
-        for _ in 0..q {
-            let id = r.u64()?;
-            match self.moves.get(&id) {
-                Some(m) if m.phase == MigrationPhase::Queued => self.queue.push_back(id),
-                _ => {
-                    return Err(SnapError::InvalidValue(format!(
-                        "queued migration id {id} is unknown or not in the queued phase"
-                    )))
-                }
+        for &id in &self.queue {
+            if !self
+                .moves
+                .get(&id)
+                .is_some_and(|m| m.phase == MigrationPhase::Queued)
+            {
+                return Err(SnapError::InvalidValue(format!(
+                    "queued migration id {id} is unknown or not in the queued phase"
+                )));
             }
         }
         let queued = self
@@ -384,6 +318,7 @@ impl Restore for MigrationEngine {
 #[allow(clippy::unwrap_used, clippy::float_cmp)]
 mod tests {
     use super::*;
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     fn engine() -> MigrationEngine {
         MigrationEngine::new(1_000, 2_000, 2)

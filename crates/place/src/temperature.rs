@@ -7,7 +7,7 @@
 //! anywhere near a result path. The half-life therefore *is* the window
 //! length, which keeps the knob count at one.
 
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::SnapError;
 
 /// Halvings after which any finite temperature is indistinguishable from
 /// zero at the thresholds this tier uses; past this the value is clamped
@@ -73,25 +73,21 @@ impl Default for Temperature {
     }
 }
 
-impl Snapshot for Temperature {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.f64(self.value);
-        w.u64(self.last_window);
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    value Temperature { value, last_window }
+    after restore_value
 }
 
-impl Restore for Temperature {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let value = r.f64()?;
-        if !value.is_finite() || value < 0.0 {
-            return Err(SnapError::InvalidValue(format!(
-                "temperature value {value} is not a finite non-negative number"
-            )));
+impl Temperature {
+    fn restore_value(&mut self) -> Result<(), SnapError> {
+        if self.value.is_finite() && self.value >= 0.0 {
+            Ok(())
+        } else {
+            Err(SnapError::InvalidValue(format!(
+                "temperature value {} is not a finite non-negative number",
+                self.value
+            )))
         }
-        self.value = value;
-        self.last_window = r.u64()?;
-        Ok(())
     }
 }
 
@@ -100,6 +96,7 @@ impl Restore for Temperature {
 #[allow(clippy::unwrap_used, clippy::float_cmp)]
 mod tests {
     use super::*;
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     #[test]
     fn decay_halves_per_window() {

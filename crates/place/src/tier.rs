@@ -10,7 +10,7 @@
 //! catalog state, so the whole subsystem snapshots cleanly.
 
 use powadapt_sim::{SimDuration, SimTime};
-use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use powadapt_snap::SnapError;
 
 use crate::catalog::ExtentCatalog;
 use crate::migrate::{Migration, MigrationEngine, MigrationIo};
@@ -421,54 +421,30 @@ impl PlacementTier {
     }
 }
 
-impl Snapshot for PlacementTier {
-    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        // cfg and slots are rebuilt from the spec on resume; everything
-        // dynamic is serialized and cross-checked against them on read.
-        w.seq_len(self.used.len());
-        for &u in &self.used {
-            w.u64(u);
-        }
-        self.catalog.write_state(w)?;
-        self.engine.write_state(w)?;
-        w.u64(self.next_batch);
-        w.seq_len(self.pinned.len());
-        for &p in &self.pinned {
-            w.bool(p);
-        }
-        w.u64(self.moved_bytes);
-        Ok(())
+// cfg and slots are rebuilt from the spec on resume; everything dynamic is
+// serialized and cross-checked against them on restore.
+powadapt_snap::snapshot! {
+    PlacementTier {
+        used: seq,
+        catalog: state,
+        engine: state,
+        next_batch,
+        pinned: seq,
+        moved_bytes,
     }
+    skip {
+        cfg: "spec config",
+        slots: "spec config: the device table",
+    }
+    after restore_charges
 }
 
-impl Restore for PlacementTier {
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+impl PlacementTier {
+    /// Cross-checks the restored charges against the catalog plus reserved
+    /// migration destinations, which also validates every holder index
+    /// against the device table.
+    fn restore_charges(&mut self) -> Result<(), SnapError> {
         let n = self.slots.len();
-        let used_n = r.seq_len()?;
-        if used_n != n {
-            return Err(SnapError::InvalidValue(format!(
-                "placement used-bytes count {used_n} does not match {n} devices"
-            )));
-        }
-        for u in &mut self.used {
-            *u = r.u64()?;
-        }
-        self.catalog.read_state(r)?;
-        self.engine.read_state(r)?;
-        self.next_batch = r.u64()?;
-        let pinned_n = r.seq_len()?;
-        if pinned_n != n {
-            return Err(SnapError::InvalidValue(format!(
-                "placement pin count {pinned_n} does not match {n} devices"
-            )));
-        }
-        for p in &mut self.pinned {
-            *p = r.bool()?;
-        }
-        self.moved_bytes = r.u64()?;
-        // Cross-check the restored charges against the catalog plus
-        // reserved migration destinations, which also validates every
-        // holder index against the device table.
         let mut expect: Vec<u64> = vec![0; n];
         for e in self.catalog.iter() {
             for &h in &e.holders {
@@ -504,6 +480,7 @@ impl Restore for PlacementTier {
 #[allow(clippy::unwrap_used, clippy::float_cmp)]
 mod tests {
     use super::*;
+    use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
 
     fn cfg(mode: PlacementMode, replicas: u8) -> PlacementConfig {
         PlacementConfig {

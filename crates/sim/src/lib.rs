@@ -47,7 +47,6 @@ mod rng;
 mod rolling;
 mod signal;
 mod slab;
-pub mod snapshot;
 mod stats;
 mod time;
 pub mod units;

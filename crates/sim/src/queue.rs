@@ -30,6 +30,8 @@ use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
+use powadapt_snap::{Codec, Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+
 use crate::time::SimTime;
 
 /// Identifier of a scheduled event, usable for cancellation.
@@ -123,13 +125,11 @@ pub struct EventQueue<E> {
     /// Exclusive upper bound (nanoseconds) of the swept window; always a
     /// multiple of `BUCKET_W` except in the saturated far-future corner
     /// where it is `u64::MAX`.
-    // powadapt-lint: allow(d6, reason = "sweep cursor; read_state rebuilds the window from the live entries")
     active_end: u64,
     /// Entries with `at >= active_end + SPAN`, keyed `(at, seq)` so
     /// iteration order is exactly fire order.
     overflow: BTreeMap<(SimTime, u64), E>,
     /// Physical entries in `active` + `buckets` (live or tombstoned).
-    // powadapt-lint: allow(d6, reason = "occupancy counter; recomputed as read_state re-inserts entries")
     near_phys: usize,
     /// Live (scheduled, not fired, not cancelled) entries.
     live_len: usize,
@@ -139,7 +139,6 @@ pub struct EventQueue<E> {
     /// outstanding seq resolves, and spilled into `old_live` when a
     /// long-lived entry would let the deque outgrow the spill threshold
     /// (see [`FLAG_SPILL_MIN`]).
-    // powadapt-lint: allow(d6, reason = "dense liveness window; read_state restores liveness sparsely via old_live")
     flags: VecDeque<u8>,
     flag_base: u64,
     /// Sparse tier: seqs below `flag_base` that are still live — spilled
@@ -504,14 +503,28 @@ impl<E> EventQueue<E> {
     where
         F: FnMut(&mut powadapt_snap::SnapWriter, &E) -> Result<(), powadapt_snap::SnapError>,
     {
-        w.u64(self.next_seq);
-        let mut live: Vec<(SimTime, u64, &E)> = Vec::with_capacity(self.live_len);
-        for e in self.active.iter().chain(self.buckets.iter().flatten()) {
+        // The sweep cursor, occupancy counter, and flag window are layout,
+        // not state: restore rebuilds them from the live entries.
+        let Self {
+            active,
+            buckets,
+            active_end: _,
+            overflow,
+            near_phys: _,
+            live_len,
+            flags: _,
+            flag_base: _,
+            old_live: _,
+            next_seq,
+        } = self;
+        w.u64(*next_seq);
+        let mut live: Vec<(SimTime, u64, &E)> = Vec::with_capacity(*live_len);
+        for e in active.iter().chain(buckets.iter().flatten()) {
             if self.flag(e.seq) == LIVE {
                 live.push((e.at, e.seq, &e.payload));
             }
         }
-        for (&(at, seq), payload) in &self.overflow {
+        for (&(at, seq), payload) in overflow {
             if self.flag(seq) == LIVE {
                 live.push((at, seq, payload));
             }
@@ -519,7 +532,7 @@ impl<E> EventQueue<E> {
         live.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         w.seq_len(live.len());
         for (at, seq, payload) in live {
-            crate::snapshot::write_time(w, at);
+            at.encode(w);
             w.u64(seq);
             item(w, payload)?;
         }
@@ -549,13 +562,26 @@ impl<E> EventQueue<E> {
     where
         F: FnMut(&mut powadapt_snap::SnapReader<'_>) -> Result<E, powadapt_snap::SnapError>,
     {
+        // Every field is rebuilt below, from `clear` up.
+        let Self {
+            active: _,
+            buckets: _,
+            active_end: _,
+            overflow: _,
+            near_phys: _,
+            live_len: _,
+            flags: _,
+            flag_base: _,
+            old_live: _,
+            next_seq: _,
+        } = self;
         let next_seq = r.u64()?;
         let n = r.seq_len()?;
         let mut entries: Vec<(SimTime, u64)> = Vec::with_capacity(n);
         let mut payloads: Vec<E> = Vec::with_capacity(n);
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..n {
-            let at = crate::snapshot::read_time(r)?;
+            let at = SimTime::decode(r)?;
             let seq = r.u64()?;
             if seq >= next_seq {
                 return Err(powadapt_snap::SnapError::InvalidValue(format!(
@@ -583,6 +609,24 @@ impl<E> EventQueue<E> {
             self.place(Entry { at, seq, payload });
         }
         Ok(())
+    }
+}
+
+/// The [`EventQueue::write_state`] layout, for payloads with a codec of
+/// their own.
+impl<E: Codec> Snapshot for EventQueue<E> {
+    fn write_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        EventQueue::write_state(self, w, |w, e| {
+            e.encode(w);
+            Ok(())
+        })
+    }
+}
+
+/// Restores in place: the queue keeps its bucket allocations.
+impl<E: Codec> Restore for EventQueue<E> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        EventQueue::read_state(self, r, E::decode)
     }
 }
 
@@ -705,16 +749,21 @@ impl<E> HeapQueue<E> {
     where
         F: FnMut(&mut powadapt_snap::SnapWriter, &E) -> Result<(), powadapt_snap::SnapError>,
     {
-        w.u64(self.next_seq);
-        let mut live: Vec<&Entry<E>> = self
-            .heap
+        let Self {
+            heap,
+            cancelled,
+            live: _,
+            next_seq,
+        } = self;
+        w.u64(*next_seq);
+        let mut live: Vec<&Entry<E>> = heap
             .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
+            .filter(|e| !cancelled.contains(&e.seq))
             .collect();
         live.sort_by_key(|e| (e.at, e.seq));
         w.seq_len(live.len());
         for e in live {
-            crate::snapshot::write_time(w, e.at);
+            e.at.encode(w);
             w.u64(e.seq);
             item(w, &e.payload)?;
         }
@@ -737,13 +786,19 @@ impl<E> HeapQueue<E> {
     where
         F: FnMut(&mut powadapt_snap::SnapReader<'_>) -> Result<E, powadapt_snap::SnapError>,
     {
+        let Self {
+            heap,
+            cancelled,
+            live,
+            next_seq: _,
+        } = self;
+        heap.clear();
+        cancelled.clear();
+        live.clear();
         let next_seq = r.u64()?;
         let n = r.seq_len()?;
-        self.heap.clear();
-        self.cancelled.clear();
-        self.live.clear();
         for _ in 0..n {
-            let at = crate::snapshot::read_time(r)?;
+            let at = SimTime::decode(r)?;
             let seq = r.u64()?;
             if seq >= next_seq {
                 return Err(powadapt_snap::SnapError::InvalidValue(format!(
@@ -1001,7 +1056,7 @@ mod tests {
         let mut w = powadapt_snap::SnapWriter::new();
         w.u64(1 << 40); // next_seq
         w.seq_len(1);
-        crate::snapshot::write_time(&mut w, SimTime::from_millis(5));
+        SimTime::from_millis(5).encode(&mut w);
         w.u64(3); // live seq, gap of (1 << 40) - 4
         w.u32(99); // payload
         let payload = w.into_payload();

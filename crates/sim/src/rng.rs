@@ -232,31 +232,7 @@ impl SimRng {
     }
 }
 
-impl powadapt_snap::Snapshot for SimRng {
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        for s in self.state {
-            w.u64(s);
-        }
-        w.opt_f64(self.gauss_spare);
-        Ok(())
-    }
-}
-
-impl powadapt_snap::Restore for SimRng {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        for s in &mut self.state {
-            *s = r.u64()?;
-        }
-        self.gauss_spare = r.opt_f64()?;
-        Ok(())
-    }
-}
+powadapt_snap::snapshot! { value SimRng { state, gauss_spare } }
 
 #[cfg(test)]
 mod tests {

@@ -29,7 +29,6 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RollingMean {
-    // powadapt-lint: allow(d6, reason = "window length is configuration; rebuilt from the spec on restore")
     window: SimDuration,
     /// Completed segments `(start, end, value)` inside the window, oldest first.
     segments: VecDeque<(SimTime, SimTime, f64)>,
@@ -160,46 +159,20 @@ impl RollingMean {
 // is dynamic state. The accumulated `area` is serialized bit-exactly
 // rather than recomputed from the segments so restored means match a
 // straight run to the last bit.
-impl powadapt_snap::Snapshot for RollingMean {
-    fn write_state(
-        &self,
-        w: &mut powadapt_snap::SnapWriter,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        w.seq_len(self.segments.len());
-        for &(s, e, v) in &self.segments {
-            crate::snapshot::write_time(w, s);
-            crate::snapshot::write_time(w, e);
-            w.f64(v);
-        }
-        w.f64(self.area);
-        crate::snapshot::write_time(w, self.open_since);
-        w.f64(self.open_value);
-        Ok(())
-    }
+powadapt_snap::snapshot! {
+    RollingMean { segments, area, open_since, open_value }
+    skip { window: "spec config: the averaging window" }
+    after restore_segments
 }
 
-impl powadapt_snap::Restore for RollingMean {
-    fn read_state(
-        &mut self,
-        r: &mut powadapt_snap::SnapReader<'_>,
-    ) -> Result<(), powadapt_snap::SnapError> {
-        let n = r.seq_len()?;
-        self.segments.clear();
-        for _ in 0..n {
-            let s = crate::snapshot::read_time(r)?;
-            let e = crate::snapshot::read_time(r)?;
-            let v = r.f64()?;
-            if e < s {
-                return Err(powadapt_snap::SnapError::InvalidValue(format!(
-                    "rolling segment ends at {e} before it starts at {s}"
-                )));
-            }
-            self.segments.push_back((s, e, v));
+impl RollingMean {
+    fn restore_segments(&mut self) -> Result<(), powadapt_snap::SnapError> {
+        match self.segments.iter().find(|&&(s, e, _)| e < s) {
+            Some(&(s, e, _)) => Err(powadapt_snap::SnapError::InvalidValue(format!(
+                "rolling segment ends at {e} before it starts at {s}"
+            ))),
+            None => Ok(()),
         }
-        self.area = r.f64()?;
-        self.open_since = crate::snapshot::read_time(r)?;
-        self.open_value = r.f64()?;
-        Ok(())
     }
 }
 

@@ -344,6 +344,11 @@ impl From<SimDuration> for std::time::Duration {
     }
 }
 
+// Virtual time is integer nanoseconds, so both types travel as their raw
+// `u64`: exact by construction, and one on-disk form for every crate.
+powadapt_snap::codec! { SimTime(u64) }
+powadapt_snap::codec! { SimDuration(u64) }
+
 #[cfg(test)]
 mod tests {
     use super::*;

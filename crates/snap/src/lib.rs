@@ -15,16 +15,19 @@
 //!   closed with a typed [`SnapError`] — never a panic, never a silently
 //!   wrong restore.
 //! - The [`Snapshot`] / [`Restore`] traits implemented across the sim,
-//!   device, io, core, and cluster crates.
+//!   device, io, core, obs, place, and cluster crates — each from one
+//!   ordered field list ([`snapshot!`]) over [`Codec`] values, so no
+//!   struct spells its layout twice and rustc rejects a field that is
+//!   neither serialized nor explicitly skipped.
 //!
 //! The format is deliberately dependency-free (no serde): the workspace
 //! builds offline, and the layout is pinned by the golden equivalence
-//! tests rather than by a derive.
+//! tests and the checkpoint-digest fixture rather than by a derive.
 //!
 //! # Versioning and forward compatibility
 //!
 //! The payload layout is versioned as a whole by [`FORMAT_VERSION`]. Any
-//! change to any `write_state` layout bumps the version; readers reject
+//! change to any field list's layout bumps the version; readers reject
 //! every version other than their own ([`SnapError::UnsupportedVersion`]).
 //! Snapshots are warm-start artifacts, not archives: a snapshot is only
 //! meaningful against the exact code that wrote it, so cross-version
@@ -33,6 +36,10 @@
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+
+mod codec;
+
+pub use codec::{restore_len, ById, Codec, Keyed, Wire, WireWith};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"PSNP";
@@ -193,28 +200,6 @@ impl SnapWriter {
         self.u64(v.to_bits());
     }
 
-    /// Writes `Some(f64)` as `1` + bits, `None` as `0`.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.f64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Writes `Some(u64)` as `1` + value, `None` as `0`.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
-        }
-    }
-
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
@@ -334,24 +319,6 @@ impl<'a> SnapReader<'a> {
     /// Reads an `f64` bit-exactly via [`f64::from_bits`].
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an `Option<f64>` written by [`SnapWriter::opt_f64`].
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
-        if self.bool()? {
-            Ok(Some(self.f64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an `Option<u64>` written by [`SnapWriter::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -501,10 +468,10 @@ mod tests {
         w.bool(false);
         w.f64(std::f64::consts::PI);
         w.f64(-0.0);
-        w.opt_f64(Some(1.5));
-        w.opt_f64(None);
-        w.opt_u64(Some(9));
-        w.opt_u64(None);
+        Some(1.5f64).encode(&mut w);
+        None::<f64>.encode(&mut w);
+        Some(9u64).encode(&mut w);
+        None::<u64>.encode(&mut w);
         w.str("hello, snapshot");
         w.bytes(&[1, 2, 3]);
         let payload = w.into_payload();
@@ -518,10 +485,10 @@ mod tests {
         assert!(!r.bool().unwrap());
         assert_eq!(r.f64().unwrap().to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.opt_f64().unwrap(), Some(1.5));
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
-        assert_eq!(r.opt_u64().unwrap(), None);
+        assert_eq!(Option::<f64>::decode(&mut r).unwrap(), Some(1.5));
+        assert_eq!(Option::<f64>::decode(&mut r).unwrap(), None);
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(9));
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
         assert_eq!(r.str().unwrap(), "hello, snapshot");
         assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();

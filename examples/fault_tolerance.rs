@@ -13,8 +13,8 @@
 use powadapt::core::{AdaptiveController, RetryPolicy};
 use powadapt::device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice};
 use powadapt::io::{
-    run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter, LeastLoadedRouter,
-    OpenLoopSpec, Workload,
+    run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig, CircuitBreakerRouter,
+    LeastLoadedRouter, OpenLoopSpec, Workload,
 };
 use powadapt::model::{ConfigPoint, PowerThroughputModel};
 use powadapt::sim::{SimDuration, SimTime};
@@ -64,7 +64,8 @@ fn fleet_failover() {
     let result = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("the run completes despite the outage");

@@ -10,7 +10,7 @@
 use powadapt::core::{AdaptiveScenarioRouter, BudgetSchedule, PowerEventCause};
 use powadapt::device::{catalog, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    full_sweep, run_fleet, AccessPattern, Arrivals, OpenLoopSpec, SweepScale, Workload,
+    full_sweep, run_fleet, AccessPattern, ArrivalGen, Arrivals, OpenLoopSpec, SweepScale, Workload,
 };
 use powadapt::model::PowerThroughputModel;
 use powadapt::sim::{SimDuration, SimTime};
@@ -92,7 +92,8 @@ fn main() {
     let result = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(50),
     )
     .expect("scenario runs");

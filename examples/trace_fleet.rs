@@ -19,8 +19,8 @@ use std::sync::Arc;
 use powadapt::core::AdaptiveController;
 use powadapt::device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice};
 use powadapt::io::{
-    run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter, LeastLoadedRouter,
-    OpenLoopSpec, Workload,
+    run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig, CircuitBreakerRouter,
+    LeastLoadedRouter, OpenLoopSpec, Workload,
 };
 use powadapt::model::{ConfigPoint, PowerThroughputModel};
 use powadapt::obs::{self, span_totals, EventKind, TraceRecorder};
@@ -79,7 +79,8 @@ fn traced_outage() {
     let result = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("the run completes despite the outage");

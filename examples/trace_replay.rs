@@ -8,8 +8,8 @@
 use powadapt::core::{ExcesCachingRouter, RedirectionConfig};
 use powadapt::device::{catalog, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    run_fleet_trace, AccessPattern, ArrivalGen, ArrivalTrace, Arrivals, FleetResult,
-    LeastLoadedRouter, OpenLoopSpec, Router,
+    run_fleet, AccessPattern, ArrivalGen, ArrivalTrace, Arrivals, FleetResult, LeastLoadedRouter,
+    OpenLoopSpec, Router,
 };
 use powadapt::sim::SimDuration;
 
@@ -21,10 +21,10 @@ fn fleet() -> Vec<Box<dyn StorageDevice>> {
 
 fn replay(name: &str, trace: &ArrivalTrace, router: &mut dyn Router) -> FleetResult {
     let mut devices = fleet();
-    let r = run_fleet_trace(
+    let r = run_fleet(
         &mut devices,
         router,
-        trace,
+        trace.arrivals().iter().copied(),
         7,
         SimDuration::from_millis(100),
     )

@@ -3,8 +3,8 @@
 
 use powadapt::device::{catalog, FaultInjector, FaultPlan, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    run_experiment, run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter,
-    ExperimentResult, JobSpec, LeastLoadedRouter, OpenLoopSpec, Workload,
+    run_experiment, run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig,
+    CircuitBreakerRouter, ExperimentResult, JobSpec, LeastLoadedRouter, OpenLoopSpec, Workload,
 };
 use powadapt::sim::{SimDuration, SimTime};
 
@@ -100,7 +100,8 @@ fn fleet_runs_are_bit_identical_across_runs() {
         let r = run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(20),
         )
         .expect("fleet runs");

@@ -15,8 +15,8 @@ use powadapt::core::{AdaptiveController, ControlError, RetryPolicy};
 use powadapt::device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice};
 use powadapt::io::AccessPattern;
 use powadapt::io::{
-    run_fleet, Arrivals, BreakerConfig, BreakerState, CircuitBreakerRouter, LeastLoadedRouter,
-    OpenLoopSpec, Workload,
+    run_fleet, ArrivalGen, Arrivals, BreakerConfig, BreakerState, CircuitBreakerRouter,
+    LeastLoadedRouter, OpenLoopSpec, Workload,
 };
 use powadapt::model::{ConfigPoint, PowerThroughputModel};
 use powadapt::sim::{SimDuration, SimTime};
@@ -187,7 +187,8 @@ fn fleet_fails_over_under_poisson_arrivals() {
     let r = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("run completes despite injected faults");
@@ -216,7 +217,8 @@ fn breaker_quarantines_through_dropout_and_readmits() {
     let r = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("run completes");
@@ -245,7 +247,8 @@ fn fully_faulted_fleet_drops_instead_of_wedging() {
     let r = run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("run still terminates");
@@ -262,7 +265,8 @@ fn latency_spikes_inflate_the_tail_not_the_count() {
         run_fleet(
             &mut devices,
             &mut router,
-            &spec,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
             SimDuration::from_millis(20),
         )
         .expect("run completes")

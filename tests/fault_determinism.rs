@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use powadapt::device::{catalog, FaultInjector, FaultPlan, StorageDevice};
 use powadapt::io::{
-    run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter, FleetResult,
-    LeastLoadedRouter, OpenLoopSpec,
+    run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig, CircuitBreakerRouter,
+    FleetResult, LeastLoadedRouter, OpenLoopSpec,
 };
 use powadapt::sim::{SimDuration, SimTime};
 
@@ -58,7 +58,8 @@ fn run_once(
     run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         SimDuration::from_millis(20),
     )
     .expect("fault-injected run completes")

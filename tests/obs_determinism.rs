@@ -262,7 +262,8 @@ fn traced_scenario_exports_chrome_trace_and_flamegraph() {
     powadapt::io::run_fleet(
         &mut devices,
         &mut router,
-        &spec,
+        powadapt::io::ArrivalGen::new(&spec).expect("valid arrival spec"),
+        spec.seed,
         powadapt::sim::SimDuration::from_millis(20),
     )
     .expect("traced fleet runs");

@@ -8,8 +8,8 @@ use powadapt::core::{
 };
 use powadapt::device::{catalog, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    full_sweep, run_fleet, AccessPattern, Arrivals, LeastLoadedRouter, OpenLoopSpec, SweepScale,
-    Workload,
+    full_sweep, run_fleet, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter, OpenLoopSpec,
+    SweepScale, Workload,
 };
 use powadapt::meter::PowerRig;
 use powadapt::model::PowerThroughputModel;
@@ -70,7 +70,14 @@ fn mechanism_prediction_matches_measured_consolidation_savings() {
     let baseline = {
         let mut devices = fleet();
         let mut router = LeastLoadedRouter::default();
-        run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+        run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs")
     };
     let consolidated = {
         let cfg = RedirectionConfig {
@@ -83,7 +90,14 @@ fn mechanism_prediction_matches_measured_consolidation_savings() {
         };
         let mut devices = fleet();
         let mut router = ConsolidatingRouter::new(4, cfg).expect("valid");
-        run_fleet(&mut devices, &mut router, &spec, interval).expect("runs")
+        run_fleet(
+            &mut devices,
+            &mut router,
+            ArrivalGen::new(&spec).expect("valid arrival spec"),
+            spec.seed,
+            interval,
+        )
+        .expect("runs")
     };
     let measured_saving = baseline.avg_power_w() - consolidated.avg_power_w();
     assert!(
