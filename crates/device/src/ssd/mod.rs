@@ -254,7 +254,49 @@ impl WireWith<Vec<VecDeque<usize>>, Slab<ReadState>> for ReadIds {
     }
 }
 
-/// LRU set of recently read page indices (controller read cache).
+/// A set of dies as a bitmask: bit `d % 64` of word `d / 64` is die `d`.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct DieMask(Vec<u64>);
+
+impl DieMask {
+    fn from_fn(dies: usize, on: impl Fn(usize) -> bool) -> Self {
+        let mut mask = DieMask(vec![0; dies.div_ceil(64)]);
+        for die in (0..dies).filter(|&d| on(d)) {
+            mask.set(die, true);
+        }
+        mask
+    }
+
+    fn set(&mut self, die: usize, on: bool) {
+        let bit = 1u64 << (die % 64);
+        if on {
+            self.0[die / 64] |= bit;
+        } else {
+            self.0[die / 64] &= !bit;
+        }
+    }
+
+    /// Lowest die at or above `from` that is in both `self` and `other`.
+    fn next_common(&self, other: &DieMask, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.0.get(w)? & other.0[w] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = self.0.get(w)? & other.0[w];
+        }
+    }
+
+    /// Lowest die at or above `from` in the set.
+    fn next(&self, from: usize) -> Option<usize> {
+        self.next_common(self, from)
+    }
+}
+
+/// FIFO set of recently read page indices (controller read cache): the
+/// oldest insertion is evicted first, and a hit does not refresh a page.
 #[derive(Debug, Default)]
 struct PageCache {
     order: VecDeque<u64>,
@@ -352,6 +394,10 @@ pub struct Ssd {
     // completion path never walks an ordered map.
     die_busy: Vec<bool>,
     die_q: Vec<VecDeque<usize>>,
+    // Dispatch indexes over the two above: dies not busy, and dies with
+    // queued reads. Dispatch walks only their set bits.
+    die_idle: DieMask,
+    die_queued: DieMask,
     busy_read: usize,
     busy_prog: usize,
 
@@ -438,8 +484,10 @@ powadapt_snap::snapshot! {
         rec: "telemetry sink, re-captured at construction",
         track: "telemetry label",
         die_labels: "telemetry labels, derived from the die count",
+        die_idle: "derived from die_busy; restore_masks rebuilds it",
+        die_queued: "derived from die_q; restore_masks rebuilds it",
     }
-    after restore_ps_index, restore_cache
+    after restore_ps_index, restore_cache, restore_masks
 }
 
 impl Ssd {
@@ -489,6 +537,8 @@ impl Ssd {
             iface_queue: VecDeque::new(),
             die_busy: vec![false; dies],
             die_q: (0..dies).map(|_| VecDeque::new()).collect(),
+            die_idle: DieMask::from_fn(dies, |_| true),
+            die_queued: DieMask::from_fn(dies, |_| false),
             busy_read: 0,
             busy_prog: 0,
             buffer_used: 0,
@@ -530,6 +580,17 @@ impl Ssd {
             )));
         }
         Ok(())
+    }
+
+    fn restore_masks(&mut self) -> Result<(), SnapError> {
+        self.die_idle = DieMask::from_fn(self.die_busy.len(), |d| !self.die_busy[d]);
+        self.die_queued = DieMask::from_fn(self.die_q.len(), |d| !self.die_q[d].is_empty());
+        Ok(())
+    }
+
+    fn set_die_busy(&mut self, die: usize, busy: bool) {
+        self.die_busy[die] = busy;
+        self.die_idle.set(die, !busy);
     }
 
     /// The configuration the device was built with.
@@ -738,7 +799,7 @@ impl Ssd {
         };
         self.buffer_used -= freed;
         self.nand_debt -= chunk;
-        self.die_busy[die] = true;
+        self.set_die_busy(die, true);
         self.busy_prog += 1;
         let dur = self
             .cfg
@@ -788,6 +849,7 @@ impl Ssd {
             if !self.cache.contains(pg) {
                 let die = (pg % dies) as usize;
                 self.die_q[die].push_back(slot);
+                self.die_queued.set(die, true);
                 ops += 1;
             }
             self.cache.insert(pg);
@@ -862,18 +924,20 @@ impl Ssd {
                 }
             }
 
-            // Die reads.
-            for die in 0..self.cfg.dies {
-                if self.die_busy[die] || self.die_q[die].is_empty() {
-                    continue;
-                }
+            // Die reads: idle dies with queued pages, in ascending order.
+            let mut from = 0;
+            while let Some(die) = self.die_idle.next_common(&self.die_queued, from) {
+                from = die + 1;
                 if !self.gov_allows(self.cfg.die_read_w) {
                     break;
                 }
                 let Some(slot) = self.die_q[die].pop_front() else {
                     continue;
                 };
-                self.die_busy[die] = true;
+                if self.die_q[die].is_empty() {
+                    self.die_queued.set(die, false);
+                }
+                self.set_die_busy(die, true);
                 self.busy_read += 1;
                 span!(
                     self.rec,
@@ -894,23 +958,8 @@ impl Ssd {
             }
 
             // Flush: drain NAND debt onto free dies.
-            if self.flushing {
-                for die in 0..self.cfg.dies {
-                    if self.nand_debt == 0 {
-                        break;
-                    }
-                    if self.die_busy[die] {
-                        continue;
-                    }
-                    if !self.try_start_program(die) {
-                        break;
-                    }
-                    self.update_power();
-                    progress = true;
-                }
-                if self.nand_debt == 0 {
-                    self.flushing = false;
-                }
+            if self.flushing && self.start_programs(true) {
+                progress = true;
             }
 
             // Host interface: one transfer at a time, FIFO.
@@ -941,7 +990,7 @@ impl Ssd {
         if self.nand_debt > 0 && !self.flushing && self.host_idle() {
             if self.standby_requested {
                 self.flushing = true;
-                self.pump_flush_only();
+                self.start_programs(false);
             } else if !self.idle_flush_pending {
                 self.idle_flush_pending = true;
                 self.events
@@ -951,23 +1000,28 @@ impl Ssd {
         self.update_power();
     }
 
-    /// Starts programs for the flush path only (used when flushing begins
-    /// outside the main pump loop to avoid recursion).
-    fn pump_flush_only(&mut self) {
-        for die in 0..self.cfg.dies {
-            if self.nand_debt == 0 {
+    /// Flush: starts programs on idle dies in ascending order until the
+    /// debt is drained or the governor refuses a start. The main pump loop
+    /// passes `settle` to update power after each start, so the governor
+    /// sees it; flushing begun after the loop does not. Returns whether
+    /// any op started.
+    fn start_programs(&mut self, settle: bool) -> bool {
+        let mut started = false;
+        let mut from = 0;
+        while let Some(die) = self.die_idle.next(from) {
+            from = die + 1;
+            if self.nand_debt == 0 || !self.try_start_program(die) {
                 break;
             }
-            if self.die_busy[die] {
-                continue;
+            if settle {
+                self.update_power();
             }
-            if !self.try_start_program(die) {
-                break;
-            }
+            started = true;
         }
         if self.nand_debt == 0 {
             self.flushing = false;
         }
+        started
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -999,7 +1053,7 @@ impl Ssd {
                 self.pump();
             }
             Ev::DieDone { die, work } => {
-                self.die_busy[die] = false;
+                self.set_die_busy(die, false);
                 match work {
                     DieWork::Read(slot) => {
                         self.busy_read -= 1;
@@ -1674,5 +1728,164 @@ mod tests {
         let mut dev = test_ssd();
         dev.advance_to(SimTime::from_millis(5));
         dev.advance_to(SimTime::from_millis(4));
+    }
+
+    #[test]
+    fn die_mask_walks_set_bits_in_order() {
+        let mask = DieMask::from_fn(130, |d| d % 61 == 5);
+        let mut seen = Vec::new();
+        let mut from = 0;
+        while let Some(d) = mask.next(from) {
+            seen.push(d);
+            from = d + 1;
+        }
+        assert_eq!(seen, [5, 66, 127]);
+        let odd = DieMask::from_fn(130, |d| d % 2 == 1);
+        assert_eq!(mask.next_common(&odd, 0), Some(5));
+        assert_eq!(mask.next_common(&odd, 6), Some(127));
+        assert_eq!(mask.next_common(&odd, 128), None);
+        assert_eq!(mask.next(130), None);
+        assert_eq!(DieMask::from_fn(64, |_| true).next(64), None);
+    }
+
+    /// One step of a seeded random device script.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Read(u64, u64),
+        Write(u64, u64),
+        Advance(SimDuration),
+        PowerState(u8),
+        Standby,
+        Wake,
+    }
+
+    fn script(seed: u64, steps: usize) -> Vec<Step> {
+        let mut rng = SimRng::seed_from(seed);
+        (0..steps)
+            .map(|_| {
+                let len = rng.u64_range(1, 257) * 4 * KIB;
+                let offset = rng.u64_range(0, (GIB - len) / (4 * KIB)) * 4 * KIB;
+                match rng.index(20) {
+                    0..=6 => Step::Read(offset, len),
+                    7..=10 => Step::Write(offset, len),
+                    11..=16 => Step::Advance(SimDuration::from_micros(rng.u64_range(1, 3_000))),
+                    17 => Step::PowerState(rng.index(3) as u8),
+                    18 => Step::Standby,
+                    _ => Step::Wake,
+                }
+            })
+            .collect()
+    }
+
+    fn apply(dev: &mut Ssd, id: u64, step: Step, out: &mut Vec<IoCompletion>) {
+        match step {
+            Step::Read(offset, len) => submit(dev, id, IoKind::Read, offset, len),
+            Step::Write(offset, len) => submit(dev, id, IoKind::Write, offset, len),
+            Step::Advance(d) => {
+                let t = dev.now() + d;
+                dev.advance_to_into(t, out);
+            }
+            Step::PowerState(i) => dev.set_power_state(PowerStateId(i)).unwrap(),
+            // Refusals mid-transition are part of the script.
+            Step::Standby => drop(dev.request_standby()),
+            Step::Wake => drop(dev.request_wake()),
+        }
+    }
+
+    /// A capped, standby-capable SSD with `dies` dies and a small read
+    /// cache, so reads reach the dies.
+    fn mask_ssd(dies: usize, seed: u64) -> Ssd {
+        use crate::power::StandbyConfig;
+        let spec = DeviceSpec::new("M", "Mask SSD", Protocol::Nvme, DeviceClass::Ssd, GIB);
+        let mut cfg = SsdConfig::default();
+        cfg.dies = dies;
+        cfg.read_cache_pages = 16;
+        cfg.power_states = vec![
+            PowerStateDesc::new(PowerStateId(0), 25.0),
+            PowerStateDesc::new(PowerStateId(1), 9.0),
+            PowerStateDesc::new(PowerStateId(2), 6.5),
+        ];
+        cfg.standby = Some(StandbyConfig {
+            standby_w: 0.17,
+            enter: SimDuration::from_micros(300),
+            exit: SimDuration::from_micros(500),
+            transition_w: 0.6,
+            wake_spike_w: 1.2,
+        });
+        Ssd::new(spec, cfg, seed)
+    }
+
+    /// Every bit of both masks, including the padding past the last die,
+    /// agrees with `die_busy` and `die_q`.
+    fn assert_masks_match(dev: &Ssd) {
+        let dies = dev.cfg.dies;
+        assert_eq!(dev.die_idle.0.len(), dies.div_ceil(64));
+        assert_eq!(dev.die_queued.0.len(), dies.div_ceil(64));
+        for d in 0..dev.die_idle.0.len() * 64 {
+            let bit = |m: &DieMask| m.0[d / 64] >> (d % 64) & 1 == 1;
+            assert_eq!(
+                bit(&dev.die_idle),
+                d < dies && !dev.die_busy[d],
+                "idle die {d}"
+            );
+            assert_eq!(
+                bit(&dev.die_queued),
+                d < dies && !dev.die_q[d].is_empty(),
+                "queued die {d}"
+            );
+        }
+    }
+
+    #[test]
+    fn die_masks_track_busy_and_queued_dies_through_restore() {
+        const STEPS: usize = 300;
+        for (dies, seed) in [(8, 1), (64, 2), (65, 3), (128, 4)] {
+            let steps = script(seed, STEPS);
+            let mut dev = mask_ssd(dies, seed);
+            let mut done = Vec::new();
+            let mut last_die_busy = false;
+            // Checkpoint past the middle, once dies are busy and reads
+            // wait in die queues, so the restore has masks to rebuild.
+            let mut split = None;
+            for (i, &step) in steps.iter().enumerate() {
+                apply(&mut dev, i as u64, step, &mut done);
+                assert_masks_match(&dev);
+                last_die_busy |= dev.die_busy[dies - 1];
+                let mid_flight =
+                    dev.die_busy.contains(&true) && dev.die_q.iter().any(|q| !q.is_empty());
+                if i >= STEPS / 2 && mid_flight {
+                    split = Some(i + 1);
+                    break;
+                }
+            }
+            let split = split.expect("the script reaches a mid-flight checkpoint");
+
+            let mut w = SnapWriter::new();
+            Snapshot::write_state(&dev, &mut w).unwrap();
+            let payload = w.into_payload();
+            let mut restored = mask_ssd(dies, seed);
+            let mut r = SnapReader::new(&payload);
+            Restore::read_state(&mut restored, &mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(restored.die_idle, dev.die_idle, "{dies} dies");
+            assert_eq!(restored.die_queued, dev.die_queued, "{dies} dies");
+
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for (i, &step) in steps.iter().enumerate().skip(split) {
+                apply(&mut dev, i as u64, step, &mut a);
+                apply(&mut restored, i as u64, step, &mut b);
+                assert_masks_match(&dev);
+                assert_masks_match(&restored);
+                last_die_busy |= dev.die_busy[dies - 1];
+            }
+            let _ = dev.request_wake();
+            let _ = restored.request_wake();
+            a.extend(drain(&mut dev));
+            b.extend(drain(&mut restored));
+            assert_masks_match(&dev);
+            assert!(!a.is_empty(), "{dies} dies: the script completes IOs");
+            assert_eq!(a, b, "{dies} dies: completions diverged after restore");
+            assert!(last_die_busy, "{dies} dies: the last die never ran");
+        }
     }
 }

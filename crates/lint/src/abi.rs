@@ -1,18 +1,25 @@
-//! Snapshot ABI lock: a committed fingerprint of every
-//! `Snapshot`-implementing struct's field list.
+//! Snapshot ABI lock: a committed fingerprint of the byte layout of
+//! every `Snapshot`-implementing struct.
 //!
 //! The PR 7 review caught a snapshot payload-layout change that shipped
 //! without a `FORMAT_VERSION` bump — by hand. This module mechanizes
-//! that review: `powadapt-lint --abi-update` derives the field lists of
-//! all snapshot-active structs from the pass-1 symbol model and writes
-//! them (plus an FNV-1a fingerprint and the current `FORMAT_VERSION`)
-//! into `crates/snap/ABI.lock`; `--abi-check` recomputes and fails CI
-//! when the ABI drifted while `FORMAT_VERSION` stayed put.
+//! that review: `powadapt-lint --abi-update` derives the layout of all
+//! snapshot-active structs from the pass-1 symbol model and writes it
+//! (plus an FNV-1a fingerprint and the current `FORMAT_VERSION`) into
+//! `crates/snap/ABI.lock`; `--abi-check` recomputes and fails CI when
+//! the ABI drifted while `FORMAT_VERSION` stayed put.
+//!
+//! A `snapshot!` field list is the byte order, so a struct declared by
+//! one is fingerprinted by its entries — name and mode, in list order.
+//! Its `skip` fields write no bytes and are left out: adding a derived
+//! index is not an ABI change, reordering the list is. A struct with
+//! hand-written `write_state`/`read_state` is fingerprinted by its
+//! declared fields.
 //!
 //! The lock file is intentionally human-diffable: the struct inventory
 //! is spelled out line by line, so the PR diff *is* the ABI review.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, TokKind};
 use crate::model::Model;
@@ -57,7 +64,9 @@ pub fn parse_format_version(snap_lib_src: &str) -> Option<u32> {
 
 /// The canonical lock-file text for the given model: a header, the
 /// format version, the fingerprint, then one line per snapshot-active
-/// struct (`crate/Struct: field, field, ...`), sorted.
+/// struct (`crate/Struct: entry, entry, ...`), sorted. Entries are the
+/// `snapshot!` list (`name` or `name: mode`) when the struct has one,
+/// else its declared field names.
 pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> String {
     let crate_key = |path: &str| -> String {
         path.strip_prefix("crates/")
@@ -65,30 +74,36 @@ pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> S
             .unwrap_or("")
             .to_string()
     };
-    // Snapshot-active: a `snapshot!` field list names the struct, or some
+    // Snapshot-active: a `snapshot!` site names the struct, or some
     // impl-owned write_state/read_state fn exists for it, in the same
-    // crate.
-    let mut active: BTreeSet<(String, String)> = BTreeSet::new();
+    // crate. The value is the site's field list, if it has one.
+    let mut active: BTreeMap<(String, String), Option<Vec<String>>> = BTreeMap::new();
     for f in &model.fns {
         if f.name != "write_state" && f.name != "read_state" {
             continue;
         }
         if let Some(owner) = &f.owner {
-            active.insert((crate_key(files[f.file].path), owner.clone()));
+            active
+                .entry((crate_key(files[f.file].path), owner.clone()))
+                .or_default();
         }
     }
     for site in &model.macros {
-        if let Some(ty) = site.snapshot_type(files[site.file].toks) {
-            active.insert((crate_key(files[site.file].path), ty.to_string()));
+        let toks = files[site.file].toks;
+        if let Some(ty) = site.snapshot_type(toks) {
+            let key = (crate_key(files[site.file].path), ty.to_string());
+            *active.entry(key).or_default() = site.snapshot_entries(toks);
         }
     }
     let mut entries: Vec<String> = Vec::new();
     for s in &model.structs {
         let key = (crate_key(files[s.file].path), s.name.clone());
-        if !active.contains(&key) {
+        let Some(list) = active.get(&key) else {
             continue;
-        }
-        let fields: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
+        };
+        let fields = list
+            .clone()
+            .unwrap_or_else(|| s.fields.iter().map(|f| f.name.clone()).collect());
         entries.push(format!("{}/{}: {}", key.0, key.1, fields.join(", ")));
     }
     entries.sort();
@@ -102,8 +117,9 @@ pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> S
     let hash = fnv1a_64(inventory.as_bytes());
     format!(
         "# powadapt snapshot ABI lock — generated by `powadapt-lint --abi-update`.\n\
-         # Changing any Snapshot struct's fields changes the hash; CI requires a\n\
-         # FORMAT_VERSION bump (crates/snap/src/lib.rs) to ride along.\n\
+         # Changing any Snapshot struct's byte layout (a snapshot! list's entries,\n\
+         # modes or order; a hand-written codec's fields) changes the hash; CI\n\
+         # requires a FORMAT_VERSION bump (crates/snap/src/lib.rs) to ride along.\n\
          format_version = {format_version}\n\
          hash = {hash:#018x}\n\
          \n\
@@ -191,6 +207,11 @@ mod tests {
     const BASE: &str = "struct SimRng { s0: u64, s1: u64 }\n\
         impl Snapshot for SimRng { fn write_state(&self, w: &mut W) { w.u64(self.s0); w.u64(self.s1); } }\n";
 
+    const METER: &str = "struct Meter { window: u64, samples: Vec<f64>, label: &'static str }\n\
+        struct Other { x: u64 }\n\
+        powadapt_snap::snapshot! {\n    Meter { window, samples: seq }\n    \
+        skip { label: \"telemetry label\" }\n}\n";
+
     #[test]
     fn lock_lists_snapshot_structs_with_fields() {
         let text = lock_for(&[("crates/sim/src/rng.rs", BASE)], 2);
@@ -201,19 +222,41 @@ mod tests {
 
     #[test]
     fn macro_declared_struct_is_snapshot_active() {
-        let src = "struct Meter { window: u64, samples: Vec<f64>, label: &'static str }\n\
-            struct Other { x: u64 }\n\
-            powadapt_snap::snapshot! {\n    Meter { window, samples }\n    \
-            skip { label: \"telemetry label\" }\n}\n";
-        let text = lock_for(&[("crates/obs/src/meter.rs", src)], 4);
-        assert!(
-            text.contains("obs/Meter: window, samples, label\n"),
-            "{text}"
-        );
+        let text = lock_for(&[("crates/obs/src/meter.rs", METER)], 4);
+        assert!(text.contains("obs/Meter: window, samples: seq\n"), "{text}");
         assert!(!text.contains("Other"));
-        let grown = src.replace("label: &'static str", "label: &'static str, peak: u64");
+        let grown = METER
+            .replace("label: &'static str", "label: &'static str, peak: u64")
+            .replace("samples: seq }", "samples: seq, peak }");
         let new = lock_for(&[("crates/obs/src/meter.rs", &grown)], 4);
         assert_eq!(check(&new, Some(&text)), AbiStatus::ChangedWithoutBump);
+    }
+
+    #[test]
+    fn list_reorder_or_mode_change_without_bump_is_flagged() {
+        let old = lock_for(&[("crates/obs/src/meter.rs", METER)], 4);
+        let swapped = METER.replace("window, samples: seq", "samples: seq, window");
+        let new = lock_for(&[("crates/obs/src/meter.rs", &swapped)], 4);
+        assert_eq!(check(&new, Some(&old)), AbiStatus::ChangedWithoutBump);
+        let remoded = METER.replace("samples: seq", "samples");
+        let new = lock_for(&[("crates/obs/src/meter.rs", &remoded)], 4);
+        assert_eq!(check(&new, Some(&old)), AbiStatus::ChangedWithoutBump);
+    }
+
+    #[test]
+    fn new_skip_entry_is_clean() {
+        let old = lock_for(&[("crates/obs/src/meter.rs", METER)], 4);
+        let skipped = METER
+            .replace(
+                "label: &'static str",
+                "label: &'static str, index: Vec<u64>",
+            )
+            .replace(
+                "label: \"telemetry label\"",
+                "label: \"telemetry label\", index: \"derived\"",
+            );
+        let new = lock_for(&[("crates/obs/src/meter.rs", &skipped)], 4);
+        assert_eq!(check(&new, Some(&old)), AbiStatus::Clean);
     }
 
     #[test]

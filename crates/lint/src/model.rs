@@ -116,6 +116,43 @@ impl MacroSite {
 
     /// The component a `snapshot! { [value] Ty ... }` site declares.
     pub fn snapshot_type<'t>(&self, toks: &'t [Tok]) -> Option<&'t str> {
+        ident_at(toks, self.snapshot_type_tok(toks)?)
+    }
+
+    /// A `snapshot!` site's field list in list order, each entry rendered
+    /// as `name` or `name: mode` (`skip` fields are not in the list).
+    /// `None` for a site without one (`snapshot! { value Ty }`).
+    pub fn snapshot_entries(&self, toks: &[Tok]) -> Option<Vec<String>> {
+        let open = self.snapshot_type_tok(toks)? + 1;
+        if punct_at(toks, open) != Some("{") {
+            return None;
+        }
+        let close = match_bracket(toks, open);
+        let mut entries = Vec::new();
+        let mut entry = String::new();
+        let mut depth = 0i32;
+        for t in toks.get(open + 1..close)? {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "," if depth == 0 => {
+                    entries.push(std::mem::take(&mut entry));
+                    continue;
+                }
+                _ => {}
+            }
+            entry.push_str(&t.text);
+            if t.text == "," || (t.text == ":" && depth == 0) {
+                entry.push(' ');
+            }
+        }
+        if !entry.is_empty() {
+            entries.push(entry);
+        }
+        Some(entries)
+    }
+
+    fn snapshot_type_tok(&self, toks: &[Tok]) -> Option<usize> {
         if self.is_obs() {
             return None;
         }
@@ -123,7 +160,7 @@ impl MacroSite {
         if ident_at(toks, i) == Some("value") {
             i += 1;
         }
-        ident_at(toks, i)
+        Some(i)
     }
 }
 
@@ -943,5 +980,25 @@ mod tests {
         let names: Vec<_> = m.macros.iter().map(|s| s.snapshot_type(&toks)).collect();
         assert_eq!(names, [Some("A"), Some("B")]);
         assert!(m.macros.iter().all(|s| !s.is_obs() && s.close.is_some()));
+    }
+
+    #[test]
+    fn snapshot_entries_keep_list_order_and_modes() {
+        let (m, toks) = model_of(
+            "snapshot! {\n    Ssd {\n        now,\n        events: with(ReadIds, reads),\n        \
+             rolling: state,\n        tree: with(a::Tree),\n    }\n    \
+             skip { rec: \"telemetry\" }\n    after restore_masks\n}\n\
+             snapshot! { value Sketch }\n",
+        );
+        assert_eq!(
+            m.macros[0].snapshot_entries(&toks).unwrap(),
+            [
+                "now",
+                "events: with(ReadIds, reads)",
+                "rolling: state",
+                "tree: with(a::Tree)"
+            ]
+        );
+        assert_eq!(m.macros[1].snapshot_entries(&toks), None);
     }
 }
