@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin ablation`
 
-use powadapt_bench::{apply_cli_workers, report_executor};
+use powadapt_bench::apply_cli_workers;
 use powadapt_device::{catalog, PowerStateId, Ssd, SsdConfig, StorageDevice, GIB, KIB, MIB};
 use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, Workload};
 use powadapt_sim::SimDuration;
@@ -157,6 +157,5 @@ fn main() {
             large.avg_power_w()
         );
     }
-    report_executor("ablation");
     powadapt_bench::finish_tracing(trace);
 }

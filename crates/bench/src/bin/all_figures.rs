@@ -7,7 +7,7 @@
 //! `POWADAPT_WORKERS` (or the `--workers N` flag); stdout is
 //! byte-identical for every worker count.
 
-use powadapt_bench::{apply_cli_workers, bench_scale, figures, report_executor};
+use powadapt_bench::{apply_cli_workers, bench_scale, figures};
 use powadapt_io::SweepScale;
 
 /// A figure's banner title, CLI name, and regenerator (scale, seed).
@@ -71,7 +71,6 @@ fn main() {
             run(scale, seed);
             println!();
         }
-        report_executor("all_figures");
     }
     powadapt_bench::finish_tracing(trace);
 }

@@ -20,7 +20,7 @@
 //! mismatched snapshot is rejected with a typed error and exit code 2 —
 //! never a panic.
 
-use powadapt_bench::{apply_cli_workers, cli_flag_value, report_executor};
+use powadapt_bench::{apply_cli_workers, cli_flag_value};
 use powadapt_cluster::{
     oversubscribed_cluster, run_cluster, ClusterReport, ClusterSim, SelectionPolicy,
 };
@@ -147,6 +147,5 @@ fn main() {
     }
     println!("\n   worst-case win ratio across seeds: {worst:.2}x (target >= 1.3x)");
 
-    report_executor("cluster_eval");
     powadapt_bench::finish_tracing(trace);
 }

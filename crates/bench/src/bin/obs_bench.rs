@@ -1,23 +1,18 @@
-//! Observability overhead: the golden cluster cells untraced, under the
-//! unsharded [`TraceRecorder`], and under an 8-way [`ShardedRecorder`],
-//! measured in one process on identical workloads.
+//! Observability overhead: the golden cluster cells untraced and under a
+//! [`TraceRecorder`], measured in one process on identical workloads.
 //!
 //! Tracing is contractually *write-only* for the simulation — results are
 //! byte-identical with it on or off — so the only cost it may charge is
 //! wall-clock. This bench pins that cost: every arm runs the same four
 //! `cluster_eval` cells (both selection policies at two seeds,
-//! sequentially, the traced-artifact configuration), and the traced arms
-//! must stay within [`MAX_OVERHEAD`] of the untraced baseline. The
-//! sharded arm also folds its shards with
-//! [`ShardedRecorder::merged`] and must reproduce the unsharded per-kind
-//! event counts exactly, so the bench doubles as an equivalence check on
-//! real traffic.
+//! sequentially, the traced-artifact configuration), and the traced arm
+//! must stay within [`MAX_OVERHEAD`] of the untraced baseline.
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin obs_bench`
 //!
 //! Flags: `--out FILE` additionally writes the JSON report to `FILE`;
 //! `--check FILE` compares against a committed report and exits 3 if
-//! either traced arm's overhead grew by more than [`CHECK_TOLERANCE`]
+//! the traced overhead grew by more than [`CHECK_TOLERANCE`]
 //! over the committed figure. Overheads are ratios of two same-process
 //! measurements, so the gate is stable across hosts; a first attempt
 //! that lands above the gate is re-measured once before failing.
@@ -28,14 +23,10 @@ use std::time::Instant;
 use powadapt_bench::cli_flag_value;
 use powadapt_bench::golden::GOLDEN_SEED;
 use powadapt_cluster::{oversubscribed_cluster, run_cluster, SelectionPolicy};
-use powadapt_obs::{ShardedRecorder, TraceRecorder};
+use powadapt_obs::TraceRecorder;
 
-/// Shards in the sharded arm — the rack/sweep-cell scale the recorder is
-/// designed for.
-const SHARDS: usize = 8;
-/// Per-shard (and unsharded) event-ring capacity; large enough that the
-/// golden cells never drop, so the sharded-vs-unsharded comparison is
-/// exact (per-shard rings overflow differently than one global ring).
+/// Event-ring capacity; large enough that the golden cells never drop,
+/// so every round records the whole event stream.
 const CAPACITY: usize = 1 << 18;
 /// Hard ceiling on traced-vs-untraced wall-clock: the observability
 /// budget this repository enforces.
@@ -72,78 +63,43 @@ struct Arm {
     events: u64,
 }
 
-/// Measures one arm: optionally install a recorder, wipe it in place,
-/// run the cells timed, read the event total, restore the previous
-/// recorder.
-///
-/// The caller must have run one untimed warmup pass per arm *with its
-/// recorder installed* (see [`warm`]) before the first timed round:
-/// `reset` wipes the recorder in place (rings keep their allocation, see
-/// `EventLog::clear`), so the timed pass measures steady-state recording
-/// cost, not the one-time page faults of a cold 27 MB ring — which the
-/// untraced baseline never pays and a long-lived traced run amortizes to
-/// nothing.
-fn measure(
-    recorder: Option<Arc<dyn powadapt_obs::Recorder>>,
-    reset: impl Fn(),
-    total: impl Fn() -> u64,
-) -> Arm {
-    let installed = recorder.is_some();
-    let prev = match recorder {
-        Some(r) => powadapt_obs::install(r),
-        None => {
-            powadapt_obs::uninstall();
-            None
-        }
-    };
-    reset();
-    let start = Instant::now();
-    let served = run_cells();
-    let elapsed_ns = start.elapsed().as_nanos();
-    let events = if installed { total() } else { 0 };
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
-    Arm {
-        served,
-        elapsed_ns,
-        events,
+/// Runs the cells with `recorder` installed, or with none. Nothing else
+/// in this binary installs a recorder, so the untraced arm runs against
+/// an empty slot.
+fn run_with(recorder: Option<&Arc<TraceRecorder>>) -> u64 {
+    match recorder {
+        Some(rec) => powadapt_obs::with_installed(rec.clone(), run_cells),
+        None => run_cells(),
     }
 }
 
-/// One untimed pass with `recorder` installed, faulting in its rings and
-/// warming every allocation the timed rounds will touch. Run once per
-/// arm; later rounds stay warm because `measure` resets in place.
-fn warm(recorder: Option<Arc<dyn powadapt_obs::Recorder>>) {
-    let prev = match recorder {
-        Some(r) => powadapt_obs::install(r),
-        None => {
-            powadapt_obs::uninstall();
-            None
-        }
-    };
-    let _ = run_cells();
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
+/// Measures one arm: wipe the recorder in place, run the cells timed,
+/// read the event total.
+///
+/// The caller must have run one untimed warmup pass per arm *with its
+/// recorder installed* before the first timed round: the wipe keeps the
+/// ring's allocation (see `EventLog::clear`), so the timed pass measures
+/// steady-state recording cost, not the one-time page faults of a cold
+/// 27 MB ring — which the untraced baseline never pays and a long-lived
+/// traced run amortizes to nothing.
+fn measure(recorder: Option<&Arc<TraceRecorder>>) -> Arm {
+    if let Some(rec) = recorder {
+        rec.clear();
+    }
+    let start = Instant::now();
+    let served = run_with(recorder);
+    let elapsed_ns = start.elapsed().as_nanos();
+    Arm {
+        served,
+        elapsed_ns,
+        events: recorder.map_or(0, |rec| rec.log().total()),
     }
 }
 
 struct Measurement {
     untraced: Arm,
     traced: Arm,
-    sharded: Arm,
     overhead_traced: f64,
-    overhead_sharded: f64,
 }
 
 /// Cross-checks one arm's rounds: served IOs and event totals must agree
@@ -164,69 +120,38 @@ fn assert_rounds_agree(rounds: &[Arm], what: &str) {
 /// Interleaved measurement rounds. Host slowdowns here (vCPU steal,
 /// thermal, scheduler) arrive as multi-second bursts, so two passes far
 /// apart in time are not comparable — but adjacent passes are. Each
-/// round therefore times all three arms back to back and the overhead is
+/// round therefore times both arms back to back and the overhead is
 /// the **median per-round ratio**: a burst covering a whole round
 /// inflates numerator and denominator together and cancels, a burst
 /// landing on one arm of one round skews that round's ratio in either
 /// direction and the median discards it. Folding per-arm minima
 /// independently would instead compare timings from different noise
 /// regimes, and a min-of-ratios would keep only the luckiest round.
-/// The arm order rotates each round so a load ramp cannot systematically
+/// The arm order alternates each round so a load ramp cannot systematically
 /// tax whichever arm would otherwise always run last.
 const ROUNDS: usize = 9;
 
 fn measure_all() -> Measurement {
     let traced_rec = Arc::new(TraceRecorder::new(CAPACITY));
-    let sharded_rec = Arc::new(ShardedRecorder::new(SHARDS, CAPACITY));
 
-    warm(None);
-    warm(Some(traced_rec.clone()));
-    warm(Some(sharded_rec.clone()));
+    // One untimed pass per arm faults in the ring and warms every
+    // allocation the timed rounds touch.
+    run_with(None);
+    run_with(Some(&traced_rec));
 
     let mut untraced: Vec<Arm> = Vec::with_capacity(ROUNDS);
     let mut traced: Vec<Arm> = Vec::with_capacity(ROUNDS);
-    let mut sharded: Vec<Arm> = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
-        let measure_untraced = |out: &mut Vec<Arm>| out.push(measure(None, || {}, || 0));
-        let measure_traced = |out: &mut Vec<Arm>| {
-            let r = traced_rec.clone();
-            let reset = traced_rec.clone();
-            out.push(measure(
-                Some(traced_rec.clone()),
-                move || reset.clear(),
-                move || r.log().total(),
-            ));
-        };
-        let measure_sharded = |out: &mut Vec<Arm>| {
-            let r = sharded_rec.clone();
-            let reset = sharded_rec.clone();
-            out.push(measure(
-                Some(sharded_rec.clone()),
-                move || reset.clear(),
-                move || r.total(),
-            ));
-        };
-        match round % 3 {
-            0 => {
-                measure_untraced(&mut untraced);
-                measure_traced(&mut traced);
-                measure_sharded(&mut sharded);
-            }
-            1 => {
-                measure_traced(&mut traced);
-                measure_sharded(&mut sharded);
-                measure_untraced(&mut untraced);
-            }
-            _ => {
-                measure_sharded(&mut sharded);
-                measure_untraced(&mut untraced);
-                measure_traced(&mut traced);
-            }
+        if round % 2 == 0 {
+            untraced.push(measure(None));
+            traced.push(measure(Some(&traced_rec)));
+        } else {
+            traced.push(measure(Some(&traced_rec)));
+            untraced.push(measure(None));
         }
     }
     assert_rounds_agree(&untraced, "untraced");
     assert_rounds_agree(&traced, "traced");
-    assert_rounds_agree(&sharded, "sharded");
 
     let median_ratio = |arm: &[Arm], base: &[Arm]| {
         let mut ratios: Vec<f64> = arm
@@ -243,7 +168,6 @@ fn measure_all() -> Measurement {
         }
     };
     let overhead_traced = median_ratio(&traced, &untraced);
-    let overhead_sharded = median_ratio(&sharded, &untraced);
 
     let fastest = |mut rounds: Vec<Arm>| {
         let best = rounds
@@ -254,49 +178,29 @@ fn measure_all() -> Measurement {
             .expect("rounds ran");
         rounds.swap_remove(best)
     };
-    let (untraced, traced, sharded) = (fastest(untraced), fastest(traced), fastest(sharded));
+    let (untraced, traced) = (fastest(untraced), fastest(traced));
 
-    // Every arm ran the identical deterministic workload.
+    // Both arms ran the identical deterministic workload.
     assert_eq!(
         untraced.served, traced.served,
         "tracing changed simulation results"
     );
-    assert_eq!(
-        untraced.served, sharded.served,
-        "sharded tracing changed simulation results"
-    );
-    assert_eq!(
-        traced.events, sharded.events,
-        "sharded recorder saw a different event stream"
-    );
-    // The merged fold must reproduce the unsharded per-kind accounting
-    // byte for byte — the bench doubles as an equivalence check.
-    let merged = sharded_rec.merged();
-    assert_eq!(
-        merged.counts_json(),
-        powadapt_obs::event_counts_json(&traced_rec),
-        "sharded merge diverged from the unsharded recorder"
-    );
 
     Measurement {
         overhead_traced,
-        overhead_sharded,
         untraced,
         traced,
-        sharded,
     }
 }
 
 fn report_json(m: &Measurement) -> String {
     format!(
-        "{{\n  \"bench\": \"obs_bench\",\n  \"served_ios\": {},\n  \"events\": {},\n  \"untraced_ns\": {},\n  \"traced_ns\": {},\n  \"sharded_ns\": {},\n  \"overhead_traced\": {:.4},\n  \"overhead_sharded\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"obs_bench\",\n  \"served_ios\": {},\n  \"events\": {},\n  \"untraced_ns\": {},\n  \"traced_ns\": {},\n  \"overhead_traced\": {:.4}\n}}\n",
         m.untraced.served,
         m.traced.events,
         m.untraced.elapsed_ns,
         m.traced.elapsed_ns,
-        m.sharded.elapsed_ns,
         m.overhead_traced,
-        m.overhead_sharded,
     )
 }
 
@@ -319,33 +223,27 @@ fn main() {
             Ok(s) => s,
             Err(e) => fail(&format!("cannot read {path}"), &e),
         };
-        let traced = json_number(&committed, "overhead_traced");
-        let sharded = json_number(&committed, "overhead_sharded");
-        match (traced, sharded) {
-            (Some(t), Some(s)) => (t, s),
-            _ => fail(&format!("no overhead fields in {path}"), &"parse error"),
-        }
+        json_number(&committed, "overhead_traced").unwrap_or_else(|| {
+            fail(
+                &format!("no overhead_traced field in {path}"),
+                &"parse error",
+            )
+        })
     });
-    let gate = baseline.map_or(MAX_OVERHEAD, |(t, s)| {
-        (t + CHECK_TOLERANCE)
-            .min(s + CHECK_TOLERANCE)
-            .min(MAX_OVERHEAD)
-    });
+    let gate = baseline.map_or(MAX_OVERHEAD, |t| (t + CHECK_TOLERANCE).min(MAX_OVERHEAD));
 
     let mut m = measure_all();
-    if m.overhead_traced.max(m.overhead_sharded) > gate {
+    if m.overhead_traced > gate {
         // Same-process ratios still wobble under transient host noise on
         // shared CI runners; one retry absorbs that, while a real
         // regression fails both attempts.
         eprintln!(
-            "obs_bench: overhead {:.2}x/{:.2}x above gate {gate:.2}x; \
+            "obs_bench: overhead {:.2}x above gate {gate:.2}x; \
              retrying once to rule out host noise",
-            m.overhead_traced, m.overhead_sharded
+            m.overhead_traced
         );
         let retry = measure_all();
-        if retry.overhead_traced.max(retry.overhead_sharded)
-            < m.overhead_traced.max(m.overhead_sharded)
-        {
+        if retry.overhead_traced < m.overhead_traced {
             m = retry;
         }
     }
@@ -360,27 +258,24 @@ fn main() {
     }
 
     assert!(
-        m.overhead_traced <= MAX_OVERHEAD && m.overhead_sharded <= MAX_OVERHEAD,
-        "observability overhead {:.2}x/{:.2}x exceeds the {MAX_OVERHEAD:.2}x budget",
-        m.overhead_traced,
-        m.overhead_sharded
+        m.overhead_traced <= MAX_OVERHEAD,
+        "observability overhead {:.2}x exceeds the {MAX_OVERHEAD:.2}x budget",
+        m.overhead_traced
     );
 
-    if let Some((base_traced, base_sharded)) = baseline {
-        let worst_traced = base_traced + CHECK_TOLERANCE;
-        let worst_sharded = base_sharded + CHECK_TOLERANCE;
-        if m.overhead_traced > worst_traced || m.overhead_sharded > worst_sharded {
+    if let Some(base) = baseline {
+        let worst = base + CHECK_TOLERANCE;
+        if m.overhead_traced > worst {
             eprintln!(
-                "obs_bench: REGRESSION: overhead {:.2}x/{:.2}x exceeds committed \
-                 {base_traced:.2}x/{base_sharded:.2}x + {CHECK_TOLERANCE:.2}",
-                m.overhead_traced, m.overhead_sharded
+                "obs_bench: REGRESSION: overhead {:.2}x exceeds committed \
+                 {base:.2}x + {CHECK_TOLERANCE:.2}",
+                m.overhead_traced
             );
             std::process::exit(3);
         }
         println!(
-            "check ok: overhead {:.2}x/{:.2}x vs committed {base_traced:.2}x/{base_sharded:.2}x \
-             (ceiling {worst_traced:.2}x/{worst_sharded:.2}x)",
-            m.overhead_traced, m.overhead_sharded
+            "check ok: overhead {:.2}x vs committed {base:.2}x (ceiling {worst:.2}x)",
+            m.overhead_traced
         );
     }
 }

@@ -25,8 +25,10 @@
 //! A corrupt, truncated, or mismatched snapshot is rejected with a typed
 //! error and exit code 2 — never a panic.
 
+use std::cell::LazyCell;
+
 use powadapt_bench::golden::{placement_eval_summary, GOLDEN_SEED};
-use powadapt_bench::{apply_cli_workers, cli_flag_value, report_executor};
+use powadapt_bench::{apply_cli_workers, cli_flag_value};
 use powadapt_cluster::{placement_cluster, run_cluster, ClusterReport, ClusterSim, PlacementArm};
 use powadapt_io::{run_cells, ParallelConfig};
 use powadapt_sim::SimDuration;
@@ -170,10 +172,11 @@ fn main() {
         cold_w(nomig) - cold_w(temp)
     );
 
-    // The canonical summary — identical bytes to the committed golden.
-    let summary = placement_eval_summary(&ParallelConfig::sequential());
+    // The canonical summary — identical bytes to the committed golden. It
+    // runs all three cells again, so it is built only for `--out`/`--check`.
+    let summary = LazyCell::new(|| placement_eval_summary(&ParallelConfig::sequential()));
     if let Some(path) = cli_flag_value("--out") {
-        if let Err(e) = std::fs::write(&path, &summary) {
+        if let Err(e) = std::fs::write(&path, &*summary) {
             fail(&format!("cannot write {path}"), &e);
         }
     }
@@ -182,7 +185,7 @@ fn main() {
             Ok(s) => s,
             Err(e) => fail(&format!("cannot read {path}"), &e),
         };
-        if summary != committed {
+        if *summary != committed {
             eprintln!(
                 "placement_eval: DRIFT: summary no longer matches {path}.\n\
                  If the change is intentional, regenerate the fixtures with\n\
@@ -193,6 +196,5 @@ fn main() {
         println!("check ok: summary matches {path}");
     }
 
-    report_executor("placement_eval");
     powadapt_bench::finish_tracing(trace);
 }

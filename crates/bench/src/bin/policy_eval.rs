@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin policy_eval`
 
-use powadapt_bench::{apply_cli_workers, report_executor};
+use powadapt_bench::apply_cli_workers;
 use powadapt_core::{
     choose_mechanism, redirect_crossover_fraction, AdaptiveScenarioRouter, BudgetSchedule,
     ConsolidatingRouter, PowerEventCause, RedirectionConfig, WriteSegregationRouter,
@@ -399,6 +399,5 @@ fn main() {
     mechanism_section();
     scenario_section();
     fault_section();
-    report_executor("policy_eval");
     powadapt_bench::finish_tracing(trace);
 }

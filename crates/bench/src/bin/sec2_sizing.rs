@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin sec2_sizing`
 
-use powadapt_bench::{apply_cli_workers, report_executor};
+use powadapt_bench::apply_cli_workers;
 use powadapt_device::{catalog, PowerStateId, StorageDevice, GIB, KIB, MIB};
 use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, Workload};
 use powadapt_sim::{SimDuration, SimRng};
@@ -109,6 +109,5 @@ fn main() {
         r.io.iops() / 1e3,
         r.avg_power_w()
     );
-    report_executor("sec2_sizing");
     powadapt_bench::finish_tracing(trace);
 }

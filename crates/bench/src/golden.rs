@@ -407,18 +407,12 @@ fn traced_controller_rounds() {
 /// Panics if a scenario run fails — the fixture pins a healthy pipeline.
 pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
     let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
     let cells: Vec<u64> = (0..4).collect();
-    let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
-    traced_controller_rounds();
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
+    let served = powadapt_obs::with_installed(rec.clone(), || {
+        let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
+        traced_controller_rounds();
+        served
+    });
 
     let mut rows: Vec<String> = rec
         .log()
@@ -524,7 +518,6 @@ fn cluster_eval_summary_with(
     use powadapt_cluster::SelectionPolicy;
 
     let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
     let seeds = [GOLDEN_SEED, GOLDEN_SEED + 1];
     let cells: Vec<(SelectionPolicy, u64)> = seeds
         .iter()
@@ -535,15 +528,9 @@ fn cluster_eval_summary_with(
             ]
         })
         .collect();
-    let reports = powadapt_io::run_cells(&cells, cfg, |_, &(policy, seed)| cell(policy, seed));
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
+    let reports = powadapt_obs::with_installed(rec.clone(), || {
+        powadapt_io::run_cells(&cells, cfg, |_, &(policy, seed)| cell(policy, seed))
+    });
 
     let mut rows = Vec::new();
     for ((_, seed), report) in cells.iter().zip(&reports) {
@@ -684,22 +671,15 @@ fn placement_eval_summary_with(
     use powadapt_cluster::PlacementArm;
 
     let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
     let arms = [
         PlacementArm::TempDriven,
         PlacementArm::StaticSpread,
         PlacementArm::NoMigration,
     ];
     let cells: Vec<(PlacementArm, u64)> = arms.iter().map(|&a| (a, GOLDEN_SEED)).collect();
-    let reports = powadapt_io::run_cells(&cells, cfg, |_, &(arm, seed)| cell(arm, seed));
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
+    let reports = powadapt_obs::with_installed(rec.clone(), || {
+        powadapt_io::run_cells(&cells, cfg, |_, &(arm, seed)| cell(arm, seed))
+    });
 
     let mut rows = Vec::new();
     for ((arm, _), report) in cells.iter().zip(&reports) {

@@ -104,15 +104,6 @@ pub fn finish_tracing(session: powadapt_obs::TraceSession) {
     }
 }
 
-/// Prints the process-wide executor counters to stderr (stdout stays
-/// byte-identical across worker counts).
-pub fn report_executor(context: &str) {
-    let s = powadapt_io::session_stats();
-    if s.sweeps > 0 {
-        eprintln!("[{context}] executor: {s}");
-    }
-}
-
 /// Prints a row of fixed-width cells (simple table formatting for the
 /// figure binaries).
 pub fn print_row(cells: &[String]) {

@@ -33,7 +33,7 @@
 //! windowed p99 latency has climbed past [`BURN_ALERT_THRESHOLD`] of
 //! their SLO target.
 
-use powadapt_obs::{emit, EventKind};
+use powadapt_obs::{emit, EventKind, RecorderHandle};
 use powadapt_sim::SimTime;
 use powadapt_snap::SnapError;
 
@@ -98,6 +98,8 @@ pub struct EnergyLedger {
     audits: u64,
     /// Conservation violations detected (zero on a healthy run).
     violations: u64,
+    /// The recorder installed when the ledger was built; audits emit here.
+    rec: RecorderHandle,
 }
 
 impl EnergyLedger {
@@ -116,6 +118,7 @@ impl EnergyLedger {
             last_accrue: start,
             audits: 0,
             violations: 0,
+            rec: powadapt_obs::current(),
         }
     }
 
@@ -218,7 +221,6 @@ impl EnergyLedger {
         system_bytes: u64,
     ) {
         self.accrue(now);
-        let rec = powadapt_obs::current();
 
         // Attribute the interval closed by this audit.
         let total = self.total_fj();
@@ -264,7 +266,7 @@ impl EnergyLedger {
         if books != self.audited_fj {
             self.violations += 1;
             emit!(
-                rec,
+                self.rec,
                 now,
                 "ledger",
                 EventKind::ConservationViolation(Box::new(powadapt_obs::ConservationViolation {
@@ -291,7 +293,7 @@ impl EnergyLedger {
             if up[id.0] != direct {
                 self.violations += 1;
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     "ledger",
                     EventKind::ConservationViolation(Box::new(
@@ -312,7 +314,7 @@ impl EnergyLedger {
             if enforce_grants && grants[id.0] > limit_w + 1e-9 * limit_w.max(1.0) {
                 self.violations += 1;
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     "ledger",
                     EventKind::ConservationViolation(Box::new(
@@ -330,7 +332,7 @@ impl EnergyLedger {
 
         // Publish the energy accounts for the root and every rack, with
         // the stranded headroom between grant and measured draw.
-        if rec.is_enabled() {
+        if self.rec.is_enabled() {
             let mut measured_uw = vec![0u128; tree.len()];
             for (leaf, &uw) in leaves.iter().zip(&self.leaf_uw) {
                 measured_uw[leaf.0] += uw as u128;
@@ -344,7 +346,7 @@ impl EnergyLedger {
                 }
                 let measured_w = measured_uw[id.0] as f64 * 1e-6;
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     powadapt_obs::intern(&tree.path(id)),
                     EventKind::EnergyAttributed(Box::new(powadapt_obs::EnergyAttributed {
@@ -366,7 +368,7 @@ impl EnergyLedger {
             let burn_rate = p99 / target;
             if burn_rate > BURN_ALERT_THRESHOLD {
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     "slo",
                     EventKind::SloBurnAlert {
@@ -392,6 +394,9 @@ powadapt_snap::snapshot! {
         last_accrue,
         audits,
         violations,
+    }
+    skip {
+        rec: "telemetry sink, captured at construction",
     }
     after restore_books
 }

@@ -157,16 +157,9 @@ mod tests {
     #[test]
     fn regional_failover_emits_breaker_events() {
         let rec = Arc::new(TraceRecorder::new(1 << 14));
-        let prev = powadapt_obs::install(rec.clone());
-        let report = run_cluster(regional_failover(SelectionPolicy::ModelDriven, 7)).unwrap();
-        match prev {
-            Some(p) => {
-                powadapt_obs::install(p);
-            }
-            None => {
-                powadapt_obs::uninstall();
-            }
-        }
+        let report = powadapt_obs::with_installed(rec.clone(), || {
+            run_cluster(regional_failover(SelectionPolicy::ModelDriven, 7)).unwrap()
+        });
         assert!(report.served_ios > 0);
         // The recorder is process-global and tests run in parallel, so
         // assert at-least rather than exactly.

@@ -24,7 +24,7 @@ use powadapt_device::{
 };
 use powadapt_io::Arrival;
 use powadapt_model::PowerThroughputModel;
-use powadapt_obs::{emit, EventKind};
+use powadapt_obs::{emit, EventKind, RecorderHandle};
 use powadapt_place::{DeviceSlot, MigrationIo, MigrationPhase, PlacementConfig, PlacementTier};
 use powadapt_sim::units::Micros;
 use powadapt_sim::{SimDuration, SimTime};
@@ -410,6 +410,9 @@ pub struct ClusterSim {
     mig_scratch_len: usize,
     /// Reused holder buffer for placement-routed arrivals; transient.
     holders_scratch: Vec<u32>,
+    /// The recorder installed when the sim was built; every cluster-level
+    /// emit goes here, so a later `install` does not retarget this run.
+    rec: RecorderHandle,
 }
 
 impl fmt::Debug for ClusterSim {
@@ -682,6 +685,7 @@ impl ClusterSim {
             mig_scratch: vec![(0, false); mig_cap],
             mig_scratch_len: 0,
             holders_scratch: Vec::new(),
+            rec,
         })
     }
 
@@ -923,7 +927,6 @@ impl ClusterSim {
         if self.mig_scratch_len == 0 && self.mig_backlog.is_empty() {
             return Ok(());
         }
-        let rec = powadapt_obs::current();
         for k in 0..self.mig_scratch_len {
             let (mid, was_write) = self.mig_scratch[k];
             let Some(tier) = self.place.as_mut() else {
@@ -932,7 +935,7 @@ impl ClusterSim {
             if was_write {
                 if let Some(m) = tier.migration_write_done(mid) {
                     emit!(
-                        rec,
+                        self.rec,
                         t,
                         "placement",
                         EventKind::MigrationCompleted {
@@ -1004,7 +1007,6 @@ impl ClusterSim {
         if self.place.is_none() {
             return Ok(());
         }
-        let rec = powadapt_obs::current();
         // Devices whose feed is up and which are not quarantined may
         // carry migration IO this round. Routability is deliberately not
         // required: a consolidation destination parked in standby must
@@ -1027,7 +1029,7 @@ impl ClusterSim {
             for io in &starts {
                 if let Some(m) = tier.migration(io.migration) {
                     emit!(
-                        rec,
+                        self.rec,
                         now,
                         "placement",
                         EventKind::MigrationStarted {
@@ -1086,7 +1088,6 @@ impl ClusterSim {
         tenant: usize,
         now: SimTime,
     ) -> Result<(), ClusterError> {
-        let rec = powadapt_obs::current();
         let id = self.next_id;
         self.next_id += 1;
 
@@ -1102,7 +1103,7 @@ impl ClusterSim {
                     let placed = tier.route_write(tenant as u32, arrival.offset, arrival.len, now);
                     if placed.newly_placed {
                         emit!(
-                            rec,
+                            self.rec,
                             now,
                             "placement",
                             EventKind::PlacementDecision {
@@ -1167,7 +1168,7 @@ impl ClusterSim {
             self.holders_scratch = holders;
             if skipped > 0 {
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     "placement",
                     EventKind::RoutedAround { id, skipped }
@@ -1178,7 +1179,7 @@ impl ClusterSim {
                 self.accounts[tenant].submitted += 1;
             } else {
                 self.accounts[tenant].dropped += 1;
-                emit!(rec, now, "cluster", EventKind::ArrivalDropped { id });
+                emit!(self.rec, now, "cluster", EventKind::ArrivalDropped { id });
             }
             return Ok(());
         }
@@ -1204,7 +1205,12 @@ impl ClusterSim {
             }
             if self.try_submit(gi, id, arrival)? {
                 if skipped > 0 {
-                    emit!(rec, now, "cluster", EventKind::RoutedAround { id, skipped });
+                    emit!(
+                        self.rec,
+                        now,
+                        "cluster",
+                        EventKind::RoutedAround { id, skipped }
+                    );
                 }
                 self.owners.insert(id, IoOwner::Tenant(tenant));
                 self.accounts[tenant].submitted += 1;
@@ -1212,10 +1218,15 @@ impl ClusterSim {
             }
         }
         if skipped > 0 {
-            emit!(rec, now, "cluster", EventKind::RoutedAround { id, skipped });
+            emit!(
+                self.rec,
+                now,
+                "cluster",
+                EventKind::RoutedAround { id, skipped }
+            );
         }
         self.accounts[tenant].dropped += 1;
-        emit!(rec, now, "cluster", EventKind::ArrivalDropped { id });
+        emit!(self.rec, now, "cluster", EventKind::ArrivalDropped { id });
         Ok(())
     }
 
@@ -1248,12 +1259,11 @@ impl ClusterSim {
         if events.is_empty() {
             return false;
         }
-        let rec = powadapt_obs::current();
         for ev in events {
             match ev {
                 TreeFaultEvent::Trip(node) => {
                     emit!(
-                        rec,
+                        self.rec,
                         t,
                         "tree",
                         EventKind::BreakerTrip {
@@ -1278,7 +1288,7 @@ impl ClusterSim {
                 }
                 TreeFaultEvent::Restore(node) => {
                     emit!(
-                        rec,
+                        self.rec,
                         t,
                         "tree",
                         EventKind::BreakerRestore {
@@ -1339,7 +1349,6 @@ impl ClusterSim {
 
     /// One demand → rebalance → re-plan round of the model-driven policy.
     fn control_round(&mut self, now: SimTime) -> Result<(), ClusterError> {
-        let rec = powadapt_obs::current();
         let down: Vec<bool> = self
             .leaves
             .iter()
@@ -1377,7 +1386,7 @@ impl ClusterSim {
             let g = grants[id.0];
             self.last_grants[id.0] = g.granted_w;
             emit!(
-                rec,
+                self.rec,
                 now,
                 "tree",
                 EventKind::RebalanceDecision(Box::new(powadapt_obs::RebalanceDecision {
@@ -1427,7 +1436,6 @@ impl ClusterSim {
     /// accrues over the closing interval with the powers it was holding,
     /// then takes over the fresh measurements.
     fn sample_nodes(&mut self, now: SimTime) {
-        let rec = powadapt_obs::current();
         self.ledger.accrue(now);
         let mut power = vec![0.0f64; self.tree.len()];
         let mut leaf_watts = Vec::with_capacity(self.leaves.len());
@@ -1446,7 +1454,7 @@ impl ClusterSim {
             self.node_sum[id.0] += p;
             if self.tree.kind(id) == NodeKind::Rack {
                 emit!(
-                    rec,
+                    self.rec,
                     now,
                     self.node_tracks[id.0],
                     EventKind::PowerSample { watts: p }
@@ -1544,6 +1552,7 @@ powadapt_snap::snapshot! {
         mig_scratch: "per-step scratch, drained within the step",
         mig_scratch_len: "per-step scratch, zero between steps",
         holders_scratch: "per-arrival scratch",
+        rec: "telemetry sink, captured at construction",
     }
     after restore_clock, restore_owners, restore_backlog
 }

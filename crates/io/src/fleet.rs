@@ -489,14 +489,6 @@ where
     let power = rig.into_trace();
     let energy_j = power.energy_j();
 
-    // Fleet-level fault counters also feed the global metrics registry so
-    // traced runs can audit them without plumbing FleetResult around.
-    powadapt_obs::metrics().inc_many(&[
-        ("fleet.io_errors", io_errors),
-        ("fleet.dropped", dropped),
-        ("fleet.command_errors", command_errors),
-    ]);
-
     Ok(FleetResult {
         per_device,
         total,

@@ -48,10 +48,7 @@ pub use fleet::{
 };
 pub use job::{AccessPattern, JobSpec, Workload};
 pub use openloop::{Arrival, ArrivalGen, Arrivals, OpenLoopSpec};
-pub use parallel::{
-    reset_session_stats, run_cells, run_cells_stats, session_stats, ParallelConfig, SessionStats,
-    SweepStats, WorkerStats,
-};
+pub use parallel::{run_cells, run_cells_stats, ParallelConfig, SweepStats, WorkerStats};
 pub use runner::{run_experiment, ExperimentError, ExperimentResult};
 pub use stats::{InvertedWindow, IoStats};
 pub use sweep::{

@@ -130,73 +130,6 @@ impl std::fmt::Display for SweepStats {
     }
 }
 
-// Session-wide counters live in the process-wide metrics registry
-// (`powadapt_obs::metrics()`) under the `executor.` prefix, so binaries can
-// report cumulative executor work without threading stats through every
-// figure function — and so the counters appear in trace snapshots for free.
-
-/// Cumulative executor activity of this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Sweeps executed.
-    pub sweeps: u64,
-    /// Cells executed across all sweeps.
-    pub cells: u64,
-    /// Steals across all sweeps.
-    pub steals: u64,
-    /// Summed wall-clock time of all sweeps.
-    pub elapsed: Duration,
-}
-
-impl SessionStats {
-    /// Aggregate throughput in cells per second (0 if nothing ran).
-    pub fn cells_per_sec(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s > 0.0 {
-            self.cells as f64 / s
-        } else {
-            0.0
-        }
-    }
-}
-
-impl std::fmt::Display for SessionStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} sweeps, {} cells in {:.2?} ({:.1} cells/s, {} steals)",
-            self.sweeps,
-            self.cells,
-            self.elapsed,
-            self.cells_per_sec(),
-            self.steals
-        )
-    }
-}
-
-/// Snapshot of the process-wide executor counters.
-///
-/// The four counters are read from one registry snapshot, so they are
-/// mutually consistent even while sweeps run on other threads — a sweep's
-/// whole contribution is either fully visible or not visible at all.
-pub fn session_stats() -> SessionStats {
-    let snap = powadapt_obs::metrics().snapshot();
-    SessionStats {
-        sweeps: snap.counter("executor.sweeps"),
-        cells: snap.counter("executor.cells"),
-        steals: snap.counter("executor.steals"),
-        elapsed: Duration::from_nanos(snap.counter("executor.busy_nanos")),
-    }
-}
-
-/// Resets the process-wide executor counters (tests, repeated benches).
-///
-/// Atomic with respect to [`session_stats`] and concurrent sweeps: the
-/// `executor.` counters are dropped in one registry operation.
-pub fn reset_session_stats() {
-    powadapt_obs::metrics().remove_prefix("executor.");
-}
-
 /// One worker's claim on the shared index space: the half-open range
 /// `[lo, hi)` of cell indices it still owns.
 #[derive(Debug, Clone, Copy)]
@@ -256,14 +189,6 @@ where
         elapsed: start.elapsed(),
         per_worker,
     };
-    // One registry call so a concurrent session_stats() snapshot sees this
-    // sweep's counters all-or-nothing, never a torn mix.
-    powadapt_obs::metrics().inc_many(&[
-        ("executor.sweeps", 1),
-        ("executor.cells", n as u64),
-        ("executor.steals", stats.steals()),
-        ("executor.busy_nanos", stats.elapsed.as_nanos() as u64),
-    ]);
     if std::env::var_os("POWADAPT_PROGRESS").is_some() {
         eprintln!("[powadapt] sweep: {stats}");
     }
@@ -508,15 +433,5 @@ mod tests {
         assert_eq!(ParallelConfig::with_workers(0).workers, 1);
         assert_eq!(ParallelConfig::sequential().workers, 1);
         assert!(ParallelConfig::from_env().workers >= 1);
-    }
-
-    #[test]
-    fn session_counters_accumulate() {
-        let before = session_stats();
-        let cells: Vec<u8> = vec![0; 10];
-        let _ = run_cells(&cells, &ParallelConfig::sequential(), |i, _| i);
-        let after = session_stats();
-        assert!(after.cells >= before.cells + 10);
-        assert!(after.sweeps > before.sweeps);
     }
 }

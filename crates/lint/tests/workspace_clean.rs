@@ -48,8 +48,8 @@ fn workspace_has_zero_diagnostics() {
 }
 
 /// The telemetry layer added with the observability overhaul — the
-/// quantile sketch, the sharded recorder, the energy ledger, and the
-/// overhead bench — is scanned like any other source, and each file is
+/// quantile sketch, the interner, the energy ledger, and the overhead
+/// bench — is scanned like any other source, and each file is
 /// individually clean. Guards against these modules silently dropping
 /// out of the walk (a path typo in an allowlist would do it) and against
 /// new diagnostics hiding behind the workspace-level aggregate.
@@ -59,7 +59,6 @@ fn telemetry_modules_are_scanned_and_clean() {
         .expect("workspace root above crates/lint");
     for rel in [
         "crates/obs/src/sketch.rs",
-        "crates/obs/src/shard.rs",
         "crates/obs/src/intern.rs",
         "crates/cluster/src/ledger.rs",
         "crates/bench/src/bin/obs_bench.rs",
@@ -100,7 +99,6 @@ fn obs_bench_wall_clock_allowlist_is_file_scoped() {
     for rel in [
         "crates/bench/src/bin/trace_query.rs",
         "crates/obs/src/sketch.rs",
-        "crates/obs/src/shard.rs",
         "crates/obs/src/intern.rs",
         "crates/cluster/src/ledger.rs",
     ] {

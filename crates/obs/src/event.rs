@@ -226,7 +226,10 @@ pub enum EventKind {
         /// limit).
         burn_rate: f64,
     },
-    /// A sharded recorder folded one shard into a merged view.
+    /// A sharded recorder folded one shard into a merged view. No
+    /// recorder in this workspace shards, so nothing emits it; the kind
+    /// stays so the `NAMES` table, and every consumer that enumerates
+    /// it, keeps a stable shape.
     ShardMerged {
         /// Shard index.
         shard: u64,

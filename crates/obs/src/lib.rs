@@ -20,10 +20,8 @@
 //! - **Metrics** ([`MetricsRegistry`]): counters, gauges, and
 //!   sim-time-windowed histograms backed by mergeable log-bucket
 //!   quantile sketches ([`Sketch`], γ = [`sketch::RELATIVE_ERROR`]),
-//!   atomically snapshotable as hand-rolled deterministic JSON.
-//! - **Sharding** ([`ShardedRecorder`]): per-track event-log + registry
-//!   shards with a deterministic `(sim_time, shard_id, seq)` merge,
-//!   byte-identical at any shard count.
+//!   atomically snapshotable as hand-rolled deterministic JSON. Each
+//!   recorder owns its registry; there is no process-wide one.
 //! - **Profiling & export** ([`span_totals`], [`collapsed_stacks`],
 //!   [`chrome_trace`]): sim-time span aggregation, collapsed-stack
 //!   flamegraph text, and Chrome `trace_event` JSON loadable in Perfetto
@@ -58,7 +56,6 @@ mod export;
 mod intern;
 mod metrics;
 mod recorder;
-mod shard;
 pub mod sketch;
 mod span;
 mod trace;
@@ -69,9 +66,10 @@ pub use event::{
 };
 pub use export::{chrome_trace, events_jsonl};
 pub use intern::intern;
-pub use metrics::{metrics, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{current, install, uninstall, EventLog, Recorder, RecorderHandle};
-pub use shard::{MergedTrace, ShardedRecorder};
+pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use recorder::{
+    current, install, uninstall, with_installed, EventLog, Recorder, RecorderHandle,
+};
 pub use sketch::{Sketch, WindowedSketch};
 pub use span::{collapsed_stacks, span_totals, SpanStat};
 pub use trace::{event_counts_json, TraceConfig, TraceMode, TraceRecorder, TraceSession};
@@ -162,5 +160,24 @@ mod tests {
         uninstall();
         assert!(!current().is_enabled());
         assert!(log.total() >= 1);
+
+        // A scoped install restores the previous occupant, even when the
+        // scope unwinds.
+        let outer = Arc::new(EventLog::new(8));
+        install(outer.clone());
+        let inner = Arc::new(EventLog::new(8));
+        let unwound = std::panic::catch_unwind(|| {
+            with_installed(inner.clone(), || {
+                emit!(current(), SimTime::ZERO, "g", EventKind::SpinUp);
+                panic!("scope fails");
+            });
+        });
+        assert!(unwound.is_err());
+        assert_eq!(inner.total(), 1);
+        emit!(current(), SimTime::ZERO, "g", EventKind::SpinUp);
+        assert_eq!(outer.total(), 1);
+        assert_eq!(with_installed(inner.clone(), || 7), 7);
+        assert!(uninstall().is_some(), "the outer recorder is back");
+        assert!(!current().is_enabled());
     }
 }

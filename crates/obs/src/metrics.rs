@@ -1,21 +1,19 @@
 //! The metrics registry: counters, gauges, and sketch-backed histograms,
 //! snapshotable as hand-rolled deterministic JSON.
 //!
-//! Everything lives behind one mutex, which is what makes multi-counter
-//! updates ([`MetricsRegistry::inc_many`]) and [`MetricsRegistry::
-//! snapshot`] *atomic*: a reader can never observe a torn set of totals,
-//! no matter how many sweep workers are publishing. Keys are sorted
-//! (`BTreeMap`) so snapshots and their JSON rendering are byte-stable.
+//! Everything lives behind one mutex, which is what makes
+//! [`MetricsRegistry::snapshot`] *atomic*: a reader can never observe a
+//! torn set of totals. Keys are sorted (`BTreeMap`) so snapshots and
+//! their JSON rendering are byte-stable. Each recorder owns its registry
+//! ([`crate::TraceRecorder::metrics`]); there is no process-wide one.
 //!
 //! Histograms are [`Sketch`]es (log-bucket quantile sketches, γ =
 //! [`crate::sketch::RELATIVE_ERROR`]) rather than stored-sample lists:
-//! memory is O(buckets) regardless of stream length, the observe path
-//! allocates nothing in steady state, and two registries merge
-//! deterministically ([`MetricsRegistry::merge_from`]) — the property the
-//! sharded recorder is built on.
+//! memory is O(buckets) regardless of stream length and the observe path
+//! allocates nothing in steady state.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 use powadapt_sim::{SimDuration, SimTime};
 
@@ -81,21 +79,6 @@ impl MetricsRegistry {
             Some(c) => *c += by,
             None => {
                 inner.counters.insert(name.to_string(), by); // powadapt-lint: allow(d9, reason = "first increment of a name registers the counter; every later inc takes the alloc-free lookup above")
-            }
-        }
-    }
-
-    /// Apply several counter deltas under one lock acquisition, so readers
-    /// see either none or all of them — the executor publishes its
-    /// per-sweep totals this way to keep session stats tear-free.
-    pub fn inc_many(&self, deltas: &[(&str, u64)]) {
-        let mut inner = self.lock();
-        for (name, by) in deltas {
-            match inner.counters.get_mut(*name) {
-                Some(c) => *c += by,
-                None => {
-                    inner.counters.insert((*name).to_string(), *by);
-                }
             }
         }
     }
@@ -213,46 +196,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds another registry into this one — the shard-merge primitive.
-    ///
-    /// Counters add exactly; histograms merge by sketch bucket addition
-    /// (associative, commutative, byte-stable). Same-name histograms with
-    /// incompatible window configurations keep this registry's — a config
-    /// mismatch is a caller bug, and keeping the receiver is the
-    /// deterministic resolution. Gauges are **not** merged here: a gauge
-    /// is last-writer-wins and only a caller that knows the event order
-    /// (the sharded recorder) can pick the winner; see
-    /// `ShardedRecorder::merged`.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        let theirs = other.lock();
-        let mut mine = self.lock();
-        for (k, &v) in &theirs.counters {
-            *mine.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &theirs.histograms {
-            match (mine.histograms.get_mut(k), h) {
-                (Some(Histogram::Plain(s)), Histogram::Plain(o)) => s.merge_from(o),
-                (Some(Histogram::Windowed(w)), Histogram::Windowed(o)) => {
-                    let _ = w.merge_from(o);
-                }
-                (Some(_), _) => {} // kind mismatch: keep the receiver's
-                (None, _) => {
-                    mine.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
-
-    /// Remove every metric whose name starts with `prefix` — how a session
-    /// scope (e.g. the executor's `executor.` counters) resets without
-    /// disturbing unrelated metrics.
-    pub fn remove_prefix(&self, prefix: &str) {
-        let mut inner = self.lock();
-        inner.counters.retain(|k, _| !k.starts_with(prefix));
-        inner.gauges.retain(|k, _| !k.starts_with(prefix));
-        inner.histograms.retain(|k, _| !k.starts_with(prefix));
-    }
-
     /// Drop every metric.
     pub fn clear(&self) {
         *self.lock() = Inner::default();
@@ -263,15 +206,6 @@ impl MetricsRegistry {
 // (not percentile summaries), so a restored registry's windows keep
 // evicting correctly and its snapshots stay byte-identical.
 powadapt_snap::snapshot! { MetricsRegistry { inner } }
-
-/// The process-global metrics registry.
-///
-/// Long-lived infrastructure (the parallel sweep executor) publishes here;
-/// per-run recorders keep their own [`MetricsRegistry`] instead.
-pub fn metrics() -> &'static MetricsRegistry {
-    static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(MetricsRegistry::new)
-}
 
 /// Percentile summary of one histogram, derived from its sketch.
 ///
@@ -392,10 +326,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_inc_many() {
+    fn counters_accumulate() {
         let m = MetricsRegistry::new();
         m.inc("a", 2);
-        m.inc_many(&[("a", 3), ("b", 1)]);
+        m.inc("a", 3);
+        m.inc("b", 1);
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.counter("b"), 1);
         assert_eq!(m.counter("missing"), 0);
@@ -435,37 +370,6 @@ mod tests {
         assert_eq!(h.count, 2); // the slice holding t=0 expired by t=200
         assert_eq!(h.min, 2.0);
         assert_eq!(h.max, 3.0);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.inc("ios", 3);
-        b.inc("ios", 4);
-        b.inc("only_b", 1);
-        for i in 0..10 {
-            a.observe("lat", SimTime::from_nanos(i), i as f64 + 1.0);
-            b.observe("lat", SimTime::from_nanos(i), i as f64 + 101.0);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.counter("ios"), 7);
-        assert_eq!(a.counter("only_b"), 1);
-        let snap = a.snapshot();
-        let h = &snap.histograms[0];
-        assert_eq!(h.count, 20);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 110.0);
-    }
-
-    #[test]
-    fn remove_prefix_scopes_reset() {
-        let m = MetricsRegistry::new();
-        m.inc("executor.sweeps", 4);
-        m.inc("other", 7);
-        m.remove_prefix("executor.");
-        assert_eq!(m.counter("executor.sweeps"), 0);
-        assert_eq!(m.counter("other"), 7);
     }
 
     #[test]

@@ -98,6 +98,27 @@ pub fn current() -> RecorderHandle {
     RecorderHandle(read_global())
 }
 
+/// Runs `f` with `rec` installed as the process-global recorder, then
+/// puts back whatever was installed before. The restore runs from a drop
+/// guard, so a panic in `f` cannot leave `rec` behind in the slot.
+pub fn with_installed<T>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<dyn Recorder>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(prev) => {
+                    install(prev);
+                }
+                None => {
+                    uninstall();
+                }
+            }
+        }
+    }
+    let _restore = Restore(install(rec));
+    f()
+}
+
 #[derive(Debug)]
 struct LogInner {
     events: VecDeque<Event>,

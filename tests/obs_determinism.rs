@@ -237,6 +237,34 @@ fn event_log_counters_survive_restore_across_checkpoint() {
     assert_eq!(resumed_log.total(), full_log.total());
 }
 
+/// A cluster sim captures the installed recorder once, when it is built.
+/// A recorder installed afterwards receives nothing from that run; the
+/// one captured at construction receives the cluster's own events and the
+/// energy ledger's.
+#[test]
+fn cluster_sim_records_only_to_the_recorder_it_was_built_under() {
+    use powadapt::cluster::{oversubscribed_cluster, ClusterSim, SelectionPolicy};
+    use powadapt::obs::EventLog;
+
+    let _slot = GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = oversubscribed_cluster(SelectionPolicy::ModelDriven, GOLDEN_SEED);
+    let built_under = Arc::new(EventLog::new(1 << 16));
+    let sim = obs::with_installed(built_under.clone(), || ClusterSim::new(spec)).unwrap();
+    let late = Arc::new(EventLog::new(1 << 16));
+    obs::with_installed(late.clone(), || sim.finish()).unwrap();
+
+    assert_eq!(late.total(), 0, "a later install retargeted a running sim");
+    let count = |kind: &str| {
+        built_under
+            .counts()
+            .into_iter()
+            .find(|(k, _)| k == kind)
+            .map_or(0, |(_, n)| n)
+    };
+    assert!(count("power_sample") > 0, "cluster samples went missing");
+    assert!(count("energy_attributed") > 0, "ledger audits went missing");
+}
+
 #[test]
 fn traced_scenario_exports_chrome_trace_and_flamegraph() {
     let _slot = GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
