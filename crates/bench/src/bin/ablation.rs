@@ -4,14 +4,14 @@
 //! which paper-observed behaviour that knob is responsible for.
 //!
 //! Each section's variants are independent experiments, so they fan across
-//! the workers configured by `POWADAPT_WORKERS` (or `--workers N`); the
-//! printed tables are identical for every worker count.
+//! the workers set by `--workers N` (or `POWADAPT_WORKERS`); the printed
+//! tables are identical for every worker count.
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin ablation`
 
-use powadapt_bench::apply_cli_workers;
+use powadapt_bench::cli;
 use powadapt_device::{catalog, PowerStateId, Ssd, SsdConfig, StorageDevice, GIB, KIB, MIB};
-use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, Workload};
+use powadapt_io::{run_cells, run_experiment, JobSpec, Workload};
 use powadapt_sim::SimDuration;
 
 fn base_config() -> SsdConfig {
@@ -37,9 +37,9 @@ fn run(dev: &mut Ssd, w: Workload, chunk: u64, depth: usize) -> powadapt_io::Exp
 }
 
 fn main() {
-    apply_cli_workers();
-    let trace = powadapt_bench::start_tracing();
-    let pcfg = ParallelConfig::from_env();
+    let cli = cli::parse("ablation", &[]);
+    let trace = cli.start_tracing();
+    let pcfg = cli.parallel;
 
     println!("== Ablation 1: cap-governor control window (ps2, randwrite 256 KiB QD1) ==");
     println!("   The NVMe spec only bounds the 10 s average; the control window is how");
@@ -157,5 +157,5 @@ fn main() {
             large.avg_power_w()
         );
     }
-    powadapt_bench::finish_tracing(trace);
+    cli::finish_tracing(trace);
 }

@@ -7,7 +7,7 @@
 // catalog entry is the desired behavior, not a fleet hazard.
 #![allow(clippy::unwrap_used)]
 
-use powadapt_bench::f2;
+use powadapt_bench::{cli, f2};
 use powadapt_device::{catalog, PowerStateId, KIB, MIB};
 use powadapt_io::{run_fresh, JobSpec, SweepScale, Workload};
 use powadapt_sim::SimDuration;
@@ -32,7 +32,8 @@ fn job(w: Workload, chunk: u64, depth: usize) -> JobSpec {
 }
 
 fn main() {
-    let trace = powadapt_bench::start_tracing();
+    let cli = cli::parse("calibrate", &[]);
+    let trace = cli.start_tracing();
     println!("== SSD2 seq write 2MiB QD64 by power state (paper: ps1=74% ps0, ps2=55% ps0; power <=15.1/12/10) ==");
     let mut ps0_thr = 0.0;
     for ps in 0..3u8 {
@@ -219,5 +220,5 @@ fn main() {
         lo = lo.min(idle);
         println!("  {label}: {lo:.2} - {hi:.2} W (idle {idle:.2})");
     }
-    powadapt_bench::finish_tracing(trace);
+    cli::finish_tracing(trace);
 }

@@ -20,86 +20,18 @@
 //! mismatched snapshot is rejected with a typed error and exit code 2 —
 //! never a panic.
 
-use powadapt_bench::{apply_cli_workers, cli_flag_value};
-use powadapt_cluster::{
-    oversubscribed_cluster, run_cluster, ClusterReport, ClusterSim, SelectionPolicy,
-};
-use powadapt_io::{run_cells, ParallelConfig};
-use powadapt_sim::SimDuration;
-
-fn cell(policy: SelectionPolicy, seed: u64) -> ClusterReport {
-    run_cluster(oversubscribed_cluster(policy, seed)).expect("cluster scenario runs")
-}
-
-/// The (policy, seed) cell the checkpoint flags operate on.
-fn checkpoint_spec() -> powadapt_cluster::ClusterSpec {
-    oversubscribed_cluster(SelectionPolicy::ModelDriven, 42)
-}
-
-fn fail(context: &str, err: &dyn std::fmt::Display) -> ! {
-    eprintln!("cluster_eval: {context}: {err}");
-    std::process::exit(2);
-}
-
-/// Runs the canonical cell to its midpoint, writes the sealed snapshot,
-/// then finishes the run and prints the report.
-fn snapshot_to(path: &str) {
-    let mut sim = match ClusterSim::new(checkpoint_spec()) {
-        Ok(s) => s,
-        Err(e) => fail("cannot build cluster", &e),
-    };
-    let mid = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 2);
-    if let Err(e) = sim.run_to(mid) {
-        fail("first half failed", &e);
-    }
-    let bytes = match sim.snapshot() {
-        Ok(b) => b,
-        Err(e) => fail("snapshot failed", &e),
-    };
-    if let Err(e) = std::fs::write(path, &bytes) {
-        fail(&format!("cannot write {path}"), &e);
-    }
-    println!(
-        "checkpoint: {} bytes at t={:?} -> {path}",
-        bytes.len(),
-        sim.now()
-    );
-    match sim.finish() {
-        Ok(report) => print!("{report}"),
-        Err(e) => fail("second half failed", &e),
-    }
-}
-
-/// Resumes the canonical cell from a sealed snapshot and runs it to the
-/// end. Rejects bad snapshots with a typed error, never a panic.
-fn resume_from(path: &str) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("cannot read {path}"), &e),
-    };
-    let sim = match ClusterSim::resume(checkpoint_spec(), &bytes) {
-        Ok(s) => s,
-        Err(e) => fail("snapshot rejected", &e),
-    };
-    println!("resumed at t={:?} from {path}", sim.now());
-    match sim.finish() {
-        Ok(report) => print!("{report}"),
-        Err(e) => fail("resumed run failed", &e),
-    }
-}
+use powadapt_bench::cli::{self, CheckpointAt};
+use powadapt_cluster::{oversubscribed_cluster, run_cluster, ClusterReport, SelectionPolicy};
+use powadapt_io::run_cells;
 
 fn main() {
-    apply_cli_workers();
-    if let Some(path) = cli_flag_value("--snapshot-out") {
-        snapshot_to(&path);
+    let cli = cli::parse("cluster_eval", &["--snapshot-out", "--resume"]);
+    // The checkpoint flags operate on the model-driven cell at seed 42.
+    let spec = || oversubscribed_cluster(SelectionPolicy::ModelDriven, 42);
+    if cli::checkpoint_flags(&cli, spec, CheckpointAt::Fraction(2), |r| print!("{r}")) {
         return;
     }
-    if let Some(path) = cli_flag_value("--resume") {
-        resume_from(&path);
-        return;
-    }
-    let trace = powadapt_bench::start_tracing();
+    let trace = cli.start_tracing();
 
     let seeds = [42u64, 43, 44];
     let cells: Vec<(SelectionPolicy, u64)> = seeds
@@ -111,8 +43,8 @@ fn main() {
             ]
         })
         .collect();
-    let reports = run_cells(&cells, &ParallelConfig::from_env(), |_, &(policy, seed)| {
-        cell(policy, seed)
+    let reports = run_cells(&cells, &cli.parallel, |_, &(policy, seed)| {
+        run_cluster(oversubscribed_cluster(policy, seed)).expect("cluster scenario runs")
     });
 
     println!("== Cluster oversubscription: model-driven rebalance vs uniform static cap ==\n");
@@ -147,5 +79,5 @@ fn main() {
     }
     println!("\n   worst-case win ratio across seeds: {worst:.2}x (target >= 1.3x)");
 
-    powadapt_bench::finish_tracing(trace);
+    cli::finish_tracing(trace);
 }

@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use powadapt_bench::cli_flag_value;
+use powadapt_bench::cli;
 use powadapt_sim::{EventId, EventQueue, HeapQueue, SimRng, SimTime};
 
 /// Near-tier span of the calendar queue (bucket count x width); schedule
@@ -39,11 +39,6 @@ const MIN_SPEEDUP: f64 = 5.0;
 /// `--check` tolerance: a committed-vs-measured ratio drop beyond this is
 /// a regression.
 const CHECK_TOLERANCE: f64 = 0.10;
-
-fn fail(context: &str, err: &dyn std::fmt::Display) -> ! {
-    eprintln!("kernel_bench: {context}: {err}");
-    std::process::exit(2);
-}
 
 /// The common surface of both kernels, so one workload drives either.
 trait Kernel {
@@ -164,17 +159,6 @@ fn measure<K: Kernel, F: Fn() -> K>(make: F, seed: u64) -> Measurement {
     }
 }
 
-/// Minimal extraction of `"key": <number>` from a flat JSON report.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn report_json(heap: &Measurement, cal: &Measurement, speedup: f64) -> String {
     format!(
         "{{\n  \"bench\": \"kernel_bench\",\n  \"ops\": {},\n  \"heap_ns\": {},\n  \"calendar_ns\": {},\n  \"heap_events_per_sec\": {:.0},\n  \"calendar_events_per_sec\": {:.0},\n  \"speedup\": {:.2}\n}}\n",
@@ -203,18 +187,10 @@ fn measure_pair(seed: u64) -> (Measurement, Measurement, f64) {
 
 fn main() {
     const SEED: u64 = 42;
+    let cli = cli::parse("kernel_bench", &["--check", "--out"]);
     // Resolve the committed baseline first so a below-gate first attempt
     // can retry before anything is reported.
-    let baseline = cli_flag_value("--check").map(|path| {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => fail(&format!("cannot read {path}"), &e),
-        };
-        let Some(baseline) = json_number(&committed, "speedup") else {
-            fail(&format!("no \"speedup\" field in {path}"), &"parse error");
-        };
-        baseline
-    });
+    let baseline = cli.check_baseline("speedup");
     let gate = baseline
         .map_or(0.0, |b| b * (1.0 - CHECK_TOLERANCE))
         .max(MIN_SPEEDUP);
@@ -238,11 +214,7 @@ fn main() {
     let json = report_json(&heap, &cal, speedup);
     print!("{json}");
 
-    if let Some(path) = cli_flag_value("--out") {
-        if let Err(e) = std::fs::write(&path, &json) {
-            fail(&format!("cannot write {path}"), &e);
-        }
-    }
+    cli.write_out(&json);
 
     assert!(
         speedup >= MIN_SPEEDUP,

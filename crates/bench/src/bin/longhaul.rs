@@ -14,7 +14,7 @@
 //! failover scenario; `--resume FILE` resumes it. A corrupt or mismatched
 //! snapshot is rejected with a typed error and exit code 2, never a panic.
 
-use powadapt_bench::cli_flag_value;
+use powadapt_bench::cli::{self, CheckpointAt};
 use powadapt_cluster::longhaul::{
     day, diurnal_churn, regional_failover, rolling_firmware, run_with_midnight_checkpoints,
 };
@@ -26,11 +26,6 @@ const SEED: u64 = 42;
 /// breaker is open (trips at 80 ms, restores at 160 ms).
 const FAILOVER_CHECKPOINT: SimTime = SimTime::from_millis(120);
 
-fn fail(context: &str, err: &dyn std::fmt::Display) -> ! {
-    eprintln!("longhaul: {context}: {err}");
-    std::process::exit(2);
-}
-
 fn summary_line(scenario: &str, policy: SelectionPolicy, r: &ClusterReport) {
     println!(
         "  {scenario:18} {policy:13} {:9.1} MiB/s  {:6} served  {:5} dropped  caps {}",
@@ -41,82 +36,38 @@ fn summary_line(scenario: &str, policy: SelectionPolicy, r: &ClusterReport) {
     );
 }
 
-fn snapshot_to(path: &str) {
-    let mut sim = match ClusterSim::new(regional_failover(SelectionPolicy::ModelDriven, SEED)) {
-        Ok(s) => s,
-        Err(e) => fail("cannot build failover cluster", &e),
-    };
-    if let Err(e) = sim.run_to(FAILOVER_CHECKPOINT) {
-        fail("run to checkpoint failed", &e);
-    }
-    let bytes = match sim.snapshot() {
-        Ok(b) => b,
-        Err(e) => fail("snapshot failed", &e),
-    };
-    if let Err(e) = std::fs::write(path, &bytes) {
-        fail(&format!("cannot write {path}"), &e);
-    }
-    println!(
-        "checkpoint: {} bytes at t={:?} (mid-outage) -> {path}",
-        bytes.len(),
-        sim.now()
-    );
-    match sim.finish() {
-        Ok(r) => summary_line("regional-failover", SelectionPolicy::ModelDriven, &r),
-        Err(e) => fail("rest of run failed", &e),
-    }
-}
-
-fn resume_from(path: &str) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("cannot read {path}"), &e),
-    };
-    let sim = match ClusterSim::resume(
-        regional_failover(SelectionPolicy::ModelDriven, SEED),
-        &bytes,
-    ) {
-        Ok(s) => s,
-        Err(e) => fail("snapshot rejected", &e),
-    };
-    println!("resumed at t={:?} from {path}", sim.now());
-    match sim.finish() {
-        Ok(r) => summary_line("regional-failover", SelectionPolicy::ModelDriven, &r),
-        Err(e) => fail("resumed run failed", &e),
-    }
-}
-
 fn main() {
-    if let Some(path) = cli_flag_value("--snapshot-out") {
-        snapshot_to(&path);
+    let cli = cli::parse("longhaul", &["--snapshot-out", "--resume", "--days"]);
+    if cli::checkpoint_flags(
+        &cli,
+        || regional_failover(SelectionPolicy::ModelDriven, SEED),
+        CheckpointAt::Time(FAILOVER_CHECKPOINT),
+        |r| summary_line("regional-failover", SelectionPolicy::ModelDriven, r),
+    ) {
         return;
     }
-    if let Some(path) = cli_flag_value("--resume") {
-        resume_from(&path);
-        return;
-    }
-    let days: u64 = cli_flag_value("--days").map_or(5, |v| {
+    let days: u64 = cli.value("--days").map_or(5, |v| {
         v.parse()
-            .unwrap_or_else(|e| fail(&format!("bad --days {v}"), &e))
+            .unwrap_or_else(|e| cli.fail(&format!("bad --days {v}"), &e))
     });
 
     println!("== Long-horizon failure scenarios (seed {SEED}) ==\n");
     for policy in [SelectionPolicy::ModelDriven, SelectionPolicy::UniformStatic] {
         let failover = match ClusterSim::new(regional_failover(policy, SEED)) {
             Ok(s) => s,
-            Err(e) => fail("failover build failed", &e),
+            Err(e) => cli.fail("failover build failed", &e),
         };
         match failover.finish() {
             Ok(r) => summary_line("regional-failover", policy, &r),
-            Err(e) => fail("failover run failed", &e),
+            Err(e) => cli.fail("failover run failed", &e),
         }
         let firmware = match ClusterSim::new(rolling_firmware(policy, SEED)) {
             Ok(s) => s,
-            Err(e) => fail("firmware build failed", &e),
+            Err(e) => cli.fail("firmware build failed", &e),
         };
         match firmware.finish() {
             Ok(r) => summary_line("rolling-firmware", policy, &r),
-            Err(e) => fail("firmware run failed", &e),
+            Err(e) => cli.fail("firmware run failed", &e),
         }
     }
 
@@ -126,7 +77,7 @@ fn main() {
         day(),
     ) {
         Ok(out) => out,
-        Err(e) => fail("churn run failed", &e),
+        Err(e) => cli.fail("churn run failed", &e),
     };
     summary_line("diurnal-churn", SelectionPolicy::ModelDriven, &report);
     for (i, snap) in snaps.iter().enumerate() {
@@ -135,11 +86,11 @@ fn main() {
             snap,
         ) {
             Ok(s) => s,
-            Err(e) => fail("midnight snapshot rejected", &e),
+            Err(e) => cli.fail("midnight snapshot rejected", &e),
         };
         let r = match resumed.finish() {
             Ok(r) => r,
-            Err(e) => fail("resumed churn failed", &e),
+            Err(e) => cli.fail("resumed churn failed", &e),
         };
         println!(
             "  midnight {:2}: {:7} bytes, resume {}",
@@ -148,7 +99,7 @@ fn main() {
             if r == report { "bit-exact" } else { "DIVERGED" }
         );
         if r != report {
-            fail(
+            cli.fail(
                 "checkpoint equivalence",
                 &format!("midnight {} resume diverged from the straight run", i + 1),
             );

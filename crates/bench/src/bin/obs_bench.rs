@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use powadapt_bench::cli_flag_value;
+use powadapt_bench::cli;
 use powadapt_bench::golden::GOLDEN_SEED;
 use powadapt_cluster::{oversubscribed_cluster, run_cluster, SelectionPolicy};
 use powadapt_obs::TraceRecorder;
@@ -204,32 +204,11 @@ fn report_json(m: &Measurement) -> String {
     )
 }
 
-/// Minimal extraction of `"key": <number>` from a flat JSON report.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
+    let cli = cli::parse("obs_bench", &["--check", "--out"]);
     // Resolve the committed baseline first so a first attempt above the
     // gate can retry before anything is reported.
-    let baseline = cli_flag_value("--check").map(|path| {
-        let committed = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => fail(&format!("cannot read {path}"), &e),
-        };
-        json_number(&committed, "overhead_traced").unwrap_or_else(|| {
-            fail(
-                &format!("no overhead_traced field in {path}"),
-                &"parse error",
-            )
-        })
-    });
+    let baseline = cli.check_baseline("overhead_traced");
     let gate = baseline.map_or(MAX_OVERHEAD, |t| (t + CHECK_TOLERANCE).min(MAX_OVERHEAD));
 
     let mut m = measure_all();
@@ -251,11 +230,7 @@ fn main() {
     let json = report_json(&m);
     print!("{json}");
 
-    if let Some(path) = cli_flag_value("--out") {
-        if let Err(e) = std::fs::write(&path, &json) {
-            fail(&format!("cannot write {path}"), &e);
-        }
-    }
+    cli.write_out(&json);
 
     assert!(
         m.overhead_traced <= MAX_OVERHEAD,

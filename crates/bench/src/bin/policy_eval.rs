@@ -11,14 +11,14 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin policy_eval`
 
-use powadapt_bench::apply_cli_workers;
+use powadapt_bench::cli;
 use powadapt_core::{
     choose_mechanism, redirect_crossover_fraction, AdaptiveScenarioRouter, BudgetSchedule,
     ConsolidatingRouter, PowerEventCause, RedirectionConfig, WriteSegregationRouter,
 };
 use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB};
 use powadapt_io::{
-    full_sweep, run_cells, run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig,
+    full_sweep_with, run_cells, run_fleet, AccessPattern, ArrivalGen, Arrivals, BreakerConfig,
     CircuitBreakerRouter, LeastLoadedRouter, OpenLoopSpec, ParallelConfig, SweepScale, Workload,
 };
 use powadapt_model::PowerThroughputModel;
@@ -49,7 +49,7 @@ fn stream(rate_iops: f64, block: u64, read_fraction: f64, ms: u64) -> OpenLoopSp
     }
 }
 
-fn consolidation_section() {
+fn consolidation_section(pcfg: &ParallelConfig) {
     println!("== 1. Power-aware IO redirection: measured savings by demand (8x 860 EVO) ==");
     println!(
         "   {:>9} {:>11} {:>13} {:>9} {:>12} {:>12}",
@@ -66,7 +66,7 @@ fn consolidation_section() {
     // Each demand level's baseline/consolidated pair is an independent
     // fleet simulation; fan all of them across the configured workers.
     let demands = [20.0, 80.0, 320.0, 1280.0];
-    let pairs = run_cells(&demands, &ParallelConfig::from_env(), |_, &mbs| {
+    let pairs = run_cells(&demands, pcfg, |_, &mbs| {
         let rate = mbs * 1e6 / (64.0 * 1024.0);
         let spec = stream(rate, 64 * KIB, 1.0, 1500);
         let interval = SimDuration::from_millis(100);
@@ -196,10 +196,10 @@ fn segregation_section() {
     println!();
 }
 
-fn mechanism_section() {
+fn mechanism_section(pcfg: &ParallelConfig) {
     println!("== 3. Mechanism choice (Sec. 4.1): shape everywhere vs consolidate+standby ==");
     let factory = || catalog::by_label("860EVO", 31).expect("known label");
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandRead],
         &[64 * KIB],
@@ -211,6 +211,7 @@ fn mechanism_section() {
             ramp: SimDuration::from_millis(80),
         },
         31,
+        pcfg,
     )
     .expect("sweep runs");
     let model = PowerThroughputModel::from_sweep(&sweep)
@@ -241,11 +242,11 @@ fn mechanism_section() {
     println!();
 }
 
-fn scenario_section() {
+fn scenario_section(pcfg: &ParallelConfig) {
     println!("== 4. Closed-loop budget tracking (2x SSD2, write-heavy, dip to 21 W) ==");
     let factory = || catalog::by_label("SSD2", 61).expect("known label");
     let states: Vec<_> = factory().power_states().iter().map(|d| d.id).collect();
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandWrite],
         &[256 * KIB],
@@ -257,6 +258,7 @@ fn scenario_section() {
             ramp: SimDuration::from_millis(80),
         },
         61,
+        pcfg,
     )
     .expect("sweep runs");
     let model = PowerThroughputModel::from_sweep(&sweep)
@@ -392,12 +394,12 @@ fn fault_section() {
 }
 
 fn main() {
-    apply_cli_workers();
-    let trace = powadapt_bench::start_tracing();
-    consolidation_section();
+    let cli = cli::parse("policy_eval", &[]);
+    let trace = cli.start_tracing();
+    consolidation_section(&cli.parallel);
     segregation_section();
-    mechanism_section();
-    scenario_section();
+    mechanism_section(&cli.parallel);
+    scenario_section(&cli.parallel);
     fault_section();
-    powadapt_bench::finish_tracing(trace);
+    cli::finish_tracing(trace);
 }

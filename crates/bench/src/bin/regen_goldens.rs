@@ -7,6 +7,7 @@
 
 use std::fs;
 
+use powadapt_bench::cli;
 use powadapt_bench::golden::{
     checkpoint_digests_summary, cluster_eval_summary, figure_summary, golden_scale, goldens_dir,
     obs_events_summary, placement_eval_summary, CHECKPOINT_FIXTURE, CLUSTER_FIXTURE, FIGURES,
@@ -26,6 +27,7 @@ fn write_fixture(dir: &std::path::Path, name: &str, summary: &str) {
 }
 
 fn main() {
+    cli::parse("regen_goldens", &[]);
     let dir = goldens_dir();
     fs::create_dir_all(&dir).expect("create goldens dir");
     let scale = golden_scale();

@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin sec2_sizing`
 
-use powadapt_bench::apply_cli_workers;
+use powadapt_bench::cli;
 use powadapt_device::{catalog, PowerStateId, StorageDevice, GIB, KIB, MIB};
-use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, Workload};
+use powadapt_io::{run_cells, run_experiment, JobSpec, Workload};
 use powadapt_sim::{SimDuration, SimRng};
 
 const N: usize = 16;
@@ -34,8 +34,8 @@ fn measure(ps: u8, w: Workload) -> (f64, f64) {
 }
 
 fn main() {
-    apply_cli_workers();
-    let trace = powadapt_bench::start_tracing();
+    let cli = cli::parse("sec2_sizing", &[]);
+    let trace = cli.start_tracing();
     println!("Sec. 2 sizing example: a 16x Samsung PM1743 storage server, measured.");
     println!();
 
@@ -47,9 +47,7 @@ fn main() {
         (0, Workload::SeqWrite),
         (2, Workload::SeqWrite),
     ];
-    let measured = run_cells(&workloads, &ParallelConfig::from_env(), |_, &(ps, w)| {
-        measure(ps, w)
-    });
+    let measured = run_cells(&workloads, &cli.parallel, |_, &(ps, w)| measure(ps, w));
 
     // Idle: meter one idle device precisely.
     let mut dev = catalog::pm1743(7);
@@ -109,5 +107,5 @@ fn main() {
         r.io.iops() / 1e3,
         r.avg_power_w()
     );
-    powadapt_bench::finish_tracing(trace);
+    cli::finish_tracing(trace);
 }

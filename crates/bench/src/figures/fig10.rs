@@ -11,13 +11,7 @@ use powadapt_model::{best_under_power_budget, PowerThroughputModel};
 use crate::TABLE1_LABELS;
 
 /// Runs the full random-write sweep for one device (all chunk sizes, all
-/// depths, all of its power states), fanned across the workers configured
-/// by the environment.
-pub fn device_sweep(label: &str, scale: SweepScale, seed: u64) -> Vec<SweepPoint> {
-    device_sweep_with(label, scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`device_sweep`] with an explicit executor configuration.
+/// depths, all of its power states), fanned across the workers of `cfg`.
 pub fn device_sweep_with(
     label: &str,
     scale: SweepScale,
@@ -39,12 +33,8 @@ pub fn device_sweep_with(
     .expect("sweep runs")
 }
 
-/// Builds the per-device models behind Figure 10a.
-pub fn models(scale: SweepScale, seed: u64) -> Vec<PowerThroughputModel> {
-    models_with(scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`models`] with an explicit executor configuration.
+/// Builds the per-device models behind Figure 10a, fanning each device's
+/// sweep across the workers of `cfg`.
 pub fn models_with(
     scale: SweepScale,
     seed: u64,
@@ -58,8 +48,8 @@ pub fn models_with(
 }
 
 /// Prints both panels and the case study.
-pub fn run(scale: SweepScale, seed: u64) {
-    let models = models(scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let models = models_with(scale, seed, cfg);
 
     println!("Figure 10a. Normalized power-throughput model, random write, all devices.");
     println!("  (normalized throughput, normalized power) per configuration:");

@@ -36,10 +36,10 @@ pub fn experiments_with(
 }
 
 /// Prints Figure 2a (the ms-scale trace) and 2b (per-device violins).
-pub fn run(scale: SweepScale, seed: u64) {
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
     // One parallel batch covers both panels: SSD1's result doubles as the
     // panel-(a) trace because experiments are deterministic.
-    let results = experiments_with(scale, seed, &ParallelConfig::from_env());
+    let results = experiments_with(scale, seed, cfg);
     println!("Figure 2a. SSD1 power usage over one experiment (randwrite 256 KiB, QD 64).");
     let r = &results[0];
     let n = r.power.len().min(1200);

@@ -21,13 +21,8 @@ pub struct Cell {
 }
 
 /// Measures the full grid: 6 chunks × depths {64, 1} × states {0, 1, 2},
-/// fanned across the workers configured by the environment.
-pub fn grid(scale: SweepScale, seed: u64) -> Vec<Cell> {
-    grid_with(scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`grid`] with an explicit executor configuration. Cells are seeded by
-/// their stable index, so the result is bit-identical for any worker count.
+/// fanned across the workers of `cfg`. Cells are seeded by their stable
+/// index, so the result is bit-identical for any worker count.
 pub fn grid_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Cell> {
     let mut coords = Vec::new();
     for &depth in &[64usize, 1] {
@@ -61,8 +56,8 @@ pub fn grid_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Cell
 }
 
 /// Prints both panels of the figure.
-pub fn run(scale: SweepScale, seed: u64) {
-    let cells = grid(scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let cells = grid_with(scale, seed, cfg);
     for (panel, depth) in [("a", 64usize), ("b", 1usize)] {
         println!("Figure 3{panel}. SSD2 randwrite average power (W), queue depth {depth}.");
         println!("  {:>10} {:>8} {:>8} {:>8}", "chunk", "ps0", "ps1", "ps2");

@@ -20,13 +20,8 @@ pub struct Cell {
 }
 
 /// Measures one panel (seq write or seq read) across chunks × states,
-/// fanned across the workers configured by the environment.
-pub fn panel(workload: Workload, scale: SweepScale, seed: u64) -> Vec<Cell> {
-    panel_with(workload, scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`panel`] with an explicit executor configuration. Cells are seeded by
-/// their stable index, so the result is bit-identical for any worker count.
+/// fanned across the workers of `cfg`. Cells are seeded by their stable
+/// index, so the result is bit-identical for any worker count.
 pub fn panel_with(
     workload: Workload,
     scale: SweepScale,
@@ -91,9 +86,9 @@ fn print_panel(title: &str, cells: &[Cell]) {
 }
 
 /// Prints both panels and the headline ratios.
-pub fn run(scale: SweepScale, seed: u64) {
-    let writes = panel(Workload::SeqWrite, scale, seed);
-    let reads = panel(Workload::SeqRead, scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let writes = panel_with(Workload::SeqWrite, scale, seed, cfg);
+    let reads = panel_with(Workload::SeqRead, scale, seed, cfg);
     print_panel(
         "Figure 4a. SSD2 sequential write throughput (MiB/s), QD 64.",
         &writes,

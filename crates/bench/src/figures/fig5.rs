@@ -22,13 +22,8 @@ pub struct Cell {
 }
 
 /// Measures one workload across chunks × states at queue depth 1, fanned
-/// across the workers configured by the environment.
-pub fn panel(workload: Workload, scale: SweepScale, seed: u64) -> Vec<Cell> {
-    panel_with(workload, scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`panel`] with an explicit executor configuration. Cells are seeded by
-/// their stable index, so the result is bit-identical for any worker count.
+/// across the workers of `cfg`. Cells are seeded by their stable index, so
+/// the result is bit-identical for any worker count.
 pub fn panel_with(
     workload: Workload,
     scale: SweepScale,
@@ -90,8 +85,8 @@ fn print_normalized(title: &str, cells: &[Cell], pick: fn(&Cell) -> f64) {
 }
 
 /// Prints Figure 5 (randwrite latency, normalized to ps0).
-pub fn run(scale: SweepScale, seed: u64) {
-    let cells = panel(Workload::RandWrite, scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let cells = panel_with(Workload::RandWrite, scale, seed, cfg);
     print_normalized(
         "Figure 5a. SSD2 random write AVG latency (normalized to ps0), QD 1.",
         &cells,

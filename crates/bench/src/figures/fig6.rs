@@ -1,14 +1,14 @@
 //! Figure 6: SSD2 random read latency (queue depth 1) across power states —
 //! the "non-trade-off": reads at QD1 don't create enough load to be capped.
 
-use powadapt_io::{SweepScale, Workload, PAPER_CHUNKS};
+use powadapt_io::{ParallelConfig, SweepScale, Workload, PAPER_CHUNKS};
 
 use crate::figures::fig5;
 
 /// Prints Figure 6 (randread latency, normalized to ps0) and the maximum
 /// deviation across all cells.
-pub fn run(scale: SweepScale, seed: u64) {
-    let cells = fig5::panel(Workload::RandRead, scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let cells = fig5::panel_with(Workload::RandRead, scale, seed, cfg);
 
     for (panel, pick) in [
         (

@@ -23,13 +23,8 @@ pub struct Cell {
 }
 
 /// Measures the depth sweep for every device, fanned across the workers
-/// configured by the environment.
-pub fn grid(scale: SweepScale, seed: u64) -> Vec<Cell> {
-    grid_with(scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`grid`] with an explicit executor configuration. Cells are seeded by
-/// their stable index, so the result is bit-identical for any worker count.
+/// of `cfg`. Cells are seeded by their stable index, so the result is
+/// bit-identical for any worker count.
 pub fn grid_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Cell> {
     let mut coords = Vec::new();
     for label in TABLE1_LABELS {
@@ -61,8 +56,8 @@ pub fn grid_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Cell
 }
 
 /// Prints both panels of the figure.
-pub fn run(scale: SweepScale, seed: u64) {
-    let cells = grid(scale, seed);
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+    let cells = grid_with(scale, seed, cfg);
     for (panel, title, pick) in [
         (
             "a",

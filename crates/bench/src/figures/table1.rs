@@ -88,13 +88,8 @@ pub fn measure_device(label: &str, scale: SweepScale, seed: u64) -> Row {
 }
 
 /// Regenerates Table 1 for all four devices, measuring them in parallel
-/// across the workers configured by the environment.
-pub fn rows(scale: SweepScale, seed: u64) -> Vec<Row> {
-    rows_with(scale, seed, &ParallelConfig::from_env())
-}
-
-/// [`rows`] with an explicit executor configuration. Each device's
-/// measurement is self-seeded, so rows are identical for any worker count.
+/// across the workers of `cfg`. Each device's measurement is self-seeded,
+/// so rows are identical for any worker count.
 pub fn rows_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Row> {
     run_cells(&TABLE1_LABELS, cfg, |_, label| {
         measure_device(label, scale, seed)
@@ -102,14 +97,14 @@ pub fn rows_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Row>
 }
 
 /// Prints the table in the paper's layout.
-pub fn run(scale: SweepScale, seed: u64) {
+pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
     println!("Table 1. Evaluated storage devices.");
     println!(
         "{:<6} {:<9} {:<22} Measured Power Range",
         "Label", "Protocol", "Model"
     );
     println!("{}", "-".repeat(64));
-    for r in rows(scale, seed) {
+    for r in rows_with(scale, seed, cfg) {
         println!(
             "{:<6} {:<9} {:<22} {:.1}-{:.1} W",
             r.label, r.protocol, r.model, r.min_w, r.max_w

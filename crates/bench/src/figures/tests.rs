@@ -2,7 +2,7 @@
 //! and internal consistency of what each module measures (full-scale
 //! numbers live in EXPERIMENTS.md and tests/figures_shapes.rs).
 
-use powadapt_io::SweepScale;
+use powadapt_io::{ParallelConfig, SweepScale, Workload};
 use powadapt_sim::SimDuration;
 
 use super::*;
@@ -17,7 +17,7 @@ fn tiny() -> SweepScale {
 
 #[test]
 fn table1_rows_cover_all_devices_with_sane_ranges() {
-    let rows = table1::rows(tiny(), 5);
+    let rows = table1::rows_with(tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(rows.len(), 4);
     let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(labels, vec!["SSD1", "SSD2", "SSD3", "HDD"]);
@@ -41,13 +41,14 @@ fn fig2_experiment_produces_a_trace_and_stats() {
 
 #[test]
 fn fig3_grid_is_complete_and_caps_order_correctly() {
-    let cells = fig3::grid(
+    let cells = fig3::grid_with(
         SweepScale {
             runtime: SimDuration::from_millis(60),
             size_limit: 256 * 1024 * 1024,
             ramp: SimDuration::from_millis(10),
         },
         5,
+        &ParallelConfig::per_core(),
     );
     // 6 chunks x 2 depths x 3 states.
     assert_eq!(cells.len(), 36);
@@ -65,14 +66,14 @@ fn fig3_grid_is_complete_and_caps_order_correctly() {
 
 #[test]
 fn fig4_panels_have_all_cells() {
-    let cells = fig4::panel(powadapt_io::Workload::SeqRead, tiny(), 5);
+    let cells = fig4::panel_with(Workload::SeqRead, tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(cells.len(), 18);
     assert!(cells.iter().all(|c| c.mibs > 0.0));
 }
 
 #[test]
 fn fig5_panel_reports_latencies_for_every_cell() {
-    let cells = fig5::panel(powadapt_io::Workload::RandWrite, tiny(), 5);
+    let cells = fig5::panel_with(Workload::RandWrite, tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(cells.len(), 18);
     for c in &cells {
         assert!(c.avg_us > 0.0);
@@ -82,16 +83,16 @@ fn fig5_panel_reports_latencies_for_every_cell() {
 
 #[test]
 fn fig6_max_deviation_is_zero_for_uncapped_reads() {
-    let cells = fig5::panel(powadapt_io::Workload::RandRead, tiny(), 5);
+    let cells = fig5::panel_with(Workload::RandRead, tiny(), 5, &ParallelConfig::per_core());
     let dev = fig6::max_deviation(&cells);
     assert!(dev < 0.05, "read deviation {dev}");
 }
 
 #[test]
 fn fig8_and_fig9_grids_cover_every_device() {
-    let g8 = fig8::grid(tiny(), 5);
+    let g8 = fig8::grid_with(tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(g8.len(), 4 * 6);
-    let g9 = fig9::grid(tiny(), 5);
+    let g9 = fig9::grid_with(tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(g9.len(), 4 * 6);
     for c in &g9 {
         assert!(c.power_w > 0.0);
@@ -101,7 +102,7 @@ fn fig8_and_fig9_grids_cover_every_device() {
 #[test]
 fn fig10_models_build_for_every_device() {
     // Only SSD3 (single power state) at tiny scale to keep this quick.
-    let sweep = fig10::device_sweep("SSD3", tiny(), 5);
+    let sweep = fig10::device_sweep_with("SSD3", tiny(), 5, &ParallelConfig::per_core());
     assert_eq!(sweep.len(), 36);
     let models = powadapt_model::PowerThroughputModel::from_sweep(&sweep);
     assert_eq!(models.len(), 1);

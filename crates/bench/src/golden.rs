@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use powadapt_cluster::ClusterReport;
+use powadapt_cluster::{ClusterReport, ClusterSim, ClusterSpec};
 use powadapt_core::AdaptiveController;
 use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB};
 use powadapt_io::{
@@ -26,6 +26,7 @@ use powadapt_model::{ConfigPoint, PowerThroughputModel};
 use powadapt_obs::TraceRecorder;
 use powadapt_sim::{SimDuration, SimTime};
 
+use crate::cli::CheckpointAt;
 use crate::figures::{fig10, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1};
 
 /// Root seed for every golden summary.
@@ -414,6 +415,20 @@ pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
         served
     });
 
+    let mut rows = event_count_rows(&rec);
+    rows.push(format!(
+        "{{\"served_ios\": [{}]}}",
+        served
+            .iter()
+            .map(u64::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
+    doc(OBS_FIXTURE, GOLDEN_SEED, &rows)
+}
+
+/// One row per recorded event kind, then the total.
+fn event_count_rows(rec: &TraceRecorder) -> Vec<String> {
     let mut rows: Vec<String> = rec
         .log()
         .counts()
@@ -424,15 +439,19 @@ pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
         "{{\"kind\": \"total\", \"count\": {}}}",
         rec.log().total()
     ));
-    rows.push(format!(
-        "{{\"served_ios\": [{}]}}",
-        served
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    doc(OBS_FIXTURE, GOLDEN_SEED, &rows)
+    rows
+}
+
+/// Runs the cluster `spec` builds, interrupted at `at`: serialize the
+/// complete simulation state to a sealed snapshot, drop the simulation,
+/// rebuild it from the spec and the snapshot, and run the rest.
+fn checkpointed_run(spec: impl Fn() -> ClusterSpec, at: CheckpointAt) -> ClusterReport {
+    let mut sim = ClusterSim::new(spec()).expect("cell builds");
+    sim.run_to(at.time(&sim)).expect("run to checkpoint");
+    let snap = sim.snapshot().expect("snapshot serializes");
+    drop(sim);
+    let resumed = ClusterSim::resume(spec(), &snap).expect("snapshot resumes");
+    resumed.finish().expect("rest of the run completes")
 }
 
 /// Name of the committed cluster-evaluation fixture
@@ -453,17 +472,8 @@ fn cluster_cell_checkpointed(
     policy: powadapt_cluster::SelectionPolicy,
     seed: u64,
 ) -> ClusterReport {
-    use powadapt_cluster::{oversubscribed_cluster, ClusterSim};
-    let mut sim =
-        ClusterSim::new(oversubscribed_cluster(policy, seed)).expect("cluster cell builds");
-    let mid = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 2);
-    sim.run_to(mid).expect("first half runs");
-    let snap = sim.snapshot().expect("snapshot serializes");
-    drop(sim);
-    let resumed =
-        ClusterSim::resume(oversubscribed_cluster(policy, seed), &snap).expect("snapshot resumes");
-    resumed.finish().expect("second half runs")
+    let spec = || powadapt_cluster::oversubscribed_cluster(policy, seed);
+    checkpointed_run(spec, CheckpointAt::Fraction(2))
 }
 
 fn cluster_report_row(r: &ClusterReport) -> String {
@@ -564,17 +574,7 @@ fn cluster_eval_summary_with(
             jf(model.aggregate_throughput_bps() / uniform.aggregate_throughput_bps())
         ));
     }
-    let mut counts: Vec<String> = rec
-        .log()
-        .counts()
-        .iter()
-        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
-        .collect();
-    counts.push(format!(
-        "{{\"kind\": \"total\", \"count\": {}}}",
-        rec.log().total()
-    ));
-    rows.extend(counts);
+    rows.extend(event_count_rows(&rec));
     doc(CLUSTER_FIXTURE, GOLDEN_SEED, &rows)
 }
 
@@ -593,16 +593,8 @@ fn placement_cell(arm: powadapt_cluster::PlacementArm, seed: u64) -> ClusterRepo
 /// destination capacity, and standby pins. Bit-equality with the straight
 /// run is the mid-migration checkpoint contract.
 fn placement_cell_checkpointed(arm: powadapt_cluster::PlacementArm, seed: u64) -> ClusterReport {
-    use powadapt_cluster::{placement_cluster, ClusterSim};
-    let mut sim = ClusterSim::new(placement_cluster(arm, seed)).expect("placement cell builds");
-    let quarter = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 4);
-    sim.run_to(quarter).expect("first quarter runs");
-    let snap = sim.snapshot().expect("snapshot serializes");
-    drop(sim);
-    let resumed =
-        ClusterSim::resume(placement_cluster(arm, seed), &snap).expect("snapshot resumes");
-    resumed.finish().expect("rest of the run completes")
+    let spec = || powadapt_cluster::placement_cluster(arm, seed);
+    checkpointed_run(spec, CheckpointAt::Fraction(4))
 }
 
 fn placement_report_row(arm: powadapt_cluster::PlacementArm, r: &ClusterReport) -> String {
@@ -625,7 +617,7 @@ fn placement_report_row(arm: powadapt_cluster::PlacementArm, r: &ClusterReport) 
 
 /// Mean power drawn by the cold (HDD) enclosures — the stranded-watts
 /// signal consolidation exists to reclaim.
-fn cold_tier_mean_w(r: &ClusterReport) -> f64 {
+pub fn cold_tier_mean_w(r: &ClusterReport) -> f64 {
     r.nodes
         .iter()
         .filter(|n| n.path.contains("enc-cold"))
@@ -719,17 +711,7 @@ fn placement_eval_summary_with(
         jf(cold_tier_mean_w(nomig) - cold_tier_mean_w(temp)),
         jf(temp.migration_bytes as f64 / temp.total_bytes as f64)
     ));
-    let mut counts: Vec<String> = rec
-        .log()
-        .counts()
-        .iter()
-        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
-        .collect();
-    counts.push(format!(
-        "{{\"kind\": \"total\", \"count\": {}}}",
-        rec.log().total()
-    ));
-    rows.extend(counts);
+    rows.extend(event_count_rows(&rec));
     doc(PLACEMENT_FIXTURE, GOLDEN_SEED, &rows)
 }
 

@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::budget::PowerEventCause;
     use powadapt_device::{catalog, PowerStateId, StorageDevice, GIB, KIB};
-    use powadapt_io::{full_sweep, SweepScale};
+    use powadapt_io::{full_sweep_with, ParallelConfig, SweepScale};
     use powadapt_io::{
         run_fleet, AccessPattern, ArrivalGen, Arrivals, JobSpec, OpenLoopSpec, Workload,
     };
@@ -156,7 +156,7 @@ mod tests {
     fn model_for(label: &str) -> PowerThroughputModel {
         let factory = || catalog::by_label(label, 61).expect("known label");
         let states: Vec<_> = factory().power_states().iter().map(|d| d.id).collect();
-        let sweep = full_sweep(
+        let sweep = full_sweep_with(
             factory,
             &[Workload::RandWrite],
             &[256 * KIB],
@@ -168,6 +168,7 @@ mod tests {
                 ramp: SimDuration::from_millis(80),
             },
             61,
+            &ParallelConfig::per_core(),
         )
         .expect("sweep runs");
         PowerThroughputModel::from_sweep(&sweep)

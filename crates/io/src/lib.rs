@@ -4,8 +4,8 @@
 //! [`JobSpec`] describes one microbenchmark (workload mode, chunk size,
 //! queue depth, and the paper's 60 s / 4 GiB stopping rule);
 //! [`run_experiment`] drives it against a simulated device while sampling
-//! power at 1 kHz; [`full_sweep`] runs the cross-product behind the paper's
-//! figures.
+//! power at 1 kHz; [`full_sweep_with`] runs the cross-product behind the
+//! paper's figures.
 //!
 //! # Examples
 //!
@@ -48,11 +48,11 @@ pub use fleet::{
 };
 pub use job::{AccessPattern, JobSpec, Workload};
 pub use openloop::{Arrival, ArrivalGen, Arrivals, OpenLoopSpec};
-pub use parallel::{run_cells, run_cells_stats, ParallelConfig, SweepStats, WorkerStats};
+pub use parallel::{run_cells, run_cells_stats, ParallelConfig, SweepStats};
 pub use runner::{run_experiment, ExperimentError, ExperimentResult};
 pub use stats::{InvertedWindow, IoStats};
 pub use sweep::{
-    enumerate_cells, full_sweep, full_sweep_with, run_fresh, SweepCell, SweepPoint, SweepScale,
-    PAPER_CHUNKS, PAPER_DEPTHS,
+    enumerate_cells, full_sweep_with, run_fresh, SweepCell, SweepPoint, SweepScale, PAPER_CHUNKS,
+    PAPER_DEPTHS,
 };
 pub use wltrace::{ArrivalTrace, TraceError};

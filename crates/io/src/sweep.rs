@@ -146,8 +146,7 @@ pub fn enumerate_cells(
 
 /// Runs the full cross-product of `workloads × chunks × depths ×
 /// power_states` on fresh devices from `factory`, fanning the cells across
-/// the workers configured by the environment (`POWADAPT_WORKERS`, see
-/// [`ParallelConfig::from_env`]).
+/// the workers of `cfg`.
 ///
 /// Each cell's randomness is seeded from `(seed, cell index)` via
 /// [`SimRng::stream_seed`], so the returned points are bit-identical for
@@ -158,35 +157,6 @@ pub fn enumerate_cells(
 /// Returns the first experiment failure in cell order. (Under parallel
 /// execution later cells may also have run; their results are discarded so
 /// the observable outcome matches a sequential sweep.)
-pub fn full_sweep<F>(
-    factory: F,
-    workloads: &[Workload],
-    chunks: &[u64],
-    depths: &[usize],
-    power_states: &[PowerStateId],
-    scale: SweepScale,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, ExperimentError>
-where
-    F: Fn() -> Box<dyn StorageDevice> + Sync,
-{
-    full_sweep_with(
-        factory,
-        workloads,
-        chunks,
-        depths,
-        power_states,
-        scale,
-        seed,
-        &ParallelConfig::from_env(),
-    )
-}
-
-/// [`full_sweep`] with an explicit executor configuration.
-///
-/// # Errors
-///
-/// Same as [`full_sweep`].
 #[allow(clippy::too_many_arguments)]
 pub fn full_sweep_with<F>(
     factory: F,
@@ -255,7 +225,7 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_all_points() {
-        let points = full_sweep(
+        let points = full_sweep_with(
             ssd2_factory,
             &[Workload::RandRead],
             &[4 * KIB, 64 * KIB],
@@ -267,6 +237,7 @@ mod tests {
                 ramp: SimDuration::ZERO,
             },
             1,
+            &ParallelConfig::per_core(),
         )
         .unwrap();
         assert_eq!(points.len(), 4);
@@ -348,7 +319,7 @@ mod tests {
 
     #[test]
     fn sweep_rejects_invalid_power_state() {
-        let err = full_sweep(
+        let err = full_sweep_with(
             ssd2_factory,
             &[Workload::RandRead],
             &[4 * KIB],
@@ -356,6 +327,7 @@ mod tests {
             &[PowerStateId(7)],
             SweepScale::quick(),
             1,
+            &ParallelConfig::per_core(),
         );
         assert!(err.is_err());
     }

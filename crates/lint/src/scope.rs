@@ -20,14 +20,13 @@ use crate::lexer::{Lexed, Tok, TokKind};
 /// file-level entry is only for files whose *purpose* is the exemption.
 pub const FILE_ALLOWLIST: &[(&str, RuleId, &str)] = &[
     (
-        // The executor is the one component whose job is wall-clock timing
-        // (progress reporting, speedup measurement) and host configuration
-        // (POWADAPT_WORKERS/POWADAPT_CHUNK). Nothing it derives from the
-        // clock or environment feeds figure data — PR 2's golden fixtures
-        // prove results are bit-identical across worker counts.
+        // The executor times each sweep for its progress report
+        // (`SweepStats::elapsed`). The clock never feeds figure data — the
+        // golden fixtures prove results are bit-identical across worker
+        // counts. It reads no environment: its configuration is passed in.
         "crates/io/src/parallel.rs",
         RuleId::D1,
-        "parallel executor owns host timing and worker-count configuration",
+        "parallel executor times sweeps for its progress report (host timing)",
     ),
     (
         // The kernel throughput bench exists to measure wall-clock time:

@@ -44,7 +44,10 @@
 //! ## Tracing a binary
 //!
 //! ```no_run
-//! let session = powadapt_obs::TraceSession::from_env();
+//! use powadapt_obs::{TraceConfig, TraceSession};
+//!
+//! let config = TraceConfig::parse("perfetto:out.json").expect("valid spec");
+//! let session = TraceSession::start(config);
 //! // ... build devices (they capture the global recorder), run ...
 //! session.finish().expect("write trace outputs");
 //! ```

@@ -1,6 +1,11 @@
 //! End-to-end tracing plumbing: the [`TraceRecorder`] (event log +
-//! metrics in one sink), the `POWADAPT_TRACE`/`--trace-out` configuration
-//! surface, and the [`TraceSession`] lifecycle used by binaries.
+//! metrics in one sink), the [`TraceConfig`] a binary selects its sink
+//! with, and the [`TraceSession`] lifecycle used by binaries.
+//!
+//! This crate reads neither the environment nor the command line. The
+//! bench binaries parse `POWADAPT_TRACE` and `--trace-out` in their
+//! command-line parser (`powadapt_bench::cli`), which builds the
+//! [`TraceConfig`]:
 //!
 //! ```text
 //! POWADAPT_TRACE=events            # event-count summary on stderr
@@ -157,35 +162,6 @@ impl TraceConfig {
         };
         Ok(TraceConfig { mode, out: None })
     }
-
-    /// Reads `POWADAPT_TRACE` and scans the process arguments for
-    /// `--trace-out <path>` / `--trace-out=<path>`. `--trace-out` alone
-    /// implies `perfetto:<path>`. Invalid specs are reported on stderr
-    /// and treated as off, so a typo can never change results.
-    pub fn from_env_and_cli() -> TraceConfig {
-        // The trace destination is host configuration, not simulation
-        // input: nothing read here feeds figure data.
-        let spec = std::env::var("POWADAPT_TRACE").unwrap_or_default(); // powadapt-lint: allow(D1, reason = "trace sink selection is host configuration; recorded data never feeds back into results")
-        let mut config = match TraceConfig::parse(&spec) {
-            Ok(c) => c,
-            Err(msg) => {
-                eprintln!("powadapt-obs: {msg}; tracing disabled");
-                TraceConfig::default()
-            }
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if let Some(path) = arg.strip_prefix("--trace-out=") {
-                config.out = Some(path.to_string());
-            } else if arg == "--trace-out" {
-                config.out = args.next();
-            }
-        }
-        if let (TraceMode::Off, Some(path)) = (&config.mode, &config.out) {
-            config.mode = TraceMode::Perfetto(path.clone());
-        }
-        config
-    }
 }
 
 /// A tracing scope for a binary: installs a [`TraceRecorder`] as the
@@ -210,11 +186,6 @@ impl TraceSession {
             }
         };
         TraceSession { config, recorder }
-    }
-
-    /// [`TraceSession::start`] with [`TraceConfig::from_env_and_cli`].
-    pub fn from_env() -> TraceSession {
-        TraceSession::start(TraceConfig::from_env_and_cli())
     }
 
     /// True when a recorder is installed.

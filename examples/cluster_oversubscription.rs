@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example cluster_oversubscription`
 //!
-//! Fully traceable: `POWADAPT_TRACE=perfetto:cluster_trace.json` exports
+//! Fully traceable: `POWADAPT_TRACE=perfetto:cluster_trace.json` (or
+//! `-- --trace-out cluster_trace.json`) exports
 //! per-rack power counter tracks and every rebalance decision as a
 //! Perfetto/Chrome trace plus a metrics snapshot.
 
@@ -16,13 +17,14 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use powadapt::cluster::{oversubscribed_cluster, run_cluster, SelectionPolicy};
-use powadapt::obs::TraceSession;
+use powadapt_bench::cli;
 
 fn main() {
     // Install the recorder before any devices are built so construction-
     // time captures land in the trace; finished (and written out) at the
     // bottom of main.
-    let trace = TraceSession::from_env();
+    let cli = cli::parse("cluster_oversubscription", &[]);
+    let trace = cli.start_tracing();
 
     let seed = 42;
     println!("== Can a storage cluster be power adaptive? ==\n");
@@ -66,7 +68,5 @@ fn main() {
          (9 W floor) while the tree routes the same watts to where they buy bytes."
     );
 
-    if let Err(e) = trace.finish() {
-        eprintln!("could not write trace output: {e}");
-    }
+    cli::finish_tracing(trace);
 }

@@ -12,7 +12,7 @@
 
 use powadapt::core::{AdaptiveController, BudgetSchedule, PowerDomain, PowerEventCause};
 use powadapt::device::{catalog, StorageDevice, KIB};
-use powadapt::io::{full_sweep, SweepScale, Workload};
+use powadapt::io::{full_sweep_with, ParallelConfig, SweepScale, Workload};
 use powadapt::model::PowerThroughputModel;
 use powadapt::sim::{SimDuration, SimTime};
 
@@ -25,7 +25,7 @@ fn model_for(label: &str, seed: u64) -> PowerThroughputModel {
         size_limit: 2 * 1024 * 1024 * 1024,
         ramp: SimDuration::from_millis(100),
     };
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandWrite],
         &[64 * KIB, 256 * KIB],
@@ -33,6 +33,7 @@ fn model_for(label: &str, seed: u64) -> PowerThroughputModel {
         &states,
         scale,
         seed,
+        &ParallelConfig::per_core(),
     )
     .expect("sweep runs");
     PowerThroughputModel::from_sweep(&sweep)

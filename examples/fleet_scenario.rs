@@ -10,7 +10,8 @@
 use powadapt::core::{AdaptiveScenarioRouter, BudgetSchedule, PowerEventCause};
 use powadapt::device::{catalog, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    full_sweep, run_fleet, AccessPattern, ArrivalGen, Arrivals, OpenLoopSpec, SweepScale, Workload,
+    full_sweep_with, run_fleet, AccessPattern, ArrivalGen, Arrivals, OpenLoopSpec, ParallelConfig,
+    SweepScale, Workload,
 };
 use powadapt::model::PowerThroughputModel;
 use powadapt::sim::{SimDuration, SimTime};
@@ -18,7 +19,7 @@ use powadapt::sim::{SimDuration, SimTime};
 fn model_for(label: &str, seed: u64) -> PowerThroughputModel {
     let factory = move || catalog::by_label(label, seed).expect("known label");
     let states: Vec<_> = factory().power_states().iter().map(|d| d.id).collect();
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandWrite],
         &[64 * KIB, 256 * KIB],
@@ -30,6 +31,7 @@ fn model_for(label: &str, seed: u64) -> PowerThroughputModel {
             ramp: SimDuration::from_millis(100),
         },
         seed,
+        &ParallelConfig::per_core(),
     )
     .expect("sweep runs");
     PowerThroughputModel::from_sweep(&sweep)

@@ -9,7 +9,9 @@
 use powadapt::core::choose_config;
 use powadapt::core::{AdaptiveController, BudgetSchedule, ControlError, PowerEventCause, Slo};
 use powadapt::device::{catalog, StandbyState, StorageDevice, GIB, KIB};
-use powadapt::io::{full_sweep, run_experiment, JobSpec, SweepScale, Workload};
+use powadapt::io::{
+    full_sweep_with, run_experiment, JobSpec, ParallelConfig, SweepScale, Workload,
+};
 use powadapt::model::{pareto_frontier, ConfigPoint, LatencyModel, PowerThroughputModel};
 use powadapt::sim::{SimDuration, SimTime};
 
@@ -24,7 +26,7 @@ fn sweep_scale() -> SweepScale {
 fn model_for(label: &str) -> PowerThroughputModel {
     let factory = || catalog::by_label(label, 11).expect("known label");
     let states: Vec<_> = factory().power_states().iter().map(|d| d.id).collect();
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandWrite],
         &[64 * KIB, 1024 * KIB],
@@ -32,6 +34,7 @@ fn model_for(label: &str) -> PowerThroughputModel {
         &states,
         sweep_scale(),
         11,
+        &ParallelConfig::per_core(),
     )
     .expect("sweep runs");
     PowerThroughputModel::from_sweep(&sweep)
@@ -159,7 +162,7 @@ fn latency_model_from_a_real_sweep_reproduces_the_cap_blowup() {
     // Sweep SSD2 randwrite at QD1 across two states; the latency model
     // built from the measurements must show the ps2 tail blowup.
     let factory = || catalog::by_label("SSD2", 13).expect("known label");
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandWrite],
         &[256 * KIB, 2048 * KIB],
@@ -174,6 +177,7 @@ fn latency_model_from_a_real_sweep_reproduces_the_cap_blowup() {
             ramp: SimDuration::from_millis(120),
         },
         13,
+        &ParallelConfig::per_core(),
     )
     .expect("sweep runs");
     let points: Vec<ConfigPoint> = sweep.iter().map(ConfigPoint::from).collect();

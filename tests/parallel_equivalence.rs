@@ -1,6 +1,6 @@
 //! Parallel-equivalence regression suite: every figure's summary must be
 //! byte-identical to its committed golden fixture, and identical at 1, 2,
-//! and 8 workers. This pins the determinism contract of the work-stealing
+//! and 8 workers. This pins the determinism contract of the parallel
 //! sweep executor — results depend only on `(root seed, cell index)`, never
 //! on worker count or scheduling.
 //!

@@ -8,8 +8,8 @@ use powadapt::core::{
 };
 use powadapt::device::{catalog, StorageDevice, GIB, KIB};
 use powadapt::io::{
-    full_sweep, run_fleet, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter, OpenLoopSpec,
-    SweepScale, Workload,
+    full_sweep_with, run_fleet, AccessPattern, ArrivalGen, Arrivals, LeastLoadedRouter,
+    OpenLoopSpec, ParallelConfig, SweepScale, Workload,
 };
 use powadapt::meter::PowerRig;
 use powadapt::model::PowerThroughputModel;
@@ -17,7 +17,7 @@ use powadapt::sim::{SimDuration, SimRng, SimTime};
 
 fn evo_model() -> PowerThroughputModel {
     let factory = || catalog::by_label("860EVO", 31).expect("known label");
-    let sweep = full_sweep(
+    let sweep = full_sweep_with(
         factory,
         &[Workload::RandRead],
         &[64 * KIB],
@@ -29,6 +29,7 @@ fn evo_model() -> PowerThroughputModel {
             ramp: SimDuration::from_millis(80),
         },
         31,
+        &ParallelConfig::per_core(),
     )
     .expect("sweep runs");
     PowerThroughputModel::from_sweep(&sweep)
