@@ -16,7 +16,7 @@
 //!   states: model-driven re-planning through each enclosure's
 //!   [`AdaptiveController`](powadapt_core::AdaptiveController) versus the
 //!   naive uniform static share.
-//! - [`sim`] — the lockstep cluster simulation tying them together, fully
+//! - [`sim`] — the event-stepped cluster simulation tying them together, fully
 //!   inside the determinism perimeter (per-tenant/per-device `SimRng`
 //!   streams, byte-identical reports at any worker count).
 //! - [`scenario`] — the canonical two-rack oversubscribed scenario used

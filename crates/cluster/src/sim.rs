@@ -1,14 +1,23 @@
 //! The cluster simulation: a power tree over per-enclosure adaptive
 //! controllers, driven by multi-tenant open-loop workloads.
 //!
-//! One lockstep event loop advances every device in the cluster together
-//! (so node-level power sums are coherent), merges the tenants' arrival
-//! streams in time order, and runs a control round on a fixed interval:
-//! enclosures report demands, the tree rebalances, and revised budgets
-//! cascade into [`AdaptiveController::apply_budget`] re-plans. Per-tenant
-//! latencies land in [`SloWindow`]s; per-node power is sampled on its own
-//! interval, tracked against the node's physical cap, and emitted as
-//! Perfetto counter tracks for rack-level nodes.
+//! One event loop steps the cluster from event time to event time. It
+//! merges the tenants' arrival streams in time order and runs a control
+//! round on a fixed interval: enclosures report demands, the tree
+//! rebalances, and revised budgets cascade into
+//! [`AdaptiveController::apply_budget`] re-plans. Per-tenant latencies
+//! land in [`SloWindow`]s; per-node power is sampled on its own interval,
+//! tracked against the node's physical cap, and emitted as Perfetto
+//! counter tracks for rack-level nodes.
+//!
+//! A wake cache holds each device's next event time, so a step advances
+//! only the devices due by then (plus those submitted to since their last
+//! advance), in device order. The result is the one a lockstep loop gets
+//! by advancing every device at every step: a device with no event in
+//! between changes nothing but its clock, and its power is constant. A
+//! lagging device is brought up to the step time before anything reads
+//! its clock (a submit, a control round), and every device is level with
+//! [`ClusterSim::now`] whenever [`ClusterSim::run_to`] returns.
 //!
 //! Everything is a pure function of `ClusterSpec` (tree shape, device
 //! seeds, tenant seeds derived from the cluster seed): re-running a spec
@@ -400,6 +409,16 @@ pub struct ClusterSim {
     /// Reused completion buffer for the per-step device drain; transient,
     /// never serialized.
     drain_scratch: Vec<IoCompletion>,
+    /// Each flat device's `next_event()`, refreshed after every advance,
+    /// submit and control block, so picking the next step time makes no
+    /// device call.
+    wake: Vec<Option<SimTime>>,
+    /// Devices submitted to (or reconfigured) since their last advance.
+    /// The device trait does not promise that a submit schedules an
+    /// event: a device may acknowledge inside `submit` and hand the
+    /// completion over on its next advance, which lockstep makes on the
+    /// next step. So a touched device is advanced then even if not due.
+    touched: Vec<bool>,
     /// Fixed-capacity hand-off from the hot completion drain to the
     /// migration dispatcher: `(move id, was the destination write)`.
     /// Pre-sized to the engine's concurrency cap (each in-flight move has
@@ -442,6 +461,7 @@ impl ClusterSim {
     pub fn new(spec: ClusterSpec) -> Result<Self, ClusterError> {
         let mut sim = Self::build(spec)?;
         sim.apply_initial_policy()?;
+        sim.touch_all();
         Ok(sim)
     }
 
@@ -682,6 +702,8 @@ impl ClusterSim {
             mig_bytes: 0,
             now: start,
             drain_scratch: Vec::new(),
+            wake: vec![None; n_devices],
+            touched: vec![true; n_devices],
             mig_scratch: vec![(0, false); mig_cap],
             mig_scratch_len: 0,
             holders_scratch: Vec::new(),
@@ -757,18 +779,22 @@ impl ClusterSim {
             for a in self.pending.iter().flatten() {
                 t = t.min(self.start.max(a.at));
             }
-            for ctl in &mut self.controllers {
-                for d in 0..ctl.devices().len() {
-                    if let Some(dt) = ctl.device_mut(d).next_event() {
-                        t = t.min(dt);
-                    }
-                }
+            for &dt in self.wake.iter().flatten() {
+                t = t.min(dt);
             }
             if t >= limit {
                 break;
             }
             self.step_at(t)?;
             self.now = t;
+        }
+        // A caller may snapshot here: devices carry lockstep's clocks and
+        // every SLO window is sorted, as the codec requires.
+        for gi in 0..self.flat.len() {
+            self.catch_up(gi, self.now);
+        }
+        for a in &mut self.accounts {
+            a.window.settle();
         }
         Ok(())
     }
@@ -803,7 +829,7 @@ impl ClusterSim {
         let tenant_reports: Vec<TenantReport> = self
             .tenants
             .iter()
-            .zip(&self.accounts)
+            .zip(&mut self.accounts)
             .map(|(t, a)| TenantReport {
                 name: t.name.clone(),
                 submitted: a.submitted,
@@ -843,9 +869,9 @@ impl ClusterSim {
         })
     }
 
-    /// One loop-body iteration at event time `t`: advance devices, admit
-    /// arrivals, process tree-fault transitions, run the control round and
-    /// power sampling when due.
+    /// One loop-body iteration at event time `t`: advance the due devices,
+    /// admit arrivals, process tree-fault transitions, run the control
+    /// round and power sampling when due.
     fn step_at(&mut self, t: SimTime) -> Result<(), ClusterError> {
         self.drain_completions(t);
         self.dispatch_migrations(t)?;
@@ -854,8 +880,14 @@ impl ClusterSim {
         // A breaker trip or restore forces an immediate control round so
         // the surviving subtree is re-planned on the spot instead of
         // waiting out the control interval.
-        let forced = self.process_tree_faults(t);
+        let forced = self.faults.next_transition().is_some_and(|ft| ft <= t);
         if t >= self.next_control || forced {
+            // Fault handling and re-plans may act on any device, and a
+            // device acts (and emits) at its own clock.
+            for gi in 0..self.flat.len() {
+                self.catch_up(gi, t);
+            }
+            self.process_tree_faults(t);
             // The placement tier ticks first so this round's controller
             // re-plans see fresh standby pins and freshly started moves.
             self.place_round(t)?;
@@ -868,6 +900,7 @@ impl ClusterSim {
             // the cluster, not of the model-driven controller.
             self.audit_ledger(t);
             self.next_control = t + self.control_interval;
+            self.touch_all();
         }
 
         if t >= self.next_sample {
@@ -878,40 +911,47 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Advances the whole cluster in lockstep to `t`, crediting
-    /// completions to their tenants' SLO windows.
+    /// Advances to `t` every device that is due by then or was touched,
+    /// in device order, crediting completions to their tenants' SLO
+    /// windows. The other devices would complete nothing, so lockstep's
+    /// crediting order holds.
     // powadapt-lint: hot
     fn drain_completions(&mut self, t: SimTime) {
         let mut done = std::mem::take(&mut self.drain_scratch);
-        for ctl in &mut self.controllers {
-            for d in 0..ctl.devices().len() {
-                done.clear();
-                ctl.device_mut(d).advance_to_into(t, &mut done);
-                for c in &done {
-                    match self.owners.remove(&c.id.0) {
-                        Some(IoOwner::Tenant(tenant)) => {
-                            let latency_us =
-                                c.completed.duration_since(c.submitted).as_secs_f64() * 1e6;
-                            self.accounts[tenant]
-                                .window
-                                .observe(Micros::new(latency_us), c.len);
-                        }
-                        // Migration legs are handed to the dispatcher via
-                        // the fixed-capacity scratch: the engine caps
-                        // in-flight moves at the scratch's size, so the
-                        // indexed store never overruns.
-                        Some(IoOwner::MigrationRead(m)) => {
-                            self.mig_scratch[self.mig_scratch_len] = (m, false);
-                            self.mig_scratch_len += 1;
-                            self.mig_bytes += c.len;
-                        }
-                        Some(IoOwner::MigrationWrite(m)) => {
-                            self.mig_scratch[self.mig_scratch_len] = (m, true);
-                            self.mig_scratch_len += 1;
-                            self.mig_bytes += c.len;
-                        }
-                        None => {}
+        for gi in 0..self.flat.len() {
+            if !self.touched[gi] && self.wake[gi].is_none_or(|w| w > t) {
+                continue;
+            }
+            let (e, d) = self.flat[gi];
+            let dev = self.controllers[e].device_mut(d);
+            done.clear();
+            dev.advance_to_into(t, &mut done);
+            self.wake[gi] = dev.next_event();
+            self.touched[gi] = false;
+            for c in &done {
+                match self.owners.remove(&c.id.0) {
+                    Some(IoOwner::Tenant(tenant)) => {
+                        let latency_us =
+                            c.completed.duration_since(c.submitted).as_secs_f64() * 1e6;
+                        self.accounts[tenant]
+                            .window
+                            .observe(Micros::new(latency_us), c.len);
                     }
+                    // Migration legs are handed to the dispatcher via
+                    // the fixed-capacity scratch: the engine caps
+                    // in-flight moves at the scratch's size, so the
+                    // indexed store never overruns.
+                    Some(IoOwner::MigrationRead(m)) => {
+                        self.mig_scratch[self.mig_scratch_len] = (m, false);
+                        self.mig_scratch_len += 1;
+                        self.mig_bytes += c.len;
+                    }
+                    Some(IoOwner::MigrationWrite(m)) => {
+                        self.mig_scratch[self.mig_scratch_len] = (m, true);
+                        self.mig_scratch_len += 1;
+                        self.mig_bytes += c.len;
+                    }
+                    None => {}
                 }
             }
         }
@@ -982,7 +1022,7 @@ impl ClusterSim {
                 offset: io.offset,
                 len: io.len,
             };
-            if self.try_submit(gi, id, &arrival)? {
+            if self.try_submit(gi, id, &arrival, t)? {
                 let owner = if io.write {
                     IoOwner::MigrationWrite(io.migration)
                 } else {
@@ -1141,7 +1181,7 @@ impl ClusterSim {
                     skipped += 1;
                     continue;
                 }
-                if self.try_submit(gi, id, arrival)? {
+                if self.try_submit(gi, id, arrival, now)? {
                     submitted = true;
                     break;
                 }
@@ -1158,7 +1198,7 @@ impl ClusterSim {
                     {
                         continue;
                     }
-                    if self.try_submit(gi, id, arrival)? {
+                    if self.try_submit(gi, id, arrival, now)? {
                         submitted = true;
                         break;
                     }
@@ -1203,7 +1243,7 @@ impl ClusterSim {
                 skipped += 1;
                 continue;
             }
-            if self.try_submit(gi, id, arrival)? {
+            if self.try_submit(gi, id, arrival, now)? {
                 if skipped > 0 {
                     emit!(
                         self.rec,
@@ -1230,36 +1270,64 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Submits `arrival` as request `id` against flat device `gi`,
-    /// clamping the transfer to the device's capacity. Returns whether
-    /// the device accepted it; transient refusals report `false`, hard
-    /// failures propagate.
-    fn try_submit(&mut self, gi: usize, id: u64, arrival: &Arrival) -> Result<bool, ClusterError> {
+    /// Submits `arrival` as request `id` against flat device `gi` at step
+    /// time `t`, clamping the transfer to the device's capacity. Returns
+    /// whether the device accepted it; transient refusals report `false`,
+    /// hard failures propagate.
+    fn try_submit(
+        &mut self,
+        gi: usize,
+        id: u64,
+        arrival: &Arrival,
+        t: SimTime,
+    ) -> Result<bool, ClusterError> {
+        self.catch_up(gi, t);
         let (e, d) = self.flat[gi];
         let dev = self.controllers[e].device_mut(d);
         let cap = dev.spec().capacity();
         let len = arrival.len.min(cap);
         let offset = arrival.offset.min(cap - len);
-        match dev.submit(IoRequest::new(IoId(id), arrival.kind, offset, len)) {
+        let result = dev.submit(IoRequest::new(IoId(id), arrival.kind, offset, len));
+        self.wake[gi] = dev.next_event();
+        self.touched[gi] = true;
+        match result {
             Ok(()) => Ok(true),
             Err(e) if e.is_transient() => Ok(false),
             Err(e) => Err(e.into()),
         }
     }
 
+    /// Advances flat device `gi` to `t` if its clock lags behind. Only a
+    /// device with no event at or before `t` lags (the drain advanced the
+    /// due and touched ones), so this completes nothing: it only sets the
+    /// clock that a submit or a control round reads.
+    fn catch_up(&mut self, gi: usize, t: SimTime) {
+        let (e, d) = self.flat[gi];
+        let dev = self.controllers[e].device_mut(d);
+        if dev.now() < t {
+            dev.advance_to_into(t, &mut self.drain_scratch);
+            assert!(
+                self.drain_scratch.is_empty(),
+                "device {gi} completed IO while catching up to {t}"
+            );
+        }
+    }
+
+    /// Refreshes every device's wake entry and marks every device touched:
+    /// after construction, a restore, or a control block, any device may
+    /// have changed outside a submit.
+    fn touch_all(&mut self) {
+        for (gi, &(e, d)) in self.flat.iter().enumerate() {
+            self.wake[gi] = self.controllers[e].device_mut(d).next_event();
+        }
+        self.touched.fill(true);
+    }
+
     /// Fires every due tree-fault transition: a trip takes the subtree's
     /// enclosures dark (unroutable, devices asked into standby), a restore
-    /// brings them back. Returns whether anything fired, which forces an
-    /// immediate control round.
-    fn process_tree_faults(&mut self, t: SimTime) -> bool {
-        if self.faults.is_empty() {
-            return false;
-        }
-        let events = self.faults.due(t);
-        if events.is_empty() {
-            return false;
-        }
-        for ev in events {
+    /// brings them back.
+    fn process_tree_faults(&mut self, t: SimTime) {
+        for ev in self.faults.due(t) {
             match ev {
                 TreeFaultEvent::Trip(node) => {
                     emit!(
@@ -1311,7 +1379,6 @@ impl ClusterSim {
                 }
             }
         }
-        true
     }
 
     /// Enclosure indices whose leaf sits at or under `node`.
@@ -1466,15 +1533,22 @@ impl ClusterSim {
     /// One ledger audit round: attribute the interval's energy to the
     /// tenants by bytes moved and verify conservation against the tree.
     fn audit_ledger(&mut self, now: SimTime) {
+        // The ledger reads a tenant's p99 only against a p99 ceiling, and
+        // only a read of the p99 sorts the window.
         let usage: Vec<TenantUsage<'_>> = self
             .tenants
             .iter()
-            .zip(&self.accounts)
-            .map(|(t, a)| TenantUsage {
-                name: &t.name,
-                bytes: a.window.bytes(),
-                p99_latency_us: a.window.p99_latency().map(Micros::get),
-                slo_p99_us: t.slo.max_p99_latency(),
+            .zip(&mut self.accounts)
+            .map(|(t, a)| {
+                let slo_p99_us = t.slo.max_p99_latency();
+                TenantUsage {
+                    name: &t.name,
+                    bytes: a.window.bytes(),
+                    p99_latency_us: slo_p99_us
+                        .and_then(|_| a.window.p99_latency())
+                        .map(Micros::get),
+                    slo_p99_us,
+                }
             })
             .collect();
         // Grant enforcement only applies to grants the tree actually
@@ -1549,15 +1623,22 @@ powadapt_snap::snapshot! {
         start: "derived from the devices",
         t_end: "derived from the spec",
         drain_scratch: "per-step scratch, empty between steps",
+        wake: "derived: each device's next event, rebuilt from the devices",
+        touched: "derived: a restored run advances every device on its first step",
         mig_scratch: "per-step scratch, drained within the step",
         mig_scratch_len: "per-step scratch, zero between steps",
         holders_scratch: "per-arrival scratch",
         rec: "telemetry sink, captured at construction",
     }
-    after restore_clock, restore_owners, restore_backlog
+    after restore_clock, restore_owners, restore_backlog, restore_wake
 }
 
 impl ClusterSim {
+    fn restore_wake(&mut self) -> Result<(), SnapError> {
+        self.touch_all();
+        Ok(())
+    }
+
     fn restore_clock(&mut self) -> Result<(), SnapError> {
         if self.now < self.start || self.now > self.t_end {
             return Err(SnapError::InvalidValue(format!(

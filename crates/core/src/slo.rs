@@ -145,13 +145,17 @@ impl fmt::Display for Slo {
 /// w.observe(Micros::new(150.0), 4096);
 /// assert_eq!(w.p99_latency(), Some(Micros::new(150.0)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct SloWindow {
-    /// Observed latencies in microseconds, kept sorted (each observe does
-    /// an insertion into position; arrival order is irrelevant to every
-    /// query this window answers).
+    /// Observed latencies in microseconds. [`observe`](Self::observe)
+    /// appends; the first `sorted` entries are ascending, and every read
+    /// that depends on order first [`settle`](Self::settle)s the rest into
+    /// them. Arrival order is irrelevant to every query this window
+    /// answers.
     lat_us: Vec<f64>,
     bytes: u64,
+    /// Length of the sorted prefix of `lat_us`.
+    sorted: usize,
 }
 
 impl SloWindow {
@@ -169,9 +173,43 @@ impl SloWindow {
         if !us.is_finite() {
             return;
         }
-        let at = self.lat_us.partition_point(|&l| l <= us);
-        self.lat_us.insert(at, us);
+        // `-0.0` and `0.0` compare equal, and equal values must keep their
+        // arrival order; the tail sort puts `-0.0` first, so a `-0.0` only
+        // ever enters an empty tail.
+        if us.to_bits() == (-0.0f64).to_bits() {
+            self.settle();
+        }
+        self.lat_us.push(us);
         self.bytes += bytes;
+    }
+
+    /// Sorts the latencies observed since the last settle and merges them
+    /// into the sorted prefix in one linear pass, equal values keeping
+    /// their arrival order. Order-dependent reads settle on their own; a
+    /// caller settles before encoding the window, since a decoded window
+    /// must be sorted. The merge copies out only the unsorted tail.
+    pub fn settle(&mut self) {
+        let n = self.lat_us.len();
+        let s = self.sorted;
+        if s == n {
+            return;
+        }
+        self.lat_us[s..].sort_unstable_by(f64::total_cmp);
+        if s > 0 && self.lat_us[s - 1] > self.lat_us[s] {
+            let tail = self.lat_us[s..].to_vec();
+            let (mut i, mut j) = (s, tail.len());
+            while j > 0 {
+                let w = i + j - 1;
+                if i > 0 && self.lat_us[i - 1] > tail[j - 1] {
+                    i -= 1;
+                    self.lat_us[w] = self.lat_us[i];
+                } else {
+                    j -= 1;
+                    self.lat_us[w] = tail[j];
+                }
+            }
+        }
+        self.sorted = n;
     }
 
     /// Number of observations in the window.
@@ -193,6 +231,7 @@ impl SloWindow {
     pub fn reset(&mut self) {
         self.lat_us.clear();
         self.bytes = 0;
+        self.sorted = 0;
     }
 
     /// Latency percentile (`p` in `[0, 100]`), or `None` when empty.
@@ -200,31 +239,34 @@ impl SloWindow {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile_latency(&self, p: f64) -> Option<Micros> {
+    pub fn percentile_latency(&mut self, p: f64) -> Option<Micros> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         if self.lat_us.is_empty() {
             return None;
         }
+        self.settle();
         Some(Micros::new(percentile_of_sorted(&self.lat_us, p)))
     }
 
-    /// Mean latency, or `None` when empty.
-    pub fn mean_latency(&self) -> Option<Micros> {
+    /// Mean latency, or `None` when empty. Sums in ascending order, so the
+    /// result does not depend on arrival order.
+    pub fn mean_latency(&mut self) -> Option<Micros> {
         if self.lat_us.is_empty() {
             return None;
         }
+        self.settle();
         Some(Micros::new(
             self.lat_us.iter().sum::<f64>() / self.lat_us.len() as f64,
         ))
     }
 
     /// p99 latency, or `None` when empty.
-    pub fn p99_latency(&self) -> Option<Micros> {
+    pub fn p99_latency(&mut self) -> Option<Micros> {
         self.percentile_latency(99.0)
     }
 
     /// p99.9 latency, or `None` when empty.
-    pub fn p999_latency(&self) -> Option<Micros> {
+    pub fn p999_latency(&mut self) -> Option<Micros> {
         self.percentile_latency(99.9)
     }
 
@@ -242,7 +284,7 @@ impl SloWindow {
     ///
     /// An empty window trivially satisfies latency ceilings (there was
     /// nothing to be late) but still fails a throughput floor.
-    pub fn satisfies(&self, slo: &Slo, elapsed: SimDuration) -> bool {
+    pub fn satisfies(&mut self, slo: &Slo, elapsed: SimDuration) -> bool {
         if let Some(floor) = slo.min_throughput() {
             if self.throughput_bps(elapsed) < floor {
                 return false;
@@ -264,6 +306,7 @@ impl SloWindow {
 
 powadapt_snap::snapshot! {
     value SloWindow { lat_us, bytes }
+    skip { sorted: "derived: a decoded window is fully sorted" }
     after restore_latencies
 }
 
@@ -279,6 +322,7 @@ impl SloWindow {
                 "SLO window latencies not sorted".into(),
             ));
         }
+        self.sorted = self.lat_us.len();
         Ok(())
     }
 }
@@ -328,7 +372,7 @@ mod tests {
 
     #[test]
     fn empty_window_has_no_percentiles() {
-        let w = SloWindow::new();
+        let mut w = SloWindow::new();
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
         assert_eq!(w.mean_latency(), None);
@@ -410,7 +454,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_percentile_panics() {
-        let w = SloWindow::new();
+        let mut w = SloWindow::new();
         let _ = w.percentile_latency(101.0);
     }
 

@@ -8,12 +8,14 @@ use proptest::prelude::*;
 
 use powadapt_core::{
     choose_mechanism, plan_budget, AbsorptionProfile, Mechanism, PowerDomain, RedirectionConfig,
-    RedirectionPolicy, SpinProfile, TieringPolicy,
+    RedirectionPolicy, Slo, SloWindow, SpinProfile, TieringPolicy,
 };
 use powadapt_device::{PowerStateId, KIB};
 use powadapt_io::Workload;
 use powadapt_model::{ConfigPoint, PowerThroughputModel};
-use powadapt_sim::SimDuration;
+use powadapt_sim::units::Micros;
+use powadapt_sim::{percentile_of_sorted, SimDuration};
+use powadapt_snap::{Codec, SnapReader, SnapWriter};
 
 fn redirection_cfg() -> RedirectionConfig {
     RedirectionConfig {
@@ -230,5 +232,121 @@ proptest! {
         prop_assert!(
             (flat.adaptive_peak_w() - nested.adaptive_peak_w()).abs() < 1e-9
         );
+    }
+}
+
+/// The window as it was kept before observations became appends: one
+/// sorted insert per observation, ties after their equals. The reference
+/// the append-only [`SloWindow`] must match bit for bit.
+#[derive(Default)]
+struct SortedInsertWindow {
+    lat_us: Vec<f64>,
+    bytes: u64,
+}
+
+impl SortedInsertWindow {
+    fn observe(&mut self, us: f64, bytes: u64) {
+        if !us.is_finite() {
+            return;
+        }
+        let at = self.lat_us.partition_point(|&l| l <= us);
+        self.lat_us.insert(at, us);
+        self.bytes += bytes;
+    }
+
+    fn percentile(&self, p: f64) -> Option<u64> {
+        (!self.lat_us.is_empty()).then(|| percentile_of_sorted(&self.lat_us, p).to_bits())
+    }
+
+    fn mean(&self) -> Option<u64> {
+        (!self.lat_us.is_empty())
+            .then(|| (self.lat_us.iter().sum::<f64>() / self.lat_us.len() as f64).to_bits())
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.lat_us.encode(&mut w);
+        self.bytes.encode(&mut w);
+        w.into_payload()
+    }
+}
+
+/// A latency stream with repeats, both zeros, negatives and non-finite
+/// values mixed into coarse random values.
+fn stream_latency(pick: u8, x: f64) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 | 6 => 250.0,
+        7 => -3.5,
+        _ => x.round(),
+    }
+}
+
+fn bits(m: Option<Micros>) -> Option<u64> {
+    m.map(|m| m.get().to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Appending and settling on read answers every query with the same
+    /// bits, and encodes to the same bytes, as a sorted insert per
+    /// observation, across interleaved reads, resets and round trips.
+    #[test]
+    fn slo_window_matches_sorted_insert_reference(
+        ops in prop::collection::vec((0u8..64, 0u8..12, 0.0f64..2000.0), 0..400),
+    ) {
+        const PERCENTILES: [f64; 6] = [0.0, 50.0, 90.0, 99.0, 99.9, 100.0];
+        let mut w = SloWindow::new();
+        let mut r = SortedInsertWindow::default();
+        for (op, pick, x) in ops {
+            match op {
+                0..=43 => {
+                    let us = stream_latency(pick, x);
+                    w.observe(Micros::new(us), u64::from(pick));
+                    r.observe(us, u64::from(pick));
+                }
+                44..=51 => {
+                    let p = PERCENTILES[usize::from(pick) % PERCENTILES.len()];
+                    prop_assert_eq!(bits(w.percentile_latency(p)), r.percentile(p));
+                }
+                52..=54 => prop_assert_eq!(bits(w.mean_latency()), r.mean()),
+                55 => prop_assert_eq!(bits(w.p99_latency()), r.percentile(99.0)),
+                56 => prop_assert_eq!(bits(w.p999_latency()), r.percentile(99.9)),
+                57 | 58 => {
+                    let cap = x + 1.0;
+                    let slo = Slo::new().max_avg_latency_us(cap).max_p99_latency_us(cap);
+                    let within = |b: Option<u64>| b.is_none_or(|b| f64::from_bits(b) <= cap);
+                    prop_assert_eq!(
+                        w.satisfies(&slo, SimDuration::from_secs(1)),
+                        within(r.mean()) && within(r.percentile(99.0))
+                    );
+                }
+                59..=62 => {
+                    w.settle();
+                    let mut out = SnapWriter::new();
+                    w.encode(&mut out);
+                    let bytes = out.into_payload();
+                    prop_assert_eq!(&bytes, &r.encode());
+                    let mut rd = SnapReader::new(&bytes);
+                    w = SloWindow::decode(&mut rd).unwrap();
+                    rd.finish().unwrap();
+                }
+                _ => {
+                    w.reset();
+                    r = SortedInsertWindow::default();
+                }
+            }
+            prop_assert_eq!(w.len(), r.lat_us.len());
+            prop_assert_eq!(w.bytes(), r.bytes);
+        }
+        w.settle();
+        let mut out = SnapWriter::new();
+        w.encode(&mut out);
+        prop_assert_eq!(out.into_payload(), r.encode());
     }
 }

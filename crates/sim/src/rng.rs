@@ -3,7 +3,7 @@
 //! All stochastic components in the suite draw from a [`SimRng`] seeded
 //! explicitly, so every experiment is reproducible bit-for-bit. The
 //! generator (xoshiro256++ seeded through splitmix64) and the distribution
-//! helpers (normal, exponential, log-normal) are implemented here directly
+//! helpers (normal, exponential) are implemented here directly
 //! so the suite builds with no external dependencies — including on
 //! machines with no access to a crates registry.
 
@@ -223,12 +223,6 @@ impl SimRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Log-normal sample parameterized by the mean and stddev of the
-    /// underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 }
 

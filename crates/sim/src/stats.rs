@@ -86,11 +86,6 @@ impl Summary {
         percentile_of_sorted(&self.sorted, p)
     }
 
-    /// The sorted samples backing this summary.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Density estimate over `bins` equal-width bins spanning `[min, max]` —
     /// the data behind a violin plot. Returns `(bin_centers, counts)`.
     ///
