@@ -7,41 +7,36 @@ use std::hint::black_box;
 use powadapt_sim::{EventQueue, RollingMean, SimDuration, SimRng, SimTime, StepSignal, Summary};
 
 fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue/push_pop_10k", |b| {
-        let mut rng = SimRng::seed_from(1);
-        let times: Vec<u64> = (0..10_000).map(|_| rng.u64_range(0, 1_000_000)).collect();
-        b.iter_batched(
-            EventQueue::new,
-            |mut q| {
-                for (i, &t) in times.iter().enumerate() {
-                    q.schedule(SimTime::from_nanos(t), i);
-                }
-                while let Some(ev) = q.pop() {
-                    black_box(ev);
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
-
-    c.bench_function("event_queue/interleaved_1k", |b| {
-        let mut rng = SimRng::seed_from(2);
-        let deltas: Vec<u64> = (0..1_000).map(|_| rng.u64_range(1, 5_000)).collect();
-        b.iter_batched(
-            EventQueue::new,
-            |mut q| {
-                let mut now = 0u64;
-                for &d in &deltas {
-                    q.schedule(SimTime::from_nanos(now + d), d);
-                    q.schedule(SimTime::from_nanos(now + 2 * d), d);
-                    if let Some((t, _)) = q.pop() {
-                        now = t.as_nanos();
+    // A device model keeps a few dozen events pending and schedules about
+    // one new event per event it fires, so the queue is measured as a hold
+    // loop: `live` events stay pending while each step pops the earliest
+    // and schedules one replacement a random delay later.
+    for live in [16usize, 64] {
+        c.bench_function(&format!("event_queue/hold_{live}"), |b| {
+            let mut rng = SimRng::seed_from(live as u64);
+            let deltas: Vec<u64> = (0..4_096).map(|_| rng.u64_range(1, 200_000)).collect();
+            b.iter_batched(
+                || {
+                    let mut q = EventQueue::new();
+                    for (i, &d) in deltas[..live].iter().enumerate() {
+                        q.schedule(SimTime::from_nanos(d), i);
                     }
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
+                    q
+                },
+                |mut q| {
+                    for &d in &deltas {
+                        let now = q.next_time().unwrap_or(SimTime::ZERO);
+                        let (t, ev) = q
+                            .pop_at_or_before(now)
+                            .expect("the hold loop keeps `live` events pending");
+                        q.schedule(SimTime::from_nanos(t.as_nanos() + d), black_box(ev));
+                    }
+                    q
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
 }
 
 fn bench_rolling_mean(c: &mut Criterion) {

@@ -29,16 +29,6 @@ pub const FILE_ALLOWLIST: &[(&str, RuleId, &str)] = &[
         "parallel executor times sweeps for its progress report (host timing)",
     ),
     (
-        // The kernel throughput bench exists to measure wall-clock time:
-        // it times both event-queue kernels on one deterministic op
-        // stream and reports events/sec. Nothing clock-derived feeds
-        // figure data — BENCH_kernel.json is gated on the speedup ratio,
-        // and the op stream itself is SimRng-seeded.
-        "crates/bench/src/bin/kernel_bench.rs",
-        RuleId::D1,
-        "kernel bench's purpose is wall-clock throughput measurement",
-    ),
-    (
         // The observability overhead bench times the same deterministic
         // workload untraced vs. traced and gates on the wall-clock ratio.
         // Host time is the measurand, never an input: the workload is
@@ -297,24 +287,13 @@ mod tests {
         assert!(rule_applies(RuleId::D5, "crates/snap/src/lib.rs"));
         assert!(!rule_applies(RuleId::D4, "crates/snap/src/lib.rs"));
         assert!(!rule_applies(RuleId::D5, "crates/snap/tests/properties.rs"));
-        // The sim-kernel overhaul modules sit squarely inside the
-        // perimeter: the calendar queue and slab arena order every event
-        // in every figure's data path, and the kernel bench produces the
-        // committed BENCH_kernel.json.
+        // The sim kernel's event queue and slab arena sit squarely inside
+        // the perimeter: they order every event in every figure's data
+        // path.
         assert!(rule_applies(RuleId::D1, "crates/sim/src/queue.rs"));
         assert!(rule_applies(RuleId::D2, "crates/sim/src/queue.rs"));
         assert!(rule_applies(RuleId::D1, "crates/sim/src/slab.rs"));
         assert!(rule_applies(RuleId::D2, "crates/sim/src/slab.rs"));
-        assert!(rule_applies(
-            RuleId::D2,
-            "crates/bench/src/bin/kernel_bench.rs"
-        ));
-        // ... except D1: the kernel bench's purpose is wall-clock timing,
-        // so it carries an allowlist entry like the parallel executor.
-        assert!(!rule_applies(
-            RuleId::D1,
-            "crates/bench/src/bin/kernel_bench.rs"
-        ));
         // The placement tier's routing and migration plans feed the
         // placement_eval golden, so it sits inside the perimeter.
         assert!(rule_applies(RuleId::D1, "crates/place/src/tier.rs"));
@@ -325,9 +304,7 @@ mod tests {
             RuleId::D2,
             "crates/place/tests/properties.rs"
         ));
-        // The differential harness is a test target, outside the perimeter.
-        assert!(!rule_applies(RuleId::D2, "tests/queue_equivalence.rs"));
-        assert!(!rule_applies(RuleId::D5, "tests/queue_equivalence.rs"));
+        // Test targets sit outside the perimeter.
         assert!(!rule_applies(RuleId::D2, "crates/sim/tests/properties.rs"));
     }
 
@@ -367,7 +344,7 @@ mod tests {
         assert!(rule_applies(RuleId::D9, "crates/sim/src/queue.rs"));
         assert!(rule_applies(
             RuleId::D9,
-            "crates/bench/src/bin/kernel_bench.rs"
+            "crates/bench/src/bin/obs_bench.rs"
         ));
         assert!(!rule_applies(RuleId::D9, "crates/sim/tests/properties.rs"));
         assert!(!rule_applies(

@@ -3,9 +3,8 @@
 //! This crate provides the substrate every other `powadapt` crate builds on:
 //!
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time,
-//! - [`EventQueue`] — a deterministic time-ordered event queue (a calendar
-//!   queue; [`HeapQueue`] is the reference binary-heap kernel it is proven
-//!   equivalent to),
+//! - [`EventQueue`] — a deterministic time-ordered event queue (a binary
+//!   heap keyed by time, ties broken by insertion order),
 //! - [`Slab`] — a freelist arena with stable integer keys for in-flight
 //!   simulation state,
 //! - [`SimRng`] — seeded randomness with the distributions the device and
@@ -52,7 +51,7 @@ mod time;
 pub mod units;
 mod zipf;
 
-pub use queue::{EventId, EventQueue, HeapQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use rolling::RollingMean;
 pub use signal::StepSignal;

@@ -2,11 +2,184 @@
 
 // Tests and examples assert on exact expected values; unwraps and
 // bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+// The payload-codec closures `|r| r.u32()` are not replaceable with the
+// method path: `SnapReader::u32` is monomorphic in the reader's lifetime
+// and fails the higher-ranked `FnMut` bound that a closure satisfies.
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    clippy::redundant_closure_for_method_calls
+)]
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use powadapt_sim::{EventQueue, RollingMean, SimDuration, SimRng, SimTime, StepSignal, Summary};
+use powadapt_snap::{Codec, SnapError, SnapReader, SnapWriter};
+
+/// Reference model of [`EventQueue`]: every pending `(at, seq, payload)`
+/// in a `Vec` kept sorted by `(at, seq)`, so the next event is the first.
+#[derive(Clone, Default)]
+struct Model {
+    pending: Vec<(SimTime, u64, u32)>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, at: SimTime, payload: u32) {
+        let key = (at, self.next_seq);
+        let i = self.pending.partition_point(|&(a, s, _)| (a, s) < key);
+        self.pending.insert(i, (at, self.next_seq, payload));
+        self.next_seq += 1;
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.pending.first().map(|e| e.0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (at, _, payload) = self.pending.remove(0);
+        Some((at, payload))
+    }
+
+    fn pop_at_or_before(&mut self, t: SimTime) -> Option<(SimTime, u32)> {
+        match self.next_time() {
+            Some(at) if at <= t => self.pop(),
+            _ => None,
+        }
+    }
+
+    /// The snapshot bytes the queue must write for this state.
+    fn snapshot(&self) -> Vec<u8> {
+        let entries: Vec<(u64, u64, u32)> = self
+            .pending
+            .iter()
+            .map(|&(at, seq, payload)| (at.as_nanos(), seq, payload))
+            .collect();
+        raw_snapshot(self.next_seq, &entries)
+    }
+}
+
+/// The queue under test and its model, driven in lockstep.
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue<u32>,
+    model: Model,
+}
+
+impl Pair {
+    /// Schedules at `t` with a payload drawn from the op's spare high
+    /// bits, so payload order says nothing about insertion order.
+    fn schedule(&mut self, t: u64, raw: u64) {
+        let at = SimTime::from_nanos(t);
+        let payload = (raw >> 48) as u32;
+        self.queue.schedule(at, payload);
+        self.model.schedule(at, payload);
+    }
+
+    /// Applies one op, decoded from a `(selector, raw)` pair so scripts
+    /// stay flat data.
+    fn apply(&mut self, sel: u8, raw: u64) -> Result<(), TestCaseError> {
+        match sel {
+            // Near future: within a few tens of milliseconds.
+            0..=2 => self.schedule(raw % 50_000_000, raw),
+            // Same-time bursts: a few distinct instants, so FIFO
+            // tie-breaks through the seq decide the order.
+            3 => self.schedule((raw % 8) * 1_000, raw),
+            // Far future: seconds to hours away.
+            4 => self.schedule(1_000_000_000 + raw % (1 << 43), raw),
+            // The end of the representable range, `SimTime::MAX` included.
+            5 => self.schedule(u64::MAX - raw % 4, raw),
+            6..=8 => prop_assert_eq!(self.queue.pop(), self.model.pop(), "pop"),
+            9 => {
+                let t = SimTime::from_nanos(raw % 100_000_000);
+                prop_assert_eq!(
+                    self.queue.pop_at_or_before(t),
+                    self.model.pop_at_or_before(t),
+                    "pop_at_or_before({})",
+                    t
+                );
+            }
+            _ => {
+                prop_assert_eq!(self.queue.next_time(), self.model.next_time(), "next_time");
+                prop_assert_eq!(self.queue.len(), self.model.pending.len(), "len");
+                prop_assert_eq!(self.queue.is_empty(), self.model.pending.is_empty());
+            }
+        }
+        Ok(())
+    }
+
+    fn run(&mut self, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+        for &(sel, raw) in ops {
+            self.apply(sel, raw)?;
+        }
+        Ok(())
+    }
+
+    /// Pops both dry, checking every step.
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        loop {
+            prop_assert_eq!(self.queue.next_time(), self.model.next_time());
+            let popped = self.queue.pop();
+            prop_assert_eq!(popped, self.model.pop(), "drain pop");
+            if popped.is_none() {
+                return Ok(());
+            }
+        }
+    }
+}
+
+fn snap(q: &EventQueue<u32>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    q.write_state(&mut w, |w, p| {
+        w.u32(*p);
+        Ok(())
+    })
+    .unwrap();
+    w.into_payload()
+}
+
+fn restore(bytes: &[u8]) -> Result<EventQueue<u32>, SnapError> {
+    let mut q = EventQueue::new();
+    let mut r = SnapReader::new(bytes);
+    q.read_state(&mut r, |r| r.u32())?;
+    r.finish()?;
+    Ok(q)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Any schedule/pop/probe script observed through the queue matches
+    /// the sorted model, and so do the snapshot bytes. A snapshot→restore
+    /// is taken mid-script; the restored queue, the original queue and
+    /// the model then agree on every remaining op and on the final drain.
+    #[test]
+    fn event_queue_matches_sorted_vec_model(
+        pre in prop::collection::vec((0u8..13, any::<u64>()), 0..100),
+        post in prop::collection::vec((0u8..13, any::<u64>()), 0..100),
+    ) {
+        let mut pair = Pair::default();
+        pair.run(&pre)?;
+
+        let bytes = snap(&pair.queue);
+        prop_assert_eq!(&bytes, &pair.model.snapshot(), "snapshot bytes");
+        let mut restored = Pair {
+            queue: restore(&bytes).unwrap(),
+            model: pair.model.clone(),
+        };
+        prop_assert_eq!(&snap(&restored.queue), &bytes, "re-snapshot bytes drifted");
+
+        pair.run(&post)?;
+        restored.run(&post)?;
+        prop_assert_eq!(snap(&restored.queue), pair.model.snapshot());
+        pair.drain()?;
+        restored.drain()?;
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order regardless of the
@@ -36,33 +209,6 @@ proptest! {
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
-    /// Cancelling a subset removes exactly that subset.
-    #[test]
-    fn event_queue_cancellation_is_exact(
-        times in prop::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_nanos(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            let cancel = cancel_mask.get(*i).copied().unwrap_or(false);
-            if cancel {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expected.push(*i);
-            }
-        }
-        let mut got: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 
     /// Integrating a step signal over adjacent windows is additive.
@@ -259,4 +405,65 @@ fn stream_seed_is_bijective_up_to_2_20() {
         seeds.dedup();
         assert_eq!(seeds.len(), 1 << 20, "seed collision under root {root:#x}");
     }
+}
+
+/// Pins the serialized layout: `next_seq`, entry count, then each entry
+/// as `(time, seq, payload)` sorted by `(time, seq)` — whatever order it
+/// was scheduled in. A layout change here breaks every committed
+/// checkpoint, so this test spells the bytes out by hand.
+#[test]
+fn snapshot_byte_layout_is_pinned() {
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let far = 3 << 24;
+    q.schedule(SimTime::from_nanos(500), 7); // seq 0
+    q.schedule(SimTime::from_nanos(200), 9); // seq 1
+    q.schedule(SimTime::from_nanos(200), 11); // seq 2, ties with seq 1
+    q.schedule(SimTime::from_nanos(far), 13); // seq 3
+
+    let mut expect: Vec<u8> = Vec::new();
+    expect.extend_from_slice(&4u64.to_le_bytes()); // next_seq
+    expect.extend_from_slice(&4u64.to_le_bytes()); // entry count
+    for (t, seq, payload) in [
+        (200u64, 1u64, 9u32),
+        (200, 2, 11),
+        (500, 0, 7),
+        (far, 3, 13),
+    ] {
+        expect.extend_from_slice(&t.to_le_bytes());
+        expect.extend_from_slice(&seq.to_le_bytes());
+        expect.extend_from_slice(&payload.to_le_bytes());
+    }
+    assert_eq!(snap(&q), expect, "snapshot bytes changed layout");
+}
+
+/// A hand-built snapshot: `next_seq`, then `(time_ns, seq, payload)`
+/// entries.
+fn raw_snapshot(next_seq: u64, entries: &[(u64, u64, u32)]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u64(next_seq);
+    w.seq_len(entries.len());
+    for &(t, seq, payload) in entries {
+        SimTime::from_nanos(t).encode(&mut w);
+        w.u64(seq);
+        w.u32(payload);
+    }
+    w.into_payload()
+}
+
+#[test]
+fn restore_rejects_duplicate_seq() {
+    let bytes = raw_snapshot(5, &[(10, 2, 1), (20, 2, 2)]);
+    assert!(matches!(restore(&bytes), Err(SnapError::InvalidValue(_))));
+}
+
+#[test]
+fn restore_rejects_seq_at_or_past_next_seq() {
+    for seq in [5, 6, u64::MAX] {
+        let bytes = raw_snapshot(5, &[(10, 1, 1), (20, seq, 2)]);
+        assert!(
+            matches!(restore(&bytes), Err(SnapError::InvalidValue(_))),
+            "seq {seq} with next_seq 5 was accepted"
+        );
+    }
+    assert!(restore(&raw_snapshot(5, &[(10, 4, 1)])).is_ok());
 }
