@@ -396,7 +396,23 @@ fn traced_controller_rounds() {
 
 /// Runs the canonical traced scenario — a parallel sweep of fault-injected
 /// fleet cells plus a closed-loop controller sequence — under a fresh
-/// recorder and returns the per-kind event counts as canonical JSON.
+/// recorder. Returns the recorder and each fleet cell's served IO count.
+///
+/// # Panics
+///
+/// Panics if a scenario run fails — the fixture pins a healthy pipeline.
+pub fn traced_scenario(cfg: &ParallelConfig) -> (Arc<TraceRecorder>, Vec<u64>) {
+    let rec = Arc::new(TraceRecorder::new(1 << 16));
+    let cells: Vec<u64> = (0..4).collect();
+    let served = powadapt_obs::with_installed(rec.clone(), || {
+        let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
+        traced_controller_rounds();
+        served
+    });
+    (rec, served)
+}
+
+/// The per-kind event counts of [`traced_scenario`] as canonical JSON.
 ///
 /// Event *counts* are pure functions of the scenario seeds: the summary is
 /// byte-identical at every worker count, even though the interleaving of
@@ -407,14 +423,7 @@ fn traced_controller_rounds() {
 ///
 /// Panics if a scenario run fails — the fixture pins a healthy pipeline.
 pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
-    let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let cells: Vec<u64> = (0..4).collect();
-    let served = powadapt_obs::with_installed(rec.clone(), || {
-        let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
-        traced_controller_rounds();
-        served
-    });
-
+    let (rec, served) = traced_scenario(cfg);
     let mut rows = event_count_rows(&rec);
     rows.push(format!(
         "{{\"served_ios\": [{}]}}",

@@ -48,7 +48,7 @@ pub use fleet::{
 };
 pub use job::{AccessPattern, JobSpec, Workload};
 pub use openloop::{Arrival, ArrivalGen, Arrivals, OpenLoopSpec};
-pub use parallel::{run_cells, run_cells_stats, ParallelConfig, SweepStats};
+pub use parallel::{run_cells, ParallelConfig};
 pub use runner::{run_experiment, ExperimentError, ExperimentResult};
 pub use stats::{InvertedWindow, IoStats};
 pub use sweep::{

@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 pub struct ParallelConfig {
     /// Number of worker threads (1 = run inline on the calling thread).
     pub workers: usize,
-    /// Print each sweep's [`SweepStats`] on stderr when it finishes.
+    /// Print each sweep's cell count, workers, wall time and cells/s on
+    /// stderr when it finishes.
     pub progress: bool,
 }
 
@@ -54,22 +55,16 @@ impl ParallelConfig {
     }
 }
 
-/// Execution report of one sweep.
-#[derive(Debug, Clone)]
-pub struct SweepStats {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Total cells executed.
-    pub cells: usize,
-    /// Wall-clock time of the sweep.
-    pub elapsed: Duration,
-    /// Cells each worker executed, in worker order.
-    pub per_worker: Vec<u64>,
+/// Execution report of one sweep, printed when `progress` is set.
+struct SweepStats {
+    workers: usize,
+    cells: usize,
+    elapsed: Duration,
 }
 
 impl SweepStats {
     /// Aggregate throughput in cells per second (0 for an instant sweep).
-    pub fn cells_per_sec(&self) -> f64 {
+    fn cells_per_sec(&self) -> f64 {
         let s = self.elapsed.as_secs_f64();
         if s > 0.0 {
             self.cells as f64 / s
@@ -103,42 +98,30 @@ where
     T: Send,
     F: Fn(usize, &C) -> T + Sync,
 {
-    run_cells_stats(cells, cfg, f).0
-}
-
-/// Like [`run_cells`], also returning the execution report.
-pub fn run_cells_stats<C, T, F>(cells: &[C], cfg: &ParallelConfig, f: F) -> (Vec<T>, SweepStats)
-where
-    C: Sync,
-    T: Send,
-    F: Fn(usize, &C) -> T + Sync,
-{
     let n = cells.len();
     let workers = cfg.workers.max(1).min(n.max(1));
     let start = Instant::now();
 
-    let (out, per_worker) = if workers <= 1 {
-        let out: Vec<T> = cells.iter().enumerate().map(|(i, c)| f(i, c)).collect();
-        (out, vec![n as u64])
+    let out = if workers <= 1 {
+        cells.iter().enumerate().map(|(i, c)| f(i, c)).collect()
     } else {
         run_shared_counter(cells, workers, &f)
     };
 
-    let stats = SweepStats {
-        workers,
-        cells: n,
-        elapsed: start.elapsed(),
-        per_worker,
-    };
     if cfg.progress {
+        let stats = SweepStats {
+            workers,
+            cells: n,
+            elapsed: start.elapsed(),
+        };
         eprintln!("[powadapt] sweep: {stats}");
     }
-    (out, stats)
+    out
 }
 
 /// `workers` threads claim cell indices from one shared counter; the
 /// results are reassembled in index order.
-fn run_shared_counter<C, T, F>(cells: &[C], workers: usize, f: &F) -> (Vec<T>, Vec<u64>)
+fn run_shared_counter<C, T, F>(cells: &[C], workers: usize, f: &F) -> Vec<T>
 where
     C: Sync,
     T: Send,
@@ -167,12 +150,11 @@ where
             .collect()
     });
 
-    let per_worker = done.iter().map(|d| d.len() as u64).collect();
     // Every index below `cells.len()` was claimed exactly once, so sorting
     // by index restores cell order.
     let mut all: Vec<(usize, T)> = done.into_iter().flatten().collect();
     all.sort_unstable_by_key(|&(i, _)| i);
-    (all.into_iter().map(|(_, t)| t).collect(), per_worker)
+    all.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]
@@ -190,13 +172,11 @@ mod tests {
     #[test]
     fn results_are_in_cell_order_and_complete() {
         let cells: Vec<usize> = (0..37).collect();
-        let (out, stats) = run_cells_stats(&cells, &ParallelConfig::with_workers(4), |i, &c| {
+        let out = run_cells(&cells, &ParallelConfig::with_workers(4), |i, &c| {
             assert_eq!(i, c);
             i * 10
         });
         assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());
-        assert_eq!(stats.cells, 37);
-        assert_eq!(stats.per_worker.iter().sum::<u64>(), 37);
     }
 
     #[test]
@@ -216,9 +196,8 @@ mod tests {
     #[test]
     fn empty_and_single_cell_sweeps_work() {
         let none: Vec<u8> = Vec::new();
-        let (out, stats) = run_cells_stats(&none, &ParallelConfig::with_workers(8), |_, _| 1);
+        let out = run_cells(&none, &ParallelConfig::with_workers(8), |_, _| 1);
         assert!(out.is_empty());
-        assert_eq!(stats.cells, 0);
         let one = [42u8];
         let out = run_cells(&one, &ParallelConfig::with_workers(8), |_, &c| c as u32);
         assert_eq!(out, vec![42]);
@@ -229,7 +208,9 @@ mod tests {
         // Front-loaded cost: the first cells are far slower, so the other
         // workers must keep claiming from the shared counter to finish.
         let cells: Vec<u64> = (0..64).map(|i| if i < 8 { 400_000 } else { 100 }).collect();
-        let (out, stats) = run_cells_stats(&cells, &ParallelConfig::with_workers(8), |i, &spin| {
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_cells(&cells, &ParallelConfig::with_workers(8), |i, &spin| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
             let mut acc = 0u64;
             for k in 0..spin {
                 acc = acc.wrapping_mul(31).wrapping_add(k ^ i as u64);
@@ -238,8 +219,7 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         // Every cell ran exactly once, across all workers.
-        assert_eq!(stats.per_worker.len(), 8);
-        assert_eq!(stats.per_worker.iter().sum::<u64>(), 64);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

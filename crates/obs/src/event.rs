@@ -311,12 +311,6 @@ impl EventKind {
     /// size of any dense per-kind table ([`index`](Self::index)).
     pub const COUNT: usize = Self::NAMES.len();
 
-    /// Resolves a schema name to its interned `&'static str`, or `None`
-    /// for a name no [`EventKind`] variant produces.
-    pub fn intern_name(name: &str) -> Option<&'static str> {
-        Self::NAMES.iter().copied().find(|&n| n == name)
-    }
-
     /// Resolves a schema name to its dense index in [`Self::NAMES`].
     pub fn name_index(name: &str) -> Option<usize> {
         Self::NAMES.iter().position(|&n| n == name)
@@ -455,10 +449,6 @@ mod tests {
 
     #[test]
     fn name_table_interns_every_kind() {
-        for &n in EventKind::NAMES {
-            assert_eq!(EventKind::intern_name(n), Some(n));
-        }
-        assert_eq!(EventKind::intern_name("nope"), None);
         assert_eq!(
             EventKind::BreakerTrip {
                 node: "cluster/row0/rack1".into()

@@ -18,10 +18,10 @@
 //!   handle *before* building the payload, so an uninstalled recorder
 //!   costs one `Option` branch.
 //! - **Metrics** ([`MetricsRegistry`]): counters, gauges, and
-//!   sim-time-windowed histograms backed by mergeable log-bucket
-//!   quantile sketches ([`Sketch`], γ = [`sketch::RELATIVE_ERROR`]),
-//!   atomically snapshotable as hand-rolled deterministic JSON. Each
-//!   recorder owns its registry; there is no process-wide one.
+//!   histograms backed by log-bucket quantile sketches ([`Sketch`],
+//!   γ = [`sketch::RELATIVE_ERROR`]), atomically snapshotable as
+//!   hand-rolled deterministic JSON. Each recorder owns its registry;
+//!   there is no process-wide one.
 //! - **Profiling & export** ([`span_totals`], [`collapsed_stacks`],
 //!   [`chrome_trace`]): sim-time span aggregation, collapsed-stack
 //!   flamegraph text, and Chrome `trace_event` JSON loadable in Perfetto
@@ -73,7 +73,7 @@ pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{
     current, install, uninstall, with_installed, EventLog, Recorder, RecorderHandle,
 };
-pub use sketch::{Sketch, WindowedSketch};
+pub use sketch::Sketch;
 pub use span::{collapsed_stacks, span_totals, SpanStat};
 pub use trace::{event_counts_json, TraceConfig, TraceMode, TraceRecorder, TraceSession};
 

@@ -12,42 +12,18 @@
 //! memory is O(buckets) regardless of stream length and the observe path
 //! allocates nothing in steady state.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
-use powadapt_sim::{SimDuration, SimTime};
-
-use std::collections::BTreeMap;
-
-use crate::sketch::{Sketch, WindowedSketch};
-
-#[derive(Debug, Clone)]
-enum Histogram {
-    /// Unwindowed: one sketch accumulating forever.
-    Plain(Sketch),
-    /// Sim-time-windowed: a slice-ring sketch that evicts in O(buckets).
-    Windowed(WindowedSketch),
-}
-
-impl Histogram {
-    fn fold(&self) -> Sketch {
-        match self {
-            Histogram::Plain(s) => s.clone(),
-            Histogram::Windowed(w) => w.fold(),
-        }
-    }
-}
-
-powadapt_snap::codec! { enum Histogram { 0 => Plain(sketch), 1 => Windowed(sketch) } }
+use crate::sketch::Sketch;
 
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, Sketch>,
 }
-
-powadapt_snap::codec! { Inner { counters, gauges, histograms } }
 
 /// A thread-safe registry of named counters, gauges, and histograms.
 #[derive(Debug, Default)]
@@ -109,55 +85,18 @@ impl MetricsRegistry {
         inner.gauges.insert(name.to_string(), value);
     }
 
-    /// Read gauge `name`, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
-    /// Constrain histogram `name` to a sliding sim-time window.
+    /// Record `value` into histogram `name`.
     ///
-    /// (Re)creates the histogram as a windowed sketch: set the window
-    /// *before* observing — any previously recorded samples are dropped,
-    /// since a plain sketch carries no per-sample timestamps to re-window.
-    pub fn set_window(&self, name: &str, window: SimDuration) {
-        let mut inner = self.lock();
-        inner.histograms.insert(
-            name.to_string(),
-            Histogram::Windowed(WindowedSketch::new(window)),
-        );
-    }
-
-    /// Record `value` at sim time `at` into histogram `name`.
-    ///
-    /// Steady state (the histogram exists) touches only fixed bucket
-    /// arrays: no allocation, O(buckets) worst case for a window slice
-    /// eviction.
+    /// Steady state (the histogram exists) looks the key up by `&str` and
+    /// bumps a fixed bucket array: no allocation.
     // powadapt-lint: hot
-    pub fn observe(&self, name: &str, at: SimTime, value: f64) {
+    pub fn observe(&self, name: &str, value: f64) {
         let mut inner = self.lock();
         match inner.histograms.get_mut(name) {
-            Some(Histogram::Plain(s)) => s.observe(value),
-            Some(Histogram::Windowed(w)) => w.observe(at.as_nanos(), value),
+            Some(s) => s.observe(value),
             None => {
-                drop(inner);
-                self.observe_new(name, value); // powadapt-lint: allow(d9, reason = "first observation of a name registers the histogram; every later observe takes the alloc-free path above")
-            }
-        }
-    }
-
-    /// Cold path of [`observe`](Self::observe): registers a fresh plain
-    /// sketch under `name`. Runs once per histogram name.
-    fn observe_new(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        let hist = inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::Plain(Sketch::new()));
-        match hist {
-            Histogram::Plain(s) => s.observe(value),
-            Histogram::Windowed(_) => {
-                // Lost a race with a concurrent set_window: drop this one
-                // sample rather than invent a timestamp for the window.
+                let slot = inner.histograms.entry(name.to_string()); // powadapt-lint: allow(d9, reason = "first observation of a name registers the histogram; every later observe takes the alloc-free lookup above")
+                slot.or_default().observe(value);
             }
         }
     }
@@ -176,11 +115,7 @@ impl MetricsRegistry {
             histograms: inner
                 .histograms
                 .iter()
-                .filter_map(|(k, h)| {
-                    let s = h.fold();
-                    if s.is_empty() {
-                        return None;
-                    }
+                .filter_map(|(k, s)| {
                     Some(HistogramSnapshot {
                         name: k.clone(),
                         count: s.count(),
@@ -202,11 +137,6 @@ impl MetricsRegistry {
     }
 }
 
-// Serialized raw: counters, gauges, and each histogram's full sketch state
-// (not percentile summaries), so a restored registry's windows keep
-// evicting correctly and its snapshots stay byte-identical.
-powadapt_snap::snapshot! { MetricsRegistry { inner } }
-
 /// Percentile summary of one histogram, derived from its sketch.
 ///
 /// `min`/`max` are exact; `mean` and the percentiles are within the
@@ -216,7 +146,7 @@ powadapt_snap::snapshot! { MetricsRegistry { inner } }
 pub struct HistogramSnapshot {
     /// Histogram name.
     pub name: String,
-    /// Samples summarized (post-windowing).
+    /// Samples summarized.
     pub count: u64,
     /// Smallest sample (exact).
     pub min: f64,
@@ -342,8 +272,8 @@ mod tests {
         m.inc("z", 1);
         m.inc("a", 2);
         m.set_gauge("power", 11.5);
-        m.observe("lat", SimTime::from_nanos(10), 1.0);
-        m.observe("lat", SimTime::from_nanos(20), 3.0);
+        m.observe("lat", 1.0);
+        m.observe("lat", 3.0);
         let s1 = m.snapshot();
         let s2 = m.snapshot();
         assert_eq!(s1, s2);
@@ -359,56 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_histogram_evicts() {
-        let m = MetricsRegistry::new();
-        m.set_window("w", SimDuration::from_nanos(150));
-        m.observe("w", SimTime::from_nanos(0), 1.0);
-        m.observe("w", SimTime::from_nanos(50), 2.0);
-        m.observe("w", SimTime::from_nanos(200), 3.0);
-        let snap = m.snapshot();
-        let h = &snap.histograms[0];
-        assert_eq!(h.count, 2); // the slice holding t=0 expired by t=200
-        assert_eq!(h.min, 2.0);
-        assert_eq!(h.max, 3.0);
-    }
-
-    #[test]
     fn json_escapes_strings() {
         let mut s = String::new();
         push_json_string(&mut s, "a\"b\\c\n");
         assert_eq!(s, "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn registry_snapshot_roundtrip_is_exact() {
-        use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};
-        let reg = MetricsRegistry::new();
-        reg.inc("ios", 7);
-        reg.set_gauge("power_w", 12.5);
-        reg.set_window("lat", SimDuration::from_millis(10));
-        for i in 0..20u64 {
-            reg.observe("lat", SimTime::from_nanos(i * 1_000_000), i as f64);
-        }
-        reg.observe("plain", SimTime::ZERO, 42.0);
-        let mut w = SnapWriter::new();
-        reg.write_state(&mut w).unwrap();
-        let payload = w.into_payload();
-
-        let mut resumed = MetricsRegistry::new();
-        let mut r = SnapReader::new(&payload);
-        resumed.read_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(resumed.snapshot().to_json(), reg.snapshot().to_json());
-
-        // The serialized form itself is byte-stable across the roundtrip.
-        let mut again = SnapWriter::new();
-        resumed.write_state(&mut again).unwrap();
-        assert_eq!(again.into_payload(), payload);
-
-        // The restored window keeps evicting: a far-future sample leaves
-        // only itself in the 10 ms window.
-        resumed.observe("lat", SimTime::from_nanos(1_000_000_000), 9.0);
-        reg.observe("lat", SimTime::from_nanos(1_000_000_000), 9.0);
-        assert_eq!(resumed.snapshot().to_json(), reg.snapshot().to_json());
     }
 }

@@ -90,7 +90,7 @@ fn derive_event_metrics(metrics: &MetricsRegistry, event: &Event) {
         EventKind::IoComplete {
             dir, len, latency, ..
         } => {
-            metrics.observe("io.latency_us", event.at, latency.as_secs_f64() * 1e6);
+            metrics.observe("io.latency_us", latency.as_secs_f64() * 1e6);
             let counter = match dir {
                 crate::IoDir::Read => "io.read_bytes",
                 crate::IoDir::Write => "io.write_bytes",
@@ -98,7 +98,7 @@ fn derive_event_metrics(metrics: &MetricsRegistry, event: &Event) {
             metrics.inc(counter, *len);
         }
         EventKind::PowerSample { watts } => {
-            metrics.observe("power.watts", event.at, *watts);
+            metrics.observe("power.watts", *watts);
         }
         EventKind::EnergyAttributed(e) => {
             metrics.set_gauge(&format!("energy.stranded_w.{}", e.node), e.stranded_w);

@@ -25,7 +25,7 @@ use powadapt::obs::{self, TraceRecorder};
 use powadapt_bench::golden::{
     cluster_eval_summary, cluster_eval_summary_checkpointed, figure_summary, golden_scale,
     goldens_dir, obs_events_summary, placement_eval_summary, placement_eval_summary_checkpointed,
-    CLUSTER_FIXTURE, FIGURES, GOLDEN_SEED, OBS_FIXTURE, PLACEMENT_FIXTURE,
+    traced_scenario, CLUSTER_FIXTURE, FIGURES, GOLDEN_SEED, OBS_FIXTURE, PLACEMENT_FIXTURE,
 };
 
 /// The process-global recorder slot is shared across the test threads of
@@ -79,6 +79,38 @@ fn obs_event_counts_match_fixture_at_every_worker_count() {
     for workers in [2usize, 8] {
         let par = obs_events_summary(&ParallelConfig::with_workers(workers));
         assert_eq!(seq, par, "obs event counts diverged at {workers} workers");
+    }
+}
+
+/// The metrics a real traced run derives — byte counters, controller
+/// gauges, and the `io.latency_us`/`power.watts` histograms — do not
+/// depend on how many sweep workers fed the one recorder, or in what
+/// interleaving.
+#[test]
+fn traced_scenario_metrics_are_identical_at_every_worker_count() {
+    let _slot = GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
+    let metrics = |workers| {
+        let (rec, _) = traced_scenario(&ParallelConfig::with_workers(workers));
+        rec.metrics().snapshot()
+    };
+    let seq = metrics(1);
+    for name in ["io.latency_us", "power.watts"] {
+        assert!(
+            seq.histograms.iter().any(|h| h.name == name && h.count > 0),
+            "the scenario recorded no {name} samples"
+        );
+    }
+    assert!(
+        !seq.gauges.is_empty(),
+        "the controller rounds set no gauges"
+    );
+    let seq = seq.to_json();
+    for workers in [2usize, 8] {
+        assert_eq!(
+            seq,
+            metrics(workers).to_json(),
+            "traced metrics diverged at {workers} workers"
+        );
     }
 }
 
