@@ -729,17 +729,33 @@ fn placement_eval_summary_with(
 /// so it stays out of [`FIGURES`].
 pub const CHECKPOINT_FIXTURE: &str = "checkpoint_digests";
 
+/// FNV-1a 64 over `bytes`: the fixture's digest of a sealed checkpoint.
+/// It is the fixture's own, independent of the envelope checksum, so the
+/// `fnv1a64` column means the same thing whatever `seal` uses.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 fn digest_row(name: &str, sealed: &[u8]) -> String {
     format!(
         "{{\"checkpoint\": \"{name}\", \"len\": {}, \"fnv1a64\": \"{:016x}\"}}",
         sealed.len(),
-        powadapt_snap::fnv1a_64(sealed)
+        fnv1a_64(sealed)
     )
 }
 
 /// A device checkpointed mid-IO: a mixed read/write burst submitted, a
 /// prefix of the event stream drained, the state sealed.
-fn device_checkpoint(mut dev: Box<dyn StorageDevice>) -> Vec<u8> {
+///
+/// # Panics
+///
+/// Panics if the device state fails to serialize.
+pub fn device_checkpoint(mut dev: Box<dyn StorageDevice>) -> Vec<u8> {
     use powadapt_device::{IoId, IoKind, IoRequest, MIB};
     for i in 0..24u64 {
         let kind = if i % 3 == 0 {
@@ -766,7 +782,9 @@ fn device_checkpoint(mut dev: Box<dyn StorageDevice>) -> Vec<u8> {
 /// checkpoint (mid-outage failover, mid-roll firmware, diurnal
 /// midnights), and mid-IO SSD, HDD, and fault-injected devices. The
 /// fixture pins the snapshot byte layout itself, not just the results a
-/// resume reproduces.
+/// resume reproduces. The digest covers the whole sealed file, envelope
+/// included: a new `FORMAT_VERSION` or envelope checksum moves every
+/// digest but no `len`.
 ///
 /// # Panics
 ///

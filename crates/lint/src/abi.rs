@@ -31,8 +31,8 @@ pub const LOCK_PATH: &str = "crates/snap/ABI.lock";
 /// Workspace-relative path of the file declaring `FORMAT_VERSION`.
 pub const VERSION_PATH: &str = "crates/snap/src/lib.rs";
 
-/// FNV-1a 64 — same function as `powadapt_snap::fnv1a_64`, reimplemented
-/// here so the analyzer keeps zero dependencies.
+/// FNV-1a 64, the lock's fingerprint. The analyzer keeps zero
+/// dependencies, so it carries its own copy.
 fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

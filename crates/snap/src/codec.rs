@@ -76,7 +76,8 @@ pub trait Keyed {
 }
 
 /// Wire form of a `BTreeMap<u64, V>` keyed by the values' own ids: the
-/// values in key order. Restoring rejects a repeated id.
+/// values in key order. Restoring rejects an id that is not above the one
+/// before it.
 #[derive(Debug)]
 pub struct ById;
 
@@ -90,15 +91,28 @@ impl<V: Codec + Keyed> Wire<BTreeMap<u64, V>> for ById {
 
     fn restore(v: &mut BTreeMap<u64, V>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.seq_len()?;
-        v.clear();
+        let mut out: Vec<(u64, V)> = Vec::with_capacity(n);
         for _ in 0..n {
             let x = V::decode(r)?;
             let id = x.key();
-            if v.insert(id, x).is_some() {
-                return Err(SnapError::InvalidValue(format!("duplicate id {id}")));
-            }
+            ascending(out.last().map(|(p, _)| p), &id)?;
+            out.push((id, x));
         }
+        *v = out.into_iter().collect();
         Ok(())
+    }
+}
+
+/// Rejects a key that is not strictly above the one decoded before it.
+/// Ordered maps and sets are written in key order, so a repeated or
+/// out-of-order key is corruption; input that passes is already sorted,
+/// and `collect()` bulk-builds the tree from it.
+fn ascending<K: Ord + Debug>(prev: Option<&K>, key: &K) -> Result<(), SnapError> {
+    match prev {
+        Some(p) if p >= key => Err(SnapError::InvalidValue(format!(
+            "key {key:?} after {p:?}: keys must be strictly ascending"
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -204,7 +218,7 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
 }
 
 /// A length prefix, then `(key, value)` pairs in key order. Decoding
-/// rejects a repeated key.
+/// rejects a repeated or out-of-order key.
 impl<K: Codec + Ord + Debug, V: Codec> Codec for BTreeMap<K, V> {
     fn encode(&self, w: &mut SnapWriter) {
         w.seq_len(self.len());
@@ -216,21 +230,18 @@ impl<K: Codec + Ord + Debug, V: Codec> Codec for BTreeMap<K, V> {
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.seq_len()?;
-        let mut out = BTreeMap::new();
+        let mut out: Vec<(K, V)> = Vec::with_capacity(n);
         for _ in 0..n {
             let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            if out.contains_key(&k) {
-                return Err(SnapError::InvalidValue(format!("duplicate key {k:?}")));
-            }
-            out.insert(k, v);
+            ascending(out.last().map(|(p, _)| p), &k)?;
+            out.push((k, V::decode(r)?));
         }
-        Ok(out)
+        Ok(out.into_iter().collect())
     }
 }
 
 /// A length prefix, then the items in order. Decoding rejects a repeated
-/// item.
+/// or out-of-order item.
 impl<T: Codec + Ord + Debug> Codec for BTreeSet<T> {
     fn encode(&self, w: &mut SnapWriter) {
         w.seq_len(self.len());
@@ -241,15 +252,13 @@ impl<T: Codec + Ord + Debug> Codec for BTreeSet<T> {
 
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.seq_len()?;
-        let mut out = BTreeSet::new();
+        let mut out: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
             let v = T::decode(r)?;
-            if out.contains(&v) {
-                return Err(SnapError::InvalidValue(format!("duplicate item {v:?}")));
-            }
-            out.insert(v);
+            ascending(out.last(), &v)?;
+            out.push(v);
         }
-        Ok(out)
+        Ok(out.into_iter().collect())
     }
 }
 
@@ -631,4 +640,93 @@ macro_rules! __snap_field {
         <$ad as $crate::Wire<_>>::restore(&mut v, $r)?;
         v
     }};
+}
+
+// Tests assert exact decoded values; unwraps are the point.
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Item {
+        id: u64,
+        weight: u64,
+    }
+
+    crate::codec! { Item { id, weight } }
+
+    impl Keyed for Item {
+        fn key(&self) -> u64 {
+            self.id
+        }
+    }
+
+    /// A repeated key, then an out-of-order one.
+    const BAD_KEYS: [&[u64]; 2] = [&[1, 4, 4, 9], &[1, 9, 4]];
+
+    /// `keys` as a length-prefixed run of `(key, 10 * key)` pairs: the
+    /// wire form of a `BTreeMap<u64, u64>`, and of `Item`s under `ById`.
+    fn pairs(keys: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.seq_len(keys.len());
+        for &k in keys {
+            w.u64(k);
+            w.u64(10 * k);
+        }
+        w.into_payload()
+    }
+
+    /// `keys` as a length-prefixed run: the wire form of a `BTreeSet<u64>`.
+    fn items(keys: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        keys.to_vec().encode(&mut w);
+        w.into_payload()
+    }
+
+    fn by_id(bytes: &[u8]) -> Result<BTreeMap<u64, Item>, SnapError> {
+        let mut m = BTreeMap::from([(99, Item::default())]);
+        <ById as Wire<_>>::restore(&mut m, &mut SnapReader::new(bytes))?;
+        Ok(m)
+    }
+
+    fn invalid<T: Debug>(got: Result<T, SnapError>) -> bool {
+        matches!(got, Err(SnapError::InvalidValue(_)))
+    }
+
+    #[test]
+    fn ascending_keys_decode() {
+        let keys = [1, 4, 9];
+        let map = BTreeMap::<u64, u64>::decode(&mut SnapReader::new(&pairs(&keys))).unwrap();
+        assert_eq!(map, BTreeMap::from([(1, 10), (4, 40), (9, 90)]));
+        let set = BTreeSet::<u64>::decode(&mut SnapReader::new(&items(&keys))).unwrap();
+        assert_eq!(set, BTreeSet::from(keys));
+        let restored = by_id(&pairs(&keys)).unwrap();
+        let ids: Vec<u64> = restored.keys().copied().collect();
+        assert_eq!(ids, keys);
+        assert_eq!(restored[&4], Item { id: 4, weight: 40 });
+    }
+
+    #[test]
+    fn btree_map_rejects_repeated_and_out_of_order_keys() {
+        for keys in BAD_KEYS {
+            let got = BTreeMap::<u64, u64>::decode(&mut SnapReader::new(&pairs(keys)));
+            assert!(invalid(got), "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn btree_set_rejects_repeated_and_out_of_order_items() {
+        for keys in BAD_KEYS {
+            let got = BTreeSet::<u64>::decode(&mut SnapReader::new(&items(keys)));
+            assert!(invalid(got), "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn by_id_rejects_repeated_and_out_of_order_ids() {
+        for keys in BAD_KEYS {
+            assert!(invalid(by_id(&pairs(keys))), "{keys:?}");
+        }
+    }
 }
