@@ -30,6 +30,16 @@ fn bench_ssd(c: &mut Criterion) {
             )
         });
     });
+    // 256 KiB reads span 16 pages each: the read-cache path per page.
+    g.bench_function("randread_256k_qd8_100ms", |b| {
+        b.iter(|| {
+            let mut dev = catalog::ssd2_d7_p5510(9);
+            black_box(
+                run_experiment(&mut dev, &quick_job(Workload::RandRead, 256 * KIB, 8))
+                    .expect("runs"),
+            )
+        });
+    });
     g.bench_function("seqwrite_1m_qd64_100ms", |b| {
         b.iter(|| {
             let mut dev = catalog::ssd2_d7_p5510(9);

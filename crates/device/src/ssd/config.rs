@@ -53,6 +53,8 @@ pub struct SsdConfig {
     /// Write amplification for 4 KiB random writes.
     pub waf_max: f64,
     /// Number of recently read pages kept in the controller read cache.
+    /// A lookup scans every cached page, so the cache is meant for tens
+    /// to hundreds of pages.
     pub read_cache_pages: usize,
     /// Idle power floor in watts (controller + DRAM, link active).
     pub idle_w: f64,

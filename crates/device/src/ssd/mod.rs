@@ -295,59 +295,60 @@ impl DieMask {
     }
 }
 
-/// FIFO set of recently read page indices (controller read cache): the
-/// oldest insertion is evicted first, and a hit does not refresh a page.
-#[derive(Debug, Default)]
+/// Controller read cache: a FIFO of at most `capacity` distinct page
+/// indices, oldest first. A hit does not refresh a page and capacity 0
+/// caches nothing. Lookups scan `order` in full, which at the tens to
+/// hundreds of pages a drive caches is cheaper than keeping an index.
+#[derive(Debug)]
 struct PageCache {
     order: VecDeque<u64>,
-    set: BTreeSet<u64>,
     capacity: usize,
 }
 
 powadapt_snap::codec! {
     PageCache { order }
     skip {
-        set: "derived index over order; restore_set rebuilds it",
         capacity: "spec config; Ssd::restore_cache reapplies it",
     }
-    after restore_set
+    after restore_unique
 }
 
 impl PageCache {
     fn new(capacity: usize) -> Self {
         PageCache {
             order: VecDeque::with_capacity(capacity),
-            set: BTreeSet::new(),
             capacity,
         }
     }
 
-    fn contains(&self, page: u64) -> bool {
-        self.set.contains(&page)
+    /// Whether `page` is cached; a miss caches it, evicting the oldest
+    /// page when the cache is full.
+    fn hit_or_insert(&mut self, page: u64) -> bool {
+        let holds = |pages: &[u64]| pages.iter().fold(false, |hit, &p| hit | (p == page));
+        let (front, back) = self.order.as_slices();
+        if holds(front) | holds(back) {
+            return true;
+        }
+        if self.capacity > 0 {
+            if self.order.len() == self.capacity {
+                self.order.pop_front();
+            }
+            self.order.push_back(page);
+        }
+        false
     }
 
-    fn restore_set(&mut self) -> Result<(), SnapError> {
-        for &page in &self.order {
-            if !self.set.insert(page) {
-                return Err(SnapError::InvalidValue(format!(
-                    "duplicate cached page {page}"
-                )));
-            }
+    /// A repeated page would stay cached after its first copy is evicted.
+    fn restore_unique(&mut self) -> Result<(), SnapError> {
+        let mut pages = Vec::from(self.order.clone());
+        pages.sort_unstable();
+        match pages.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(SnapError::InvalidValue(format!(
+                "duplicate cached page {}",
+                w[0]
+            ))),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    fn insert(&mut self, page: u64) {
-        if self.capacity == 0 || self.set.contains(&page) {
-            return;
-        }
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        self.order.push_back(page);
-        self.set.insert(page);
     }
 }
 
@@ -644,14 +645,13 @@ impl Ssd {
         true
     }
 
-    /// May new die work drawing `add_w` start now without violating the cap?
+    /// May new die work start now without violating the cap?
     ///
     /// A start is allowed while instantaneous power is at or below the cap
     /// (so the overshoot is bounded by one op's power) and the trailing
-    /// window average has headroom. `add_w` is accepted for interface
-    /// symmetry; the instant bound intentionally excludes it.
-    fn gov_allows(&mut self, add_w: f64) -> bool {
-        let _ = add_w;
+    /// window average has headroom. The op's own power is deliberately not
+    /// added to either bound.
+    fn gov_allows(&mut self) -> bool {
         let cap = self.cap_w();
         if cap.is_infinite() {
             return true;
@@ -786,7 +786,7 @@ impl Ssd {
         if self.nand_debt == 0 || self.die_busy[die] {
             return false;
         }
-        if !self.gov_allows(self.cfg.die_prog_w) {
+        if !self.gov_allows() {
             return false;
         }
         let unit = self.cfg.program_unit_bytes;
@@ -846,13 +846,12 @@ impl Ssd {
         });
         let mut ops = 0usize;
         for pg in first..=last {
-            if !self.cache.contains(pg) {
+            if !self.cache.hit_or_insert(pg) {
                 let die = (pg % dies) as usize;
                 self.die_q[die].push_back(slot);
                 self.die_queued.set(die, true);
                 ops += 1;
             }
-            self.cache.insert(pg);
         }
         if ops == 0 {
             self.reads.remove(slot);
@@ -928,7 +927,7 @@ impl Ssd {
             let mut from = 0;
             while let Some(die) = self.die_idle.next_common(&self.die_queued, from) {
                 from = die + 1;
-                if !self.gov_allows(self.cfg.die_read_w) {
+                if !self.gov_allows() {
                     break;
                 }
                 let Some(slot) = self.die_q[die].pop_front() else {
@@ -1887,5 +1886,87 @@ mod tests {
             assert_eq!(a, b, "{dies} dies: completions diverged after restore");
             assert!(last_die_busy, "{dies} dies: the last die never ran");
         }
+    }
+
+    /// The ordered-index FIFO the scanned cache replaced, kept as the
+    /// reference model: a `BTreeSet` answers membership.
+    struct IndexedFifo {
+        order: VecDeque<u64>,
+        set: BTreeSet<u64>,
+        capacity: usize,
+    }
+
+    impl IndexedFifo {
+        fn contains(&self, page: u64) -> bool {
+            self.set.contains(&page)
+        }
+
+        fn insert(&mut self, page: u64) {
+            if self.capacity == 0 || self.set.contains(&page) {
+                return;
+            }
+            if self.order.len() == self.capacity {
+                if let Some(old) = self.order.pop_front() {
+                    self.set.remove(&old);
+                }
+            }
+            self.order.push_back(page);
+            self.set.insert(page);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The scanned cache reports the same hits and keeps the same FIFO
+        /// order as the indexed one, step for step.
+        #[test]
+        fn page_cache_matches_indexed_fifo(
+            capacity in proptest::sample::select(vec![0usize, 1, 16, 64, 128]),
+            raw in proptest::collection::vec(0u64..1 << 32, 1..400),
+        ) {
+            // An alphabet half again the capacity keeps both hits and
+            // evictions frequent.
+            let alphabet = (capacity + capacity / 2 + 2) as u64;
+            let mut cache = PageCache::new(capacity);
+            let mut model = IndexedFifo {
+                order: VecDeque::new(),
+                set: BTreeSet::new(),
+                capacity,
+            };
+            for (i, page) in raw.iter().map(|r| r % alphabet).enumerate() {
+                let want = model.contains(page);
+                model.insert(page);
+                proptest::prop_assert_eq!(cache.hit_or_insert(page), want, "step {}", i);
+                proptest::prop_assert_eq!(&cache.order, &model.order, "step {}", i);
+            }
+        }
+    }
+
+    /// Checkpoints a test SSD whose cache holds `pages` and restores the
+    /// payload into a fresh one.
+    fn restore_with_cached(pages: &[u64]) -> Result<(), SnapError> {
+        let mut dev = test_ssd();
+        dev.cache.order = pages.iter().copied().collect();
+        let mut w = SnapWriter::new();
+        Snapshot::write_state(&dev, &mut w).unwrap();
+        let payload = w.into_payload();
+        let mut r = SnapReader::new(&payload);
+        Restore::read_state(&mut test_ssd(), &mut r)
+    }
+
+    #[test]
+    fn restore_rejects_repeated_or_excess_cached_pages() {
+        assert_eq!(restore_with_cached(&[7, 3, 9, 1]), Ok(()));
+        assert_eq!(
+            restore_with_cached(&[7, 3, 9, 3]),
+            Err(SnapError::InvalidValue("duplicate cached page 3".into()))
+        );
+        let capacity = test_ssd().cfg.read_cache_pages as u64;
+        let excess: Vec<u64> = (0..=capacity).collect();
+        assert!(matches!(
+            restore_with_cached(&excess),
+            Err(SnapError::InvalidValue(m)) if m.starts_with("cache holds")
+        ));
     }
 }

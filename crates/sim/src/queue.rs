@@ -263,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_tier_preserves_order_across_the_horizon() {
+    fn far_entries_fire_after_near_one_in_insertion_order() {
         // Two entries ~50 ms out (past any near-term window) around one
         // 10 ns out: the near one fires first, the far ones in insertion
         // order.
@@ -279,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_entry_fires_before_later_near_entry() {
+    fn earlier_time_fires_first_whatever_the_schedule_order() {
         // An entry scheduled long in advance must still fire before one
         // scheduled later (in wall order) for a slightly later time.
         let mut q = EventQueue::new();
@@ -293,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_into_swept_window_still_fires_in_order() {
+    fn schedule_before_the_front_becomes_the_front() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(5), "a");
         assert_eq!(q.next_time(), Some(SimTime::from_millis(5)));

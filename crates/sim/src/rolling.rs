@@ -124,13 +124,6 @@ impl RollingMean {
         area / span
     }
 
-    /// Mean the window would have at `now` if the signal additionally held
-    /// `extra` over the whole window — a cheap upper-bound probe used by cap
-    /// governors ("would starting this op keep the average under the cap?").
-    pub fn mean_if_added(&mut self, now: SimTime, extra: f64) -> f64 {
-        self.mean_at(now) + extra
-    }
-
     fn evict(&mut self, now: SimTime) {
         let cutoff = if now.as_nanos() > self.window.as_nanos() {
             now - self.window
@@ -239,13 +232,6 @@ mod tests {
             let b = sig.trailing_mean(now, SimDuration::from_millis(50));
             assert!((a - b).abs() < 1e-9, "{a} vs {b} at {now}");
         }
-    }
-
-    #[test]
-    fn mean_if_added_probe() {
-        let mut rm = RollingMean::new(SimDuration::from_secs(10), 3.0);
-        let m = rm.mean_if_added(s(1), 2.0);
-        assert!((m - 5.0).abs() < 1e-12);
     }
 
     #[test]
