@@ -3,9 +3,10 @@
 //!
 //! Run with `cargo run --release -p powadapt-bench --bin calibrate`.
 
-// An interactive operator tool: panicking on a broken pipe or a missing
-// catalog entry is the desired behavior, not a fleet hazard.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "an interactive operator tool: panicking on a broken pipe or a missing catalog entry is the desired behavior"
+)]
 
 use powadapt_bench::{cli, f2};
 use powadapt_device::{catalog, PowerStateId, KIB, MIB};

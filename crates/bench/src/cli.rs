@@ -104,7 +104,10 @@ pub fn finish_tracing(session: TraceSession) {
 /// with status 2 on any error.
 pub fn parse(bin: &str, flags: &[&str]) -> Cli {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // powadapt-lint: allow(D1, reason = "host configuration read once in main: worker count, scale, trace sink; at any fixed setting results are bit-identical, and the goldens pin the default scale")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host configuration read once in main: worker count, scale, trace sink; at any fixed setting results are bit-identical, and the goldens pin the default scale"
+    )]
     let env = |name: &str| std::env::var(name).ok();
     match parse_from(bin, flags, &argv, env) {
         Ok(cli) => cli,

@@ -4,9 +4,14 @@
 //! this library holds the common scaffolding: the command-line parser
 //! ([`cli`]), device factories by label, and table formatting.
 
-// Tests assert on exact expected values: unwraps and bit-exact float
-// comparisons are the point there, not a hazard (see workspace lints).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 use powadapt_device::{catalog, StorageDevice};
 

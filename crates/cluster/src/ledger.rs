@@ -209,7 +209,10 @@ impl EnergyLedger {
     /// static baseline's bookkeeping shares deliberately ignore the tree
     /// — over-committing enclosures is the naive policy's defining flaw,
     /// not a ledger inconsistency.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "each input of one control round is passed explicitly"
+    )]
     pub fn audit(
         &mut self,
         now: SimTime,
@@ -232,10 +235,10 @@ impl EnergyLedger {
             .collect();
         let system_delta = system_bytes.saturating_sub(self.last_system_bytes) as u128;
         let moved: u128 = deltas.iter().sum::<u128>() + system_delta;
-        // Three divisions share one zero guard: the split needs both the
-        // quotient and the remainder of `interval / moved`, so a single
-        // `checked_div` cannot replace the structural check.
-        #[allow(clippy::manual_checked_ops)]
+        #[allow(
+            clippy::manual_checked_ops,
+            reason = "three divisions share one zero guard: the split needs both the quotient and the remainder, so `checked_div` cannot replace it"
+        )]
         if moved > 0 {
             let mut attributed = 0u128;
             for (fj, delta) in self.tenant_fj.iter_mut().zip(&deltas) {

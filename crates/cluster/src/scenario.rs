@@ -74,7 +74,11 @@ fn fig10_points(label: &str) -> Vec<ConfigPoint> {
 pub fn fig10_model(label: &str) -> PowerThroughputModel {
     match PowerThroughputModel::from_points(label, fig10_points(label)) {
         Some(m) => m,
-        None => panic!("no fig10 points for {label}"), // powadapt-lint: allow(D5, reason = "scenario fixture: literal point tables for a fixed label set; a bad label is a programming error, not a runtime fault")
+        #[expect(
+            clippy::panic,
+            reason = "scenario fixture: literal point tables for a fixed label set; a bad label is a programming error, not a runtime fault"
+        )]
+        None => panic!("no fig10 points for {label}"),
     }
 }
 
@@ -94,7 +98,11 @@ pub fn exos_model() -> PowerThroughputModel {
     );
     match PowerThroughputModel::from_points("HDD", vec![pt]) {
         Some(m) => m,
-        None => panic!("one valid point always builds a model"), // powadapt-lint: allow(D5, reason = "scenario fixture: a literal one-point table always builds; failure is a programming error, not a runtime fault")
+        #[expect(
+            clippy::panic,
+            reason = "scenario fixture: a literal one-point table always builds; failure is a programming error, not a runtime fault"
+        )]
+        None => panic!("one valid point always builds a model"),
     }
 }
 

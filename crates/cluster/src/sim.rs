@@ -519,7 +519,10 @@ impl ClusterSim {
         self.accounts.iter().map(|a| a.window.len() as u64).sum()
     }
 
-    #[allow(clippy::too_many_lines)]
+    #[allow(
+        clippy::too_many_lines,
+        reason = "one linear build sequence: validate the spec, then wire every component in order"
+    )]
     fn build(spec: ClusterSpec) -> Result<Self, ClusterError> {
         let ClusterSpec {
             tree,

@@ -7,8 +7,7 @@
 //! (migration traffic) joins the split as a pseudo-tenant, so the
 //! balance is `Σ tenant + system + idle == total` — exactly.
 
-// Property tests assert on exact expected values.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_cluster::{EnergyLedger, NodeKind, PowerTree, TenantUsage};
 use powadapt_sim::SimTime;

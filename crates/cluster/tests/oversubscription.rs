@@ -2,7 +2,7 @@
 //! sum of device maxima, the model-driven selector beats the naive
 //! uniform share by a wide margin while never exceeding any node's cap.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_cluster::{oversubscribed_cluster, run_cluster, ClusterReport, SelectionPolicy};
 

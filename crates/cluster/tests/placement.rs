@@ -3,7 +3,11 @@
 //! tier, ledger attribution of migration traffic, breaker safety under
 //! migration load, and bit-exact resume from a mid-migration checkpoint.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use powadapt_cluster::{placement_cluster, run_cluster, ClusterReport, ClusterSim, PlacementArm};
 use powadapt_sim::SimDuration;

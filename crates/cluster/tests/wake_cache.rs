@@ -3,7 +3,7 @@
 //! control round or the end of a `run_to` slice, and the report is the
 //! one an undecorated run produces.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use std::cell::Cell;
 use std::rc::Rc;

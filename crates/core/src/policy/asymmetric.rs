@@ -111,9 +111,13 @@ pub fn plan_asymmetric(
     read_demand_bps: f64,
     profile: &AsymmetricProfile,
 ) -> Option<AsymmetricPlan> {
-    if let Err(e) = profile.validate() {
-        // powadapt-lint: allow(D5, reason = "documented contract: an invalid profile is a construction bug, not a runtime condition")
-        panic!("invalid asymmetric profile: {e}");
+    match profile.validate() {
+        Ok(()) => {}
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: an invalid profile is a construction bug, not a runtime condition"
+        )]
+        Err(e) => panic!("invalid asymmetric profile: {e}"),
     }
     assert!(
         write_demand_bps >= 0.0 && read_demand_bps >= 0.0,

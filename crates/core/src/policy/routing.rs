@@ -16,11 +16,14 @@ fn pick_least_loaded(
 ) -> usize {
     let candidates: Vec<usize> = indices.collect();
     assert!(!candidates.is_empty(), "router has no candidate devices");
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the assert above: candidates is non-empty"
+    )]
     let min = candidates
         .iter()
         .map(|&i| fleet[i].inflight)
         .min()
-        // powadapt-lint: allow(D5, reason = "guarded by the assert above: candidates is non-empty")
         .expect("non-empty");
     let n = candidates.len();
     let mut pick = candidates[*cursor % n];

@@ -80,11 +80,14 @@ impl Router for AdaptiveScenarioRouter {
         // rest stay parked.
         let any_operating = self.operate.iter().take(n).any(|&o| o);
         if any_operating {
+            #[expect(
+                clippy::expect_used,
+                reason = "any_operating just confirmed the filtered iterator is non-empty"
+            )]
             let min = (0..n)
                 .filter(|&i| self.operate[i])
                 .map(|i| fleet[i].inflight)
                 .min()
-                // powadapt-lint: allow(D5, reason = "any_operating just confirmed the filtered iterator is non-empty")
                 .expect("fleet non-empty");
             for off in 0..n {
                 let i = (self.cursor + off) % n;

@@ -152,7 +152,10 @@ impl Default for HddConfig {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[allow(
+    clippy::field_reassign_with_default,
+    reason = "tests vary one field of a default config at a time"
+)]
 mod tests {
     use super::*;
 

@@ -171,7 +171,10 @@ impl Hdd {
     pub fn new(spec: DeviceSpec, cfg: HddConfig, seed: u64) -> Self {
         match Hdd::try_new(spec, cfg, seed) {
             Ok(hdd) => hdd,
-            // powadapt-lint: allow(D5, reason = "documented panic-on-invalid-config constructor; the error path is try_new")
+            #[expect(
+                clippy::panic,
+                reason = "documented panic-on-invalid-config constructor; the error path is try_new"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -666,7 +669,10 @@ impl StorageDevice for Hdd {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[allow(
+    clippy::field_reassign_with_default,
+    reason = "tests vary one field of a default config at a time"
+)]
 mod tests {
     use super::*;
     use crate::device::drain;

@@ -501,7 +501,10 @@ impl Ssd {
     pub fn new(spec: DeviceSpec, cfg: SsdConfig, seed: u64) -> Self {
         match Ssd::try_new(spec, cfg, seed) {
             Ok(ssd) => ssd,
-            // powadapt-lint: allow(D5, reason = "documented panic-on-invalid-config constructor; the error path is try_new")
+            #[expect(
+                clippy::panic,
+                reason = "documented panic-on-invalid-config constructor; the error path is try_new"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -749,7 +752,10 @@ impl Ssd {
     }
 
     fn begin_enter_standby(&mut self) {
-        // powadapt-lint: allow(D5, reason = "callers transition here only after request_standby verified standby support")
+        #[expect(
+            clippy::expect_used,
+            reason = "callers transition here only after request_standby verified standby support"
+        )]
         let enter = self.standby_cfg().expect("standby config").enter;
         let until = self.now + enter;
         self.phase = StandbyPhase::Entering { until };
@@ -758,7 +764,10 @@ impl Ssd {
     }
 
     fn begin_wake(&mut self) {
-        // powadapt-lint: allow(D5, reason = "waking is only reachable from standby phases, which require standby config")
+        #[expect(
+            clippy::expect_used,
+            reason = "waking is only reachable from standby phases, which require standby config"
+        )]
         let exit = self.standby_cfg().expect("standby config").exit;
         let until = self.now + exit;
         self.phase = StandbyPhase::Exiting { until };
@@ -1057,10 +1066,13 @@ impl Ssd {
                     DieWork::Read(slot) => {
                         self.busy_read -= 1;
                         let finished = {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "every DieDone::Read was scheduled with a ReadState; losing one would silently corrupt completion accounting"
+                            )]
                             let rs = self
                                 .reads
                                 .get_mut(slot)
-                                // powadapt-lint: allow(D5, reason = "every DieDone::Read was scheduled with a ReadState; losing one would silently corrupt completion accounting")
                                 .expect("read state exists for in-flight read");
                             rs.remaining -= 1;
                             rs.remaining == 0
@@ -1302,7 +1314,10 @@ impl StorageDevice for Ssd {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[allow(
+    clippy::field_reassign_with_default,
+    reason = "tests vary one field of a default config at a time"
+)]
 mod tests {
     use super::*;
     use crate::device::drain;

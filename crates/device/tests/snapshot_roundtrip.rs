@@ -2,7 +2,11 @@
 //! mid-flight and overlaid onto a fresh instance of the same spec must
 //! behave bit-identically to the original from that point on.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use powadapt_device::{
     catalog, FaultInjector, FaultPlan, IoId, IoKind, IoRequest, StorageDevice, KIB, MIB,

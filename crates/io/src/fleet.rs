@@ -122,11 +122,14 @@ pub struct LeastLoadedRouter {
 impl Router for LeastLoadedRouter {
     fn route(&mut self, _arrival: &Arrival, fleet: &[DeviceStatus]) -> Route {
         let n = fleet.len();
+        #[expect(
+            clippy::expect_used,
+            reason = "routers are only invoked with a non-empty fleet"
+        )]
         let min = fleet
             .iter()
             .map(|d| d.inflight)
             .min()
-            // powadapt-lint: allow(D5, reason = "routers are only invoked with a non-empty fleet")
             .expect("fleet is non-empty");
         // First device at the minimum, scanning from the rotation cursor.
         let mut pick = self.next % n;

@@ -27,9 +27,24 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Tests assert on exact expected values: unwraps and bit-exact float
-// comparisons are the point there, not a hazard (see workspace lints).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+// Library error paths return the crate's typed error: a panic here
+// kills a whole fleet run. A provably infallible site carries a reasoned
+// `#[expect(clippy::..., reason = "...")]`.
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 mod breaker;
 mod fleet;

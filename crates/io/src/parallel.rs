@@ -20,6 +20,13 @@
 //! variables. Binaries build a [`ParallelConfig`] from their command line
 //! (`powadapt_bench::cli`) and pass it down.
 
+// The clock never feeds figure data: the golden fixtures prove results
+// are bit-identical across worker counts.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the executor times each sweep for its progress report (`SweepStats::elapsed`)"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 

@@ -110,7 +110,6 @@ impl IoStats {
     /// Throughput in bytes per second (0 for an empty window).
     pub fn throughput_bps(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
-        // powadapt-lint: allow(D3, reason = "exact-zero guard for an empty window; secs is a finite duration, never NaN")
         if secs == 0.0 {
             0.0
         } else {
@@ -126,7 +125,6 @@ impl IoStats {
     /// IO operations per second.
     pub fn iops(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
-        // powadapt-lint: allow(D3, reason = "exact-zero guard for an empty window; secs is a finite duration, never NaN")
         if secs == 0.0 {
             0.0
         } else {

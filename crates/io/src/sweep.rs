@@ -157,7 +157,10 @@ pub fn enumerate_cells(
 /// Returns the first experiment failure in cell order. (Under parallel
 /// execution later cells may also have run; their results are discarded so
 /// the observable outcome matches a sequential sweep.)
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the sweep axes, scale, seed and executor config are independent inputs"
+)]
 pub fn full_sweep_with<F>(
     factory: F,
     workloads: &[Workload],

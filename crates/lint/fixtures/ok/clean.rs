@@ -1,33 +1,19 @@
-// Good: the compliant counterpart of the ui fixtures. BTree
-// collections, total_cmp, typed unit parameters, and Result error
-// paths produce zero diagnostics even with every rule enabled.
-
-use std::collections::{BTreeMap, BTreeSet};
-
-pub fn tally(xs: &[u32]) -> BTreeMap<u32, usize> {
-    let mut counts = BTreeMap::new();
-    for &x in xs {
-        *counts.entry(x).or_insert(0) += 1;
-    }
-    counts
-}
-
-pub fn distinct(xs: &[u32]) -> usize {
-    xs.iter().copied().collect::<BTreeSet<u32>>().len()
-}
-
-pub fn sort_power(samples: &mut [f64]) {
-    samples.sort_by(f64::total_cmp);
-}
-
-pub fn is_idle(power: f64) -> bool {
-    power.abs() < 1e-9
-}
+// Good: the compliant counterpart of d4_unit_newtypes.rs. Typed unit
+// parameters, private helpers and unitless names produce zero
+// diagnostics even with every rule enabled.
 
 pub fn record_power(power: Watts) -> Watts {
     power
 }
 
-pub fn head(xs: &[u32]) -> Result<u32, DeviceError> {
-    xs.first().copied().ok_or(DeviceError::Empty)
+pub fn observe(p99_us: Micros) -> Micros {
+    p99_us
+}
+
+fn doubled(delay_ms: f64) -> f64 {
+    delay_ms * 2.0
+}
+
+pub fn utilization(busy: f64, total: f64) -> f64 {
+    busy / total
 }

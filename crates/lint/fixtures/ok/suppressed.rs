@@ -2,24 +2,34 @@
 // suppression, so the analyzer exits clean (and records each use in the
 // JSON report's audit trail).
 
-// powadapt-lint: allow(D2, reason = "membership-only probe set; never iterated into output")
-use std::collections::HashSet;
-
-// powadapt-lint: allow(D2, reason = "membership-only probe set; never iterated into output")
-fn seen(probes: &HashSet<u32>, id: u32) -> bool {
-    probes.contains(&id)
+// powadapt-lint: allow(D4, reason = "FFI-shaped boundary: the C caller passes raw watts")
+pub fn set_cap(cap_watts: f64) {
+    let _ = cap_watts;
 }
 
-fn is_sentinel(power: f64) -> bool {
-    // powadapt-lint: allow(D3, reason = "exact zero is a sentinel written by the caller, never computed")
-    power == 0.0
+pub fn set_window(window_ms: f64) -> f64 { // powadapt-lint: allow(D4, reason = "config-file boundary; parsed into Millis one frame down")
+    window_ms
 }
 
-fn take(o: Option<u8>) -> u8 {
-    // powadapt-lint: allow(D5, reason = "caller guarantees is_some(); checked one frame up")
-    o.expect("checked by caller")
+struct Probe {
+    power: Watts,
 }
 
-fn progress_elapsed_nanos() -> u128 {
-    std::time::Instant::now().elapsed().as_nanos() // powadapt-lint: allow(D1, reason = "operator progress display only; never reaches results")
+impl Probe {
+    fn csv_cell(&self) -> f64 {
+        // powadapt-lint: allow(D7, reason = "CSV boundary serialization; the column header names the unit")
+        self.power.0
+    }
+}
+
+struct Queue {
+    held: Vec<u64>,
+}
+
+impl Queue {
+    // powadapt-lint: hot
+    fn push(&mut self, v: u64) {
+        // powadapt-lint: allow(d9, reason = "amortized: held is recycled and only grows to its high-water mark")
+        self.held.push(v);
+    }
 }

@@ -1,7 +1,5 @@
 // Bad: an empty reason does not count as a reason (rule S0).
 
-fn take(o: Option<u8>) -> u8 {
-    //~v S0
-    // powadapt-lint: allow(D5, reason = "")
-    o.unwrap() //~ D5
-}
+//~v S0
+// powadapt-lint: allow(D4, reason = "")
+pub fn set_cap(cap_watts: f64) {} //~ D4

@@ -2,7 +2,5 @@
 // allows cannot accumulate after the code they covered is fixed.
 
 //~v S1
-// powadapt-lint: allow(D2, reason = "the HashMap this covered was replaced by a BTreeMap")
-fn count(xs: &[u32]) -> usize {
-    xs.len()
-}
+// powadapt-lint: allow(D4, reason = "the raw f64 this covered became a Watts parameter")
+pub fn set_cap(cap: Watts) {}

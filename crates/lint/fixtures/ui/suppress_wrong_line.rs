@@ -3,6 +3,6 @@
 // lines down still fires and the stray allow is reported as unused (S1).
 
 //~v S1
-// powadapt-lint: allow(D2, reason = "aimed at the blank line below, not at the use")
+// powadapt-lint: allow(D4, reason = "aimed at the blank line below, not at the fn")
 
-use std::collections::HashMap; //~ D2
+pub fn set_cap(cap_watts: f64) {} //~ D4

@@ -9,21 +9,16 @@ use std::fmt;
 
 /// Identifier of an analyzer rule.
 ///
-/// `D1`-`D5` are the per-file token rules, `D7`-`D9` the cross-file
-/// semantic rules over the pass-1 symbol model; `S0`/`S1` police the
-/// suppression mechanism itself so the escape hatch cannot rot.
+/// `D4` is the per-file token rule, `D7`-`D9` the cross-file semantic
+/// rules over the pass-1 symbol model; `S0`/`S1` police the suppression
+/// mechanism itself so the escape hatch cannot rot. The ids keep their
+/// historical numbers: D1-D3 and D5 moved to clippy (`clippy.toml`), D6
+/// left with the hand-written snapshot codecs, and a reused number would
+/// silently change what an old suppression comment means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Wall-clock time or OS entropy in deterministic code.
-    D1,
-    /// `HashMap`/`HashSet` in result-producing code paths.
-    D2,
-    /// NaN-unsafe float comparison in figure/statistics code.
-    D3,
     /// Raw `f64` where a unit newtype is required in a public API.
     D4,
-    /// `unwrap`/`expect`/`panic!` in library code that must return errors.
-    D5,
     /// Unit-dimension flow: no mixed-unit arithmetic or `.0` escapes
     /// outside the declared conversions in `units.rs`.
     D7,
@@ -42,12 +37,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 10] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
+    pub const ALL: [RuleId; 6] = [
         RuleId::D4,
-        RuleId::D5,
         RuleId::D7,
         RuleId::D8,
         RuleId::D9,
@@ -58,11 +49,7 @@ impl RuleId {
     /// The identifier as written in suppressions and reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
-            RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
             RuleId::D4 => "D4",
-            RuleId::D5 => "D5",
             RuleId::D7 => "D7",
             RuleId::D8 => "D8",
             RuleId::D9 => "D9",
@@ -78,11 +65,7 @@ impl RuleId {
     /// them and there is no ambiguity.
     pub fn parse_suppressible(name: &str) -> Option<RuleId> {
         match name {
-            "D1" | "d1" => Some(RuleId::D1),
-            "D2" | "d2" => Some(RuleId::D2),
-            "D3" | "d3" => Some(RuleId::D3),
             "D4" | "d4" => Some(RuleId::D4),
-            "D5" | "d5" => Some(RuleId::D5),
             "D7" | "d7" => Some(RuleId::D7),
             "D8" | "d8" => Some(RuleId::D8),
             "D9" | "d9" => Some(RuleId::D9),
@@ -93,11 +76,7 @@ impl RuleId {
     /// One-line summary used in reports and docs.
     pub fn title(self) -> &'static str {
         match self {
-            RuleId::D1 => "no wall-clock time or OS entropy in deterministic code",
-            RuleId::D2 => "no HashMap/HashSet in result-producing code paths",
-            RuleId::D3 => "no NaN-unsafe float comparison in figure/stat code",
             RuleId::D4 => "unit quantities in public APIs must use typed newtypes",
-            RuleId::D5 => "no unwrap/expect/panic in device/io/core library code",
             RuleId::D7 => "unit newtypes must not mix dimensions or leak raw values",
             RuleId::D8 => "emitted event kinds must be registered; no events on restore",
             RuleId::D9 => "hot-path functions must not allocate",
@@ -109,25 +88,9 @@ impl RuleId {
     /// The `help:` line rendered under a diagnostic.
     pub fn help(self) -> &'static str {
         match self {
-            RuleId::D1 => {
-                "derive all randomness from SimRng and all time from SimTime; \
-                 only the parallel executor may observe the host clock"
-            }
-            RuleId::D2 => {
-                "use BTreeMap/BTreeSet (or a sorted Vec) so iteration order \
-                 is deterministic and cannot leak into figures"
-            }
-            RuleId::D3 => {
-                "use f64::total_cmp for ordering and explicit tolerances for \
-                 equality; partial_cmp().unwrap() panics on NaN"
-            }
             RuleId::D4 => {
                 "wrap the value in its unit newtype (powadapt_sim::units::\
                  {Watts, Joules, Micros, Millis}) instead of a raw f64"
-            }
-            RuleId::D5 => {
-                "return DeviceError (or the crate's error type) instead of \
-                 panicking; panics in library paths kill whole fleet runs"
             }
             RuleId::D7 => {
                 "convert through the declared unit operations in \
@@ -323,18 +286,18 @@ mod tests {
     #[test]
     fn render_matches_rustc_shape() {
         let d = Diagnostic {
-            rule: RuleId::D2,
+            rule: RuleId::D4,
             path: "crates/x/src/lib.rs".into(),
             line: 7,
             col: 12,
-            message: "`HashMap` in result-producing code".into(),
-            snippet: "    reads: HashMap<u64, u8>,".into(),
-            span_len: 7,
+            message: "public API takes `cap_watts: f64`".into(),
+            snippet: "pub fn cap(cap_watts: f64) {}".into(),
+            span_len: 9,
         };
         let r = d.render();
-        assert!(r.starts_with("error[D2]: "));
+        assert!(r.starts_with("error[D4]: "));
         assert!(r.contains("--> crates/x/src/lib.rs:7:12"));
-        assert!(r.contains("^^^^^^^"));
+        assert!(r.contains("^^^^^^^^^"));
         assert!(r.contains("= help:"));
     }
 
@@ -344,12 +307,12 @@ mod tests {
             root: "/tmp/\"ws\"".into(),
             files_scanned: 3,
             diagnostics: vec![Diagnostic {
-                rule: RuleId::D1,
+                rule: RuleId::D7,
                 path: "a.rs".into(),
                 line: 1,
                 col: 1,
                 message: "tab\there".into(),
-                snippet: "Instant::now()".into(),
+                snippet: "e.get() / d.get()".into(),
                 span_len: 7,
             }],
             suppressions_used: vec![],
@@ -357,7 +320,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\\\"ws\\\""));
         assert!(json.contains("tab\\there"));
-        assert!(json.contains("\"D1\": 1"));
-        assert!(json.contains("\"D2\": 0"));
+        assert!(json.contains("\"D7\": 1"));
+        assert!(json.contains("\"D4\": 0"));
     }
 }

@@ -1,12 +1,12 @@
 //! A minimal Rust lexer sufficient for token-level static analysis.
 //!
-//! The analyzer does not need a full parse tree: every rule in
-//! [`crate::rules`] is expressible over a token stream plus a little
-//! bracket matching. What the lexer *must* get right is the boundary
-//! between code and non-code — string literals, raw strings, char
-//! literals, lifetimes, and nested block comments — so that a `HashMap`
-//! inside a doc comment or an `unwrap` inside an error-message string
-//! never produces a false positive.
+//! The analyzer does not need a full parse tree: the rule in
+//! [`crate::rules`] and the symbol model in [`crate::model`] work over a
+//! token stream plus a little bracket matching. What the lexer *must* get
+//! right is the boundary between code and non-code — string literals, raw
+//! strings, char literals, lifetimes, and nested block comments — so that
+//! a `cap_watts: f64` inside a doc comment or a `vec!` inside an
+//! error-message string never produces a false positive.
 //!
 //! The workspace builds fully offline, so this is hand-rolled rather than
 //! `syn`-driven; the subset of Rust it understands is exactly the subset

@@ -1,21 +1,26 @@
-//! `powadapt-lint` — workspace-wide determinism & unit-safety analyzer.
+//! `powadapt-lint` — workspace-wide unit-safety and obs-discipline analyzer.
 //!
-//! The golden-figure fixtures (PR 2) prove every figure is bit-identical
-//! across worker counts, but only *after the fact*. This crate enforces
-//! the invariants that make that guarantee hold *by construction*, as
-//! machine-checked rules over every `.rs` file in the workspace:
+//! The golden-figure fixtures prove every figure is bit-identical across
+//! worker counts, but only *after the fact*. The invariants that make the
+//! guarantee hold *by construction* are enforced by two engines:
 //!
-//! - **D1** — no wall-clock time or OS entropy outside the parallel
-//!   executor,
-//! - **D2** — no `HashMap`/`HashSet` in result-producing code paths,
-//! - **D3** — no NaN-unsafe float comparison in figure/stat code,
-//! - **D4** — unit quantities (`*_watts`, `*_joules`, `*_ms`, `*_us`) in
-//!   public APIs must use the typed newtypes, never raw `f64`,
-//! - **D5** — no `unwrap`/`expect`/`panic!` in `device`/`io`/`core`
-//!   library code; errors flow through `DeviceError`.
+//! - **clippy** enforces determinism and panic-freedom. The root
+//!   `clippy.toml` bans the host clock, OS entropy, environment reads and
+//!   hash collections by path; `unwrap_used`, `float_cmp` and (in the
+//!   library crates that own typed errors) `expect_used`/`panic` sit in
+//!   the lint tables. Exemptions are reasoned `#[expect]` attributes.
+//! - **this crate** checks what clippy cannot express:
+//!   - **D4** — unit quantities (`*_watts`, `*_joules`, `*_ms`, `*_us`) in
+//!     public APIs must use the typed newtypes, never raw `f64`,
+//!   - **D7** — unit newtypes must not mix dimensions or leak raw values,
+//!   - **D8** — emitted event kinds are registered; restore paths emit
+//!     nothing,
+//!   - **D9** — `hot` functions must not allocate,
+//!
+//!   plus the snapshot ABI lock ([`abi`]).
 //!
 //! Violations that are genuinely fine carry an inline, *reasoned*
-//! suppression — `// powadapt-lint: allow(D2, reason = "...")` — and the
+//! suppression — `// powadapt-lint: allow(D7, reason = "...")` — and the
 //! suppression mechanism is itself policed (missing reason and unknown
 //! rule ids are diagnostics, as is a suppression that matches nothing).
 //!
@@ -30,19 +35,24 @@
 //! use powadapt_lint::{analyze_source, AnalysisMode};
 //!
 //! let findings = analyze_source(
-//!     "crates/device/src/lib.rs",
-//!     "use std::collections::HashMap;\n",
+//!     "crates/model/src/lib.rs",
+//!     "pub fn cap(limit_watts: f64) {}\n",
 //!     AnalysisMode::Scoped,
 //! );
 //! assert_eq!(findings.diagnostics.len(), 1);
-//! assert_eq!(findings.diagnostics[0].rule.as_str(), "D2");
+//! assert_eq!(findings.diagnostics[0].rule.as_str(), "D4");
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Tests assert on exact expected values: unwraps and bit-exact float
-// comparisons are the point there, not a hazard (see workspace lints).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 pub mod abi;
 pub mod diag;
@@ -93,7 +103,7 @@ pub fn analyze_source(path: &str, src: &str, mode: AnalysisMode) -> FileAnalysis
 
 /// Analyzes a set of files as one workspace: pass 1 lexes every file and
 /// builds the shared symbol [`model::Model`]; pass 2 runs the per-file
-/// token rules (D1-D5) and the cross-file semantic rules (D7-D9) over
+/// token rule (D4) and the cross-file semantic rules (D7-D9) over
 /// it. Suppressions are merged workspace-wide but keyed on (rule, file),
 /// so an allow in one file never covers — or masks the audit of — the
 /// same rule elsewhere.
@@ -116,9 +126,9 @@ pub fn analyze_files(files: &[(String, String)], mode: AnalysisMode) -> FileAnal
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-    // Pass 2a: per-file token rules.
+    // Pass 2a: the per-file token rule.
     for (fi, (path, _)) in files.iter().enumerate() {
-        for finding in rules::run_all(&lexed[fi].tokens) {
+        for finding in rules::d4_unit_newtypes(&lexed[fi].tokens) {
             if mode == AnalysisMode::Scoped && !scope::rule_applies(finding.rule, path) {
                 continue;
             }

@@ -1,8 +1,10 @@
-//! The five domain rules, implemented over the token stream.
+//! The per-file token rule D4, implemented over the token stream.
 //!
-//! Each rule is a pure function from `(path, tokens)` to findings; the
-//! driver in [`crate::analyze_source`] handles scoping, test regions, and
-//! suppressions so the rules stay small and independently testable.
+//! The rule is a pure function from tokens to findings; the driver in
+//! [`crate::analyze_files`] handles scoping, test regions, and
+//! suppressions so the rule stays small and independently testable. The
+//! determinism and panic-freedom rules that clippy resolves by path live
+//! in the workspace's `clippy.toml` and `[workspace.lints]` instead.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::{Tok, TokKind};
@@ -30,150 +32,6 @@ fn punct(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i)
         .filter(|t| t.kind == TokKind::Punct)
         .map(|t| t.text.as_str())
-}
-
-/// D1 — wall-clock time and OS entropy.
-///
-/// Flags any use of `std::time::Instant`/`SystemTime`, thread-sleeping,
-/// the `rand` ecosystem's entropy entry points, and host environment
-/// reads. Virtual time comes from `SimTime`, randomness from `SimRng`,
-/// and configuration from explicit parameters; the parallel executor is
-/// file-allowlisted in [`crate::scope`].
-pub fn d1_wall_clock(toks: &[Tok]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let msg = match t.text.as_str() {
-            "Instant" | "SystemTime" => Some(format!(
-                "`{}` reads the host wall clock; simulated code must use `SimTime`",
-                t.text
-            )),
-            // `rand::` paths and the crate's entropy entry points.
-            "rand" if punct(toks, i + 1) == Some("::") => Some(
-                "the `rand` crate draws OS entropy; derive randomness from `SimRng`".to_string(),
-            ),
-            "thread_rng" | "from_entropy" | "getrandom" | "OsRng" => Some(format!(
-                "`{}` seeds from the OS; derive randomness from a fixed root seed",
-                t.text
-            )),
-            // `env::var` / `env::var_os` / `env::vars`: host state that
-            // makes runs irreproducible when it leaks into results.
-            "var" | "var_os" | "vars"
-                if punct(toks, i.wrapping_sub(1)) == Some("::")
-                    && ident(toks, i.wrapping_sub(2)) == Some("env") =>
-            {
-                Some(
-                    "environment reads make results depend on host state; \
-                     take configuration as an explicit parameter"
-                        .to_string(),
-                )
-            }
-            _ => None,
-        };
-        if let Some(message) = msg {
-            out.push(Finding {
-                rule: RuleId::D1,
-                tok: i,
-                span_toks: 1,
-                message,
-            });
-        }
-    }
-    out
-}
-
-/// D2 — iteration-order hazards.
-///
-/// Flags `HashMap`/`HashSet` anywhere in result-producing crates. This
-/// deliberately over-approximates "is iterated": `RandomState` hashing
-/// makes iteration order differ *per process*, so the only future-proof
-/// contract is that the type never appears where a later edit could
-/// iterate it into output. Membership-only uses can carry an inline
-/// `allow(D2, reason = ...)`.
-pub fn d2_hash_collections(toks: &[Tok]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            let sorted = if t.text == "HashMap" {
-                "BTreeMap"
-            } else {
-                "BTreeSet"
-            };
-            out.push(Finding {
-                rule: RuleId::D2,
-                tok: i,
-                span_toks: 1,
-                message: format!(
-                    "`{}` iteration order is nondeterministic; use `{}`",
-                    t.text, sorted
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// D3 — NaN-unsafe float comparison.
-///
-/// Flags (a) `partial_cmp(..).unwrap()` / `.expect(..)` chains, which
-/// panic the moment a NaN reaches a sort, and (b) `==`/`!=` against a
-/// float literal, which clippy's `float_cmp` also hates but which here is
-/// an *error* in figure/stat code.
-pub fn d3_float_cmp(toks: &[Tok]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident && t.text == "partial_cmp" {
-            // Skip the call's argument list, then look for `.unwrap()` or
-            // `.expect(`.
-            let Some(open) = punct(toks, i + 1) else {
-                continue;
-            };
-            if open != "(" {
-                continue;
-            }
-            let mut depth = 1i32;
-            let mut j = i + 2;
-            while j < toks.len() && depth > 0 {
-                match toks[j].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => depth -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if punct(toks, j) == Some(".") {
-                if let Some(m @ ("unwrap" | "expect")) = ident(toks, j + 1) {
-                    out.push(Finding {
-                        rule: RuleId::D3,
-                        tok: i,
-                        span_toks: j + 2 - i,
-                        message: format!(
-                            "`partial_cmp(..).{m}(..)` panics on NaN; use `f64::total_cmp`"
-                        ),
-                    });
-                }
-            }
-        }
-        if t.kind == TokKind::Punct && (t.text == "==" || t.text == "!=") {
-            let prev_float = i > 0 && toks[i - 1].kind == TokKind::Float;
-            let next_float = toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Float);
-            if prev_float || next_float {
-                out.push(Finding {
-                    rule: RuleId::D3,
-                    tok: i,
-                    span_toks: 1,
-                    message: format!(
-                        "`{}` against a float literal; compare with an explicit \
-                         tolerance or use integer/bit representations",
-                        t.text
-                    ),
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Suffixes D4 recognizes as unit-bearing parameter names, with the
@@ -323,65 +181,6 @@ fn check_param(param: &[Tok], base: usize, out: &mut Vec<Finding>) {
     }
 }
 
-/// D5 — panics in library error paths.
-///
-/// Flags `.unwrap()`, `.expect(..)`, `panic!`, `unreachable!`, `todo!`,
-/// and `unimplemented!` in `device`/`io`/`core` library code. Errors in
-/// these crates must flow through `DeviceError` so fleet runs degrade
-/// instead of dying; genuinely-infallible cases carry an inline allow
-/// with the invariant spelled out.
-pub fn d5_no_panic(toks: &[Tok]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "unwrap" | "expect"
-                // Require a method call `.unwrap(` so an identifier named
-                // `expect` in other positions doesn't trip the rule.
-                if punct(toks, i.wrapping_sub(1)) == Some(".")
-                    && punct(toks, i + 1) == Some("(")
-                => {
-                    out.push(Finding {
-                        rule: RuleId::D5,
-                        tok: i,
-                        span_toks: 1,
-                        message: format!(
-                            "`.{}()` can panic in a library path; return `DeviceError` instead",
-                            t.text
-                        ),
-                    });
-                }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if punct(toks, i + 1) == Some("!") => {
-                    out.push(Finding {
-                        rule: RuleId::D5,
-                        tok: i,
-                        span_toks: 2,
-                        message: format!(
-                            "`{}!` aborts the whole fleet run; return `DeviceError` instead",
-                            t.text
-                        ),
-                    });
-                }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Runs every domain rule over one file's tokens.
-pub fn run_all(toks: &[Tok]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    findings.extend(d1_wall_clock(toks));
-    findings.extend(d2_hash_collections(toks));
-    findings.extend(d3_float_cmp(toks));
-    findings.extend(d4_unit_newtypes(toks));
-    findings.extend(d5_no_panic(toks));
-    findings
-}
-
 /// Materializes a [`Finding`] into a [`Diagnostic`] with source spans.
 pub fn to_diagnostic(f: &Finding, toks: &[Tok], path: &str, lines: &[&str]) -> Diagnostic {
     let anchor = &toks[f.tok];
@@ -410,108 +209,27 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn rules_hit(src: &str, rule_fn: fn(&[Tok]) -> Vec<Finding>) -> Vec<String> {
-        let lexed = lex(src);
-        rule_fn(&lexed.tokens)
+    fn d4_hits(src: &str) -> Vec<String> {
+        d4_unit_newtypes(&lex(src).tokens)
             .into_iter()
             .map(|f| f.message)
             .collect()
     }
 
     #[test]
-    fn d1_catches_clock_and_entropy() {
-        assert_eq!(rules_hit("let t = Instant::now();", d1_wall_clock).len(), 1);
-        assert_eq!(
-            rules_hit("let t = SystemTime::now();", d1_wall_clock).len(),
-            1
-        );
-        assert_eq!(rules_hit("let x = rand::random();", d1_wall_clock).len(), 1);
-        assert_eq!(
-            rules_hit("let w = std::env::var(\"W\");", d1_wall_clock).len(),
-            1
-        );
-        // `env` as an ordinary variable is fine.
-        assert!(rules_hit("let env = 3; let v = env.var;", d1_wall_clock).is_empty());
-        // Comments and strings never trip it.
-        assert!(rules_hit("// Instant::now()\nlet s = \"SystemTime\";", d1_wall_clock).is_empty());
-    }
-
-    #[test]
-    fn d2_catches_hash_collections() {
-        let hits = rules_hit(
-            "use std::collections::{HashMap, HashSet};",
-            d2_hash_collections,
-        );
-        assert_eq!(hits.len(), 2);
-        assert!(hits[0].contains("BTreeMap"));
-        assert!(hits[1].contains("BTreeSet"));
-        assert!(rules_hit(
-            "let m: BTreeMap<u8, u8> = BTreeMap::new();",
-            d2_hash_collections
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn d3_catches_nan_unsafe_comparison() {
-        assert_eq!(
-            rules_hit("v.sort_by(|a, b| a.partial_cmp(b).unwrap());", d3_float_cmp).len(),
-            1
-        );
-        assert_eq!(
-            rules_hit("a.partial_cmp(&b.f(x, y)).expect(\"finite\")", d3_float_cmp).len(),
-            1
-        );
-        assert_eq!(rules_hit("if x == 0.5 { }", d3_float_cmp).len(), 1);
-        assert_eq!(rules_hit("if 1.0 != y { }", d3_float_cmp).len(), 1);
-        // total_cmp and plain partial_cmp (no unwrap) are fine.
-        assert!(rules_hit("v.sort_by(f64::total_cmp);", d3_float_cmp).is_empty());
-        assert!(rules_hit("let o = a.partial_cmp(&b);", d3_float_cmp).is_empty());
-        // Integer equality is fine.
-        assert!(rules_hit("if n == 3 { }", d3_float_cmp).is_empty());
-    }
-
-    #[test]
     fn d4_catches_unit_suffixed_f64_params() {
-        let hits = rules_hit(
-            "pub fn sample(&mut self, t: SimTime, true_power_watts: f64) {}",
-            d4_unit_newtypes,
-        );
+        let hits = d4_hits("pub fn sample(&mut self, t: SimTime, true_power_watts: f64) {}");
         assert_eq!(hits.len(), 1);
         assert!(hits[0].contains("Watts"));
-        assert_eq!(
-            rules_hit("pub fn lat(p99_us: f64, avg_ms: &f64) {}", d4_unit_newtypes).len(),
-            2
-        );
+        assert_eq!(d4_hits("pub fn lat(p99_us: f64, avg_ms: &f64) {}").len(), 2);
         // Newtyped params, private fns, and non-unit names pass.
-        assert!(rules_hit("pub fn f(p99_us: Micros) {}", d4_unit_newtypes).is_empty());
-        assert!(rules_hit("fn g(p99_us: f64) {}", d4_unit_newtypes).is_empty());
-        assert!(rules_hit("pub fn h(ratio: f64) {}", d4_unit_newtypes).is_empty());
+        assert!(d4_hits("pub fn f(p99_us: Micros) {}").is_empty());
+        assert!(d4_hits("fn g(p99_us: f64) {}").is_empty());
+        assert!(d4_hits("pub fn h(ratio: f64) {}").is_empty());
         // Generic functions parse past their `<...>`.
         assert_eq!(
-            rules_hit(
-                "pub fn s<F: Fn(u64, u64) -> bool>(f: F, delay_ms: f64) {}",
-                d4_unit_newtypes
-            )
-            .len(),
+            d4_hits("pub fn s<F: Fn(u64, u64) -> bool>(f: F, delay_ms: f64) {}").len(),
             1
         );
-    }
-
-    #[test]
-    fn d5_catches_panics() {
-        assert_eq!(
-            rules_hit("let x = m.lock().unwrap();", d5_no_panic).len(),
-            1
-        );
-        assert_eq!(
-            rules_hit("let x = o.expect(\"set\");", d5_no_panic).len(),
-            1
-        );
-        assert_eq!(rules_hit("panic!(\"boom\");", d5_no_panic).len(), 1);
-        assert_eq!(rules_hit("unreachable!()", d5_no_panic).len(), 1);
-        // `expect` as a field/fn name without a call is fine; `unwrap_or` is fine.
-        assert!(rules_hit("let expect = 3;", d5_no_panic).is_empty());
-        assert!(rules_hit("let x = o.unwrap_or(0);", d5_no_panic).is_empty());
     }
 }

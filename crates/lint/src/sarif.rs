@@ -74,12 +74,12 @@ mod tests {
             root: "/ws".into(),
             files_scanned: 1,
             diagnostics: vec![Diagnostic {
-                rule: RuleId::D2,
+                rule: RuleId::D4,
                 path: "crates/sim/src/rng.rs".into(),
                 line: 12,
                 col: 12,
-                message: "`HashMap` in result-producing code".into(),
-                snippet: "    reads: HashMap<u64, u8>,".into(),
+                message: "public API takes `cap_watts: f64`".into(),
+                snippet: "pub fn cap(cap_watts: f64) {}".into(),
                 span_len: 7,
             }],
             suppressions_used: vec![],
@@ -88,7 +88,7 @@ mod tests {
         assert!(sarif.contains("\"version\": \"2.1.0\""));
         assert!(sarif.contains("sarif-schema-2.1.0.json"));
         assert!(sarif.contains("\"name\": \"powadapt-lint\""));
-        assert!(sarif.contains("\"ruleId\": \"D2\""));
+        assert!(sarif.contains("\"ruleId\": \"D4\""));
         assert!(sarif.contains("\"startLine\": 12"));
         assert!(sarif.contains("\"uri\": \"crates/sim/src/rng.rs\""));
         // Every rule is described in the driver table.

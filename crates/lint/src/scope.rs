@@ -1,44 +1,14 @@
 //! Where each rule applies: path-level scoping and test-region detection.
 //!
-//! The rules are invariants about *shipped* simulation/measurement code,
-//! so three kinds of source are exempt:
+//! The rules are invariants about *shipped* code, so two kinds of source
+//! are exempt:
 //!
-//! - integration tests (`tests/` directories) and examples — never in a
-//!   figure's data path,
-//! - inline `#[cfg(test)]` modules and `#[test]` functions,
-//! - an explicit per-file allowlist for the places whose whole job is the
-//!   thing a rule forbids (the parallel executor owns the host clock).
+//! - integration tests (`tests/` directories), examples and benches —
+//!   never in a figure's data path,
+//! - inline `#[cfg(test)]` items and `#[test]` functions.
 
 use crate::diag::RuleId;
 use crate::lexer::{Lexed, Tok, TokKind};
-
-/// Files exempt from specific rules, with the reason recorded here so the
-/// allowlist is reviewable in one place.
-///
-/// Keep this list short: inline `// powadapt-lint: allow(...)` is the
-/// preferred mechanism because it sits next to the code it excuses. A
-/// file-level entry is only for files whose *purpose* is the exemption.
-pub const FILE_ALLOWLIST: &[(&str, RuleId, &str)] = &[
-    (
-        // The executor times each sweep for its progress report
-        // (`SweepStats::elapsed`). The clock never feeds figure data — the
-        // golden fixtures prove results are bit-identical across worker
-        // counts. It reads no environment: its configuration is passed in.
-        "crates/io/src/parallel.rs",
-        RuleId::D1,
-        "parallel executor times sweeps for its progress report (host timing)",
-    ),
-    (
-        // The observability overhead bench times the same deterministic
-        // workload untraced vs. traced and gates on the wall-clock ratio.
-        // Host time is the measurand, never an input: the workload is
-        // SimRng-seeded and BENCH_obs.json is gated on the overhead
-        // ratio, not on any absolute timing.
-        "crates/bench/src/bin/obs_bench.rs",
-        RuleId::D1,
-        "obs bench's purpose is wall-clock overhead measurement",
-    ),
-];
 
 /// Path predicates for one rule.
 fn crate_of(path: &str) -> Option<&str> {
@@ -62,51 +32,11 @@ pub fn rule_applies(rule: RuleId, path: &str) -> bool {
     if !is_shipped_source(path) {
         return false;
     }
-    if FILE_ALLOWLIST
-        .iter()
-        .any(|(p, r, _)| *p == path && *r == rule)
-    {
-        return false;
-    }
     let in_crates = |names: &[&str]| crate_of(path).is_some_and(|c| names.contains(&c));
     match rule {
-        // Determinism is workspace-wide: any crate can end up in a
-        // figure's data path.
-        RuleId::D1 => true,
-        // Result-producing crates per the issue: sim/device/core/model/
-        // bench (io's maps never reach output, but its stats do — close
-        // the gap by including io's stat modules). obs snapshots and
-        // exports feed committed fixtures, so its iteration order must be
-        // deterministic too, and cluster reports feed the cluster_eval
-        // golden. snap serializes checkpoint state whose byte layout the
-        // resume-equivalence goldens pin, so its encoding must be
-        // deterministic as well. place decides routing and migration
-        // plans that feed the placement_eval golden.
-        RuleId::D2 => {
-            in_crates(&[
-                "sim", "device", "core", "model", "bench", "obs", "cluster", "snap", "place",
-            ]) || path == "crates/io/src/stats.rs"
-        }
-        // Figure/statistics code: everything that orders, ranks, or
-        // aggregates floats on the way to a figure.
-        RuleId::D3 => {
-            in_crates(&["model", "bench"])
-                || matches!(
-                    path,
-                    "crates/sim/src/stats.rs"
-                        | "crates/sim/src/rolling.rs"
-                        | "crates/io/src/stats.rs"
-                )
-        }
         // Unit safety on public APIs of the measurement/model/control
         // crates.
         RuleId::D4 => in_crates(&["meter", "model", "core"]),
-        // Error flow in the crates that own DeviceError and its
-        // propagation (the cluster layer propagates it through
-        // ClusterError). snap is fail-closed by contract: corrupt
-        // checkpoints must surface as typed SnapErrors, never panics.
-        // place's capacity accounting fails closed the same way.
-        RuleId::D5 => in_crates(&["device", "io", "core", "cluster", "snap", "place"]),
         // Unit-dimension flow: every crate that does arithmetic on the
         // Watts/Joules/Millis/Micros newtypes.
         RuleId::D7 => in_crates(&[
@@ -139,17 +69,31 @@ impl TestRegions {
 }
 
 /// Does an attribute token slice (the tokens between `#[` and `]`) gate
-/// its item to test builds? Recognizes `test`, `cfg(test)`, and
-/// `cfg(any(test, ...))`; `cfg(not(test))` is the opposite and is not
-/// treated as test-gating.
+/// its item to test builds? Only `#[test]` and a `#[cfg(..)]` whose
+/// predicate names `test` outside every `not(..)` do: `cfg(test)`,
+/// `cfg(any(test, ..))`, `cfg(all(test, not(miri)))`. An item under
+/// `cfg(not(test))` or `cfg_attr(test, ..)` ships, so it stays in scope.
 fn attr_is_test_gate(attr: &[Tok]) -> bool {
-    let has_test = attr
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && t.text == "test");
-    let has_not = attr
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && t.text == "not");
-    has_test && !has_not
+    let is_ident = |t: &Tok, name: &str| t.kind == TokKind::Ident && t.text == name;
+    match attr {
+        [only] => is_ident(only, "test"),
+        [cfg, pred @ ..] if is_ident(cfg, "cfg") => {
+            // One entry per open paren: does that group belong to a `not`?
+            let mut negated: Vec<bool> = Vec::new();
+            for (i, t) in pred.iter().enumerate() {
+                match t.text.as_str() {
+                    "(" => negated.push(i > 0 && is_ident(&pred[i - 1], "not")),
+                    ")" => {
+                        negated.pop();
+                    }
+                    _ if is_ident(t, "test") && !negated.contains(&true) => return true,
+                    _ => {}
+                }
+            }
+            false
+        }
+        _ => false,
+    }
 }
 
 /// Finds the test regions of a lexed file.
@@ -261,51 +205,56 @@ mod tests {
     }
 
     #[test]
+    fn cfg_attr_test_is_not_a_region() {
+        // `cfg_attr(test, ..)` only adds attributes in test builds; the
+        // item itself ships and must stay in scope.
+        let src = "#[cfg_attr(test, derive(Debug))]\npub fn shipped(cap_watts: f64) {}\n";
+        let regions = find_test_regions(&lex(src));
+        assert!(!regions.contains(1));
+        assert!(!regions.contains(2));
+    }
+
+    #[test]
+    fn cfg_test_beside_a_not_is_a_region() {
+        let src = "#[cfg(all(test, not(miri)))]\nmod tests {\n}\n";
+        let regions = find_test_regions(&lex(src));
+        assert!(regions.contains(2));
+    }
+
+    #[test]
     fn scoping_by_path() {
-        assert!(rule_applies(RuleId::D2, "crates/device/src/ssd/mod.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/obs/src/metrics.rs"));
-        assert!(rule_applies(RuleId::D1, "crates/obs/src/recorder.rs"));
-        assert!(!rule_applies(RuleId::D2, "crates/io/src/parallel.rs"));
-        assert!(!rule_applies(RuleId::D1, "crates/io/src/parallel.rs"));
-        assert!(rule_applies(RuleId::D1, "crates/io/src/fleet.rs"));
+        // D4 covers the public APIs of the measurement, model and control
+        // crates.
+        for p in [
+            "crates/meter/src/rig.rs",
+            "crates/model/src/solver.rs",
+            "crates/core/src/controller.rs",
+        ] {
+            assert!(rule_applies(RuleId::D4, p), "D4 must cover {p}");
+        }
+        for p in [
+            "crates/device/src/device.rs",
+            "crates/cluster/src/tree.rs",
+            "crates/snap/src/lib.rs",
+            "crates/place/src/tier.rs",
+        ] {
+            assert!(!rule_applies(RuleId::D4, p), "D4 must skip {p}");
+        }
+        // Test targets, examples and benches sit outside every rule's
+        // perimeter.
+        assert!(!rule_applies(RuleId::D4, "crates/meter/tests/chain.rs"));
+        assert!(!rule_applies(RuleId::D7, "crates/sim/tests/properties.rs"));
         assert!(!rule_applies(
-            RuleId::D5,
-            "crates/device/tests/properties.rs"
-        ));
-        assert!(rule_applies(RuleId::D4, "crates/meter/src/rig.rs"));
-        assert!(!rule_applies(RuleId::D4, "crates/device/src/device.rs"));
-        assert!(rule_applies(RuleId::D1, "crates/cluster/src/sim.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/cluster/src/tree.rs"));
-        assert!(rule_applies(RuleId::D5, "crates/cluster/src/sim.rs"));
-        assert!(!rule_applies(RuleId::D4, "crates/cluster/src/tree.rs"));
-        assert!(!rule_applies(
-            RuleId::D5,
+            RuleId::D8,
             "crates/cluster/tests/oversubscription.rs"
         ));
-        assert!(rule_applies(RuleId::D1, "crates/snap/src/lib.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/snap/src/lib.rs"));
-        assert!(rule_applies(RuleId::D5, "crates/snap/src/lib.rs"));
-        assert!(!rule_applies(RuleId::D4, "crates/snap/src/lib.rs"));
-        assert!(!rule_applies(RuleId::D5, "crates/snap/tests/properties.rs"));
-        // The sim kernel's event queue and slab arena sit squarely inside
-        // the perimeter: they order every event in every figure's data
-        // path.
-        assert!(rule_applies(RuleId::D1, "crates/sim/src/queue.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/sim/src/queue.rs"));
-        assert!(rule_applies(RuleId::D1, "crates/sim/src/slab.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/sim/src/slab.rs"));
-        // The placement tier's routing and migration plans feed the
-        // placement_eval golden, so it sits inside the perimeter.
-        assert!(rule_applies(RuleId::D1, "crates/place/src/tier.rs"));
-        assert!(rule_applies(RuleId::D2, "crates/place/src/tier.rs"));
-        assert!(rule_applies(RuleId::D5, "crates/place/src/tier.rs"));
-        assert!(!rule_applies(RuleId::D4, "crates/place/src/tier.rs"));
         assert!(!rule_applies(
-            RuleId::D2,
-            "crates/place/tests/properties.rs"
+            RuleId::D9,
+            "crates/bench/benches/device_sim.rs"
         ));
-        // Test targets sit outside the perimeter.
-        assert!(!rule_applies(RuleId::D2, "crates/sim/tests/properties.rs"));
+        // Suppression hygiene follows the file, not a crate list.
+        assert!(rule_applies(RuleId::S0, "crates/lint/src/lib.rs"));
+        assert!(rule_applies(RuleId::S1, "src/lib.rs"));
     }
 
     #[test]

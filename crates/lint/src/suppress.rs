@@ -3,8 +3,8 @@
 //! The suppression grammar is deliberately rigid:
 //!
 //! ```text
-//! // powadapt-lint: allow(D2, reason = "membership-only set, never iterated")
-//! // powadapt-lint: allow(D1, D5, reason = "host clock is the executor's job")
+//! // powadapt-lint: allow(D7, reason = "CSV boundary; the column header names the unit")
+//! // powadapt-lint: allow(D7, D9, reason = "static table built once at startup")
 //! ```
 //!
 //! - one or more known rule ids, then a **mandatory, non-empty** `reason`;
@@ -169,7 +169,7 @@ pub fn scan(comments: &[LineComment], path: &str) -> SuppressionSet {
     set
 }
 
-/// Parses `allow(D2, D5, reason = "...")` after the marker.
+/// Parses `allow(D7, D9, reason = "...")` after the marker.
 fn parse_body(body: &str) -> Result<(Vec<RuleId>, String), String> {
     let rest = body
         .strip_prefix("allow")
@@ -205,9 +205,8 @@ fn parse_body(body: &str) -> Result<(Vec<RuleId>, String), String> {
             }
             reason = Some(unquoted.to_string());
         } else {
-            let rule = RuleId::parse_suppressible(part).ok_or_else(|| {
-                format!("unknown rule `{part}` (expected one of D1, D2, D3, D4, D5, D7, D8, D9)")
-            })?;
+            let rule = RuleId::parse_suppressible(part)
+                .ok_or_else(|| format!("unknown rule `{part}` (expected one of D4, D7, D8, D9)"))?;
             rules.push(rule);
         }
     }
@@ -259,14 +258,14 @@ mod tests {
     fn well_formed_single_rule() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(D2, reason = \"never iterated\")",
+                "// powadapt-lint: allow(D7, reason = \"CSV boundary\")",
                 false,
             )],
             "x.rs",
         );
         assert!(set.errors.is_empty());
         assert_eq!(set.entries.len(), 1);
-        assert_eq!(set.entries[0].rules, vec![RuleId::D2]);
+        assert_eq!(set.entries[0].rules, vec![RuleId::D7]);
         assert_eq!(set.entries[0].target_line, 11);
     }
 
@@ -274,7 +273,7 @@ mod tests {
     fn trailing_targets_own_line() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(D5, reason = \"poisoned lock is fatal\")",
+                "// powadapt-lint: allow(D9, reason = \"amortized growth\")",
                 true,
             )],
             "x.rs",
@@ -286,17 +285,17 @@ mod tests {
     fn multiple_rules() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(D1, D5, reason = \"executor timing\")",
+                "// powadapt-lint: allow(D4, D7, reason = \"raw boundary API\")",
                 false,
             )],
             "x.rs",
         );
-        assert_eq!(set.entries[0].rules, vec![RuleId::D1, RuleId::D5]);
+        assert_eq!(set.entries[0].rules, vec![RuleId::D4, RuleId::D7]);
     }
 
     #[test]
     fn missing_reason_is_s0() {
-        let set = scan(&[comment("// powadapt-lint: allow(D2)", false)], "x.rs");
+        let set = scan(&[comment("// powadapt-lint: allow(D7)", false)], "x.rs");
         assert!(set.entries.is_empty());
         assert_eq!(set.errors.len(), 1);
         assert_eq!(set.errors[0].rule, RuleId::S0);
@@ -306,7 +305,7 @@ mod tests {
     #[test]
     fn empty_reason_is_s0() {
         let set = scan(
-            &[comment("// powadapt-lint: allow(D2, reason = \"\")", false)],
+            &[comment("// powadapt-lint: allow(D7, reason = \"\")", false)],
             "x.rs",
         );
         assert_eq!(set.errors.len(), 1);
@@ -391,7 +390,7 @@ mod tests {
     fn comma_inside_reason() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(D3, reason = \"a, b, and c\")",
+                "// powadapt-lint: allow(D4, reason = \"a, b, and c\")",
                 false,
             )],
             "x.rs",
@@ -404,12 +403,12 @@ mod tests {
     fn unused_reports_s1() {
         let mut set = scan(
             &[comment(
-                "// powadapt-lint: allow(D2, reason = \"x\")",
+                "// powadapt-lint: allow(D7, reason = \"x\")",
                 false,
             )],
             "x.rs",
         );
-        assert!(!set.try_suppress(RuleId::D1, "x.rs", 11));
+        assert!(!set.try_suppress(RuleId::D4, "x.rs", 11));
         let unused = set.unused(|_, _| String::new());
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].rule, RuleId::S1);

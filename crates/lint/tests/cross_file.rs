@@ -3,8 +3,7 @@
 //! that declares them. Plus the snapshot-ABI lock lifecycle end to end
 //! against a real (temporary) workspace tree.
 
-// Tests assert on exact expected values.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use std::path::PathBuf;
 
@@ -49,21 +48,21 @@ fn d9_propagates_one_level_across_files() {
 
 #[test]
 fn suppressions_are_keyed_per_file() {
-    // Identical D2 violations in two files of one crate; only the file
+    // Identical D4 violations in two files of one crate; only the file
     // that carries the allow is excused, and an allow that matches
     // nothing in ITS file is S1 even though the same rule fired (and was
     // suppressed) elsewhere in the workspace.
     let analysis = analyze_files(
         &files(&[
             (
-                "crates/sim/src/a.rs",
-                "// powadapt-lint: allow(D2, reason = \"membership probe only\")\n\
-                 use std::collections::HashSet;\n",
+                "crates/model/src/a.rs",
+                "// powadapt-lint: allow(D4, reason = \"config-file boundary\")\n\
+                 pub fn cap(cap_watts: f64) {}\n",
             ),
-            ("crates/sim/src/b.rs", "use std::collections::HashSet;\n"),
+            ("crates/model/src/b.rs", "pub fn cap(cap_watts: f64) {}\n"),
             (
-                "crates/sim/src/c.rs",
-                "// powadapt-lint: allow(D2, reason = \"nothing here matches\")\n\
+                "crates/model/src/c.rs",
+                "// powadapt-lint: allow(D4, reason = \"nothing here matches\")\n\
                  fn quiet() {}\n",
             ),
         ]),
@@ -76,12 +75,15 @@ fn suppressions_are_keyed_per_file() {
         .collect();
     assert_eq!(
         rules_by_path,
-        [("crates/sim/src/b.rs", "D2"), ("crates/sim/src/c.rs", "S1"),],
+        [
+            ("crates/model/src/b.rs", "D4"),
+            ("crates/model/src/c.rs", "S1"),
+        ],
         "{:?}",
         analysis.diagnostics
     );
     assert_eq!(analysis.suppressions_used.len(), 1);
-    assert_eq!(analysis.suppressions_used[0].path, "crates/sim/src/a.rs");
+    assert_eq!(analysis.suppressions_used[0].path, "crates/model/src/a.rs");
 }
 
 /// Builds a throwaway workspace on disk for the ABI-lock lifecycle.

@@ -6,8 +6,7 @@
 //! what keeps diagnostic carets honest: a column drift of even one cell
 //! (the classic UTF-8 bytes-vs-chars bug) breaks the pinned ui fixtures.
 
-// Property tests assert on exact expected values.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_lint::lexer::lex;
 use proptest::prelude::*;

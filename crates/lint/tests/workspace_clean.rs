@@ -1,13 +1,15 @@
 //! The workspace itself must pass its own analyzer.
 //!
 //! This is the self-hosting check: `cargo test -p powadapt-lint` fails
-//! the moment anyone reintroduces a wall-clock read, a `HashMap` in a
-//! result path, a NaN-unsafe sort, a raw-`f64` unit parameter, or an
-//! unreasoned panic — without needing the CI lint job to run.
+//! the moment anyone reintroduces a raw-`f64` unit parameter, a
+//! mixed-unit expression, an unregistered event kind, or an allocation
+//! in a `hot` function — without needing the CI lint job to run.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use std::path::Path;
 
@@ -39,7 +41,7 @@ fn workspace_has_zero_diagnostics() {
     // Every suppression in the tree fired (S1 enforces the converse).
     assert!(
         !report.suppressions_used.is_empty(),
-        "expected the documented allows (e.g. parallel executor D1) to be in use"
+        "expected the documented allows (e.g. the hot-path D9 ones) to be in use"
     );
     // The report serializes: spot-check the JSON envelope.
     let json = report.to_json();
@@ -51,7 +53,7 @@ fn workspace_has_zero_diagnostics() {
 /// quantile sketch, the interner, the energy ledger, and the overhead
 /// bench — is scanned like any other source, and each file is
 /// individually clean. Guards against these modules silently dropping
-/// out of the walk (a path typo in an allowlist would do it) and against
+/// out of the walk (a path typo in the scan roots would do it) and against
 /// new diagnostics hiding behind the workspace-level aggregate.
 #[test]
 fn telemetry_modules_are_scanned_and_clean() {
@@ -79,29 +81,5 @@ fn telemetry_modules_are_scanned_and_clean() {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-    }
-}
-
-/// The D1 (wall-clock) allowlist entry for the overhead bench is scoped
-/// to exactly that file: obs_bench may read `Instant` (host time is its
-/// measurand), every other telemetry file may not.
-#[test]
-fn obs_bench_wall_clock_allowlist_is_file_scoped() {
-    use powadapt_lint::diag::RuleId;
-    use powadapt_lint::scope::rule_applies;
-
-    assert!(!rule_applies(
-        RuleId::D1,
-        "crates/bench/src/bin/obs_bench.rs"
-    ));
-    // The exemption must not leak to neighbors in the same directory,
-    // nor to the modules whose overhead the bench measures.
-    for rel in [
-        "crates/bench/src/bin/trace_query.rs",
-        "crates/obs/src/sketch.rs",
-        "crates/obs/src/intern.rs",
-        "crates/cluster/src/ledger.rs",
-    ] {
-        assert!(rule_applies(RuleId::D1, rel), "D1 must apply to {rel}");
     }
 }

@@ -1,9 +1,11 @@
 //! Property-based tests of the model layer: frontier correctness, solver
 //! optimality against brute force, and fleet-allocation feasibility.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use proptest::prelude::*;
 

@@ -52,7 +52,14 @@
 //! session.finish().expect("write trace outputs");
 //! ```
 
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 mod event;
 mod export;

@@ -3,8 +3,7 @@
 //! interleaving), and its percentiles stay within the advertised
 //! relative error of the exact sample percentiles.
 
-// Property tests assert on exact expected values.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_obs::sketch::RELATIVE_ERROR;
 use powadapt_obs::Sketch;

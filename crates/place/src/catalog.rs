@@ -166,9 +166,12 @@ impl ExtentCatalog {
     }
 }
 
-// Tests unwrap and compare floats freely; assertion panics are the point.
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::float_cmp)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 mod tests {
     use super::*;
     use powadapt_snap::{Restore, SnapReader, SnapWriter, Snapshot};

@@ -19,6 +19,17 @@
 //! [`Snapshot`](powadapt_snap::Snapshot)/[`Restore`](powadapt_snap::Restore),
 //! so mid-migration checkpoints resume bit-exact.
 
+// Library error paths return the crate's typed error: a panic here
+// kills a whole fleet run. A provably infallible site carries a reasoned
+// `#[expect(clippy::..., reason = "...")]`.
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod catalog;
 pub mod migrate;
 pub mod temperature;

@@ -37,9 +37,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Tests assert on exact expected values: unwraps and bit-exact float
-// comparisons are the point there, not a hazard (see workspace lints).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 mod queue;
 mod rng;

@@ -225,10 +225,10 @@ impl<E> Default for EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
-    // `SnapReader::u32` as a fn path can't satisfy the codec's HRTB
-    // (the reader lifetime must stay universally quantified), so the
-    // closure clippy calls redundant is in fact required.
-    #![allow(clippy::redundant_closure_for_method_calls)]
+    #![allow(
+        clippy::redundant_closure_for_method_calls,
+        reason = "`SnapReader::u32` as a fn path cannot satisfy the codec's higher-ranked bound, so the closure is required"
+    )]
 
     use super::*;
 

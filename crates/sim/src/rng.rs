@@ -131,8 +131,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
-    // Exact equality is the degenerate-range fast path, not a tolerance.
-    #[allow(clippy::float_cmp)]
+    #[allow(
+        clippy::float_cmp,
+        reason = "exact equality is the degenerate-range fast path, not a tolerance"
+    )]
     pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(
             lo.is_finite() && hi.is_finite() && lo <= hi,
@@ -317,8 +319,8 @@ mod tests {
     fn stream_seeds_are_injective_in_the_index() {
         // The construction is bijective in `index` for a fixed root; spot
         // check a dense block plus scattered large indices.
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
+        use std::collections::BTreeSet;
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(SimRng::stream_seed(42, i)), "collision at {i}");
         }

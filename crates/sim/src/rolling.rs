@@ -106,7 +106,6 @@ impl RollingMean {
             SimTime::ZERO
         };
         let span = (now - from).as_secs_f64();
-        // powadapt-lint: allow(D3, reason = "exact-zero guard for a degenerate window; span is a finite duration, never NaN")
         if span == 0.0 {
             return self.open_value;
         }

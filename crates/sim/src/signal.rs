@@ -72,9 +72,10 @@ impl StepSignal {
     /// # Panics
     ///
     /// Panics if `at` precedes the latest recorded step.
-    // The exact `==` compactions below are deliberate: a step is a no-op
-    // only when the stored bits match, never "close enough".
-    #[allow(clippy::float_cmp)]
+    #[allow(
+        clippy::float_cmp,
+        reason = "a step is a no-op only when the stored bits match, never when they are merely close"
+    )]
     pub fn step(&mut self, at: SimTime, value: f64) {
         if let Some(last) = self.steps.back_mut() {
             let (last_t, last_v) = *last;

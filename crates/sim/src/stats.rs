@@ -150,7 +150,6 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 ///
 /// Panics if `truth` is zero.
 pub fn relative_error(measured: f64, truth: f64) -> f64 {
-    // powadapt-lint: allow(D3, reason = "exact-zero sentinel check backing the documented panic contract; NaN-safe")
     assert!(truth != 0.0, "relative error against zero truth");
     ((measured - truth) / truth).abs()
 }

@@ -1,14 +1,13 @@
 //! Property-based tests for the simulation kernel.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-// The payload-codec closures `|r| r.u32()` are not replaceable with the
-// method path: `SnapReader::u32` is monomorphic in the reader's lifetime
-// and fails the higher-ranked `FnMut` bound that a closure satisfies.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::redundant_closure_for_method_calls
+    reason = "tests assert on exact expected values"
+)]
+#![allow(
+    clippy::redundant_closure_for_method_calls,
+    reason = "`SnapReader::u32` as a fn path is monomorphic in the reader's lifetime and fails the higher-ranked `FnMut` bound that the closure `|r| r.u32()` satisfies"
 )]
 
 use proptest::prelude::*;

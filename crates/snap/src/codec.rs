@@ -266,7 +266,7 @@ macro_rules! tuple_codec {
     ($($t:ident),+) => {
         /// The members in order.
         impl<$($t: Codec),+> Codec for ($($t,)+) {
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "each tuple member binds to its type parameter's uppercase name")]
             fn encode(&self, w: &mut SnapWriter) {
                 let ($($t,)+) = self;
                 $($t.encode(w);)+
@@ -557,7 +557,7 @@ macro_rules! codec {
 
             fn decode(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
                 $(let $f = $crate::__snap_field!(decode r $(, $mode $(($ad))?)?);)*
-                #[allow(unused_mut)]
+                #[allow(unused_mut, reason = "`v` is mutated only when the struct declares `after` hooks")]
                 let mut v = $ty { $($f,)* $($($s: Default::default(),)*)? };
                 $($(v.$hook()?;)+)?
                 Ok(v)
@@ -642,9 +642,8 @@ macro_rules! __snap_field {
     }};
 }
 
-// Tests assert exact decoded values; unwraps are the point.
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 mod tests {
     use super::*;
 

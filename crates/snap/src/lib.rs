@@ -33,6 +33,17 @@
 //! meaningful against the exact code that wrote it, so cross-version
 //! migration is out of scope by design (DESIGN.md §7).
 
+// Library error paths return the crate's typed error: a panic here
+// kills a whole fleet run. A provably infallible site carries a reasoned
+// `#[expect(clippy::..., reason = "...")]`.
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -497,10 +508,12 @@ pub trait Restore {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-// Tests assert exact round-trips; unwraps and bit-exact float comparisons
-// are the point.
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::float_cmp)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 mod tests {
     use super::*;
 

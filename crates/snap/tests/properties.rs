@@ -2,8 +2,7 @@
 //! kind — bit flips, truncation, trailing bytes, version skew — must be
 //! rejected with a typed [`SnapError`], never accepted and never a panic.
 
-// Property tests assert on exact expected values.
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_snap::{checksum, open, seal, SnapError, FORMAT_VERSION, MAGIC};
 use proptest::prelude::*;

@@ -12,9 +12,11 @@
 //! per-rack power counter tracks and every rebalance decision as a
 //! Perfetto/Chrome trace plus a metrics snapshot.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "examples assert on exact expected values"
+)]
 
 use powadapt::cluster::{oversubscribed_cluster, run_cluster, SelectionPolicy};
 use powadapt_bench::cli;

@@ -6,9 +6,11 @@
 //!
 //! Run with: `cargo run --release --example demand_response`
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "examples assert on exact expected values"
+)]
 
 use powadapt::core::{AdaptiveController, BudgetSchedule, PowerDomain, PowerEventCause};
 use powadapt::device::{catalog, StorageDevice, KIB};

@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --release --example measure_device`
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "examples assert on exact expected values"
+)]
 
 use powadapt::device::{
     DeviceClass, DeviceSpec, PowerStateDesc, PowerStateId, Protocol, Ssd, SsdConfig, GIB, KIB,

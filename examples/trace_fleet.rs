@@ -10,9 +10,11 @@
 //! `POWADAPT_TRACE=perfetto:out.json` on any of them (or pass
 //! `--trace-out out.json`) and load the result at <https://ui.perfetto.dev>.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "examples assert on exact expected values"
+)]
 
 use std::sync::Arc;
 

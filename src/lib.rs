@@ -40,9 +40,14 @@
 //! demand-response control, write segregation, and standby consolidation.
 
 #![warn(missing_docs)]
-// Tests assert on exact expected values: unwraps and bit-exact float
-// comparisons are the point there, not a hazard (see workspace lints).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::float_cmp,
+        reason = "tests assert on exact expected values"
+    )
+)]
 
 pub use powadapt_cluster as cluster;
 pub use powadapt_core as core;

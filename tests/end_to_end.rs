@@ -2,9 +2,11 @@
 //! fio-like engine, build models, hand them to the adaptive controller, and
 //! verify the closed loop actually keeps measured fleet power within budget.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use powadapt::core::choose_config;
 use powadapt::core::{AdaptiveController, BudgetSchedule, ControlError, PowerEventCause, Slo};

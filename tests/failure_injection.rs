@@ -7,9 +7,11 @@
 //! these tests exercise the same device models the rest of the suite
 //! measures — no bespoke mocks.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use powadapt::core::{AdaptiveController, ControlError, RetryPolicy};
 use powadapt::device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice};

@@ -13,9 +13,11 @@
 //!    though the interleaving of events in the ring is scheduling-
 //!    dependent.
 
-// Tests assert on exact expected values; unwraps and bit-exact float
-// comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use std::fs;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -8,12 +8,13 @@
 //! the device models, the runner, or a figure, regenerate them with
 //! `cargo run -p powadapt-bench --bin regen_goldens` and commit the diff.
 
-// Tests and examples assert on exact expected values; unwraps and
-// bit-exact float comparisons are deliberate here (see workspace lints).
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "tests assert on exact expected values"
+)]
 
 use std::fs;
-use std::time::Instant;
 
 use powadapt::device::{catalog, FaultInjector, FaultPlan, StorageDevice, KIB, MIB};
 use powadapt::io::{run_cells, run_fresh, JobSpec, ParallelConfig, SweepScale, Workload};
@@ -198,7 +199,13 @@ fn fault_injection_is_deterministic_under_parallelism() {
 /// runners (where threads cannot overlap) only check that parallel
 /// execution is not pathologically slower.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the speedup is a host wall-clock measurement; it never feeds a result"
+)]
 fn parallel_sweep_speedup_on_multicore_hosts() {
+    use std::time::Instant;
+
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let scale = SweepScale {
         runtime: SimDuration::from_millis(40),
