@@ -776,6 +776,31 @@ pub fn device_checkpoint(mut dev: Box<dyn StorageDevice>) -> Vec<u8> {
     powadapt_snap::seal(&w.into_payload())
 }
 
+/// The devices whose mid-IO checkpoints the digest fixture pins, fresh
+/// from the catalog and named by fixture row: SSD1, SSD2, EVO, the HDD,
+/// and an SSD2 behind a fault injector with IO errors and latency spikes.
+pub fn checkpoint_devices() -> [(&'static str, Box<dyn StorageDevice>); 5] {
+    [
+        ("device/ssd1", Box::new(catalog::ssd1_pm9a3(GOLDEN_SEED))),
+        ("device/ssd2", Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED))),
+        ("device/evo", Box::new(catalog::evo_860(GOLDEN_SEED))),
+        (
+            "device/hdd",
+            Box::new(catalog::hdd_exos_7e2000(GOLDEN_SEED)),
+        ),
+        (
+            "device/faulted_ssd2",
+            Box::new(FaultInjector::seeded(
+                Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED)),
+                FaultPlan::none()
+                    .io_errors(0.05)
+                    .latency_spikes(0.4, SimDuration::from_millis(20)),
+                99,
+            )),
+        ),
+    ]
+}
+
 /// Length and FNV-1a-64 of real sealed checkpoints: every `cluster_eval`
 /// cell at its midpoint, every `placement_eval` cell at its quarter point
 /// (mid-migration for the temperature-driven arm), every long-horizon
@@ -853,26 +878,7 @@ pub fn checkpoint_digests_summary() -> String {
             ));
         }
     }
-    let devices: [(&str, Box<dyn StorageDevice>); 5] = [
-        ("device/ssd1", Box::new(catalog::ssd1_pm9a3(GOLDEN_SEED))),
-        ("device/ssd2", Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED))),
-        ("device/evo", Box::new(catalog::evo_860(GOLDEN_SEED))),
-        (
-            "device/hdd",
-            Box::new(catalog::hdd_exos_7e2000(GOLDEN_SEED)),
-        ),
-        (
-            "device/faulted_ssd2",
-            Box::new(FaultInjector::seeded(
-                Box::new(catalog::ssd2_d7_p5510(GOLDEN_SEED)),
-                FaultPlan::none()
-                    .io_errors(0.05)
-                    .latency_spikes(0.4, SimDuration::from_millis(20)),
-                99,
-            )),
-        ),
-    ];
-    for (name, dev) in devices {
+    for (name, dev) in checkpoint_devices() {
         rows.push(digest_row(name, &device_checkpoint(dev)));
     }
     doc(CHECKPOINT_FIXTURE, GOLDEN_SEED, &rows)

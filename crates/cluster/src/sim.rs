@@ -918,7 +918,6 @@ impl ClusterSim {
     /// in device order, crediting completions to their tenants' SLO
     /// windows. The other devices would complete nothing, so lockstep's
     /// crediting order holds.
-    // powadapt-lint: hot
     fn drain_completions(&mut self, t: SimTime) {
         let mut done = std::mem::take(&mut self.drain_scratch);
         for gi in 0..self.flat.len() {

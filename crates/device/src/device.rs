@@ -190,7 +190,9 @@ pub trait StorageDevice: fmt::Debug {
     /// Overlays dynamic state written by [`StorageDevice::write_state`]
     /// onto a freshly built device of the same spec and configuration.
     /// Must not emit observability events: a restored run's trace
-    /// continues the original's rather than replaying it.
+    /// continues the original's rather than replaying it. The root
+    /// `tests/obs_determinism.rs::restore_paths_record_no_events` checks
+    /// this for every device in the checkpoint-digest fixture.
     ///
     /// # Errors
     ///

@@ -582,7 +582,6 @@ impl StorageDevice for Hdd {
         out
     }
 
-    // powadapt-lint: hot
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         assert!(
             t >= self.now,
@@ -591,7 +590,6 @@ impl StorageDevice for Hdd {
         );
         while let Some((te, ev)) = self.events.pop_at_or_before(t) {
             self.now = te;
-            // powadapt-lint: allow(d9, reason = "event handlers append to recycled per-device queues; growth amortized")
             self.handle(ev);
         }
         self.now = t;

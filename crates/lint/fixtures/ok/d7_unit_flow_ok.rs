@@ -1,4 +1,4 @@
-// Good: same-dimension arithmetic only; the single boundary escape is
+// Good: same-dimension arithmetic only; the single boundary mix is
 // justified inline.
 
 fn budget(e: Joules, spare: Joules) -> f64 {
@@ -10,8 +10,8 @@ struct Probe {
 }
 
 impl Probe {
-    fn csv_cell(&self) -> f64 {
-        // powadapt-lint: allow(D7, reason = "CSV boundary serialization; the column header names the unit")
-        self.power.0
+    fn csv_cell(&self, window: Millis) -> f64 {
+        // powadapt-lint: allow(D7, reason = "CSV boundary: the column header names the W*ms unit")
+        self.power.get() * window.get()
     }
 }

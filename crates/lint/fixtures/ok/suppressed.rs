@@ -16,20 +16,12 @@ struct Probe {
 }
 
 impl Probe {
-    fn csv_cell(&self) -> f64 {
-        // powadapt-lint: allow(D7, reason = "CSV boundary serialization; the column header names the unit")
-        self.power.0
+    fn csv_cell(&self, window: Millis) -> f64 {
+        // powadapt-lint: allow(D7, reason = "CSV boundary: the column header names the W*ms unit")
+        self.power.get() * window.get()
     }
-}
 
-struct Queue {
-    held: Vec<u64>,
-}
-
-impl Queue {
-    // powadapt-lint: hot
-    fn push(&mut self, v: u64) {
-        // powadapt-lint: allow(d9, reason = "amortized: held is recycled and only grows to its high-water mark")
-        self.held.push(v);
+    fn headroom(&self, e: Joules) -> f64 {
+        self.power.get() - e.get() // powadapt-lint: allow(d7, reason = "lowercase ids parse too; a legacy score mixing units")
     }
 }

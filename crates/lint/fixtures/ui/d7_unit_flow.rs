@@ -1,5 +1,5 @@
-// Bad: arithmetic mixing unit dimensions, and a raw `.0` escape from a
-// unit newtype outside units.rs (rule D7).
+// Bad: arithmetic mixing unit dimensions outside the declared
+// conversions (rule D7).
 
 fn budget(e: Joules, d: Micros) -> f64 {
     let ok = e.get() + e.get();
@@ -12,7 +12,7 @@ struct Probe {
 }
 
 impl Probe {
-    fn leak(&self) -> f64 {
-        self.power.0 //~ D7
+    fn over(&self, e: Joules) -> bool {
+        self.power.get() > e.get() //~ D7
     }
 }

@@ -88,7 +88,7 @@ pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> S
                 .or_default();
         }
     }
-    for site in &model.macros {
+    for site in &model.snapshots {
         let toks = files[site.file].toks;
         if let Some(ty) = site.snapshot_type(toks) {
             let key = (crate_key(files[site.file].path), ty.to_string());

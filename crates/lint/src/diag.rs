@@ -9,25 +9,20 @@ use std::fmt;
 
 /// Identifier of an analyzer rule.
 ///
-/// `D4` is the per-file token rule, `D7`-`D9` the cross-file semantic
-/// rules over the pass-1 symbol model; `S0`/`S1` police the suppression
+/// `D4` is the per-file token rule, `D7` the cross-file semantic rule
+/// over the pass-1 symbol model; `S0`/`S1` police the suppression
 /// mechanism itself so the escape hatch cannot rot. The ids keep their
 /// historical numbers: D1-D3 and D5 moved to clippy (`clippy.toml`), D6
-/// left with the hand-written snapshot codecs, and a reused number would
-/// silently change what an old suppression comment means.
+/// left with the hand-written snapshot codecs, D8 and D9 became rustc
+/// checks and runtime tests, and a reused number would silently change
+/// what an old suppression comment means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Raw `f64` where a unit newtype is required in a public API.
     D4,
-    /// Unit-dimension flow: no mixed-unit arithmetic or `.0` escapes
-    /// outside the declared conversions in `units.rs`.
+    /// Unit-dimension flow: no mixed-unit arithmetic outside the
+    /// declared conversions in `units.rs`.
     D7,
-    /// Obs discipline: emitted event kinds registered exactly once,
-    /// `span!` lexically balanced, no events from restore paths.
-    D8,
-    /// Hot-path allocation: `// powadapt-lint: hot` fns must not
-    /// allocate, directly or through a non-hot callee.
-    D9,
     /// Malformed suppression comment (missing reason, unknown rule, bad
     /// syntax).
     S0,
@@ -37,22 +32,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 6] = [
-        RuleId::D4,
-        RuleId::D7,
-        RuleId::D8,
-        RuleId::D9,
-        RuleId::S0,
-        RuleId::S1,
-    ];
+    pub const ALL: [RuleId; 4] = [RuleId::D4, RuleId::D7, RuleId::S0, RuleId::S1];
 
     /// The identifier as written in suppressions and reports.
     pub fn as_str(self) -> &'static str {
         match self {
             RuleId::D4 => "D4",
             RuleId::D7 => "D7",
-            RuleId::D8 => "D8",
-            RuleId::D9 => "D9",
             RuleId::S0 => "S0",
             RuleId::S1 => "S1",
         }
@@ -61,14 +47,11 @@ impl RuleId {
     /// Parses a rule name as written in an `allow(...)` suppression.
     /// Only the domain rules are suppressible; `S0`/`S1` are not (a
     /// suppression that suppresses the suppression checker defeats it).
-    /// Lowercase ids (`d7`) are accepted — the semantic rules' docs use
-    /// them and there is no ambiguity.
+    /// Lowercase ids (`d7`) are accepted — there is no ambiguity.
     pub fn parse_suppressible(name: &str) -> Option<RuleId> {
         match name {
             "D4" | "d4" => Some(RuleId::D4),
             "D7" | "d7" => Some(RuleId::D7),
-            "D8" | "d8" => Some(RuleId::D8),
-            "D9" | "d9" => Some(RuleId::D9),
             _ => None,
         }
     }
@@ -77,9 +60,7 @@ impl RuleId {
     pub fn title(self) -> &'static str {
         match self {
             RuleId::D4 => "unit quantities in public APIs must use typed newtypes",
-            RuleId::D7 => "unit newtypes must not mix dimensions or leak raw values",
-            RuleId::D8 => "emitted event kinds must be registered; no events on restore",
-            RuleId::D9 => "hot-path functions must not allocate",
+            RuleId::D7 => "unit newtypes must not mix dimensions",
             RuleId::S0 => "malformed powadapt-lint suppression",
             RuleId::S1 => "unused powadapt-lint suppression",
         }
@@ -96,16 +77,6 @@ impl RuleId {
                 "convert through the declared unit operations in \
                  powadapt_sim::units (as_millis/as_micros, Watts * duration, \
                  Joules / duration) instead of mixing raw .get() values"
-            }
-            RuleId::D8 => {
-                "declare the kind once in EventKind + NAMES (crates/obs/src/\
-                 event.rs); restore paths must stay silent — PR 6's \
-                 zero-events-on-restore invariant"
-            }
-            RuleId::D9 => {
-                "hoist the allocation out of the hot path (reuse recycled \
-                 buffers), or justify it inline with `allow(d9, reason = \
-                 ...)` if growth is amortized"
             }
             RuleId::S0 => {
                 "write `// powadapt-lint: allow(D<n>, reason = \"...\")` \

@@ -1,8 +1,9 @@
-//! `powadapt-lint` — workspace-wide unit-safety and obs-discipline analyzer.
+//! `powadapt-lint` — workspace-wide unit-safety analyzer.
 //!
 //! The golden-figure fixtures prove every figure is bit-identical across
 //! worker counts, but only *after the fact*. The invariants that make the
-//! guarantee hold *by construction* are enforced by two engines:
+//! guarantee hold *by construction* are enforced by the compiler, by
+//! runtime tests, and by two lint engines:
 //!
 //! - **clippy** enforces determinism and panic-freedom. The root
 //!   `clippy.toml` bans the host clock, OS entropy, environment reads and
@@ -12,12 +13,16 @@
 //! - **this crate** checks what clippy cannot express:
 //!   - **D4** — unit quantities (`*_watts`, `*_joules`, `*_ms`, `*_us`) in
 //!     public APIs must use the typed newtypes, never raw `f64`,
-//!   - **D7** — unit newtypes must not mix dimensions or leak raw values,
-//!   - **D8** — emitted event kinds are registered; restore paths emit
-//!     nothing,
-//!   - **D9** — `hot` functions must not allocate,
+//!   - **D7** — unit newtypes must not mix dimensions,
 //!
 //!   plus the snapshot ABI lock ([`abi`]).
+//!
+//! What rustc or a test proves needs no rule here: a `.0` escape from a
+//! unit newtype is a private-field error, `emit!`/`span!` arity and
+//! undeclared event kinds fail to compile, the `EventKind` name table
+//! and the silence of restore paths have runtime tests, and
+//! `tests/hot_path_allocs.rs` counts the allocations of every hot-path
+//! primitive under a counting global allocator.
 //!
 //! Violations that are genuinely fine carry an inline, *reasoned*
 //! suppression — `// powadapt-lint: allow(D7, reason = "...")` — and the
@@ -94,7 +99,7 @@ pub struct FileAnalysis {
 ///
 /// `path` must be workspace-relative with `/` separators — it drives the
 /// per-rule scoping in [`AnalysisMode::Scoped`]. The file is treated as
-/// a one-file workspace, so the cross-file rules D7-D9 run with whatever
+/// a one-file workspace, so the cross-file rule D7 runs with whatever
 /// the single file declares (which is exactly what the ui fixtures
 /// exercise). For true cross-file analysis use [`analyze_files`].
 pub fn analyze_source(path: &str, src: &str, mode: AnalysisMode) -> FileAnalysis {
@@ -103,10 +108,10 @@ pub fn analyze_source(path: &str, src: &str, mode: AnalysisMode) -> FileAnalysis
 
 /// Analyzes a set of files as one workspace: pass 1 lexes every file and
 /// builds the shared symbol [`model::Model`]; pass 2 runs the per-file
-/// token rule (D4) and the cross-file semantic rules (D7-D9) over
-/// it. Suppressions are merged workspace-wide but keyed on (rule, file),
-/// so an allow in one file never covers — or masks the audit of — the
-/// same rule elsewhere.
+/// token rule (D4) and the cross-file semantic rule (D7) over it.
+/// Suppressions are merged workspace-wide but keyed on (rule, file), so
+/// an allow in one file never covers — or masks the audit of — the same
+/// rule elsewhere.
 pub fn analyze_files(files: &[(String, String)], mode: AnalysisMode) -> FileAnalysis {
     // Pass 1: lex, per-file scaffolding, merged suppressions, model.
     let lexed: Vec<lexer::Lexed> = files.iter().map(|(_, src)| lexer::lex(src)).collect();
@@ -117,7 +122,7 @@ pub fn analyze_files(files: &[(String, String)], mode: AnalysisMode) -> FileAnal
         suppressions.merge(suppress::scan(&lx.comments, path));
     }
     let slices: Vec<&[lexer::Tok]> = lexed.iter().map(|l| &l.tokens[..]).collect();
-    let mut model = model::Model::build(&slices);
+    let model = model::Model::build(&slices);
     let ctxs: Vec<semantic::FileCtx<'_>> = files
         .iter()
         .zip(&slices)
@@ -148,11 +153,8 @@ pub fn analyze_files(files: &[(String, String)], mode: AnalysisMode) -> FileAnal
         }
     }
 
-    // Pass 2b: cross-file semantic rules over the model.
-    let mut sem = Vec::new();
-    semantic::attach_hot_marks(&mut model, &ctxs, &mut suppressions.hot_marks, &mut sem);
-    sem.extend(semantic::run(&model, &ctxs));
-    for f in sem {
+    // Pass 2b: the cross-file semantic rule over the model.
+    for f in semantic::run(&model, &ctxs) {
         let path = &files[f.file].0;
         if mode == AnalysisMode::Scoped && !scope::rule_applies(f.rule, path) {
             continue;

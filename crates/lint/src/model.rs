@@ -1,19 +1,20 @@
 //! Pass 1: the workspace symbol model.
 //!
-//! The cross-file rules (D7-D9) need to know *what the code declares*,
-//! not just which tokens appear: which structs exist and what fields
-//! they carry, which impl blocks provide `write_state`/`read_state`,
-//! where every `fn` body starts and ends, which `emit!`/`span!` calls
-//! sit inside which function, which structs a `snapshot!` list declares, and what the obs kind registry contains.
+//! The cross-file rule D7 and the snapshot ABI lock need to know *what
+//! the code declares*, not just which tokens appear: which structs exist
+//! and what fields they carry, which impl blocks provide
+//! `write_state`/`read_state`, where every `fn` body starts and ends and
+//! what its parameters and typed locals are, and which structs a
+//! `snapshot!` list declares.
 //!
 //! This module extracts exactly that from the existing lexer's token
 //! stream — still no `syn`, because the workspace builds fully offline.
 //! The extraction is a set of small linear scans with bracket matching;
 //! the subset of Rust it understands (structs with named fields, impl
-//! blocks, fn items, enum variants, `const NAMES` tables, typed `let`
-//! bindings) is exactly the subset the semantic rules consume. Anything
-//! outside that subset degrades to "unknown" rather than a wrong answer:
-//! the rules skip what they cannot resolve.
+//! blocks, fn items, typed `let` bindings, `snapshot!` sites) is exactly
+//! the subset its consumers read. Anything outside that subset degrades
+//! to "unknown" rather than a wrong answer: the rule skips what it
+//! cannot resolve.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -24,10 +25,6 @@ pub struct FieldDef {
     pub name: String,
     /// The field's type, as raw token texts (generics included).
     pub ty: Vec<String>,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// 1-based column of the field name.
-    pub col: u32,
 }
 
 /// A struct declaration.
@@ -37,15 +34,8 @@ pub struct StructDef {
     pub name: String,
     /// Index into the analyzed file list.
     pub file: usize,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// 1-based column of the name token.
-    pub col: u32,
     /// Named fields; empty for tuple and unit structs.
     pub fields: Vec<FieldDef>,
-    /// True for tuple structs (fields unnamed; the unit newtypes are the
-    /// intended members of this class).
-    pub tuple: bool,
 }
 
 /// A function item (free, trait-decl, or inside an impl block).
@@ -55,8 +45,6 @@ pub struct FnDef {
     pub name: String,
     /// Index into the analyzed file list.
     pub file: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token index of the `fn` keyword.
     pub sig_tok: usize,
     /// Token range of the body: `(open_brace, close_brace)` inclusive.
@@ -68,15 +56,11 @@ pub struct FnDef {
     pub locals: Vec<(String, Vec<String>)>,
     /// Type name of the enclosing `impl` block, when inside one.
     pub owner: Option<String>,
-    /// Set from `// powadapt-lint: hot` marks after extraction.
-    pub hot: bool,
 }
 
 /// An `impl` block.
 #[derive(Debug, Clone)]
 pub struct ImplDef {
-    /// Trait name for `impl Trait for Type`, `None` for inherent impls.
-    pub trait_name: Option<String>,
     /// The implemented type's name (generics stripped).
     pub type_name: String,
     /// Index into the analyzed file list.
@@ -85,45 +69,26 @@ pub struct ImplDef {
     pub body: (usize, usize),
 }
 
-/// One `emit!(...)`, `span!(...)` or `snapshot! { ... }` invocation.
+/// One `snapshot! { ... }` invocation (a declarative codec field list).
 #[derive(Debug, Clone)]
-pub struct MacroSite {
-    /// `emit`, `span` or `snapshot`.
-    pub name: String,
+pub struct SnapshotSite {
     /// Index into the analyzed file list.
     pub file: usize,
     /// Token index of the macro name.
     pub tok: usize,
-    /// 1-based line/col of the macro name.
-    pub line: u32,
-    /// 1-based column of the macro name.
-    pub col: u32,
-    /// Top-level argument token ranges (inclusive), split on commas.
-    pub args: Vec<(usize, usize)>,
-    /// Token index of the closing delimiter; `None` when the invocation
-    /// is not closed before the end of the file (lexically unbalanced).
-    pub close: Option<usize>,
-    /// Index into [`Model::fns`] of the innermost enclosing fn.
-    pub enclosing_fn: Option<usize>,
 }
 
-impl MacroSite {
-    /// Is this an obs `emit!`/`span!` site (as opposed to a declarative
-    /// `snapshot!` field list)?
-    pub fn is_obs(&self) -> bool {
-        self.name != "snapshot"
-    }
-
+impl SnapshotSite {
     /// The component a `snapshot! { [value] Ty ... }` site declares.
     pub fn snapshot_type<'t>(&self, toks: &'t [Tok]) -> Option<&'t str> {
-        ident_at(toks, self.snapshot_type_tok(toks)?)
+        ident_at(toks, self.snapshot_type_tok(toks))
     }
 
     /// A `snapshot!` site's field list in list order, each entry rendered
     /// as `name` or `name: mode` (`skip` fields are not in the list).
     /// `None` for a site without one (`snapshot! { value Ty }`).
     pub fn snapshot_entries(&self, toks: &[Tok]) -> Option<Vec<String>> {
-        let open = self.snapshot_type_tok(toks)? + 1;
+        let open = self.snapshot_type_tok(toks) + 1;
         if punct_at(toks, open) != Some("{") {
             return None;
         }
@@ -152,43 +117,14 @@ impl MacroSite {
         Some(entries)
     }
 
-    fn snapshot_type_tok(&self, toks: &[Tok]) -> Option<usize> {
-        if self.is_obs() {
-            return None;
-        }
-        let mut i = self.tok + 3;
+    fn snapshot_type_tok(&self, toks: &[Tok]) -> usize {
+        let i = self.tok + 3;
         if ident_at(toks, i) == Some("value") {
-            i += 1;
+            i + 1
+        } else {
+            i
         }
-        Some(i)
     }
-}
-
-/// An enum declaration (the obs kind registry's `EventKind` is the one
-/// D8 consumes; all enums are modeled so fixtures can declare their
-/// own).
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Type name.
-    pub name: String,
-    /// Index into the analyzed file list.
-    pub file: usize,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// Variants as `(name, line, col)`.
-    pub variants: Vec<(String, u32, u32)>,
-}
-
-/// A `const NAMES: ... = [ "..." ... ]` table (the string half of the
-/// obs kind registry).
-#[derive(Debug, Clone)]
-pub struct NamesTable {
-    /// Index into the analyzed file list.
-    pub file: usize,
-    /// 1-based line of the `NAMES` token.
-    pub line: u32,
-    /// Entries as `(string value, line, col)`.
-    pub entries: Vec<(String, u32, u32)>,
 }
 
 /// The merged workspace symbol model.
@@ -200,12 +136,8 @@ pub struct Model {
     pub impls: Vec<ImplDef>,
     /// Every fn item.
     pub fns: Vec<FnDef>,
-    /// Every `emit!`/`span!` invocation.
-    pub macros: Vec<MacroSite>,
-    /// Every enum declaration.
-    pub enums: Vec<EnumDef>,
-    /// Every `const NAMES` table.
-    pub names_tables: Vec<NamesTable>,
+    /// Every `snapshot!` invocation.
+    pub snapshots: Vec<SnapshotSite>,
 }
 
 impl Model {
@@ -218,8 +150,7 @@ impl Model {
             extract_structs(toks, idx, &mut m.structs);
             extract_impls(toks, idx, &mut m.impls);
             extract_fns(toks, idx, &mut m.fns);
-            extract_enums(toks, idx, &mut m.enums);
-            extract_names_tables(toks, idx, &mut m.names_tables);
+            extract_snapshot_sites(toks, idx, &mut m.snapshots);
         }
         // Attach fns to their innermost enclosing impl block.
         for f in &mut m.fns {
@@ -234,40 +165,7 @@ impl Model {
             }
             f.owner = best.map(|im| im.type_name.clone());
         }
-        // Macro sites need fn spans, so they come after the fn pass.
-        for (idx, toks) in files.iter().enumerate() {
-            extract_macros(toks, idx, &m.fns, &mut m.macros);
-        }
         m
-    }
-
-    /// The innermost fn in `file` whose declaration sits on `line`
-    /// (targeted by a `hot` mark).
-    pub fn fn_on_line(&self, file: usize, line: u32) -> Option<usize> {
-        self.fns
-            .iter()
-            .position(|f| f.file == file && f.line == line)
-    }
-
-    /// Fns named `write_state`/`read_state` provided by any impl of
-    /// `type_name` in `file`'s crate (`crate_key` groups files; see
-    /// [`crate::scope`]). Returns indices into [`Model::fns`].
-    pub fn snapshot_fns(
-        &self,
-        type_name: &str,
-        crate_key: &str,
-        file_crates: &[String],
-    ) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                (f.name == "write_state" || f.name == "read_state")
-                    && f.owner.as_deref() == Some(type_name)
-                    && file_crates[f.file] == crate_key
-            })
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -334,58 +232,40 @@ fn extract_structs(toks: &[Tok], file: usize, out: &mut Vec<StructDef>) {
             i += 1;
             continue;
         };
-        let name_tok = &toks[i + 1];
         let mut j = skip_generics(toks, i + 2);
         // Scan past an optional `where` clause to the body opener. The
         // clause can contain `Fn(..)` parens, so a `(` only means
         // "tuple struct" when no `where` has been seen.
         let mut saw_where = false;
-        let mut def: Option<StructDef> = None;
+        let mut fields = None;
         while j < toks.len() {
             match toks[j].text.as_str() {
                 "where" if toks[j].kind == TokKind::Ident => saw_where = true,
                 "{" => {
                     let close = match_bracket(toks, j);
-                    def = Some(StructDef {
-                        name: name.to_string(),
-                        file,
-                        line: name_tok.line,
-                        col: name_tok.col,
-                        fields: parse_fields(&toks[j + 1..close]),
-                        tuple: false,
-                    });
+                    fields = Some(parse_fields(&toks[j + 1..close]));
                     j = close;
                     break;
                 }
                 "(" if !saw_where => {
                     j = match_bracket(toks, j);
-                    def = Some(StructDef {
-                        name: name.to_string(),
-                        file,
-                        line: name_tok.line,
-                        col: name_tok.col,
-                        fields: Vec::new(),
-                        tuple: true,
-                    });
+                    fields = Some(Vec::new());
                     break;
                 }
                 ";" => {
-                    def = Some(StructDef {
-                        name: name.to_string(),
-                        file,
-                        line: name_tok.line,
-                        col: name_tok.col,
-                        fields: Vec::new(),
-                        tuple: false,
-                    });
+                    fields = Some(Vec::new());
                     break;
                 }
                 _ => {}
             }
             j += 1;
         }
-        if let Some(d) = def {
-            out.push(d);
+        if let Some(fields) = fields {
+            out.push(StructDef {
+                name: name.to_string(),
+                file,
+                fields,
+            });
         }
         i = j.max(i + 1);
     }
@@ -417,7 +297,6 @@ fn parse_fields(body: &[Tok]) -> Vec<FieldDef> {
             i += 1;
             continue;
         }
-        let name_tok = &body[i];
         // Type runs to the next top-level comma.
         let mut depth = 0i32;
         let mut angle = 0i32;
@@ -439,8 +318,6 @@ fn parse_fields(body: &[Tok]) -> Vec<FieldDef> {
         fields.push(FieldDef {
             name: name.to_string(),
             ty,
-            line: name_tok.line,
-            col: name_tok.col,
         });
         i = j + 1;
     }
@@ -507,14 +384,9 @@ fn extract_impls(toks: &[Tok], file: usize, out: &mut Vec<ImplDef>) {
             continue;
         };
         let close = match_bracket(toks, open);
-        let (trait_name, type_name) = if in_second {
-            (last_segment(&first), last_segment(&second))
-        } else {
-            (None, last_segment(&first))
-        };
+        let type_name = last_segment(if in_second { &second } else { &first });
         if let Some(type_name) = type_name {
             out.push(ImplDef {
-                trait_name,
                 type_name,
                 file,
                 body: (open, close),
@@ -565,13 +437,11 @@ fn extract_fns(toks: &[Tok], file: usize, out: &mut Vec<FnDef>) {
         out.push(FnDef {
             name: name.to_string(),
             file,
-            line: toks[i].line,
             sig_tok: i,
             body,
             params,
             locals,
             owner: None,
-            hot: false,
         });
         // Continue *inside* the body too: nested fns are modeled.
         i = match body {
@@ -690,173 +560,22 @@ fn parse_locals(body: &[Tok]) -> Vec<(String, Vec<String>)> {
     out
 }
 
-fn extract_enums(toks: &[Tok], file: usize, out: &mut Vec<EnumDef>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if ident_at(toks, i) != Some("enum") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = ident_at(toks, i + 1) else {
-            i += 1;
-            continue;
-        };
-        let name_tok = &toks[i + 1];
-        let mut j = skip_generics(toks, i + 2);
-        while j < toks.len() && toks[j].text != "{" {
-            j += 1;
-        }
-        if j >= toks.len() {
-            break;
-        }
-        let close = match_bracket(toks, j);
-        let body = &toks[j + 1..close];
-        let mut variants = Vec::new();
-        let mut k = 0usize;
-        while k < body.len() {
-            // Skip attributes and any variant payload.
-            if punct_at(body, k) == Some("#") && punct_at(body, k + 1) == Some("[") {
-                k = match_bracket(body, k + 1) + 1;
-                continue;
-            }
-            let Some(v) = ident_at(body, k) else {
-                k += 1;
-                continue;
-            };
-            variants.push((v.to_string(), body[k].line, body[k].col));
-            k += 1;
-            // Payload (`(..)`/`{..}`) or discriminant (`= n`).
-            match body.get(k).map(|t| t.text.as_str()) {
-                Some("(") | Some("{") => k = match_bracket(body, k) + 1,
-                Some("=") => {
-                    while k < body.len() && body[k].text != "," {
-                        k += 1;
-                    }
-                }
-                _ => {}
-            }
-            // Trailing comma.
-            if punct_at(body, k) == Some(",") {
-                k += 1;
-            }
-        }
-        out.push(EnumDef {
-            name: name.to_string(),
-            file,
-            line: name_tok.line,
-            variants,
-        });
-        i = close + 1;
-    }
-}
-
-fn extract_names_tables(toks: &[Tok], file: usize, out: &mut Vec<NamesTable>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !(ident_at(toks, i) == Some("const") && ident_at(toks, i + 1) == Some("NAMES")) {
-            i += 1;
-            continue;
-        }
-        let line = toks[i + 1].line;
-        // Skip the type annotation (`: [&str; N]` — its `;` would end the
-        // scan early) to the initializer.
-        let mut j = i + 2;
-        while j < toks.len() && toks[j].text != "=" {
-            j += 1;
-        }
-        let mut entries = Vec::new();
-        while j < toks.len() && toks[j].text != ";" {
-            let t = &toks[j];
-            if t.kind == TokKind::Literal && t.text.starts_with('"') {
-                let value = t.text.trim_matches('"').to_string();
-                entries.push((value, t.line, t.col));
-            }
-            j += 1;
-        }
-        out.push(NamesTable {
-            file,
-            line,
-            entries,
-        });
-        i = j;
-    }
-}
-
-fn extract_macros(toks: &[Tok], file: usize, fns: &[FnDef], out: &mut Vec<MacroSite>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        let delim = match toks[i].text.as_str() {
-            "emit" | "span" => "(",
-            "snapshot" => "{",
-            _ => "",
-        };
-        let is_site = toks[i].kind == TokKind::Ident
-            && !delim.is_empty()
+/// Finds `snapshot! { ... }` use sites. The arms of a `macro_rules!
+/// snapshot` definition also read `snapshot ! {`, but they interpolate
+/// metavariables, so a site with a `$` inside its braces is skipped.
+fn extract_snapshot_sites(toks: &[Tok], file: usize, out: &mut Vec<SnapshotSite>) {
+    for i in 0..toks.len() {
+        let is_site = ident_at(toks, i) == Some("snapshot")
             && punct_at(toks, i + 1) == Some("!")
-            && punct_at(toks, i + 2) == Some(delim);
+            && punct_at(toks, i + 2) == Some("{");
         if !is_site {
-            i += 1;
             continue;
         }
-        // Macro *definitions* (`macro_rules! emit`) don't match: the
-        // name there follows `macro_rules !`, so `emit` is not directly
-        // followed by `!` `(` — but the expansion arms inside a
-        // definition could. Skip sites inside a macro_rules body by
-        // checking the nearest preceding `macro_rules` ident at lower
-        // brace depth... cheaper: skip when `$` appears immediately
-        // inside the args (expansion arms interpolate `$rec`).
-        let open = i + 2;
-        let close_idx = {
-            let c = match_bracket(toks, open);
-            if c > open && toks[c].text == if delim == "(" { ")" } else { "}" } {
-                Some(c)
-            } else {
-                None
-            }
-        };
-        let mut args = Vec::new();
-        if let Some(close) = close_idx {
-            let mut depth = 0i32;
-            let mut start = open + 1;
-            for (j, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
-                match tok.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 => {
-                        args.push((start, j.saturating_sub(1)));
-                        start = j + 1;
-                    }
-                    _ => {}
-                }
-            }
-            if start < close {
-                args.push((start, close - 1));
-            }
-        }
-        let dollar_args = args
-            .iter()
-            .any(|&(a, b)| toks[a..=b].iter().any(|t| t.text == "$"));
-        if dollar_args {
-            i = open + 1;
+        let close = match_bracket(toks, i + 2);
+        if toks[i + 2..=close].iter().any(|t| t.text == "$") {
             continue;
         }
-        let enclosing_fn = fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && f.body.is_some_and(|(a, b)| a < i && i < b))
-            .max_by_key(|(_, f)| f.body.map(|(a, _)| a))
-            .map(|(idx, _)| idx);
-        out.push(MacroSite {
-            name: toks[i].text.clone(),
-            file,
-            tok: i,
-            line: toks[i].line,
-            col: toks[i].col,
-            args,
-            close: close_idx,
-            enclosing_fn,
-        });
-        i = open + 1;
+        out.push(SnapshotSite { file, tok: i });
     }
 }
 
@@ -884,7 +603,8 @@ mod tests {
         assert_eq!(names, ["watts", "samples"]);
         assert_eq!(meter.fields[0].ty, ["Watts"]);
         assert!(meter.fields[1].ty.contains(&"Vec".to_string()));
-        assert!(m.structs[2].tuple);
+        assert_eq!(m.structs[2].name, "Pair");
+        assert!(m.structs[2].fields.is_empty());
     }
 
     #[test]
@@ -895,19 +615,12 @@ mod tests {
              impl Device for Ssd where Ssd: Sized { fn tick(&self) {} }\n",
         );
         assert_eq!(m.impls.len(), 3);
-        assert_eq!(m.impls[0].trait_name.as_deref(), Some("Snapshot"));
-        assert_eq!(m.impls[0].type_name, "EventLog");
-        assert_eq!(m.impls[1].trait_name, None);
-        assert_eq!(m.impls[1].type_name, "EventQueue");
-        assert_eq!(m.impls[2].trait_name.as_deref(), Some("Device"));
-        assert_eq!(m.impls[2].type_name, "Ssd");
+        // `impl Trait for Type` names the type, not the trait.
+        let types: Vec<_> = m.impls.iter().map(|im| im.type_name.as_str()).collect();
+        assert_eq!(types, ["EventLog", "EventQueue", "Ssd"]);
         // Fn -> impl attachment.
-        assert_eq!(m.fns[0].owner.as_deref(), Some("EventLog"));
-        assert_eq!(m.fns[1].owner.as_deref(), Some("EventQueue"));
-        let crates = vec![String::new()];
-        assert_eq!(m.snapshot_fns("EventLog", "", &crates).len(), 1);
-        assert_eq!(m.snapshot_fns("EventQueue", "", &crates).len(), 1);
-        assert!(m.snapshot_fns("Ssd", "", &crates).is_empty());
+        let owners: Vec<_> = m.fns.iter().map(|f| f.owner.as_deref()).collect();
+        assert_eq!(owners, [Some("EventLog"), Some("EventQueue"), Some("Ssd")]);
     }
 
     #[test]
@@ -931,42 +644,11 @@ mod tests {
     }
 
     #[test]
-    fn enums_and_names_tables() {
-        let (m, _) = model_of(
-            "pub enum EventKind {\n    IoStart,\n    IoDone(u32),\n    #[doc(hidden)]\n    ModeSwitch { from: u8 },\n}\nimpl EventKind {\n    pub const NAMES: [&'static str; 3] = [\"io_start\", \"io_done\", \"mode_switch\"];\n}\n",
-        );
-        assert_eq!(m.enums.len(), 1);
-        let vs: Vec<_> = m.enums[0].variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(vs, ["IoStart", "IoDone", "ModeSwitch"]);
-        assert_eq!(m.names_tables.len(), 1);
-        let ns: Vec<_> = m.names_tables[0]
-            .entries
-            .iter()
-            .map(|e| e.0.as_str())
-            .collect();
-        assert_eq!(ns, ["io_start", "io_done", "mode_switch"]);
-    }
-
-    #[test]
-    fn macro_sites_and_enclosing_fn() {
-        let (m, _) = model_of(
-            "fn tick(&mut self) {\n    emit!(self.rec, t, track, EventKind::IoStart);\n    span!(self.rec, t0, track, \"svc\", dur);\n}\n",
-        );
-        assert_eq!(m.macros.len(), 2);
-        assert_eq!(m.macros[0].name, "emit");
-        assert_eq!(m.macros[0].args.len(), 4);
-        assert_eq!(m.macros[1].name, "span");
-        assert_eq!(m.macros[1].args.len(), 5);
-        assert_eq!(m.macros[0].enclosing_fn, Some(0));
-        assert!(m.macros[0].close.is_some());
-    }
-
-    #[test]
     fn macro_definition_arms_are_skipped() {
         let (m, _) = model_of(
-            "macro_rules! emit {\n    ($rec:expr, $at:expr) => {\n        if $rec.is_enabled() { emit!($rec, $at) }\n    };\n}\n",
+            "macro_rules! snapshot {\n    (value $ty:ident) => { $crate::snapshot! { value $ty } };\n}\n",
         );
-        assert!(m.macros.is_empty());
+        assert!(m.snapshots.is_empty());
     }
 
     #[test]
@@ -977,9 +659,10 @@ mod tests {
              snapshot! {\n    value B { y }\n}\n\
              macro_rules! snapshot {\n    (value $ty:ident) => { $crate::snapshot! { value $ty } };\n}\n",
         );
-        let names: Vec<_> = m.macros.iter().map(|s| s.snapshot_type(&toks)).collect();
+        let names: Vec<_> = m.snapshots.iter().map(|s| s.snapshot_type(&toks)).collect();
         assert_eq!(names, [Some("A"), Some("B")]);
-        assert!(m.macros.iter().all(|s| !s.is_obs() && s.close.is_some()));
+        // A site left open at the end of the file is still a site.
+        assert_eq!(model_of("snapshot! {").0.snapshots.len(), 1);
     }
 
     #[test]
@@ -991,7 +674,7 @@ mod tests {
              snapshot! { value Sketch }\n",
         );
         assert_eq!(
-            m.macros[0].snapshot_entries(&toks).unwrap(),
+            m.snapshots[0].snapshot_entries(&toks).unwrap(),
             [
                 "now",
                 "events: with(ReadIds, reads)",
@@ -999,6 +682,6 @@ mod tests {
                 "tree: with(a::Tree)"
             ]
         );
-        assert_eq!(m.macros[1].snapshot_entries(&toks), None);
+        assert_eq!(m.snapshots[1].snapshot_entries(&toks), None);
     }
 }

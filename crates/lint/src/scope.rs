@@ -42,13 +42,6 @@ pub fn rule_applies(rule: RuleId, path: &str) -> bool {
         RuleId::D7 => in_crates(&[
             "sim", "device", "io", "meter", "model", "core", "cluster", "place",
         ]),
-        // Obs discipline: the registry lives in obs; emit!/span! call
-        // sites live in every crate that records events.
-        RuleId::D8 => in_crates(&["obs", "device", "io", "core", "cluster", "sim", "place"]),
-        // Hot-path allocation is opt-in via the `hot` directive, so the
-        // path scope is the whole workspace — the annotation itself is
-        // the perimeter.
-        RuleId::D9 => true,
         // Suppression hygiene follows the file, not a crate list.
         RuleId::S0 | RuleId::S1 => true,
     }
@@ -245,12 +238,12 @@ mod tests {
         assert!(!rule_applies(RuleId::D4, "crates/meter/tests/chain.rs"));
         assert!(!rule_applies(RuleId::D7, "crates/sim/tests/properties.rs"));
         assert!(!rule_applies(
-            RuleId::D8,
-            "crates/cluster/tests/oversubscription.rs"
+            RuleId::D7,
+            "crates/bench/benches/device_sim.rs"
         ));
         assert!(!rule_applies(
-            RuleId::D9,
-            "crates/bench/benches/device_sim.rs"
+            RuleId::D7,
+            "examples/cluster_oversubscription.rs"
         ));
         // Suppression hygiene follows the file, not a crate list.
         assert!(rule_applies(RuleId::S0, "crates/lint/src/lib.rs"));
@@ -273,32 +266,5 @@ mod tests {
             assert!(rule_applies(RuleId::D7, p), "D7 must cover {p}");
         }
         assert!(!rule_applies(RuleId::D7, "crates/obs/src/recorder.rs"));
-
-        // D8 covers the registry's home plus every emitting crate.
-        for p in [
-            "crates/obs/src/recorder.rs",
-            "crates/device/src/fault.rs",
-            "crates/io/src/fleet.rs",
-            "crates/core/src/controller.rs",
-            "crates/cluster/src/sim.rs",
-            "crates/sim/src/queue.rs",
-            "crates/place/src/tier.rs",
-        ] {
-            assert!(rule_applies(RuleId::D8, p), "D8 must cover {p}");
-        }
-        assert!(!rule_applies(RuleId::D8, "crates/model/src/lib.rs"));
-
-        // D9's path scope is the whole workspace — the hot annotation is
-        // the perimeter — but never tests or examples.
-        assert!(rule_applies(RuleId::D9, "crates/sim/src/queue.rs"));
-        assert!(rule_applies(
-            RuleId::D9,
-            "crates/bench/src/bin/obs_bench.rs"
-        ));
-        assert!(!rule_applies(RuleId::D9, "crates/sim/tests/properties.rs"));
-        assert!(!rule_applies(
-            RuleId::D9,
-            "examples/cluster_oversubscription.rs"
-        ));
     }
 }

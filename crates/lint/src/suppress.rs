@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! // powadapt-lint: allow(D7, reason = "CSV boundary; the column header names the unit")
-//! // powadapt-lint: allow(D7, D9, reason = "static table built once at startup")
+//! // powadapt-lint: allow(D4, D7, reason = "raw boundary API; the caller passes SI units")
 //! ```
 //!
 //! - one or more known rule ids, then a **mandatory, non-empty** `reason`;
@@ -40,32 +40,11 @@ pub struct Suppression {
     pub used: bool,
 }
 
-/// A `// powadapt-lint: hot` annotation: the next (or same, when
-/// trailing) line's `fn` is declared hot-path and subject to [D9].
-///
-/// [D9]: crate::diag::RuleId::D9
-#[derive(Debug, Clone)]
-pub struct HotMark {
-    /// Workspace-relative path of the file the mark lives in.
-    pub path: String,
-    /// 1-based line of the comment itself.
-    pub comment_line: u32,
-    /// 1-based column of the comment.
-    pub col: u32,
-    /// 1-based line the mark targets (the `fn` line).
-    pub target_line: u32,
-    /// Set when a fn declaration was found on the target line; an
-    /// unattached mark is an S0 (the directive mechanism is audited).
-    pub attached: bool,
-}
-
 /// Result of scanning one file's comments.
 #[derive(Debug, Default)]
 pub struct SuppressionSet {
     /// Well-formed suppressions, by target line.
     pub entries: Vec<Suppression>,
-    /// `hot` directives, by target line.
-    pub hot_marks: Vec<HotMark>,
     /// S0 diagnostics for malformed suppressions.
     pub errors: Vec<Diagnostic>,
 }
@@ -89,7 +68,6 @@ impl SuppressionSet {
     /// Absorbs another file's scan into this set (workspace pass).
     pub fn merge(&mut self, mut other: SuppressionSet) {
         self.entries.append(&mut other.entries);
-        self.hot_marks.append(&mut other.hot_marks);
         self.errors.append(&mut other.errors);
     }
 
@@ -136,16 +114,6 @@ pub fn scan(comments: &[LineComment], path: &str) -> SuppressionSet {
         };
         let body = c.text[idx + MARKER.len()..].trim();
         let target_line = if c.trailing { c.line } else { c.line + 1 };
-        if body == "hot" {
-            set.hot_marks.push(HotMark {
-                path: path.to_string(),
-                comment_line: c.line,
-                col: c.col,
-                target_line,
-                attached: false,
-            });
-            continue;
-        }
         match parse_body(body) {
             Ok((rules, reason)) => set.entries.push(Suppression {
                 rules,
@@ -169,8 +137,13 @@ pub fn scan(comments: &[LineComment], path: &str) -> SuppressionSet {
     set
 }
 
-/// Parses `allow(D7, D9, reason = "...")` after the marker.
+/// Parses `allow(D4, D7, reason = "...")` after the marker.
 fn parse_body(body: &str) -> Result<(Vec<RuleId>, String), String> {
+    if body == "hot" {
+        return Err("the `hot` directive is retired: tests/hot_path_allocs.rs \
+                    counts hot-path allocations at run time"
+            .to_string());
+    }
     let rest = body
         .strip_prefix("allow")
         .ok_or_else(|| format!("expected `allow(...)` after `{MARKER}`"))?
@@ -206,7 +179,7 @@ fn parse_body(body: &str) -> Result<(Vec<RuleId>, String), String> {
             reason = Some(unquoted.to_string());
         } else {
             let rule = RuleId::parse_suppressible(part)
-                .ok_or_else(|| format!("unknown rule `{part}` (expected one of D4, D7, D8, D9)"))?;
+                .ok_or_else(|| format!("unknown rule `{part}` (expected D4 or D7)"))?;
             rules.push(rule);
         }
     }
@@ -273,7 +246,7 @@ mod tests {
     fn trailing_targets_own_line() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(D9, reason = \"amortized growth\")",
+                "// powadapt-lint: allow(D7, reason = \"CSV boundary\")",
                 true,
             )],
             "x.rs",
@@ -329,22 +302,36 @@ mod tests {
     fn semantic_rules_parse_in_both_cases() {
         let set = scan(
             &[comment(
-                "// powadapt-lint: allow(d7, D9, reason = \"static config\")",
+                "// powadapt-lint: allow(d7, d4, reason = \"static config\")",
                 false,
             )],
             "x.rs",
         );
         assert!(set.errors.is_empty());
-        assert_eq!(set.entries[0].rules, vec![RuleId::D7, RuleId::D9]);
+        assert_eq!(set.entries[0].rules, vec![RuleId::D7, RuleId::D4]);
     }
 
     #[test]
-    fn hot_directive_is_recorded_not_an_error() {
-        let set = scan(&[comment("// powadapt-lint: hot", false)], "x.rs");
-        assert!(set.errors.is_empty());
-        assert!(set.entries.is_empty());
-        assert_eq!(set.hot_marks.len(), 1);
-        assert_eq!(set.hot_marks[0].target_line, 11);
+    fn retired_directives_are_s0() {
+        // D8 and D9 moved to rustc and runtime tests; a leftover `hot`
+        // mark or allow for either fails loudly instead of lingering.
+        for (text, needle) in [
+            ("// powadapt-lint: hot", "retired"),
+            (
+                "// powadapt-lint: allow(D8, reason = \"x\")",
+                "unknown rule `D8`",
+            ),
+            (
+                "// powadapt-lint: allow(d9, reason = \"x\")",
+                "unknown rule `d9`",
+            ),
+        ] {
+            let set = scan(&[comment(text, false)], "x.rs");
+            assert!(set.entries.is_empty(), "{text}");
+            assert_eq!(set.errors.len(), 1, "{text}");
+            assert_eq!(set.errors[0].rule, RuleId::S0);
+            assert!(set.errors[0].message.contains(needle), "{text}");
+        }
     }
 
     #[test]
@@ -354,20 +341,20 @@ mod tests {
         // reports per file.
         let mut set = scan(
             &[comment(
-                "// powadapt-lint: allow(D9, reason = \"x\")",
+                "// powadapt-lint: allow(D7, reason = \"x\")",
                 false,
             )],
             "a.rs",
         );
         set.merge(scan(
             &[comment(
-                "// powadapt-lint: allow(D9, reason = \"x\")",
+                "// powadapt-lint: allow(D7, reason = \"x\")",
                 false,
             )],
             "b.rs",
         ));
-        assert!(set.try_suppress(RuleId::D9, "a.rs", 11));
-        assert!(!set.try_suppress(RuleId::D9, "c.rs", 11));
+        assert!(set.try_suppress(RuleId::D7, "a.rs", 11));
+        assert!(!set.try_suppress(RuleId::D7, "c.rs", 11));
         let unused = set.unused(|_, _| String::new());
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].path, "b.rs");

@@ -16,34 +16,39 @@ fn files(list: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 #[test]
-fn d9_propagates_one_level_across_files() {
+fn d7_resolves_fields_declared_in_another_file() {
+    // The struct lives in one file, the impl that mixes its fields'
+    // dimensions in another file of the same crate; a same-named struct
+    // in a different crate must not lend its fields.
     let analysis = analyze_files(
         &files(&[
             (
-                "crates/sim/src/queue.rs",
-                "impl Queue {\n\
-                 // powadapt-lint: hot\n\
-                 fn pop(&mut self) { Arena::refill(); }\n\
-                 }\n",
+                "crates/meter/src/probe.rs",
+                "pub struct Probe { power: Watts, energy: Joules }\n",
             ),
             (
-                "crates/sim/src/slab.rs",
-                "impl Arena {\n    fn refill() { let v = Vec::new(); }\n}\n",
+                "crates/meter/src/probe_ops.rs",
+                "impl Probe {\n    fn bad(&self) -> f64 { self.power.get() + self.energy.get() }\n}\n",
+            ),
+            (
+                "crates/model/src/probe.rs",
+                "pub struct Probe { power: Watts, energy: Watts }\n\
+                 impl Probe {\n    fn fine(&self) -> f64 { self.power.get() + self.energy.get() }\n}\n",
             ),
         ]),
         AnalysisMode::Scoped,
     );
-    let d9: Vec<_> = analysis
+    let d7: Vec<_> = analysis
         .diagnostics
         .iter()
-        .filter(|d| d.rule.as_str() == "D9")
+        .map(|d| (d.path.as_str(), d.line, d.rule.as_str()))
         .collect();
-    assert_eq!(d9.len(), 1, "{:?}", analysis.diagnostics);
-    // The finding sits at the call site in queue.rs but names the
-    // allocating callee's own file.
-    assert_eq!(d9[0].path, "crates/sim/src/queue.rs");
-    assert!(d9[0].message.contains("crates/sim/src/slab.rs"));
-    assert!(d9[0].message.contains("`refill`"));
+    assert_eq!(
+        d7,
+        [("crates/meter/src/probe_ops.rs", 2, "D7")],
+        "{:?}",
+        analysis.diagnostics
+    );
 }
 
 #[test]

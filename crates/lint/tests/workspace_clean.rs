@@ -2,8 +2,8 @@
 //!
 //! This is the self-hosting check: `cargo test -p powadapt-lint` fails
 //! the moment anyone reintroduces a raw-`f64` unit parameter, a
-//! mixed-unit expression, an unregistered event kind, or an allocation
-//! in a `hot` function — without needing the CI lint job to run.
+//! mixed-unit expression, or a malformed, retired or stale suppression —
+//! without needing the CI lint job to run.
 
 #![allow(
     clippy::unwrap_used,
@@ -37,11 +37,6 @@ fn workspace_has_zero_diagnostics() {
         report.files_scanned > 50,
         "only {} files scanned — wrong root?",
         report.files_scanned
-    );
-    // Every suppression in the tree fired (S1 enforces the converse).
-    assert!(
-        !report.suppressions_used.is_empty(),
-        "expected the documented allows (e.g. the hot-path D9 ones) to be in use"
     );
     // The report serializes: spot-check the JSON envelope.
     let json = report.to_json();

@@ -399,86 +399,124 @@ mod tests {
             assert_eq!(EventKind::name_index(n), Some(i));
         }
         assert_eq!(EventKind::name_index("nope"), None);
-        // Spot-check that index() agrees with the table for a payload
-        // kind, a unit kind, and the last entry.
-        assert_eq!(
-            EventKind::NAMES[EventKind::PowerSample { watts: 1.0 }.index()],
-            "power_sample"
-        );
-        assert_eq!(EventKind::NAMES[EventKind::SpinUp.index()], "spin_up");
-        assert_eq!(
-            EventKind::NAMES[EventKind::ShardMerged {
-                shard: 0,
-                events: 0
-            }
-            .index()],
-            "shard_merged"
-        );
-        assert_eq!(
-            EventKind::NAMES[EventKind::PlacementDecision {
+    }
+
+    /// One value of every kind.
+    fn one_of_each() -> Vec<EventKind> {
+        let node = || "cluster/row0/rack1".to_string();
+        vec![
+            EventKind::IoSubmit {
+                id: 1,
+                dir: IoDir::Read,
+                len: 4096,
+            },
+            EventKind::IoComplete {
+                id: 1,
+                dir: IoDir::Write,
+                len: 4096,
+                latency: SimDuration::ZERO,
+            },
+            EventKind::IoError {
+                id: 1,
+                error: "unavailable".into(),
+            },
+            EventKind::ArrivalDropped { id: 1 },
+            EventKind::PowerStateTransition { from: 0, to: 1 },
+            EventKind::CapApplied {
+                cap_w: 8.0,
+                power_w: 9.0,
+            },
+            EventKind::SpinUp,
+            EventKind::SpinDown,
+            EventKind::FaultInjected {
+                fault: "latency_spike".into(),
+            },
+            EventKind::BreakerOpen,
+            EventKind::BreakerHalfOpen,
+            EventKind::BreakerClose,
+            EventKind::ControllerDecision(Box::new(ControllerDecision {
+                budget_w: 10.0,
+                measured_w: 9.0,
+                expected_power_w: 9.5,
+                expected_throughput_bps: 1e9,
+                quarantined: Vec::new(),
+                degraded: Vec::new(),
+            })),
+            EventKind::BreakerTrip { node: node() },
+            EventKind::BreakerRestore { node: node() },
+            EventKind::RebalanceDecision(Box::new(RebalanceDecision {
+                node: node(),
+                cap_w: 100.0,
+                granted_w: 80.0,
+                demand_w: 90.0,
+            })),
+            EventKind::PowerSample { watts: 1.0 },
+            EventKind::Span {
+                label: "x",
+                dur: SimDuration::ZERO,
+            },
+            EventKind::EnergyAttributed(Box::new(EnergyAttributed {
+                node: node(),
+                joules: 1.5,
+                stranded_w: 0.25,
+            })),
+            EventKind::ConservationViolation(Box::new(ConservationViolation {
+                node: node(),
+                detail: "children exceed parent".into(),
+            })),
+            EventKind::SloBurnAlert {
+                tenant: "oltp".into(),
+                burn_rate: 0.9,
+            },
+            EventKind::ShardMerged {
+                shard: 2,
+                events: 9,
+            },
+            EventKind::PlacementDecision {
                 extent: 0,
                 primary: 0,
-                replicas: 1
-            }
-            .index()],
-            "placement_decision"
-        );
-        assert_eq!(
-            EventKind::NAMES[EventKind::MigrationStarted {
+                replicas: 1,
+            },
+            EventKind::MigrationStarted {
                 extent: 0,
                 from: 0,
-                to: 1
-            }
-            .index()],
-            "migration_started"
-        );
-        assert_eq!(
-            EventKind::NAMES[EventKind::MigrationCompleted {
+                to: 1,
+            },
+            EventKind::MigrationCompleted {
                 extent: 0,
                 from: 0,
-                to: 1
-            }
-            .index()],
-            "migration_completed"
-        );
-        assert_eq!(
-            EventKind::NAMES[EventKind::RoutedAround { id: 0, skipped: 1 }.index()],
-            "routed_around"
-        );
+                to: 1,
+            },
+            EventKind::RoutedAround { id: 0, skipped: 1 },
+        ]
     }
 
     #[test]
     fn name_table_interns_every_kind() {
-        assert_eq!(
-            EventKind::BreakerTrip {
-                node: "cluster/row0/rack1".into()
+        // The registry check: each kind's name is its variant name (read
+        // from the derived `Debug`) snake-cased, and `index()` covers
+        // `0..COUNT` exactly once, so every variant has one NAMES entry
+        // and every entry one variant.
+        let mut seen = [false; EventKind::COUNT];
+        for kind in one_of_each() {
+            let variant: String = format!("{kind:?}")
+                .chars()
+                .take_while(char::is_ascii_alphanumeric)
+                .collect();
+            let mut snake = String::new();
+            for (i, c) in variant.chars().enumerate() {
+                if i > 0 && c.is_ascii_uppercase() {
+                    snake.push('_');
+                }
+                snake.push(c.to_ascii_lowercase());
             }
-            .name(),
-            "breaker_trip"
-        );
-        assert_eq!(
-            EventKind::BreakerRestore {
-                node: "cluster/row0/rack1".into()
-            }
-            .name(),
-            "breaker_restore"
-        );
-        assert_eq!(
-            EventKind::EnergyAttributed(Box::new(EnergyAttributed {
-                node: "cluster/row0".into(),
-                joules: 1.5,
-                stranded_w: 0.25,
-            }))
-            .name(),
-            "energy_attributed"
-        );
-        assert_eq!(
-            EventKind::ShardMerged {
-                shard: 2,
-                events: 9
-            }
-            .name(),
-            "shard_merged"
-        );
+            assert_eq!(kind.name(), snake, "{variant}");
+            assert!(
+                !std::mem::replace(&mut seen[kind.index()], true),
+                "{variant} shares index {}",
+                kind.index()
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "kinds missing: {seen:?}");
     }
 }

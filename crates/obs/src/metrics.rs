@@ -48,13 +48,12 @@ impl MetricsRegistry {
     ///
     /// Steady state (the counter exists) looks the key up by `&str` and
     /// allocates nothing; only the first increment of a name copies it.
-    // powadapt-lint: hot
     pub fn inc(&self, name: &str, by: u64) {
         let mut inner = self.lock();
         match inner.counters.get_mut(name) {
             Some(c) => *c += by,
             None => {
-                inner.counters.insert(name.to_string(), by); // powadapt-lint: allow(d9, reason = "first increment of a name registers the counter; every later inc takes the alloc-free lookup above")
+                inner.counters.insert(name.to_string(), by);
             }
         }
     }
@@ -89,13 +88,12 @@ impl MetricsRegistry {
     ///
     /// Steady state (the histogram exists) looks the key up by `&str` and
     /// bumps a fixed bucket array: no allocation.
-    // powadapt-lint: hot
     pub fn observe(&self, name: &str, value: f64) {
         let mut inner = self.lock();
         match inner.histograms.get_mut(name) {
             Some(s) => s.observe(value),
             None => {
-                let slot = inner.histograms.entry(name.to_string()); // powadapt-lint: allow(d9, reason = "first observation of a name registers the histogram; every later observe takes the alloc-free lookup above")
+                let slot = inner.histograms.entry(name.to_string());
                 slot.or_default().observe(value);
             }
         }

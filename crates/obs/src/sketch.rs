@@ -131,7 +131,6 @@ impl Sketch {
     }
 
     /// Records one sample. Allocation-free.
-    // powadapt-lint: hot
     pub fn observe(&mut self, value: f64) {
         let idx = bucket_index(value);
         let value = canonical(value);

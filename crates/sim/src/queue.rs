@@ -83,7 +83,6 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` to fire at `at`, after every event already
     /// scheduled for the same time.
-    // powadapt-lint: hot
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -96,14 +95,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the next event as `(time, payload)`.
-    // powadapt-lint: hot
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.at, e.payload))
     }
 
     /// Removes and returns the next event only if it fires at or before
     /// `t`.
-    // powadapt-lint: hot
     pub fn pop_at_or_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         match self.next_time() {
             Some(at) if at <= t => self.pop(),

@@ -71,11 +71,9 @@ impl<T> Slab<T> {
     }
 
     /// Stores `value` and returns its slot key.
-    // powadapt-lint: hot
     pub fn insert(&mut self, value: T) -> usize {
         self.len += 1;
         if self.free_head == NONE {
-            // powadapt-lint: allow(d9, reason = "amortized growth; steady state reuses the free list without pushing")
             self.slots.push(Slot::Occupied(value));
             self.slots.len() - 1
         } else {
@@ -92,7 +90,6 @@ impl<T> Slab<T> {
     /// Removes and returns the value at `key`, freeing the slot.
     ///
     /// Returns `None` if the slot is vacant or the key out of range.
-    // powadapt-lint: hot
     pub fn remove(&mut self, key: usize) -> Option<T> {
         let slot = self.slots.get_mut(key)?;
         if matches!(slot, Slot::Free { .. }) {

@@ -299,6 +299,61 @@ fn cluster_sim_records_only_to_the_recorder_it_was_built_under() {
     assert!(count("energy_attributed") > 0, "ledger audits went missing");
 }
 
+/// Restore paths are silent: a resumed run's trace continues the original
+/// one rather than replaying it, so rebuilding state from a checkpoint
+/// must record nothing. Each restore runs under a live `EventLog` — the
+/// cluster's `new()` and a restored device's next steps do record into
+/// it — and the restore itself must leave it empty.
+#[test]
+fn restore_paths_record_no_events() {
+    use powadapt::cluster::{
+        oversubscribed_cluster, placement_cluster, ClusterSim, PlacementArm, SelectionPolicy,
+    };
+    use powadapt::obs::EventLog;
+    use powadapt::sim::SimDuration;
+    use powadapt_bench::golden::{checkpoint_devices, device_checkpoint};
+    use powadapt_snap::{open, SnapReader};
+
+    let _slot = GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
+    let spec = |name: &str| match name {
+        "cluster_eval" => oversubscribed_cluster(SelectionPolicy::ModelDriven, GOLDEN_SEED),
+        _ => placement_cluster(PlacementArm::TempDriven, GOLDEN_SEED),
+    };
+    for name in ["cluster_eval", "placement"] {
+        let mut sim = ClusterSim::new(spec(name)).unwrap();
+        let span = sim.end_time().duration_since(sim.start_time()).as_nanos();
+        sim.run_to(sim.start_time() + SimDuration::from_nanos(span / 2))
+            .unwrap();
+        let snap = sim.snapshot().unwrap();
+
+        let built = Arc::new(EventLog::new(1 << 12));
+        obs::with_installed(built.clone(), || ClusterSim::new(spec(name))).unwrap();
+        assert!(built.total() > 0, "{name}: new() recorded nothing");
+        let resumed = Arc::new(EventLog::new(1 << 12));
+        obs::with_installed(resumed.clone(), || ClusterSim::resume(spec(name), &snap)).unwrap();
+        assert_eq!(resumed.total(), 0, "{name}: resume recorded events");
+    }
+
+    for ((name, original), (_, mut dev)) in
+        checkpoint_devices().into_iter().zip(checkpoint_devices())
+    {
+        let sealed = device_checkpoint(original);
+        let log = Arc::new(EventLog::new(1 << 12));
+        dev.set_recorder(obs::RecorderHandle::new(log.clone()), "restored");
+        let mut r = SnapReader::new(open(&sealed).unwrap());
+        dev.read_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(log.total(), 0, "{name}: read_state recorded events");
+        while let Some(t) = dev.next_event() {
+            dev.advance_to(t);
+        }
+        assert!(
+            log.total() > 0,
+            "{name}: the restored device records nothing"
+        );
+    }
+}
+
 #[test]
 fn traced_scenario_exports_chrome_trace_and_flamegraph() {
     let _slot = GLOBAL_SLOT.lock().unwrap_or_else(PoisonError::into_inner);
