@@ -82,6 +82,32 @@ pub trait StorageDevice: fmt::Debug {
         out.extend(self.advance_to(t));
     }
 
+    /// Steps the device event by event until one step completes an IO,
+    /// or up to `limit`, and returns the time it stopped at.
+    ///
+    /// Each step is the caller's own loop body: `next_event`, then
+    /// `advance_to_into` the earlier of that event and `limit` (`limit`
+    /// itself when no event is pending). Stepping stops after the first
+    /// step that appended a completion to `out`, or that reached `limit`.
+    /// A runner that acts only on completions and at `limit` thus makes
+    /// one call per completion instead of one per event, and the device
+    /// sees the identical sequence of calls. The method is provided, and
+    /// its calls dispatch statically inside each device type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limit` is earlier than [`StorageDevice::now`].
+    fn advance_until_completion(&mut self, limit: SimTime, out: &mut Vec<IoCompletion>) -> SimTime {
+        let start = out.len();
+        loop {
+            let t = self.next_event().map_or(limit, |t| t.min(limit));
+            self.advance_to_into(t, out);
+            if t == limit || out.len() > start {
+                return t;
+            }
+        }
+    }
+
     /// Instantaneous power draw in watts at the device's current time.
     fn power_w(&self) -> f64;
 

@@ -13,7 +13,7 @@ mod config;
 
 pub use config::HddConfig;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use powadapt_obs::{emit, span, EventKind, RecorderHandle};
 use powadapt_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -21,7 +21,7 @@ use powadapt_snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::device::StorageDevice;
 use crate::error::DeviceError;
-use crate::io::{IoCompletion, IoId, IoKind, IoRequest};
+use crate::io::{InflightIds, IoCompletion, IoId, IoKind, IoRequest};
 use crate::power::{PowerStateDesc, PowerStateId, StandbyPhase, StandbyState};
 use crate::spec::DeviceSpec;
 
@@ -118,7 +118,7 @@ pub struct Hdd {
     cache_used: u64,
     cache_waiters: VecDeque<Pending>,
 
-    inflight_ids: BTreeSet<u64>,
+    inflight_ids: InflightIds,
     done: Vec<IoCompletion>,
 
     // Telemetry sink (captured from the global slot at construction;
@@ -205,7 +205,7 @@ impl Hdd {
             head_pos: 0,
             cache_used: 0,
             cache_waiters: VecDeque::new(),
-            inflight_ids: BTreeSet::new(),
+            inflight_ids: InflightIds::default(),
             done: Vec::new(),
             rec: powadapt_obs::current(),
             track,
@@ -261,7 +261,7 @@ impl Hdd {
     }
 
     fn complete(&mut self, p: Pending) {
-        self.inflight_ids.remove(&p.id.0);
+        self.inflight_ids.remove(p.id.0);
         emit!(
             self.rec,
             self.now,

@@ -1,8 +1,10 @@
 //! IO request and completion types.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use powadapt_sim::{SimDuration, SimTime};
+use powadapt_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 /// One kibibyte, in bytes.
 pub const KIB: u64 = 1024;
@@ -119,6 +121,61 @@ powadapt_snap::codec! { IoId(u64) }
 powadapt_snap::codec! { enum IoKind { 0 => Read, 1 => Write } }
 powadapt_snap::codec! { IoCompletion { id, kind, len, submitted, completed } }
 
+/// The ids of a device's submitted, not yet completed requests, kept
+/// ascending in a flat deque and searched by bisection.
+///
+/// Submitters number requests in rising order and devices complete them
+/// roughly in that order, so an insert lands at the back and a removal
+/// near the front: both move a few words, where an ordered tree would
+/// allocate and free a node per request.
+#[derive(Debug, Default)]
+pub(crate) struct InflightIds(VecDeque<u64>);
+
+impl InflightIds {
+    /// Adds `id`; false if it is already in flight.
+    pub(crate) fn insert(&mut self, id: u64) -> bool {
+        match self.0.binary_search(&id) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, id);
+                true
+            }
+        }
+    }
+
+    /// Removes `id` if it is in flight.
+    pub(crate) fn remove(&mut self, id: u64) {
+        if let Ok(i) = self.0.binary_search(&id) {
+            self.0.remove(i);
+        }
+    }
+
+    /// Number of ids in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A length prefix, then the ids ascending: the wire form of a
+/// `BTreeSet<u64>`. Decoding rejects a repeated or out-of-order id, which
+/// bisection could not search.
+impl Codec for InflightIds {
+    fn encode(&self, w: &mut SnapWriter) {
+        self.0.encode(w);
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let ids = Vec::<u64>::decode(r)?;
+        match ids.windows(2).find(|p| p[0] >= p[1]) {
+            Some(p) => Err(SnapError::InvalidValue(format!(
+                "in-flight id {} after {}: ids must be strictly ascending",
+                p[1], p[0]
+            ))),
+            None => Ok(InflightIds(ids.into())),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +196,19 @@ mod tests {
             completed: SimTime::from_micros(95),
         };
         assert_eq!(c.latency().as_micros(), 85);
+    }
+
+    #[test]
+    fn inflight_ids_stay_ascending_whatever_the_order() {
+        let mut ids = InflightIds::default();
+        for id in [5, 9, 2, 7, 11] {
+            assert!(ids.insert(id));
+        }
+        assert!(!ids.insert(7), "a repeated id is refused");
+        ids.remove(9);
+        ids.remove(4); // not in flight: no effect
+        assert_eq!(ids.len(), 4);
+        assert_eq!(Vec::from(ids.0), vec![2, 5, 7, 11]);
     }
 
     #[test]

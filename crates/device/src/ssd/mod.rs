@@ -32,7 +32,7 @@ use powadapt_snap::{
 
 use crate::device::StorageDevice;
 use crate::error::DeviceError;
-use crate::io::{IoCompletion, IoId, IoKind, IoRequest, MIB};
+use crate::io::{InflightIds, IoCompletion, IoId, IoKind, IoRequest, MIB};
 use crate::power::{
     PowerStateDesc, PowerStateId, StandbyConfig, StandbyDepth, StandbyPhase, StandbyState,
 };
@@ -413,17 +413,23 @@ pub struct Ssd {
     reads: Slab<ReadState>,
     cache: PageCache,
 
-    inflight_ids: BTreeSet<u64>,
+    inflight_ids: InflightIds,
     done: Vec<IoCompletion>,
     retry_pending: bool,
     idle_flush_pending: bool,
+
+    // Pure functions of the request length under this configuration,
+    // remembered for the last length seen: a sweep cell repeats one.
+    random_waf: LenMemo<f64>,
+    transfer: LenMemo<SimDuration>,
 
     // Telemetry sink (captured from the global slot at construction;
     // write-only, never feeds back into device behavior).
     rec: RecorderHandle,
     track: &'static str,
-    // Precomputed per-die span labels ("die{i}.program" / "die{i}.read"):
-    // span emission clones a refcount instead of formatting per event.
+    // Per-die span labels ("die{i}.program" / "die{i}.read"), built on
+    // the first recorded span: an untraced device never formats one, and
+    // a traced one clones a reference per span instead of formatting.
     die_labels: Vec<DieLabels>,
 }
 
@@ -441,6 +447,37 @@ fn die_labels(dies: usize) -> Vec<DieLabels> {
             read: powadapt_obs::intern(&format!("die{d}.read")),
         })
         .collect()
+}
+
+/// A one-entry memo of a pure function of the request length.
+#[derive(Debug, Default)]
+struct LenMemo<T>(Option<(u64, T)>);
+
+impl<T: Copy> LenMemo<T> {
+    /// `f(len)`, computed only when `len` differs from the last call's.
+    fn get(&mut self, len: u64, f: impl FnOnce(u64) -> T) -> T {
+        match self.0 {
+            Some((l, v)) if l == len => v,
+            _ => {
+                let v = f(len);
+                self.0 = Some((len, v));
+                v
+            }
+        }
+    }
+}
+
+/// `x` rounded to the nearest integer, halves away from zero, exactly as
+/// `x.round() as u64` gives it, without the libm call: below 2^53 the
+/// fractional part `x - trunc(x)` is exact, from there on every `f64` is
+/// already an integer, and the casts saturate alike.
+fn round_to_u64(x: f64) -> u64 {
+    let i = x as u64;
+    if x - i as f64 >= 0.5 {
+        i.saturating_add(1)
+    } else {
+        i
+    }
 }
 
 // The in-flight read table precedes the event and die queues: those
@@ -484,7 +521,9 @@ powadapt_snap::snapshot! {
         cfg: "spec config",
         rec: "telemetry sink, re-captured at construction",
         track: "telemetry label",
-        die_labels: "telemetry labels, derived from the die count",
+        die_labels: "telemetry labels, built from the die count on the first span",
+        random_waf: "memo of a pure function of the request length",
+        transfer: "memo of a pure function of the request length",
         die_idle: "derived from die_busy; restore_masks rebuilds it",
         die_queued: "derived from die_q; restore_masks rebuilds it",
     }
@@ -520,7 +559,6 @@ impl Ssd {
         let dies = cfg.dies;
         let cache = PageCache::new(cfg.read_cache_pages);
         let track = powadapt_obs::intern(spec.label());
-        let die_labels = die_labels(dies);
         Ok(Ssd {
             spec,
             cfg,
@@ -552,13 +590,15 @@ impl Ssd {
             last_write_end: u64::MAX, // first write is never "sequential"
             reads: Slab::new(),
             cache,
-            inflight_ids: BTreeSet::new(),
+            inflight_ids: InflightIds::default(),
             done: Vec::new(),
             retry_pending: false,
             idle_flush_pending: false,
+            random_waf: LenMemo::default(),
+            transfer: LenMemo::default(),
             rec: powadapt_obs::current(),
             track,
-            die_labels,
+            die_labels: Vec::new(),
         })
     }
 
@@ -741,14 +781,30 @@ impl Ssd {
         }
     }
 
-    fn waf_for(&self, offset: u64, len: u64) -> f64 {
+    fn waf_for(&mut self, offset: u64, len: u64) -> f64 {
         if offset == self.last_write_end || len >= LARGE_WRITE {
             return self.cfg.waf_min;
         }
-        let len = len.clamp(SMALL_WRITE, LARGE_WRITE) as f64;
-        let t = (len.ln() - (SMALL_WRITE as f64).ln())
-            / ((LARGE_WRITE as f64).ln() - (SMALL_WRITE as f64).ln());
-        self.cfg.waf_max + t * (self.cfg.waf_min - self.cfg.waf_max)
+        let cfg = &self.cfg;
+        self.random_waf.get(len, |len| {
+            let len = len.clamp(SMALL_WRITE, LARGE_WRITE) as f64;
+            let t = (len.ln() - (SMALL_WRITE as f64).ln())
+                / ((LARGE_WRITE as f64).ln() - (SMALL_WRITE as f64).ln());
+            cfg.waf_max + t * (cfg.waf_min - cfg.waf_max)
+        })
+    }
+
+    /// Records the span of one die op, labelled by die and work.
+    fn die_span(&mut self, die: usize, program: bool, dur: SimDuration) {
+        if !self.rec.is_enabled() {
+            return;
+        }
+        if self.die_labels.is_empty() {
+            self.die_labels = die_labels(self.cfg.dies);
+        }
+        let labels = &self.die_labels[die];
+        let label = if program { labels.program } else { labels.read };
+        span!(self.rec, self.now, self.track, label, dur);
     }
 
     fn begin_enter_standby(&mut self) {
@@ -778,7 +834,7 @@ impl Ssd {
 
     fn admit_write(&mut self, p: Pending) {
         self.buffer_used += p.len;
-        self.nand_debt += (p.len as f64 * p.waf).round() as u64;
+        self.nand_debt += round_to_u64(p.len as f64 * p.waf);
         if self.buffer_used >= self.cfg.flush_watermark_bytes {
             self.flushing = true;
         }
@@ -815,13 +871,7 @@ impl Ssd {
             .program_op
             .mul_f64(chunk as f64 / unit as f64)
             .max(SimDuration::from_nanos(1));
-        span!(
-            self.rec,
-            self.now,
-            self.track,
-            self.die_labels[die].program,
-            dur
-        );
+        self.die_span(die, true, dur);
         self.events.schedule(
             self.now + dur,
             Ev::DieDone {
@@ -871,7 +921,7 @@ impl Ssd {
     }
 
     fn finish(&mut self, p: Pending) {
-        self.inflight_ids.remove(&p.id.0);
+        self.inflight_ids.remove(p.id.0);
         emit!(
             self.rec,
             self.now,
@@ -947,13 +997,7 @@ impl Ssd {
                 }
                 self.set_die_busy(die, true);
                 self.busy_read += 1;
-                span!(
-                    self.rec,
-                    self.now,
-                    self.track,
-                    self.die_labels[die].read,
-                    self.cfg.read_op
-                );
+                self.die_span(die, false, self.cfg.read_op);
                 self.events.schedule(
                     self.now + self.cfg.read_op,
                     Ev::DieDone {
@@ -974,8 +1018,10 @@ impl Ssd {
             if !self.iface_busy {
                 if let Some(x) = self.iface_queue.pop_front() {
                     self.iface_busy = true;
-                    let secs = x.pending.len as f64 / self.cfg.interface_bw;
-                    let dur = SimDuration::from_secs_f64(secs).max(SimDuration::from_nanos(1));
+                    let bw = self.cfg.interface_bw;
+                    let dur = self.transfer.get(x.pending.len, |len| {
+                        SimDuration::from_secs_f64(len as f64 / bw).max(SimDuration::from_nanos(1))
+                    });
                     self.events.schedule(self.now + dur, Ev::IfaceDone(x));
                     progress = true;
                 }
@@ -1427,8 +1473,38 @@ mod tests {
     }
 
     #[test]
+    fn integer_rounding_matches_libm_round() {
+        let mut xs = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4095.5,
+            -0.5,
+            -0.7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2f64.powi(52) + 1.0,
+            2f64.powi(53) - 0.5,
+            2f64.powi(64),
+            2f64.powi(70),
+        ];
+        let mut rng = SimRng::seed_from(5);
+        for _ in 0..10_000 {
+            // Byte counts times a write amplification, as admit_write
+            // rounds them.
+            xs.push(rng.u64_range(1, 1 << 30) as f64 * rng.uniform_range(1.0, 4.0));
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x}");
+        }
+    }
+
+    #[test]
     fn sequential_writes_have_lower_waf_than_random_small() {
-        let dev = test_ssd();
+        let mut dev = test_ssd();
         // First write never counts as sequential.
         let w_small = dev.waf_for(12345 * 4096, 4 * KIB);
         let w_large = dev.waf_for(999 * MIB, 2 * MIB);

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use powadapt_device::{
-    catalog, drain, IoId, IoKind, IoRequest, PowerStateId, StorageDevice, GIB, KIB,
+    catalog, drain, FaultInjector, FaultPlan, IoCompletion, IoId, IoKind, IoRequest, PowerStateId,
+    StorageDevice, GIB, KIB,
 };
 use powadapt_sim::{SimDuration, SimTime};
 
@@ -167,5 +168,113 @@ proptest! {
             "latency {} below transfer floor {}",
             done[0].latency(), floor
         );
+    }
+}
+
+/// A device of each stepping shape: SSDs with die, interface and buffer
+/// queues, the HDD's single actuator, and a fault injector whose held
+/// completions make its next event the earlier of two sources.
+fn stepping_device(which: u8, seed: u64) -> Box<dyn StorageDevice> {
+    match which {
+        0 => Box::new(catalog::ssd1_pm9a3(seed)),
+        1 => Box::new(catalog::evo_860(seed)),
+        2 => Box::new(catalog::hdd_exos_7e2000(seed)),
+        _ => Box::new(FaultInjector::seeded(
+            Box::new(catalog::ssd2_d7_p5510(seed)),
+            FaultPlan::none().latency_spikes(0.2, SimDuration::from_millis(3)),
+            seed,
+        )),
+    }
+}
+
+/// One point at which a closed-loop driver acts: the time it stopped
+/// at, the device's clock and power there (as bits), and the completions
+/// of that stop as `(id, completed)`, in order.
+#[derive(Debug, PartialEq)]
+struct Stop {
+    t: SimTime,
+    now: SimTime,
+    power_bits: u64,
+    done: Vec<(u64, SimTime)>,
+}
+
+/// Drives `dev` through `ops` at queue depth `depth`, with a meter-like
+/// deadline every `period`, and returns every stop. `per_event` steps
+/// one event at a time and refills the queue after every step; otherwise
+/// the driver calls `advance_until_completion` and acts only where it
+/// returns.
+fn closed_loop(
+    dev: &mut dyn StorageDevice,
+    ops: &[Op],
+    depth: usize,
+    period: SimDuration,
+    per_event: bool,
+) -> Vec<Stop> {
+    let mut next = 0;
+    let mut refill = |dev: &mut dyn StorageDevice| {
+        while dev.inflight() < depth && next < ops.len() {
+            let op = &ops[next];
+            let kind = if op.write {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
+            let offset = (op.block * 2048 * KIB) % (4 * GIB);
+            let req = IoRequest::new(IoId(next as u64), kind, offset, op.len_kib * KIB);
+            dev.submit(req).expect("request within bounds");
+            next += 1;
+        }
+        next == ops.len()
+    };
+    let mut stops = Vec::new();
+    let mut out: Vec<IoCompletion> = Vec::new();
+    let mut limit = dev.now() + period;
+    let mut all_issued = refill(dev);
+    while !all_issued || dev.inflight() > 0 {
+        let start = out.len();
+        let t = if per_event {
+            let t = dev.next_event().map_or(limit, |e| e.min(limit));
+            dev.advance_to_into(t, &mut out);
+            t
+        } else {
+            dev.advance_until_completion(limit, &mut out)
+        };
+        all_issued = refill(dev);
+        if t == limit || out.len() > start {
+            stops.push(Stop {
+                t,
+                now: dev.now(),
+                power_bits: dev.power_w().to_bits(),
+                done: out[start..].iter().map(|c| (c.id.0, c.completed)).collect(),
+            });
+        }
+        if t == limit {
+            limit += period;
+        }
+    }
+    stops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Stepping to the next completion in one call is per-event stepping
+    /// with the idle steps folded in: the same completions (ids, times,
+    /// order), clock and power at every point the driver acts.
+    #[test]
+    fn advance_until_completion_matches_per_event_stepping(
+        which in 0u8..4,
+        seed in 0u64..1_000,
+        ops in prop::collection::vec(op_strategy(), 1..40),
+        depth in 1usize..=32,
+        period_us in prop::sample::select(vec![50u64, 1_000, 20_000]),
+    ) {
+        let period = SimDuration::from_micros(period_us);
+        let mut stepped = stepping_device(which, seed);
+        let mut folded = stepping_device(which, seed);
+        let a = closed_loop(stepped.as_mut(), &ops, depth, period, true);
+        let b = closed_loop(folded.as_mut(), &ops, depth, period, false);
+        prop_assert_eq!(a.iter().map(|s| s.done.len()).sum::<usize>(), ops.len());
+        prop_assert_eq!(a, b);
     }
 }

@@ -164,3 +164,66 @@ fn truncated_device_state_fails_closed() {
         other => panic!("expected typed failure on truncation, got {other:?}"),
     }
 }
+
+/// Checkpoints `dev` with three requests in flight under distinctive ids,
+/// then restores copies whose in-flight id list is reordered or holds a
+/// repeat. The list is the one place the ids sit back to back after their
+/// count, so the test finds it by that byte pattern.
+fn assert_bad_inflight_ids_rejected(make: &dyn Fn() -> Box<dyn StorageDevice>) {
+    const IDS: [u64; 3] = [0x5eed_0001, 0x5eed_0002, 0x5eed_0003];
+    let run = |ids: [u64; 3]| -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.seq_len(ids.len());
+        for id in ids {
+            w.u64(id);
+        }
+        w.into_payload()
+    };
+    let mut orig = make();
+    for (i, id) in IDS.into_iter().enumerate() {
+        orig.submit(IoRequest::new(
+            IoId(id),
+            IoKind::Read,
+            i as u64 * MIB,
+            4 * KIB,
+        ))
+        .unwrap();
+    }
+    let mut w = SnapWriter::new();
+    orig.write_state(&mut w).unwrap();
+    let payload = w.into_payload();
+    let sorted = run(IDS);
+    let at: Vec<usize> = (0..=payload.len() - sorted.len())
+        .filter(|&i| payload[i..].starts_with(&sorted))
+        .collect();
+    assert_eq!(at.len(), 1, "the in-flight id list appears once");
+
+    let restore = |bytes: &[u8]| {
+        let mut dev = make();
+        let mut r = SnapReader::new(bytes);
+        dev.read_state(&mut r).and_then(|()| r.finish())
+    };
+    restore(&payload).unwrap();
+    for bad in [
+        [IDS[0], IDS[2], IDS[1]],
+        [IDS[0], IDS[0], IDS[2]],
+        [IDS[2], IDS[1], IDS[0]],
+    ] {
+        let mut corrupt = payload.clone();
+        corrupt[at[0]..at[0] + sorted.len()].copy_from_slice(&run(bad));
+        match restore(&corrupt) {
+            Err(SnapError::InvalidValue(_)) => {}
+            other => panic!("in-flight ids {bad:x?} restored as {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn ssd_restore_rejects_unsorted_or_repeated_inflight_ids() {
+    assert_bad_inflight_ids_rejected(&|| Box::new(catalog::ssd1_pm9a3(4)));
+}
+
+#[test]
+fn hdd_restore_rejects_unsorted_or_repeated_inflight_ids() {
+    assert_bad_inflight_ids_rejected(&|| Box::new(catalog::hdd_exos_7e2000(4)));
+}

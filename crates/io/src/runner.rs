@@ -237,22 +237,14 @@ pub fn run_experiment(
         issued_bytes += block;
     }
 
-    loop {
+    let mut done = device.inflight() == 0 && !can_issue(issued_bytes, device.now());
+    while !done {
+        // Between completions nothing is submitted and nothing changes
+        // what can be, so the device steps on alone up to the next
+        // completion or meter sample. Completions append straight into
+        // the result buffer: no per-step vector allocation.
         let sample_t = rig.next_sample();
-        let dev_t = device.next_event();
-        let t = match dev_t {
-            Some(dt) => dt.min(sample_t),
-            None => {
-                if device.inflight() == 0 && !can_issue(issued_bytes, device.now()) {
-                    break;
-                }
-                sample_t
-            }
-        };
-
-        // Completions append straight into the result buffer: no per-step
-        // vector allocation on the hot loop.
-        device.advance_to_into(t, &mut completions);
+        let t = device.advance_until_completion(sample_t, &mut completions);
 
         while device.inflight() < depth && can_issue(issued_bytes, device.now()) {
             let kind = next_kind(&mut kind_rng);
@@ -266,19 +258,29 @@ pub fn run_experiment(
             rig.sample(t, device.power_w());
         }
 
-        if device.inflight() == 0 && !can_issue(issued_bytes, device.now()) {
-            break;
-        }
+        done = device.inflight() == 0 && !can_issue(issued_bytes, device.now());
     }
 
     let end = device.now().max(measure_from);
     let io = IoStats::from_completions(&completions, measure_from, end)?;
-    let (rd, wr): (Vec<_>, Vec<_>) = completions
-        .iter()
-        .copied()
-        .partition(|c| c.kind == IoKind::Read);
-    let reads = IoStats::from_completions(&rd, measure_from, end)?;
-    let writes = IoStats::from_completions(&wr, measure_from, end)?;
+    // A pure job's kind statistics are `io` and an empty window; only a
+    // mixed job summarizes each kind on its own.
+    let of_kind = |kind: IoKind| -> Result<IoStats, InvertedWindow> {
+        if completions.iter().all(|c| c.kind == kind) {
+            Ok(io.clone())
+        } else if completions.iter().all(|c| c.kind != kind) {
+            IoStats::from_completions(&[], measure_from, end)
+        } else {
+            let some: Vec<_> = completions
+                .iter()
+                .filter(|c| c.kind == kind)
+                .copied()
+                .collect();
+            IoStats::from_completions(&some, measure_from, end)
+        }
+    };
+    let reads = of_kind(IoKind::Read)?;
+    let writes = of_kind(IoKind::Write)?;
     let power = rig.into_trace().between(measure_from, end);
 
     Ok(ExperimentResult {

@@ -7,11 +7,15 @@
 //!
 //! A device model keeps only a few dozen events pending at once (its
 //! in-flight commands plus a handful of timers), so an O(log n) heap over
-//! that small live set is both the simplest and the fastest layout.
+//! that small live set is both the simplest and the fastest layout. The
+//! heap orders 24-byte `(time, seq, slot)` keys; each payload sits in a
+//! [`Slab`] beside it, under the key's slot, so a sift moves three words
+//! however large the payload is.
 //!
 //! The queue serializes through `powadapt-snap` as `next_seq`, then the
 //! live entries sorted by `(time, seq)`, so the bytes depend only on the
-//! queue's logical state, never on the heap's internal arrangement.
+//! queue's logical state, never on the heap's internal arrangement or on
+//! which slots the payloads occupy.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -19,23 +23,26 @@ use std::collections::BinaryHeap;
 
 use powadapt_snap::{Codec, Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
+use crate::slab::Slab;
 use crate::time::SimTime;
 
-#[derive(Debug)]
-struct Entry<E> {
+/// A heap entry: when and in which order an event fires, and the slot of
+/// its payload.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
-    payload: E,
+    slot: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (and, for ties,
         // first-inserted) entry is popped first.
@@ -45,9 +52,71 @@ impl<E> Ord for Entry<E> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The pending events: a heap of keys and the payloads they name. Every
+/// key's slot is occupied in `payloads`, and every occupied slot has
+/// exactly one key.
+#[derive(Debug)]
+struct KeyedHeap<E> {
+    keys: BinaryHeap<Key>,
+    payloads: Slab<E>,
+}
+
+impl<E> KeyedHeap<E> {
+    fn new() -> Self {
+        KeyedHeap {
+            keys: BinaryHeap::new(),
+            payloads: Slab::new(),
+        }
+    }
+
+    fn push(&mut self, at: SimTime, seq: u64, payload: E) {
+        let slot = self.payloads.insert(payload);
+        self.keys.push(Key { at, seq, slot });
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.keys.peek().map(|k| k.at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let key = self.keys.pop()?;
+        let payload = self
+            .payloads
+            .remove(key.slot)
+            .expect("every key names an occupied payload slot");
+        Some((key.at, payload))
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.payloads.clear();
+    }
+
+    /// The live entries as `(at, seq, payload)`, in pop order.
+    fn sorted(&self) -> Vec<(SimTime, u64, &E)> {
+        let mut live: Vec<(SimTime, u64, &E)> = self
+            .keys
+            .iter()
+            .map(|k| {
+                let payload = self
+                    .payloads
+                    .get(k.slot)
+                    .expect("every key names an occupied payload slot");
+                (k.at, k.seq, payload)
+            })
+            .collect();
+        live.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        live
     }
 }
 
@@ -66,7 +135,8 @@ impl<E> PartialOrd for Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// The pending events, keys and payloads.
+    heap: KeyedHeap<E>,
     /// Sequence number of the next scheduled event: the FIFO tie-break
     /// among events at the same time.
     next_seq: u64,
@@ -76,7 +146,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: KeyedHeap::new(),
             next_seq: 0,
         }
     }
@@ -86,17 +156,17 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        self.heap.push(at, seq, payload);
     }
 
     /// Timestamp of the next event, if any.
     pub fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek_time()
     }
 
     /// Removes and returns the next event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
+        self.heap.pop()
     }
 
     /// Removes and returns the next event only if it fires at or before
@@ -115,7 +185,7 @@ impl<E> EventQueue<E> {
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 
     /// Serializes the queue's pending entries and sequence counter. The
@@ -135,13 +205,12 @@ impl<E> EventQueue<E> {
     {
         let Self { heap, next_seq } = self;
         w.u64(*next_seq);
-        let mut live: Vec<&Entry<E>> = heap.iter().collect();
-        live.sort_unstable_by_key(|e| (e.at, e.seq));
+        let live = heap.sorted();
         w.seq_len(live.len());
-        for e in live {
-            e.at.encode(w);
-            w.u64(e.seq);
-            item(w, &e.payload)?;
+        for (at, seq, payload) in live {
+            at.encode(w);
+            w.u64(seq);
+            item(w, payload)?;
         }
         Ok(())
     }
@@ -163,7 +232,7 @@ impl<E> EventQueue<E> {
     {
         let next_seq = r.u64()?;
         let n = r.seq_len()?;
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(n);
+        let mut entries: Vec<(SimTime, u64, E)> = Vec::with_capacity(n);
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..n {
             let at = SimTime::decode(r)?;
@@ -178,11 +247,7 @@ impl<E> EventQueue<E> {
                     "duplicate event seq {seq}"
                 )));
             }
-            entries.push(Entry {
-                at,
-                seq,
-                payload: item(r)?,
-            });
+            entries.push((at, seq, item(r)?));
         }
         // Every field is rebuilt here.
         let Self {
@@ -190,7 +255,9 @@ impl<E> EventQueue<E> {
             next_seq: counter,
         } = self;
         heap.clear();
-        heap.extend(entries);
+        for (at, seq, payload) in entries {
+            heap.push(at, seq, payload);
+        }
         *counter = next_seq;
         Ok(())
     }
@@ -336,7 +403,7 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(q.len(), 1);
         assert!(
-            q.heap.capacity() < 16,
+            q.heap.keys.capacity() < 16 && q.heap.payloads.len() == 1,
             "restore must not materialize the gap"
         );
         // Fresh seqs continue past the snapshot's counter, and the

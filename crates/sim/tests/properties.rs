@@ -205,6 +205,27 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Schedules interleaved with pops, no probes: every pop frees a
+    /// payload slot that a later schedule reuses, in an order set by the
+    /// event times rather than by insertion. After every op the queue
+    /// pops as the model does and its snapshot bytes are the model's
+    /// sorted `(at, seq, payload)` list.
+    #[test]
+    fn event_queue_bytes_match_model_under_slot_reuse(
+        ops in prop::collection::vec((0u8..10, any::<u64>()), 0..300),
+    ) {
+        let mut pair = Pair::default();
+        for &(sel, raw) in &ops {
+            pair.apply(sel, raw)?;
+            prop_assert_eq!(snap(&pair.queue), pair.model.snapshot(), "snapshot bytes");
+        }
+        pair.drain()?;
+    }
+}
+
+proptest! {
     /// Events always pop in non-decreasing time order regardless of the
     /// insertion order.
     #[test]

@@ -22,6 +22,7 @@ use powadapt::device::{
     catalog, FaultInjector, FaultPlan, IoCompletion, IoId, IoKind, IoRequest, StorageDevice, GIB,
     KIB,
 };
+use powadapt::io::PAPER_DEPTHS;
 use powadapt::obs::{MetricsRegistry, Sketch};
 use powadapt::sim::{EventQueue, SimDuration, SimRng, Slab};
 
@@ -80,10 +81,22 @@ const OPS: usize = 100_000;
 /// Allocations allowed across all counted operations.
 const MAX_ALLOCS: u64 = 8;
 
+/// Warm-up of the closed loops at the paper's deepest queue. A die queue
+/// holds at most the queue depth, but at depth 128 a random one-page
+/// stream piles that many onto one die only rarely, so each die queue
+/// reaches its high-water mark, and its final capacity, at random points.
+/// 400k steps is past the last such growth for every device tested.
+const DEEP_WARMUP: usize = 400_000;
+
 /// Runs `op` [`WARMUP`] times, then [`OPS`] times under the counter, and
 /// fails if the counted calls allocated more than [`MAX_ALLOCS`] times.
-fn assert_steady_state_alloc_free(what: &str, mut op: impl FnMut()) {
-    for _ in 0..WARMUP {
+fn assert_steady_state_alloc_free(what: &str, op: impl FnMut()) {
+    assert_alloc_free_after(what, WARMUP, op);
+}
+
+/// [`assert_steady_state_alloc_free`] after `warmup` operations.
+fn assert_alloc_free_after(what: &str, warmup: usize, mut op: impl FnMut()) {
+    for _ in 0..warmup {
         op();
     }
     let before = allocations();
@@ -100,8 +113,8 @@ fn assert_steady_state_alloc_free(what: &str, mut op: impl FnMut()) {
 /// A device kept at a fixed queue depth: every completion is replaced by
 /// a new random 4 KiB request, 30 % of them writes.
 ///
-/// One-page requests at depth [`ClosedLoop::DEPTH`] bound every internal
-/// queue (per-die, command, interface, buffer) by that depth, so the
+/// One-page requests bound every internal queue (per-die, command,
+/// interface, buffer, in-flight index) by the depth, so a long enough
 /// warm-up takes each to its final capacity. Larger requests fan out
 /// over the dies, and a die queue then reaches a new high-water mark,
 /// and doubles, at random points long after any fixed warm-up.
@@ -117,13 +130,17 @@ impl ClosedLoop {
     const DEPTH: usize = 4;
 
     fn new(dev: Box<dyn StorageDevice>) -> Self {
+        Self::with_depth(dev, Self::DEPTH)
+    }
+
+    fn with_depth(dev: Box<dyn StorageDevice>, depth: usize) -> Self {
         let mut l = ClosedLoop {
             dev,
             rng: SimRng::seed_from(7),
             next_id: 0,
             done: Vec::new(),
         };
-        for _ in 0..Self::DEPTH {
+        for _ in 0..depth {
             l.submit();
         }
         l
@@ -197,6 +214,31 @@ fn fault_injector_steps_allocate_nothing() {
     );
     let mut l = ClosedLoop::new(Box::new(dev));
     assert_steady_state_alloc_free("FaultInjector(SSD2)", || l.step());
+}
+
+#[test]
+fn deepest_paper_queue_steps_allocate_nothing() {
+    let depth = *PAPER_DEPTHS.iter().max().expect("the paper sweeps depths");
+    let devices: [(&str, Box<dyn StorageDevice>); 5] = [
+        ("SSD1", Box::new(catalog::ssd1_pm9a3(1))),
+        ("SSD2", Box::new(catalog::ssd2_d7_p5510(1))),
+        ("EVO", Box::new(catalog::evo_860(1))),
+        ("HDD", Box::new(catalog::hdd_exos_7e2000(1))),
+        (
+            "FaultInjector(SSD2)",
+            Box::new(FaultInjector::seeded(
+                Box::new(catalog::ssd2_d7_p5510(1)),
+                FaultPlan::none().latency_spikes(0.05, SimDuration::from_millis(20)),
+                3,
+            )),
+        ),
+    ];
+    for (label, dev) in devices {
+        let mut l = ClosedLoop::with_depth(dev, depth);
+        assert_alloc_free_after(&format!("{label} at depth {depth}"), DEEP_WARMUP, || {
+            l.step();
+        });
+    }
 }
 
 #[test]
