@@ -200,11 +200,7 @@ fn scale(name: Option<&str>) -> Result<SweepScale, String> {
             size_limit: 2 * powadapt_device::GIB,
             ramp: SimDuration::from_millis(300),
         }),
-        "" | "quick" => Ok(SweepScale {
-            runtime: SimDuration::from_millis(1200),
-            size_limit: 4 * powadapt_device::GIB,
-            ramp: SimDuration::from_millis(200),
-        }),
+        "" | "quick" => Ok(SweepScale::quick()),
         other => Err(format!(
             "unknown POWADAPT_SCALE `{other}` (expected quick | full | paper)"
         )),

@@ -57,8 +57,9 @@ where
     run_experiment(device.as_mut(), job)
 }
 
-/// Sweep durations trimmed for interactive use; the bench harness overrides
-/// these with the paper's full 60 s / 4 GiB rule.
+/// Per-point limits of a sweep: [`SweepScale::quick`] for interactive
+/// runs (the bench CLI's default), [`SweepScale::paper`] for the paper's
+/// 60 s / 4 GiB rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepScale {
     /// Runtime limit per point.
@@ -79,15 +80,16 @@ impl SweepScale {
         }
     }
 
-    /// A fast scale for tests and smoke runs (shape-preserving: long enough
-    /// to reach steady state on the simulated devices, and sized so the
-    /// runtime — not the transfer cap — ends the experiment; otherwise fast
-    /// cells measure mostly their queue-drain tail).
+    /// The interactive scale, `POWADAPT_SCALE=quick` and the bench CLI's
+    /// default (shape-preserving: long enough to reach steady state on the
+    /// simulated devices, and sized so the runtime — not the transfer cap —
+    /// ends the experiment; otherwise fast cells measure mostly their
+    /// queue-drain tail).
     pub fn quick() -> Self {
         SweepScale {
-            runtime: SimDuration::from_millis(1000),
+            runtime: SimDuration::from_millis(1200),
             size_limit: 4 * powadapt_device::GIB,
-            ramp: SimDuration::from_millis(150),
+            ramp: SimDuration::from_millis(200),
         }
     }
 

@@ -1,10 +1,10 @@
 //! Snapshot ABI lock: a committed fingerprint of the byte layout of
 //! every `Snapshot`-implementing struct.
 //!
-//! The PR 7 review caught a snapshot payload-layout change that shipped
-//! without a `FORMAT_VERSION` bump — by hand. This module mechanizes
-//! that review: `powadapt-lint --abi-update` derives the layout of all
-//! snapshot-active structs from the pass-1 symbol model and writes it
+//! A payload-layout change that ships without a `FORMAT_VERSION` bump
+//! makes old checkpoints mis-decode instead of being rejected. This
+//! module catches it: `powadapt-lint --abi-update` derives the layout of
+//! all snapshot-active structs from the symbol [`Model`] and writes it
 //! (plus an FNV-1a fingerprint and the current `FORMAT_VERSION`) into
 //! `crates/snap/ABI.lock`; `--abi-check` recomputes and fails CI when
 //! the ABI drifted while `FORMAT_VERSION` stayed put.
@@ -21,9 +21,18 @@
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{lex, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 use crate::model::Model;
-use crate::semantic::FileCtx;
+
+/// One analyzed file: its workspace-relative path and token stream,
+/// indexed like the [`Model`] built over the same file list.
+#[derive(Debug, Clone, Copy)]
+pub struct FileCtx<'a> {
+    /// Workspace-relative path.
+    pub path: &'a str,
+    /// The file's token stream.
+    pub toks: &'a [Tok],
+}
 
 /// Workspace-relative path of the lock file.
 pub const LOCK_PATH: &str = "crates/snap/ABI.lock";
@@ -45,8 +54,7 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Extracts `FORMAT_VERSION` from `crates/snap/src/lib.rs` source text
 /// at token level (`const FORMAT_VERSION : u32 = <int> ;`).
 pub fn parse_format_version(snap_lib_src: &str) -> Option<u32> {
-    let lexed = lex(snap_lib_src);
-    let toks = &lexed.tokens;
+    let toks = lex(snap_lib_src);
     for i in 0..toks.len() {
         if toks[i].text == "FORMAT_VERSION" && toks[i].kind == TokKind::Ident {
             for t in toks.iter().skip(i + 1).take(8) {
@@ -101,9 +109,7 @@ pub fn lock_text(model: &Model, files: &[FileCtx<'_>], format_version: u32) -> S
         let Some(list) = active.get(&key) else {
             continue;
         };
-        let fields = list
-            .clone()
-            .unwrap_or_else(|| s.fields.iter().map(|f| f.name.clone()).collect());
+        let fields = list.as_ref().unwrap_or(&s.fields);
         entries.push(format!("{}/{}: {}", key.0, key.1, fields.join(", ")));
     }
     entries.sort();
@@ -189,12 +195,10 @@ pub fn check(current: &str, on_disk: Option<&str>) -> AbiStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{lex, Tok};
-    use crate::model::Model;
 
     fn lock_for(srcs: &[(&str, &str)], fv: u32) -> String {
         let lexed: Vec<_> = srcs.iter().map(|(_, s)| lex(s)).collect();
-        let slices: Vec<&[Tok]> = lexed.iter().map(|l| &l.tokens[..]).collect();
+        let slices: Vec<&[Tok]> = lexed.iter().map(Vec::as_slice).collect();
         let model = Model::build(&slices);
         let ctxs: Vec<FileCtx<'_>> = srcs
             .iter()

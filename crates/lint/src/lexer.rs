@@ -1,18 +1,17 @@
-//! A minimal Rust lexer sufficient for token-level static analysis.
+//! A minimal Rust lexer sufficient for token-level analysis.
 //!
-//! The analyzer does not need a full parse tree: the rule in
-//! [`crate::rules`] and the symbol model in [`crate::model`] work over a
-//! token stream plus a little bracket matching. What the lexer *must* get
-//! right is the boundary between code and non-code — string literals, raw
-//! strings, char literals, lifetimes, and nested block comments — so that
-//! a `cap_watts: f64` inside a doc comment or a `vec!` inside an
-//! error-message string never produces a false positive.
+//! The ABI lock does not need a full parse tree: the symbol model in
+//! [`crate::model`] works over a token stream plus a little bracket
+//! matching. What the lexer *must* get right is the boundary between
+//! code and non-code — string literals, raw strings, char literals,
+//! lifetimes, and nested block comments — so that a `struct` or a
+//! `snapshot! {` inside a doc comment or a string never reads as code.
 //!
 //! The workspace builds fully offline, so this is hand-rolled rather than
 //! `syn`-driven; the subset of Rust it understands is exactly the subset
-//! the rules consume.
+//! the model consumes.
 
-/// What a token is, at the granularity the rules need.
+/// What a token is, at the granularity the model needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (`fn`, `HashMap`, `r#type`, ...).
@@ -25,7 +24,7 @@ pub enum TokKind {
     Float,
     /// String, raw-string, byte-string, or char literal (content opaque).
     Literal,
-    /// Punctuation. Multi-character operators the rules care about
+    /// Punctuation. Multi-character operators the model cares about
     /// (`==`, `!=`, `::`, `->`, `=>`, `..`) are single tokens; everything
     /// else is one token per character.
     Punct,
@@ -42,32 +41,6 @@ pub struct Tok {
     pub line: u32,
     /// 1-based source column (in characters).
     pub col: u32,
-}
-
-/// A `//` line comment, kept out of the token stream but preserved for
-/// suppression parsing.
-#[derive(Debug, Clone)]
-pub struct LineComment {
-    /// Comment text including the leading `//`.
-    pub text: String,
-    /// 1-based source line the comment starts on.
-    pub line: u32,
-    /// 1-based column of the first `/`.
-    pub col: u32,
-    /// True when at least one token precedes the comment on its line
-    /// (a trailing comment annotates its own line; a standalone comment
-    /// annotates the next line).
-    pub trailing: bool,
-}
-
-/// Output of [`lex`]: the token stream plus every line comment.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All code tokens in source order.
-    pub tokens: Vec<Tok>,
-    /// All `//` comments in source order (block comments are discarded —
-    /// suppressions must be line comments).
-    pub comments: Vec<LineComment>,
 }
 
 struct Cursor<'a> {
@@ -110,21 +83,20 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-/// Lexes `src`, producing tokens and line comments.
+/// Lexes `src` into its code tokens; comments are dropped.
 ///
 /// The lexer is infallible: malformed input degrades to single-character
 /// punctuation tokens rather than an error, which is the right behavior
 /// for an analyzer that must never block on code `rustc` already accepts
 /// or rejects.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Tok> {
     let mut cur = Cursor {
         src: src.as_bytes(),
         pos: 0,
         line: 1,
         col: 1,
     };
-    let mut out = Lexed::default();
-    let mut last_token_line = 0u32;
+    let mut out = Vec::new();
 
     while let Some(b) = cur.peek() {
         let (line, col) = (cur.line, cur.col);
@@ -133,16 +105,9 @@ pub fn lex(src: &str) -> Lexed {
                 cur.bump();
             }
             b'/' if cur.peek_at(1) == Some(b'/') => {
-                let start = cur.pos;
                 while cur.peek().is_some_and(|c| c != b'\n') {
                     cur.bump();
                 }
-                out.comments.push(LineComment {
-                    text: src[start..cur.pos].to_string(),
-                    line,
-                    col,
-                    trailing: last_token_line == line,
-                });
             }
             b'/' if cur.peek_at(1) == Some(b'*') => {
                 cur.bump();
@@ -171,27 +136,23 @@ pub fn lex(src: &str) -> Lexed {
                 let start = cur.pos;
                 lex_raw_string(&mut cur);
                 push_tok(&mut out, TokKind::Literal, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             b'b' if cur.peek_at(1) == Some(b'\'') => {
                 let start = cur.pos;
                 cur.bump();
                 lex_char(&mut cur);
                 push_tok(&mut out, TokKind::Literal, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             b'b' if cur.peek_at(1) == Some(b'"') => {
                 let start = cur.pos;
                 cur.bump();
                 lex_string(&mut cur);
                 push_tok(&mut out, TokKind::Literal, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             b'"' => {
                 let start = cur.pos;
                 lex_string(&mut cur);
                 push_tok(&mut out, TokKind::Literal, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             b'\'' => {
                 // Lifetime (`'a`) or char literal (`'a'`, `'\n'`).
@@ -206,7 +167,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     push_tok(&mut out, TokKind::Lifetime, &src[start..cur.pos], line, col);
                 }
-                last_token_line = line;
             }
             _ if is_ident_start(b) => {
                 let start = cur.pos;
@@ -222,19 +182,17 @@ pub fn lex(src: &str) -> Lexed {
                     cur.bump();
                 }
                 push_tok(&mut out, TokKind::Ident, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             _ if b.is_ascii_digit() => {
                 let start = cur.pos;
                 let kind = lex_number(&mut cur);
                 push_tok(&mut out, kind, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
             _ => {
                 let start = cur.pos;
                 cur.bump();
-                // Join the handful of multi-character operators the rules
-                // pattern-match on; everything else stays single-char.
+                // Join the handful of multi-character operators; everything
+                // else stays single-char.
                 let two = cur.peek().map(|n| (b, n));
                 let joined = matches!(
                     two,
@@ -244,15 +202,14 @@ pub fn lex(src: &str) -> Lexed {
                     cur.bump();
                 }
                 push_tok(&mut out, TokKind::Punct, &src[start..cur.pos], line, col);
-                last_token_line = line;
             }
         }
     }
     out
 }
 
-fn push_tok(out: &mut Lexed, kind: TokKind, text: &str, line: u32, col: u32) {
-    out.tokens.push(Tok {
+fn push_tok(out: &mut Vec<Tok>, kind: TokKind, text: &str, line: u32, col: u32) {
+    out.push(Tok {
         kind,
         text: text.to_string(),
         line,
@@ -420,32 +377,24 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
     fn strings_and_comments_are_not_code() {
-        let lexed = lex("let x = \"HashMap.unwrap()\"; // HashMap here\n/* Instant */ y");
-        let idents: Vec<_> = lexed
-            .tokens
+        let toks = lex("let x = \"HashMap.unwrap()\"; // HashMap here\n/* Instant */ y");
+        let idents: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(idents, ["let", "x", "y"]);
-        assert_eq!(lexed.comments.len(), 1);
-        assert!(lexed.comments[0].trailing);
     }
 
     #[test]
     fn raw_strings_with_hashes() {
-        let lexed = lex(r####"let s = r#"quote " inside"#; next"####);
-        let idents: Vec<_> = lexed
-            .tokens
+        let toks = lex(r####"let s = r#"quote " inside"#; next"####);
+        let idents: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.as_str())

@@ -1,132 +1,42 @@
-//! CLI for the determinism & unit-safety analyzer.
+//! CLI for the snapshot ABI lock.
 //!
 //! ```text
-//! powadapt-lint                      # analyze the enclosing workspace
-//! powadapt-lint --root path/to/ws    # analyze a specific workspace
-//! powadapt-lint --json report.json   # also write the JSON report
-//! powadapt-lint --format sarif       # print a SARIF 2.1.0 log to stdout
-//! powadapt-lint --all-rules file.rs  # every rule on specific files
 //! powadapt-lint --abi-check          # verify crates/snap/ABI.lock
 //! powadapt-lint --abi-update         # regenerate crates/snap/ABI.lock
 //! ```
 //!
-//! Exit codes: 0 clean, 1 diagnostics found (or ABI drift), 2 usage or
-//! I/O error.
+//! Exit codes: 0 clean (or lock written), 1 ABI drift, 2 usage or I/O
+//! error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use powadapt_lint::{
-    abi, analyze_files, compute_abi_lock, find_workspace_root, path_str, sarif, AnalysisMode,
-    Report,
-};
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AbiAction {
-    None,
-    Check,
-    Update,
-}
-
-struct Options {
-    root: Option<PathBuf>,
-    json: Option<PathBuf>,
-    sarif: bool,
-    abi: AbiAction,
-    all_rules: bool,
-    quiet: bool,
-    files: Vec<PathBuf>,
-}
+use powadapt_lint::{abi, compute_abi_lock, find_workspace_root};
 
 fn usage() -> &'static str {
-    "usage: powadapt-lint [--root DIR] [--json PATH] [--format text|sarif]\n\
-     \x20                 [--abi-check | --abi-update] [--quiet] [--all-rules] [FILES...]\n\
+    "usage: powadapt-lint --abi-check | --abi-update\n\
      \n\
-     With no FILES, analyzes every .rs file in the enclosing workspace\n\
-     (rules scoped per crate; see DESIGN.md). With FILES, analyzes just\n\
-     those; --all-rules applies every rule regardless of path, which is\n\
-     how the ui fixtures are checked.\n\
-     \n\
-     --format sarif prints a SARIF 2.1.0 log to stdout (diagnostics still\n\
-     render to stderr). --abi-check verifies crates/snap/ABI.lock against\n\
-     the workspace's Snapshot structs and fails if the ABI changed without\n\
-     a FORMAT_VERSION bump; --abi-update rewrites the lock.\n"
+     --abi-check verifies crates/snap/ABI.lock against the enclosing\n\
+     workspace's Snapshot structs and fails if the ABI changed without a\n\
+     FORMAT_VERSION bump; --abi-update rewrites the lock.\n"
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        json: None,
-        sarif: false,
-        abi: AbiAction::None,
-        all_rules: false,
-        quiet: false,
-        files: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => {
-                opts.root = Some(PathBuf::from(
-                    args.next().ok_or("--root needs a directory")?,
-                ));
-            }
-            "--json" => {
-                opts.json = Some(PathBuf::from(args.next().ok_or("--json needs a path")?));
-            }
-            "--format" => match args.next().as_deref() {
-                Some("sarif") => opts.sarif = true,
-                Some("text") => opts.sarif = false,
-                Some(other) => return Err(format!("unknown format `{other}` (text or sarif)")),
-                None => return Err("--format needs a value (text or sarif)".to_string()),
-            },
-            "--abi-check" => opts.abi = AbiAction::Check,
-            "--abi-update" => opts.abi = AbiAction::Update,
-            "--all-rules" => opts.all_rules = true,
-            "--quiet" | "-q" => opts.quiet = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`"));
-            }
-            file => opts.files.push(PathBuf::from(file)),
-        }
-    }
-    if opts.abi != AbiAction::None && !opts.files.is_empty() {
-        return Err("--abi-check/--abi-update take no FILES".to_string());
-    }
-    Ok(opts)
-}
-
-fn workspace_root(opts: &Options) -> Result<PathBuf, String> {
-    match &opts.root {
-        Some(r) => Ok(r.clone()),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            find_workspace_root(&cwd)
-                .ok_or_else(|| "no workspace Cargo.toml above the current directory".to_string())
-        }
-    }
-}
-
-/// Runs `--abi-check` / `--abi-update` and maps the outcome to an exit
-/// code: 0 clean/updated, 1 ABI drift, 2 I/O trouble.
-fn run_abi(opts: &Options) -> Result<u8, String> {
-    let root = workspace_root(opts)?;
+/// Runs `--abi-check` (`update == false`) or `--abi-update` and maps the
+/// outcome to an exit code: 0 clean/updated, 1 ABI drift.
+fn run(update: bool) -> Result<u8, String> {
+    let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
+    let root = find_workspace_root(&cwd)
+        .ok_or_else(|| "no workspace Cargo.toml above the current directory".to_string())?;
     let current = compute_abi_lock(&root)?;
     let lock_path = root.join(abi::LOCK_PATH);
-    if opts.abi == AbiAction::Update {
+    if update {
         std::fs::write(&lock_path, &current).map_err(|e| e.to_string())?;
-        if !opts.quiet {
-            eprintln!("powadapt-lint: wrote {}", abi::LOCK_PATH);
-        }
+        eprintln!("powadapt-lint: wrote {}", abi::LOCK_PATH);
         return Ok(0);
     }
     let on_disk = std::fs::read_to_string(&lock_path).ok();
     match abi::check(&current, on_disk.as_deref()) {
         abi::AbiStatus::Clean => {
-            if !opts.quiet {
-                eprintln!("powadapt-lint: snapshot ABI matches {}", abi::LOCK_PATH);
-            }
+            eprintln!("powadapt-lint: snapshot ABI matches {}", abi::LOCK_PATH);
             Ok(0)
         }
         abi::AbiStatus::ChangedWithoutBump => {
@@ -155,90 +65,25 @@ fn run_abi(opts: &Options) -> Result<u8, String> {
     }
 }
 
-fn run() -> Result<u8, String> {
-    let opts = parse_args()?;
-    if opts.abi != AbiAction::None {
-        return run_abi(&opts);
-    }
-    let mode = if opts.all_rules {
-        AnalysisMode::AllRules
-    } else {
-        AnalysisMode::Scoped
-    };
-
-    let report = if opts.files.is_empty() {
-        let root = workspace_root(&opts)?;
-        powadapt_lint::analyze_workspace(&root).map_err(|e| e.to_string())?
-    } else {
-        let mut sources = Vec::with_capacity(opts.files.len());
-        for file in &opts.files {
-            let src =
-                std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-            sources.push((path_str(file), src));
-        }
-        let analysis = analyze_files(&sources, mode);
-        Report {
-            root: String::new(),
-            files_scanned: opts.files.len(),
-            diagnostics: analysis.diagnostics,
-            suppressions_used: analysis.suppressions_used,
-        }
-    };
-
-    if let Some(json_path) = &opts.json {
-        if let Some(parent) = json_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-        }
-        std::fs::write(json_path, report.to_json()).map_err(|e| e.to_string())?;
-    }
-    if opts.sarif {
-        println!("{}", sarif::to_sarif(&report));
-    }
-
-    if !opts.quiet {
-        for d in &report.diagnostics {
-            eprintln!("{}", d.render());
-        }
-    }
-    let n = report.diagnostics.len();
-    if n == 0 {
-        if !opts.quiet {
-            eprintln!(
-                "powadapt-lint: {} files clean ({} suppression{} in use)",
-                report.files_scanned,
-                report.suppressions_used.len(),
-                if report.suppressions_used.len() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
-            );
-        }
-        Ok(0)
-    } else {
-        if !opts.quiet {
-            eprintln!(
-                "powadapt-lint: {n} diagnostic{} across {} files",
-                if n == 1 { "" } else { "s" },
-                report.files_scanned,
-            );
-        }
-        Ok(1)
-    }
-}
-
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["--abi-check"] => false,
+        ["--abi-update"] => true,
+        ["--help" | "-h"] => {
+            eprint!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            eprint!("{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    match run(update) {
         Ok(code) => ExitCode::from(code),
         Err(msg) => {
-            if msg.is_empty() {
-                eprint!("{}", usage());
-                ExitCode::from(0)
-            } else {
-                eprintln!("powadapt-lint: {msg}");
-                eprint!("{}", usage());
-                ExitCode::from(2)
-            }
+            eprintln!("powadapt-lint: {msg}");
+            ExitCode::from(2)
         }
     }
 }

@@ -1,31 +1,19 @@
-//! Pass 1: the workspace symbol model.
+//! The workspace symbol model the snapshot ABI lock reads.
 //!
-//! The cross-file rule D7 and the snapshot ABI lock need to know *what
-//! the code declares*, not just which tokens appear: which structs exist
-//! and what fields they carry, which impl blocks provide
-//! `write_state`/`read_state`, where every `fn` body starts and ends and
-//! what its parameters and typed locals are, and which structs a
+//! The lock needs to know *what the code declares*, not just which
+//! tokens appear: which structs exist and what fields they carry, which
+//! impl blocks provide `write_state`/`read_state`, and which structs a
 //! `snapshot!` list declares.
 //!
-//! This module extracts exactly that from the existing lexer's token
-//! stream — still no `syn`, because the workspace builds fully offline.
-//! The extraction is a set of small linear scans with bracket matching;
-//! the subset of Rust it understands (structs with named fields, impl
-//! blocks, fn items, typed `let` bindings, `snapshot!` sites) is exactly
-//! the subset its consumers read. Anything outside that subset degrades
-//! to "unknown" rather than a wrong answer: the rule skips what it
-//! cannot resolve.
+//! This module extracts exactly that from the lexer's token stream —
+//! no `syn`, because the workspace builds fully offline. The extraction
+//! is a set of small linear scans with bracket matching; the subset of
+//! Rust it understands (structs with named fields, impl blocks, fn
+//! names, `snapshot!` sites) is exactly the subset the lock reads.
+//! Anything outside that subset degrades to "unknown" rather than a
+//! wrong answer.
 
 use crate::lexer::{Tok, TokKind};
-
-/// One named field of a struct.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// The field's type, as raw token texts (generics included).
-    pub ty: Vec<String>,
-}
 
 /// A struct declaration.
 #[derive(Debug, Clone)]
@@ -34,8 +22,9 @@ pub struct StructDef {
     pub name: String,
     /// Index into the analyzed file list.
     pub file: usize,
-    /// Named fields; empty for tuple and unit structs.
-    pub fields: Vec<FieldDef>,
+    /// Names of the named fields, in declaration order; empty for tuple
+    /// and unit structs.
+    pub fields: Vec<String>,
 }
 
 /// A function item (free, trait-decl, or inside an impl block).
@@ -47,13 +36,6 @@ pub struct FnDef {
     pub file: usize,
     /// Token index of the `fn` keyword.
     pub sig_tok: usize,
-    /// Token range of the body: `(open_brace, close_brace)` inclusive.
-    /// `None` for body-less declarations (`fn f(...);`).
-    pub body: Option<(usize, usize)>,
-    /// Parameters as `(name, type tokens)`; `self` receivers excluded.
-    pub params: Vec<(String, Vec<String>)>,
-    /// Explicitly-typed `let` bindings in the body, as `(name, type)`.
-    pub locals: Vec<(String, Vec<String>)>,
     /// Type name of the enclosing `impl` block, when inside one.
     pub owner: Option<String>,
 }
@@ -271,8 +253,8 @@ fn extract_structs(toks: &[Tok], file: usize, out: &mut Vec<StructDef>) {
     }
 }
 
-/// Parses the named fields between a struct body's braces (exclusive).
-fn parse_fields(body: &[Tok]) -> Vec<FieldDef> {
+/// The named fields' names between a struct body's braces (exclusive).
+fn parse_fields(body: &[Tok]) -> Vec<String> {
     let mut fields = Vec::new();
     let mut i = 0usize;
     while i < body.len() {
@@ -297,14 +279,13 @@ fn parse_fields(body: &[Tok]) -> Vec<FieldDef> {
             i += 1;
             continue;
         }
-        // Type runs to the next top-level comma.
+        fields.push(name.to_string());
+        // Skip the type: it runs to the next top-level comma.
         let mut depth = 0i32;
         let mut angle = 0i32;
         let mut j = i + 2;
-        let mut ty = Vec::new();
         while j < body.len() {
-            let t = &body[j];
-            match t.text.as_str() {
+            match body[j].text.as_str() {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
                 "<" => angle += 1,
@@ -312,13 +293,8 @@ fn parse_fields(body: &[Tok]) -> Vec<FieldDef> {
                 "," if depth == 0 && angle <= 0 => break,
                 _ => {}
             }
-            ty.push(t.text.clone());
             j += 1;
         }
-        fields.push(FieldDef {
-            name: name.to_string(),
-            ty,
-        });
         i = j + 1;
     }
     fields
@@ -397,167 +373,24 @@ fn extract_impls(toks: &[Tok], file: usize, out: &mut Vec<ImplDef>) {
 }
 
 fn extract_fns(toks: &[Tok], file: usize, out: &mut Vec<FnDef>) {
-    let mut i = 0usize;
-    while i < toks.len() {
+    for i in 0..toks.len() {
         if ident_at(toks, i) != Some("fn") {
-            i += 1;
             continue;
         }
         // `fn` in a fn-pointer type has no name after it.
         let Some(name) = ident_at(toks, i + 1) else {
-            i += 1;
             continue;
         };
-        let mut j = skip_generics(toks, i + 2);
-        if punct_at(toks, j) != Some("(") {
-            i += 1;
+        if punct_at(toks, skip_generics(toks, i + 2)) != Some("(") {
             continue;
         }
-        let params_close = match_bracket(toks, j);
-        let params = parse_params(&toks[j + 1..params_close]);
-        // Return type / where clause run to the body or `;`.
-        j = params_close + 1;
-        let mut body = None;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "{" => {
-                    body = Some((j, match_bracket(toks, j)));
-                    break;
-                }
-                ";" => break,
-                // `-> impl Fn(..)` and friends: skip bracket groups so
-                // a paren in the return type can't be mistaken for a
-                // body.
-                "(" | "[" => j = match_bracket(toks, j),
-                _ => {}
-            }
-            j += 1;
-        }
-        let locals = body.map_or_else(Vec::new, |(a, b)| parse_locals(&toks[a..=b]));
         out.push(FnDef {
             name: name.to_string(),
             file,
             sig_tok: i,
-            body,
-            params,
-            locals,
             owner: None,
         });
-        // Continue *inside* the body too: nested fns are modeled.
-        i = match body {
-            Some((open, _)) => open + 1,
-            None => j.max(i + 1),
-        };
     }
-}
-
-/// Parses a parameter list's tokens into `(name, type)` pairs; `self`
-/// receivers are skipped.
-fn parse_params(param_toks: &[Tok]) -> Vec<(String, Vec<String>)> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut angle = 0i32;
-    let mut start = 0usize;
-    let mut i = 0usize;
-    loop {
-        let at_end = i >= param_toks.len();
-        let splits = at_end
-            || (param_toks[i].text == ","
-                && param_toks[i].kind == TokKind::Punct
-                && depth == 0
-                && angle <= 0);
-        if splits {
-            let p = &param_toks[start..i.min(param_toks.len())];
-            if let Some(pair) = parse_one_param(p) {
-                out.push(pair);
-            }
-            if at_end {
-                break;
-            }
-            start = i + 1;
-        } else {
-            match param_toks[i].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-fn parse_one_param(p: &[Tok]) -> Option<(String, Vec<String>)> {
-    let mut angle = 0i32;
-    let mut colon = None;
-    for (i, t) in p.iter().enumerate() {
-        match t.text.as_str() {
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            ":" if angle <= 0 && t.kind == TokKind::Punct => {
-                colon = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let colon = colon?;
-    let name = p[..colon]
-        .iter()
-        .rev()
-        .find(|t| t.kind == TokKind::Ident && t.text != "mut")?;
-    if name.text == "self" {
-        return None;
-    }
-    let ty = p[colon + 1..].iter().map(|t| t.text.clone()).collect();
-    Some((name.text.clone(), ty))
-}
-
-/// Finds explicitly-typed `let` bindings (`let [mut] x: Ty = ...`) in a
-/// body's tokens.
-fn parse_locals(body: &[Tok]) -> Vec<(String, Vec<String>)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < body.len() {
-        if ident_at(body, i) != Some("let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if ident_at(body, j) == Some("mut") {
-            j += 1;
-        }
-        let Some(name) = ident_at(body, j) else {
-            i += 1;
-            continue;
-        };
-        if punct_at(body, j + 1) != Some(":") {
-            i += 1;
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut k = j + 2;
-        let mut ty = Vec::new();
-        while k < body.len() {
-            let t = &body[k];
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "=" | ";" if depth == 0 && angle <= 0 => break,
-                _ => {}
-            }
-            ty.push(t.text.clone());
-            k += 1;
-        }
-        out.push((name.to_string(), ty));
-        i = k;
-    }
-    out
 }
 
 /// Finds `snapshot! { ... }` use sites. The arms of a `macro_rules!
@@ -585,8 +418,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn model_of(src: &str) -> (Model, Vec<Tok>) {
-        let lexed = lex(src);
-        let toks = lexed.tokens;
+        let toks = lex(src);
         let m = Model::build(&[&toks[..]]);
         (m, toks)
     }
@@ -599,10 +431,9 @@ mod tests {
         assert_eq!(m.structs.len(), 3);
         let meter = &m.structs[0];
         assert_eq!(meter.name, "Meter");
-        let names: Vec<_> = meter.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["watts", "samples"]);
-        assert_eq!(meter.fields[0].ty, ["Watts"]);
-        assert!(meter.fields[1].ty.contains(&"Vec".to_string()));
+        assert_eq!(meter.fields, ["watts", "samples"]);
+        assert_eq!(m.structs[1].name, "Marker");
+        assert!(m.structs[1].fields.is_empty());
         assert_eq!(m.structs[2].name, "Pair");
         assert!(m.structs[2].fields.is_empty());
     }
@@ -621,26 +452,6 @@ mod tests {
         // Fn -> impl attachment.
         let owners: Vec<_> = m.fns.iter().map(|f| f.owner.as_deref()).collect();
         assert_eq!(owners, [Some("EventLog"), Some("EventQueue"), Some("Ssd")]);
-    }
-
-    #[test]
-    fn fns_params_locals_and_bodies() {
-        let (m, toks) = model_of(
-            "fn free(a: Watts, mut b: &mut Joules) -> f64 {\n    let mut acc: Joules = Joules::new(0.0);\n    acc.get()\n}\nfn sig_only(x: u8);\n",
-        );
-        assert_eq!(m.fns.len(), 2);
-        let f = &m.fns[0];
-        assert_eq!(f.name, "free");
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0], ("a".to_string(), vec!["Watts".to_string()]));
-        assert_eq!(f.params[1].0, "b");
-        assert_eq!(f.locals.len(), 1);
-        assert_eq!(f.locals[0].0, "acc");
-        assert_eq!(f.locals[0].1, ["Joules"]);
-        let (open, close) = f.body.unwrap();
-        assert_eq!(toks[open].text, "{");
-        assert_eq!(toks[close].text, "}");
-        assert!(m.fns[1].body.is_none());
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ConfigPoint {
         }
     }
 
-    /// Attaches latency coordinates (unit-typed; see `powadapt-lint` D4).
+    /// Attaches latency coordinates, in microseconds.
     pub fn with_latencies(mut self, avg_us: Micros, p99_us: Micros) -> Self {
         self.avg_latency_us = avg_us.get();
         self.p99_latency_us = p99_us.get();

@@ -13,9 +13,8 @@
 //!   draw) with window integration and trailing averages,
 //! - [`Summary`] — summary statistics used for power traces and latency
 //!   samples,
-//! - [`units`] — typed newtypes ([`units::Watts`], [`units::Joules`],
-//!   [`units::Micros`], [`units::Millis`]) for the float-valued quantities
-//!   that cross public APIs; enforced by `powadapt-lint` rule D4.
+//! - [`units`] — [`units::Micros`], the exact newtype for float-valued
+//!   latency that crosses the SLO and model APIs.
 //!
 //! # Examples
 //!

@@ -1,161 +1,41 @@
-//! Typed unit quantities for power, energy, and float-valued time.
-//!
-//! Raw `f64`s travel through the meter/model/core crates as watts, joules,
-//! and (micro/milli)seconds; a transposed argument is silent data
-//! corruption that no test may catch. These newtypes make the unit part of
-//! the signature. They are *exact* wrappers — construction and extraction
-//! never transform the value — so migrating an API from `f64` to a newtype
-//! cannot perturb a golden fixture by even one bit.
+//! A typed unit for float-valued latency.
 //!
 //! Integer-nanosecond simulation time stays [`SimTime`]/[`SimDuration`]
-//! (`crate::time`); [`Micros`]/[`Millis`] are for the float-valued latency
-//! and interval *measurements* that appear in figures, where the paper's
-//! own units are microseconds and milliseconds.
+//! (`crate::time`); [`Micros`] is for the float-valued latency
+//! *measurements* that appear in figures and SLO windows, where the
+//! paper's own unit is the microsecond. It is an *exact* wrapper —
+//! construction and extraction never transform the value — so taking it
+//! in place of an `f64` cannot perturb a golden fixture by even one bit.
 //!
-//! The `powadapt-lint` rule **D4** enforces adoption: a public `fn` in
-//! `meter`/`model`/`core` with a raw `f64` parameter named `*_watts`,
-//! `*_joules`, `*_ms`, or `*_us` is a build-blocking diagnostic.
+//! Elsewhere the tree names a unit by suffix on a plain `f64`
+//! (`cap_w`, `p99_us`); that is a naming convention, and nothing
+//! checks it.
+//!
+//! [`SimTime`]: crate::SimTime
+//! [`SimDuration`]: crate::SimDuration
 //!
 //! # Examples
 //!
 //! ```
-//! use powadapt_sim::units::{Joules, Micros, Watts};
-//! use powadapt_sim::SimDuration;
-//!
-//! let p = Watts::new(5.5);
-//! let e: Joules = p * SimDuration::from_millis(200);
-//! assert!((e.get() - 1.1).abs() < 1e-12);
+//! use powadapt_sim::units::Micros;
 //!
 //! let lat = Micros::new(850.0);
-//! assert_eq!(lat.as_millis().get(), 0.85);
+//! assert_eq!(lat.get(), 850.0);
 //! ```
 
-use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub};
-
-use crate::time::SimDuration;
-
-macro_rules! unit_newtype {
-    ($(#[$doc:meta])* $name:ident, $suffix:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        pub struct $name(f64);
-
-        impl $name {
-            /// Zero of this unit.
-            pub const ZERO: $name = $name(0.0);
-
-            /// Wraps a raw value already expressed in this unit.
-            pub const fn new(value: f64) -> Self {
-                $name(value)
-            }
-
-            /// The raw value, exactly as constructed.
-            pub const fn get(self) -> f64 {
-                self.0
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{} {}", self.0, $suffix)
-            }
-        }
-
-        impl Add for $name {
-            type Output = $name;
-            fn add(self, rhs: $name) -> $name {
-                $name(self.0 + rhs.0)
-            }
-        }
-
-        impl AddAssign for $name {
-            fn add_assign(&mut self, rhs: $name) {
-                self.0 += rhs.0;
-            }
-        }
-
-        impl Sub for $name {
-            type Output = $name;
-            fn sub(self, rhs: $name) -> $name {
-                $name(self.0 - rhs.0)
-            }
-        }
-
-        impl Mul<f64> for $name {
-            type Output = $name;
-            fn mul(self, rhs: f64) -> $name {
-                $name(self.0 * rhs)
-            }
-        }
-
-        impl Div<f64> for $name {
-            type Output = $name;
-            fn div(self, rhs: f64) -> $name {
-                $name(self.0 / rhs)
-            }
-        }
-
-        impl Sum for $name {
-            fn sum<I: Iterator<Item = $name>>(iter: I) -> $name {
-                $name(iter.map(|v| v.0).sum())
-            }
-        }
-    };
-}
-
-unit_newtype!(
-    /// Instantaneous power in watts.
-    Watts,
-    "W"
-);
-unit_newtype!(
-    /// Energy in joules.
-    Joules,
-    "J"
-);
-unit_newtype!(
-    /// A float-valued interval in milliseconds (figure/statistics use;
-    /// simulation time itself is integer-nanosecond [`SimTime`]).
-    ///
-    /// [`SimTime`]: crate::SimTime
-    Millis,
-    "ms"
-);
-unit_newtype!(
-    /// A float-valued interval in microseconds (the paper's latency unit).
-    Micros,
-    "us"
-);
-
-/// Power sustained over a duration is energy: `W × s = J`.
-impl Mul<SimDuration> for Watts {
-    type Output = Joules;
-    fn mul(self, rhs: SimDuration) -> Joules {
-        Joules(self.0 * rhs.as_secs_f64())
-    }
-}
-
-/// Energy over a duration is average power: `J / s = W`.
-impl Div<SimDuration> for Joules {
-    type Output = Watts;
-    fn div(self, rhs: SimDuration) -> Watts {
-        Watts(self.0 / rhs.as_secs_f64())
-    }
-}
+/// A float-valued interval in microseconds (the paper's latency unit).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Micros(f64);
 
 impl Micros {
-    /// The same interval in milliseconds.
-    pub fn as_millis(self) -> Millis {
-        Millis(self.0 / 1_000.0)
+    /// Wraps a raw value already expressed in microseconds.
+    pub const fn new(value: f64) -> Self {
+        Micros(value)
     }
-}
 
-impl Millis {
-    /// The same interval in microseconds.
-    pub fn as_micros(self) -> Micros {
-        Micros(self.0 * 1_000.0)
+    /// The raw value, exactly as constructed.
+    pub const fn get(self) -> f64 {
+        self.0
     }
 }
 
@@ -168,41 +48,7 @@ mod tests {
         // Bit-exact round trip, including values that decimal conversions
         // would perturb.
         for v in [0.1 + 0.2, 1e-300, 7.234_567_890_123_456e18, -0.0] {
-            assert_eq!(Watts::new(v).get().to_bits(), v.to_bits());
             assert_eq!(Micros::new(v).get().to_bits(), v.to_bits());
         }
-    }
-
-    #[test]
-    fn power_times_time_is_energy() {
-        let e = Watts::new(2.5) * SimDuration::from_secs_f64(4.0);
-        assert!((e.get() - 10.0).abs() < 1e-12);
-        let p = e / SimDuration::from_secs_f64(4.0);
-        assert!((p.get() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arithmetic_and_sum() {
-        let total: Joules = [Joules::new(1.0), Joules::new(2.0)].into_iter().sum();
-        assert!((total.get() - 3.0).abs() < 1e-12);
-        let mut w = Watts::new(1.0);
-        w += Watts::new(0.5);
-        assert!(((w * 2.0).get() - 3.0).abs() < 1e-12);
-        assert!(((w - Watts::new(1.0)).get() - 0.5).abs() < 1e-12);
-        assert!(((w / 3.0).get() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interval_conversions() {
-        assert!((Micros::new(1_500.0).as_millis().get() - 1.5).abs() < 1e-12);
-        assert!((Millis::new(0.25).as_micros().get() - 250.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_carries_unit() {
-        assert_eq!(Watts::new(5.5).to_string(), "5.5 W");
-        assert_eq!(Micros::new(850.0).to_string(), "850 us");
-        assert_eq!(Joules::ZERO.to_string(), "0 J");
-        assert_eq!(Millis::new(1.0).to_string(), "1 ms");
     }
 }
