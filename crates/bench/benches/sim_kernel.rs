@@ -39,6 +39,61 @@ fn bench_event_queue(c: &mut Criterion) {
     }
 }
 
+/// The classes of the SSD-shaped traffic in `event_queue/fixed_delay_lanes`.
+#[derive(Clone, Copy)]
+enum Traffic {
+    DieOp,
+    Commit,
+    Noise,
+    Retry,
+}
+
+fn bench_event_queue_lanes(c: &mut Criterion) {
+    // SSD traffic: 32 dies each run a fixed-delay op whose completion
+    // schedules a fixed-delay commit, which starts the die's next op, and
+    // two timers re-arm at a varying and a fixed interval. The die ops and
+    // the commits ride one lane each; the timers stay on the heap.
+    const DIE_LANE: usize = 0;
+    const COMMIT_LANE: usize = 1;
+    let die_op = SimDuration::from_micros(50);
+    let commit = SimDuration::from_micros(5);
+    let retry = SimDuration::from_micros(200);
+    c.bench_function("event_queue/fixed_delay_lanes", |b| {
+        let mut rng = SimRng::seed_from(7);
+        let dwells: Vec<u64> = (0..64).map(|_| rng.u64_range(4_000, 12_000)).collect();
+        b.iter_batched(
+            || {
+                let mut q = EventQueue::new();
+                for die in 0..32u64 {
+                    let at = SimTime::from_nanos(die * 1_500) + die_op;
+                    q.schedule_on_lane(DIE_LANE, at, Traffic::DieOp);
+                }
+                q.schedule(SimTime::from_micros(dwells[0]), Traffic::Noise);
+                q.schedule(SimTime::ZERO + retry, Traffic::Retry);
+                q
+            },
+            |mut q| {
+                for i in 0..4_096 {
+                    let (t, ev) = q.pop().expect("every event re-arms one");
+                    match black_box(ev) {
+                        Traffic::DieOp => {
+                            q.schedule_on_lane(COMMIT_LANE, t + commit, Traffic::Commit);
+                        }
+                        Traffic::Commit => q.schedule_on_lane(DIE_LANE, t + die_op, Traffic::DieOp),
+                        Traffic::Noise => {
+                            let dwell = SimDuration::from_micros(dwells[i % dwells.len()]);
+                            q.schedule(t + dwell, ev);
+                        }
+                        Traffic::Retry => q.schedule(t + retry, ev),
+                    }
+                }
+                q
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 fn bench_rolling_mean(c: &mut Criterion) {
     c.bench_function("rolling_mean/push_query_10k", |b| {
         let mut rng = SimRng::seed_from(3);
@@ -99,6 +154,7 @@ fn bench_rng(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_event_queue_lanes,
     bench_rolling_mean,
     bench_signal_and_stats,
     bench_rng

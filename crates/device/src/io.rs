@@ -122,18 +122,23 @@ powadapt_snap::codec! { enum IoKind { 0 => Read, 1 => Write } }
 powadapt_snap::codec! { IoCompletion { id, kind, len, submitted, completed } }
 
 /// The ids of a device's submitted, not yet completed requests, kept
-/// ascending in a flat deque and searched by bisection.
+/// ascending in a flat deque.
 ///
 /// Submitters number requests in rising order and devices complete them
-/// roughly in that order, so an insert lands at the back and a removal
-/// near the front: both move a few words, where an ordered tree would
-/// allocate and free a node per request.
+/// roughly in that order, so an insert usually lands at the back and a
+/// removal usually takes the front: both are O(1) with no search, where
+/// an ordered tree would allocate and free a node per request. Any other
+/// id is placed or found by bisection and moves a few words.
 #[derive(Debug, Default)]
 pub(crate) struct InflightIds(VecDeque<u64>);
 
 impl InflightIds {
     /// Adds `id`; false if it is already in flight.
     pub(crate) fn insert(&mut self, id: u64) -> bool {
+        if self.0.back().is_none_or(|&back| back < id) {
+            self.0.push_back(id);
+            return true;
+        }
         match self.0.binary_search(&id) {
             Ok(_) => false,
             Err(i) => {
@@ -145,7 +150,9 @@ impl InflightIds {
 
     /// Removes `id` if it is in flight.
     pub(crate) fn remove(&mut self, id: u64) {
-        if let Ok(i) = self.0.binary_search(&id) {
+        if self.0.front() == Some(&id) {
+            self.0.pop_front();
+        } else if let Ok(i) = self.0.binary_search(&id) {
             self.0.remove(i);
         }
     }
@@ -209,6 +216,29 @@ mod tests {
         ids.remove(4); // not in flight: no effect
         assert_eq!(ids.len(), 4);
         assert_eq!(Vec::from(ids.0), vec![2, 5, 7, 11]);
+
+        // The common paths, at either end of the deque.
+        let mut ids = InflightIds::default();
+        // Ascending inserts append at the back.
+        for id in [3, 4, 8, 20] {
+            assert!(ids.insert(id));
+        }
+        assert!(!ids.insert(20), "a repeat of the back id is refused");
+        assert!(!ids.insert(3), "a repeat of the front id is refused");
+        assert_eq!(Vec::from(ids.0.clone()), vec![3, 4, 8, 20]);
+        // The oldest request completes first: the front goes.
+        ids.remove(3);
+        assert_eq!(Vec::from(ids.0.clone()), vec![4, 8, 20]);
+        // One from the middle completes out of order.
+        ids.remove(8);
+        assert_eq!(Vec::from(ids.0.clone()), vec![4, 20]);
+        // Already gone: no effect.
+        ids.remove(8);
+        // A late, lower id still lands in order.
+        assert!(ids.insert(10));
+        ids.remove(20);
+        assert_eq!(ids.len(), 2);
+        assert_eq!(Vec::from(ids.0), vec![4, 10]);
     }
 
     #[test]

@@ -95,6 +95,23 @@ enum Ev {
     IdleFlush,
 }
 
+/// The event queue's FIFO lanes, one per event class scheduled a fixed
+/// delay ahead, so the class arrives in time order: die reads wait
+/// `read_op`, full program units `program_op`, commits `read_post` or
+/// `write_commit`, and the controller and host interface have at most one
+/// event pending each. A partial program unit or a read commit after a
+/// slower write commit lands out of order and the queue puts it on its
+/// heap; timers always go there.
+mod lane {
+    pub(super) const DIE_READ: usize = 0;
+    pub(super) const DIE_PROGRAM: usize = 1;
+    pub(super) const COMPLETE: usize = 2;
+    pub(super) const CMD: usize = 3;
+    pub(super) const IFACE: usize = 4;
+}
+
+const _: () = assert!(lane::IFACE < EventQueue::<Ev>::LANES);
+
 powadapt_snap::codec! {
     enum Ev {
         0 => CmdDone(p),
@@ -872,7 +889,8 @@ impl Ssd {
             .mul_f64(chunk as f64 / unit as f64)
             .max(SimDuration::from_nanos(1));
         self.die_span(die, true, dur);
-        self.events.schedule(
+        self.events.schedule_on_lane(
+            lane::DIE_PROGRAM,
             self.now + dur,
             Ev::DieDone {
                 die,
@@ -977,7 +995,8 @@ impl Ssd {
                         IoKind::Read => self.cfg.cmd_read,
                         IoKind::Write => self.cfg.cmd_write,
                     };
-                    self.events.schedule(self.now + dur, Ev::CmdDone(p));
+                    self.events
+                        .schedule_on_lane(lane::CMD, self.now + dur, Ev::CmdDone(p));
                     progress = true;
                 }
             }
@@ -998,7 +1017,8 @@ impl Ssd {
                 self.set_die_busy(die, true);
                 self.busy_read += 1;
                 self.die_span(die, false, self.cfg.read_op);
-                self.events.schedule(
+                self.events.schedule_on_lane(
+                    lane::DIE_READ,
                     self.now + self.cfg.read_op,
                     Ev::DieDone {
                         die,
@@ -1022,7 +1042,8 @@ impl Ssd {
                     let dur = self.transfer.get(x.pending.len, |len| {
                         SimDuration::from_secs_f64(len as f64 / bw).max(SimDuration::from_nanos(1))
                     });
-                    self.events.schedule(self.now + dur, Ev::IfaceDone(x));
+                    self.events
+                        .schedule_on_lane(lane::IFACE, self.now + dur, Ev::IfaceDone(x));
                     progress = true;
                 }
             }
@@ -1098,7 +1119,8 @@ impl Ssd {
                 if post.is_zero() {
                     self.finish(p);
                 } else {
-                    self.events.schedule(self.now + post, Ev::Complete(p));
+                    self.events
+                        .schedule_on_lane(lane::COMPLETE, self.now + post, Ev::Complete(p));
                 }
                 self.pump();
             }

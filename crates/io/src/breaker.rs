@@ -78,15 +78,18 @@ struct Breaker {
     consecutive_failures: u32,
     probe_successes: u32,
     open_until: SimTime,
+    /// The device's trace track, interned once.
+    track: &'static str,
 }
 
 impl Breaker {
-    fn new() -> Self {
+    fn new(device: usize) -> Self {
         Breaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             probe_successes: 0,
             open_until: SimTime::ZERO,
+            track: powadapt_obs::intern(&format!("device{device}")),
         }
     }
 }
@@ -157,7 +160,7 @@ impl<R> CircuitBreakerRouter<R> {
 
     fn ensure(&mut self, n: usize) {
         while self.breakers.len() < n {
-            self.breakers.push(Breaker::new());
+            self.breakers.push(Breaker::new(self.breakers.len()));
         }
     }
 
@@ -166,7 +169,7 @@ impl<R> CircuitBreakerRouter<R> {
         emit!(
             self.rec,
             at,
-            powadapt_obs::intern(&format!("device{device}")),
+            self.breakers[device].track,
             match entered {
                 BreakerState::Closed => EventKind::BreakerClose,
                 BreakerState::Open => EventKind::BreakerOpen,

@@ -336,8 +336,11 @@ where
     // on a positional track: paper labels may repeat across a fleet
     // (e.g. three SSD3s), track indices never do.
     let rec = powadapt_obs::current();
-    for (i, d) in devices.iter_mut().enumerate() {
-        d.set_recorder(rec.clone(), powadapt_obs::intern(&format!("device{i}")));
+    let tracks: Vec<&'static str> = (0..devices.len())
+        .map(|i| powadapt_obs::intern(&format!("device{i}")))
+        .collect();
+    for (d, &track) in devices.iter_mut().zip(&tracks) {
+        d.set_recorder(rec.clone(), track);
     }
     rig.set_recorder(rec.clone(), "fleet");
 
@@ -410,7 +413,7 @@ where
                                 emit!(
                                     rec,
                                     t,
-                                    powadapt_obs::intern(&format!("device{target}")),
+                                    tracks[target],
                                     EventKind::IoError {
                                         id: next_id,
                                         error: e.to_string(),

@@ -4,7 +4,8 @@
 //!
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time,
 //! - [`EventQueue`] — a deterministic time-ordered event queue (a binary
-//!   heap keyed by time, ties broken by insertion order),
+//!   heap keyed by time, ties broken by insertion order, with FIFO lanes
+//!   beside it for events scheduled a fixed delay ahead),
 //! - [`Slab`] — a freelist arena with stable integer keys for in-flight
 //!   simulation state,
 //! - [`SimRng`] — seeded randomness with the distributions the device and

@@ -67,6 +67,9 @@ impl Model {
 struct Pair {
     queue: EventQueue<u32>,
     model: Model,
+    /// Time of the last event popped: lane ops schedule a fixed delay
+    /// after it, as a device schedules after the event it handles.
+    now: u64,
 }
 
 impl Pair {
@@ -92,15 +95,21 @@ impl Pair {
             4 => self.schedule(1_000_000_000 + raw % (1 << 43), raw),
             // The end of the representable range, `SimTime::MAX` included.
             5 => self.schedule(u64::MAX - raw % 4, raw),
-            6..=8 => prop_assert_eq!(self.queue.pop(), self.model.pop(), "pop"),
+            6..=8 => {
+                let popped = self.queue.pop();
+                prop_assert_eq!(popped, self.model.pop(), "pop");
+                self.observe(popped);
+            }
             9 => {
                 let t = SimTime::from_nanos(raw % 100_000_000);
+                let popped = self.queue.pop_at_or_before(t);
                 prop_assert_eq!(
-                    self.queue.pop_at_or_before(t),
+                    popped,
                     self.model.pop_at_or_before(t),
                     "pop_at_or_before({})",
                     t
                 );
+                self.observe(popped);
             }
             _ => {
                 prop_assert_eq!(self.queue.next_time(), self.model.next_time(), "next_time");
@@ -111,9 +120,61 @@ impl Pair {
         Ok(())
     }
 
+    fn observe(&mut self, popped: Option<(SimTime, u32)>) {
+        if let Some((at, _)) = popped {
+            self.now = at.as_nanos();
+        }
+    }
+
+    /// Schedules at `t` on `lane`, with a payload drawn as
+    /// [`Pair::schedule`] draws it.
+    fn schedule_on_lane(&mut self, lane: usize, t: u64, raw: u64) {
+        let at = SimTime::from_nanos(t);
+        let payload = (raw >> 48) as u32;
+        self.queue.schedule_on_lane(lane, at, payload);
+        self.model.schedule(at, payload);
+    }
+
+    /// Applies one op of a lane-hinted script: the ops of [`Pair::apply`]
+    /// (selectors 0..11, so heap schedules, pops and probes), plus lane
+    /// schedules and a snapshot check from selector 11 on. The lane comes
+    /// from the op's middle bits, one of `LANES + 2`, so some hints name
+    /// no lane at all.
+    fn apply_lane(&mut self, sel: u8, raw: u64) -> Result<(), TestCaseError> {
+        let lane = (raw >> 32) as usize % (EventQueue::<u32>::LANES + 2);
+        match sel {
+            // A fixed delay per lane after the last pop: in order within
+            // the lane, so these append.
+            11..=14 => {
+                let delay = 1_000 * (lane as u64 + 1);
+                self.schedule_on_lane(lane, self.now.saturating_add(delay), raw);
+            }
+            // Anywhere in the near future: often before the lane's tail,
+            // so the entry must fall back to the heap.
+            15 => self.schedule_on_lane(lane, raw % 50_000_000, raw),
+            // A few shared instants: ties across lanes and the heap that
+            // only the seq can break.
+            16 | 17 => self.schedule_on_lane(lane, (raw % 8) * 1_000, raw),
+            // The end of the representable range, `SimTime::MAX` included.
+            18 => self.schedule_on_lane(lane, u64::MAX - raw % 4, raw),
+            // The snapshot bytes are the model's, whichever entries sit
+            // on lanes.
+            19 => prop_assert_eq!(snap(&self.queue), self.model.snapshot(), "snapshot bytes"),
+            _ => self.apply(sel, raw)?,
+        }
+        Ok(())
+    }
+
     fn run(&mut self, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
         for &(sel, raw) in ops {
             self.apply(sel, raw)?;
+        }
+        Ok(())
+    }
+
+    fn run_lanes(&mut self, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+        for &(sel, raw) in ops {
+            self.apply_lane(sel, raw)?;
         }
         Ok(())
     }
@@ -176,6 +237,7 @@ proptest! {
         let mut restored = Pair {
             queue: restore(&snap(&pair.queue)).unwrap(),
             model: pair.model.clone(),
+            now: pair.now,
         };
         pair.run(&post)?;
         restored.run(&post)?;
@@ -197,6 +259,7 @@ proptest! {
         let mut restored = Pair {
             queue: restore(&bytes).unwrap(),
             model: pair.model.clone(),
+            now: pair.now,
         };
         prop_assert_eq!(&snap(&restored.queue), &bytes, "re-snapshot bytes drifted");
         restored.run(&post)?;
@@ -222,6 +285,49 @@ proptest! {
             prop_assert_eq!(snap(&pair.queue), pair.model.snapshot(), "snapshot bytes");
         }
         pair.drain()?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Lane-hinted scripts match the sorted model op by op: appends in
+    /// lane order, out-of-order hints that must fall back to the heap,
+    /// hints naming no lane, ties across lanes and the heap, and
+    /// `SimTime::MAX`, with the snapshot bytes checked mid-script.
+    #[test]
+    fn event_queue_lanes_match_sorted_vec_model(
+        ops in prop::collection::vec((0u8..20, any::<u64>()), 0..300),
+    ) {
+        let mut pair = Pair::default();
+        pair.run_lanes(&ops)?;
+        prop_assert_eq!(snap(&pair.queue), pair.model.snapshot(), "snapshot bytes");
+        pair.drain()?;
+    }
+
+    /// A restore taken while entries sit on lanes writes the model's
+    /// bytes, re-snapshots to them, and continues exactly as the original
+    /// queue and the model do.
+    #[test]
+    fn event_queue_lanes_restore_continues_identically(
+        pre in prop::collection::vec((0u8..20, any::<u64>()), 0..150),
+        post in prop::collection::vec((0u8..20, any::<u64>()), 0..150),
+    ) {
+        let mut pair = Pair::default();
+        pair.run_lanes(&pre)?;
+        let bytes = snap(&pair.queue);
+        prop_assert_eq!(&bytes, &pair.model.snapshot(), "snapshot bytes");
+        let mut restored = Pair {
+            queue: restore(&bytes).unwrap(),
+            model: pair.model.clone(),
+            now: pair.now,
+        };
+        prop_assert_eq!(&snap(&restored.queue), &bytes, "re-snapshot bytes drifted");
+        pair.run_lanes(&post)?;
+        restored.run_lanes(&post)?;
+        prop_assert_eq!(snap(&pair.queue), snap(&restored.queue), "diverged after restore");
+        pair.drain()?;
+        restored.drain()?;
     }
 }
 

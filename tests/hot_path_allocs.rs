@@ -257,7 +257,18 @@ fn event_queue_allocates_nothing() {
             q.pop_at_or_before(t)
         };
         let (at, v) = popped.expect("the queue is never empty");
-        q.schedule(at + SimDuration::from_nanos(1 + v * 7919 % 5000), v);
+        if v.is_multiple_of(2) {
+            // A timer: a varying delay ahead, on the heap.
+            q.schedule(at + SimDuration::from_nanos(1 + v * 7919 % 5000), v);
+        } else {
+            // A device completion: a fixed delay per class, on its lane.
+            let lane = (v / 2) as usize % EventQueue::<u64>::LANES;
+            q.schedule_on_lane(
+                lane,
+                at + SimDuration::from_nanos(700 * (lane as u64 + 1)),
+                v,
+            );
+        }
     });
 }
 
