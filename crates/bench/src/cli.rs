@@ -14,7 +14,7 @@
 //!                                   one per core the default
 //! --trace-out FILE                  trace destination (perfetto:FILE
 //!                                   unless POWADAPT_TRACE picks a mode)
-//! POWADAPT_SCALE=quick|full|paper   figure scale (default quick)
+//! POWADAPT_SCALE=quick|paper        figure scale (default quick)
 //! POWADAPT_TRACE=events|metrics|perfetto:FILE
 //! POWADAPT_PROGRESS                 set: report every sweep on stderr
 //! ```
@@ -191,18 +191,13 @@ pub fn parse_from(
 }
 
 /// The figure scale named by `POWADAPT_SCALE`: `paper` (60 s / 4 GiB,
-/// slow), `full` (4 s / 2 GiB), or `quick` (1.2 s / 4 GiB, the default).
+/// slow) or `quick` (1.2 s / 4 GiB, the default).
 fn scale(name: Option<&str>) -> Result<SweepScale, String> {
     match name.unwrap_or_default() {
         "paper" => Ok(SweepScale::paper()),
-        "full" => Ok(SweepScale {
-            runtime: SimDuration::from_secs(4),
-            size_limit: 2 * powadapt_device::GIB,
-            ramp: SimDuration::from_millis(300),
-        }),
         "" | "quick" => Ok(SweepScale::quick()),
         other => Err(format!(
-            "unknown POWADAPT_SCALE `{other}` (expected quick | full | paper)"
+            "unknown POWADAPT_SCALE `{other}` (expected quick | paper)"
         )),
     }
 }
@@ -231,7 +226,7 @@ fn usage(bin: &str, flags: &[&str]) -> String {
         .collect();
     format!(
         "usage: {bin} [--workers N] [--trace-out FILE] {}\n\
-         environment: POWADAPT_WORKERS=N POWADAPT_SCALE=quick|full|paper \
+         environment: POWADAPT_WORKERS=N POWADAPT_SCALE=quick|paper \
          POWADAPT_TRACE=events|metrics|perfetto:FILE POWADAPT_PROGRESS=1",
         own.join(" ")
     )
@@ -393,8 +388,10 @@ mod tests {
         let with = |key: &'static str, value: &'static str| {
             move |name: &str| (name == key).then(|| value.to_string())
         };
-        let cli = parse_from("x", &[], &[], with("POWADAPT_SCALE", "full")).unwrap();
-        assert_eq!(cli.scale.runtime, SimDuration::from_secs(4));
+        let cli = parse_from("x", &[], &[], with("POWADAPT_SCALE", "paper")).unwrap();
+        assert_eq!(cli.scale, SweepScale::paper());
+        let err = parse_from("x", &[], &[], with("POWADAPT_SCALE", "full"));
+        assert!(err.unwrap_err().contains("`full`"));
         let cli = parse_from("x", &[], &[], no_env).unwrap();
         assert_eq!(cli.scale.runtime, SimDuration::from_millis(1200));
         assert!(!cli.parallel.progress);

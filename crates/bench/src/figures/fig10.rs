@@ -6,26 +6,73 @@ use powadapt_device::{catalog, PowerStateId, GIB, KIB};
 use powadapt_io::{
     full_sweep_with, ParallelConfig, SweepPoint, SweepScale, Workload, PAPER_CHUNKS, PAPER_DEPTHS,
 };
-use powadapt_model::{best_under_power_budget, PowerThroughputModel};
+use powadapt_model::{best_under_power_budget, ConfigPoint, PowerThroughputModel};
+use powadapt_sim::units::Micros;
 
+use crate::figures::table::{keys_of, power_states};
+use crate::figures::{CellTable, Key};
 use crate::TABLE1_LABELS;
 
-/// Runs the full random-write sweep for one device (all chunk sizes, all
-/// depths, all of its power states), fanned across the workers of `cfg`.
+/// One device's random-write grid: all chunk sizes × all depths × all of
+/// its power states, in sweep order.
+fn device_keys(label: &'static str) -> Vec<Key> {
+    let states = power_states(label);
+    keys_of(
+        label,
+        &[Workload::RandWrite],
+        &PAPER_CHUNKS,
+        &PAPER_DEPTHS,
+        &states,
+    )
+}
+
+/// The cells Figure 10 reads: every device's random-write grid.
+pub fn keys() -> Vec<Key> {
+    TABLE1_LABELS.into_iter().flat_map(device_keys).collect()
+}
+
+/// The per-device models behind Figure 10a, fitted to the table's
+/// random-write grid in sweep order.
+pub fn models(table: &CellTable) -> Vec<PowerThroughputModel> {
+    TABLE1_LABELS
+        .into_iter()
+        .filter_map(|label| {
+            let points = device_keys(label)
+                .into_iter()
+                .map(|k| {
+                    let c = table.get(k);
+                    ConfigPoint::new(
+                        label,
+                        k.workload,
+                        PowerStateId(k.ps),
+                        k.chunk,
+                        k.depth,
+                        c.avg_power_w,
+                        c.throughput_bps,
+                    )
+                    .with_latencies(Micros::new(c.avg_latency_us), Micros::new(c.p99_latency_us))
+                })
+                .collect();
+            PowerThroughputModel::from_points(label, points)
+        })
+        .collect()
+}
+
+/// Runs the full random-write sweep for one device through
+/// `full_sweep_with`, fanned across the workers of `cfg`: the reference
+/// the cell table's random-write cells are checked against.
 pub fn device_sweep_with(
     label: &str,
     scale: SweepScale,
     seed: u64,
     cfg: &ParallelConfig,
 ) -> Vec<SweepPoint> {
-    let factory = || catalog::by_label(label, seed).expect("known label");
-    let states: Vec<PowerStateId> = factory().power_states().iter().map(|d| d.id).collect();
     full_sweep_with(
-        factory,
+        || catalog::by_label(label, seed).expect("known label"),
         &[Workload::RandWrite],
         &PAPER_CHUNKS,
         &PAPER_DEPTHS,
-        &states,
+        &power_states(label),
         scale,
         seed,
         cfg,
@@ -33,23 +80,19 @@ pub fn device_sweep_with(
     .expect("sweep runs")
 }
 
-/// Builds the per-device models behind Figure 10a, fanning each device's
-/// sweep across the workers of `cfg`.
+/// Measures Figure 10's cells, fanned across the workers of `cfg`, and
+/// fits the per-device models behind Figure 10a.
 pub fn models_with(
     scale: SweepScale,
     seed: u64,
     cfg: &ParallelConfig,
 ) -> Vec<PowerThroughputModel> {
-    let mut all = Vec::new();
-    for label in TABLE1_LABELS {
-        all.extend(device_sweep_with(label, scale, seed, cfg));
-    }
-    PowerThroughputModel::from_sweep(&all)
+    models(&CellTable::measure(keys(), scale, seed, cfg))
 }
 
 /// Prints both panels and the case study.
-pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
-    let models = models_with(scale, seed, cfg);
+pub fn run(table: &CellTable) {
+    let models = models(table);
 
     println!("Figure 10a. Normalized power-throughput model, random write, all devices.");
     println!("  (normalized throughput, normalized power) per configuration:");

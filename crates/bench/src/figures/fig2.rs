@@ -2,46 +2,26 @@
 //! (b) the power distribution (violin) across all four devices for the same
 //! workload (randwrite, 256 KiB chunks, queue depth 64).
 
-use powadapt_device::{catalog, KIB};
-use powadapt_io::{
-    run_cells, run_experiment, ExperimentResult, JobSpec, ParallelConfig, SweepScale, Workload,
-};
+use powadapt_device::KIB;
+use powadapt_io::Workload;
 
+use crate::figures::{CellTable, Key};
 use crate::TABLE1_LABELS;
 
-/// Runs the Figure 2 workload (randwrite 256 KiB QD64) on one device.
-pub fn experiment(label: &str, scale: SweepScale, seed: u64) -> ExperimentResult {
-    let mut dev = catalog::by_label(label, seed).expect("known label");
-    let job = JobSpec::new(Workload::RandWrite)
-        .block_size(256 * KIB)
-        .io_depth(64)
-        .runtime(scale.runtime)
-        .size_limit(scale.size_limit)
-        .ramp(scale.ramp)
-        .seed(seed);
-    run_experiment(dev.as_mut(), &job).expect("valid experiment")
+/// The Figure 2 workload (randwrite 256 KiB QD64) on one device.
+pub fn key(label: &'static str) -> Key {
+    Key::new(label, Workload::RandWrite, 256 * KIB, 64, 0)
 }
 
-/// Runs the Figure 2 workload on all four devices (paper order), fanned
-/// across the given workers. Experiments are deterministic, so the results
-/// are identical for any worker count.
-pub fn experiments_with(
-    scale: SweepScale,
-    seed: u64,
-    cfg: &ParallelConfig,
-) -> Vec<ExperimentResult> {
-    run_cells(&TABLE1_LABELS, cfg, |_, label| {
-        experiment(label, scale, seed)
-    })
+/// The cells Figure 2 reads: its workload on all four devices.
+pub fn keys() -> Vec<Key> {
+    TABLE1_LABELS.map(key).to_vec()
 }
 
-/// Prints Figure 2a (the ms-scale trace) and 2b (per-device violins).
-pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
-    // One parallel batch covers both panels: SSD1's result doubles as the
-    // panel-(a) trace because experiments are deterministic.
-    let results = experiments_with(scale, seed, cfg);
+/// Prints Figure 2a (SSD1's ms-scale trace) and 2b (per-device violins).
+pub fn run(table: &CellTable) {
     println!("Figure 2a. SSD1 power usage over one experiment (randwrite 256 KiB, QD 64).");
-    let r = &results[0];
+    let r = table.get(key("SSD1"));
     let n = r.power.len().min(1200);
     println!("  first {n} ms of the measurement window (t_ms, watts):");
     for (i, &w) in r.power.samples().iter().take(n).enumerate() {
@@ -65,8 +45,12 @@ pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
         "  {:<6} {:>8} {:>8} {:>8} {:>8} {:>8}   violin (5 bins)",
         "Device", "min", "p25", "median", "mean", "max"
     );
-    for (label, r) in TABLE1_LABELS.iter().zip(&results) {
-        let s = r.power.summary().expect("non-empty trace");
+    for label in TABLE1_LABELS {
+        let s = table
+            .get(key(label))
+            .power
+            .summary()
+            .expect("non-empty trace");
         let (_, counts) = s.violin_bins(5);
         let total: usize = counts.iter().sum();
         let bars: Vec<String> = counts

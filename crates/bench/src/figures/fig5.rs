@@ -2,133 +2,93 @@
 //! random writes degrade (avg up to ~2×, p99 up to ~6.2×); random reads
 //! don't change at all.
 
-use powadapt_device::{catalog, PowerStateId, KIB};
-use powadapt_io::{
-    run_cells, run_fresh, JobSpec, ParallelConfig, SweepScale, Workload, PAPER_CHUNKS,
-};
-use powadapt_sim::SimRng;
+use powadapt_device::KIB;
+use powadapt_io::{Workload, PAPER_CHUNKS};
 
-/// Latency measurements of one (chunk, state) cell, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Cell {
-    /// Chunk size in bytes.
-    pub chunk: u64,
-    /// Power state id.
-    pub ps: u8,
-    /// Average latency in µs.
-    pub avg_us: f64,
-    /// 99th-percentile latency in µs.
-    pub p99_us: f64,
+use crate::figures::table::{keys_of, power_states};
+use crate::figures::{Cell, CellTable, Key};
+
+/// The SSD2 QD1 cell at these coordinates.
+fn key(workload: Workload, chunk: u64, ps: u8) -> Key {
+    Key::new("SSD2", workload, chunk, 1, ps)
 }
 
-/// Measures one workload across chunks × states at queue depth 1, fanned
-/// across the workers of `cfg`. Cells are seeded by their stable index, so
-/// the result is bit-identical for any worker count.
-pub fn panel_with(
+/// One workload's panel cells: 6 chunks × SSD2's 3 states.
+pub fn panel_keys(workload: Workload) -> Vec<Key> {
+    keys_of(
+        "SSD2",
+        &[workload],
+        &PAPER_CHUNKS,
+        &[1],
+        &power_states("SSD2"),
+    )
+}
+
+/// The cells Figure 5 reads: the random-write panel.
+pub fn keys() -> Vec<Key> {
+    panel_keys(Workload::RandWrite)
+}
+
+/// `pick` of the `(workload, chunk, ps)` cell relative to its ps0 cell.
+pub fn ratio_to_ps0(
+    table: &CellTable,
     workload: Workload,
-    scale: SweepScale,
-    seed: u64,
-    cfg: &ParallelConfig,
-) -> Vec<Cell> {
-    let mut coords = Vec::new();
-    for &chunk in &PAPER_CHUNKS {
-        for ps in 0u8..3 {
-            coords.push((chunk, ps));
-        }
-    }
-    run_cells(&coords, cfg, |i, &(chunk, ps)| {
-        let job = JobSpec::new(workload)
-            .block_size(chunk)
-            .io_depth(1)
-            .runtime(scale.runtime)
-            .size_limit(scale.size_limit)
-            .ramp(scale.ramp)
-            .seed(SimRng::stream_seed(seed, i as u64));
-        let r = run_fresh(
-            || Box::new(catalog::ssd2_d7_p5510(seed)),
-            PowerStateId(ps),
-            &job,
-        )
-        .expect("valid experiment");
-        Cell {
-            chunk,
-            ps,
-            avg_us: r.io.avg_latency_us(),
-            p99_us: r.io.p99_latency_us(),
-        }
-    })
+    chunk: u64,
+    ps: u8,
+    pick: fn(&Cell) -> f64,
+) -> f64 {
+    pick(table.get(key(workload, chunk, ps))) / pick(table.get(key(workload, chunk, 0)))
 }
 
-fn print_normalized(title: &str, cells: &[Cell], pick: fn(&Cell) -> f64) {
+/// Prints one workload's panel of `pick`, normalized to ps0.
+pub fn print_normalized(
+    title: &str,
+    table: &CellTable,
+    workload: Workload,
+    pick: fn(&Cell) -> f64,
+) {
     println!("{title}");
     println!("  {:>10} {:>8} {:>8} {:>8}", "chunk", "ps0", "ps1", "ps2");
-    for &chunk in &PAPER_CHUNKS {
-        let v: Vec<f64> = (0u8..3)
-            .map(|ps| {
-                pick(
-                    cells
-                        .iter()
-                        .find(|c| c.chunk == chunk && c.ps == ps)
-                        .expect("cell measured"),
-                )
-            })
-            .collect();
+    for chunk in PAPER_CHUNKS {
         println!(
             "  {:>7}KiB {:>7.2}x {:>7.2}x {:>7.2}x",
             chunk / KIB,
             1.0,
-            v[1] / v[0],
-            v[2] / v[0]
+            ratio_to_ps0(table, workload, chunk, 1, pick),
+            ratio_to_ps0(table, workload, chunk, 2, pick)
         );
     }
     println!();
 }
 
+/// The largest ps2/ps0 ratio of `pick` over the random-write chunks.
+pub fn max_ps2_ratio(table: &CellTable, pick: fn(&Cell) -> f64) -> f64 {
+    PAPER_CHUNKS
+        .into_iter()
+        .map(|chunk| ratio_to_ps0(table, Workload::RandWrite, chunk, 2, pick))
+        .fold(0.0, f64::max)
+}
+
 /// Prints Figure 5 (randwrite latency, normalized to ps0).
-pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
-    let cells = panel_with(Workload::RandWrite, scale, seed, cfg);
+pub fn run(table: &CellTable) {
+    let avg: fn(&Cell) -> f64 = |c| c.avg_latency_us;
+    let p99: fn(&Cell) -> f64 = |c| c.p99_latency_us;
     print_normalized(
         "Figure 5a. SSD2 random write AVG latency (normalized to ps0), QD 1.",
-        &cells,
-        |c| c.avg_us,
+        table,
+        Workload::RandWrite,
+        avg,
     );
     print_normalized(
         "Figure 5b. SSD2 random write P99 latency (normalized to ps0), QD 1.",
-        &cells,
-        |c| c.p99_us,
+        table,
+        Workload::RandWrite,
+        p99,
     );
-    let max_avg = PAPER_CHUNKS
-        .iter()
-        .map(|&ch| {
-            let v0 = cells
-                .iter()
-                .find(|c| c.chunk == ch && c.ps == 0)
-                .expect("every (chunk, ps) cell was swept above")
-                .avg_us;
-            let v2 = cells
-                .iter()
-                .find(|c| c.chunk == ch && c.ps == 2)
-                .expect("every (chunk, ps) cell was swept above")
-                .avg_us;
-            v2 / v0
-        })
-        .fold(0.0, f64::max);
-    let max_p99 = PAPER_CHUNKS
-        .iter()
-        .map(|&ch| {
-            let v0 = cells
-                .iter()
-                .find(|c| c.chunk == ch && c.ps == 0)
-                .expect("every (chunk, ps) cell was swept above")
-                .p99_us;
-            let v2 = cells
-                .iter()
-                .find(|c| c.chunk == ch && c.ps == 2)
-                .expect("every (chunk, ps) cell was swept above")
-                .p99_us;
-            v2 / v0
-        })
-        .fold(0.0, f64::max);
-    println!("Measured: avg up to {max_avg:.2}x, p99 up to {max_p99:.2}x at ps2.");
+    println!(
+        "Measured: avg up to {:.2}x, p99 up to {:.2}x at ps2.",
+        max_ps2_ratio(table, avg),
+        max_ps2_ratio(table, p99)
+    );
     println!("Paper:    avg up to ~2x, p99 up to 6.19x at ps2.");
 }

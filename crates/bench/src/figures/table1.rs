@@ -1,10 +1,11 @@
 //! Table 1: evaluated storage devices and their measured power ranges.
 
 use powadapt_device::{catalog, KIB, MIB};
-use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, SweepScale, Workload};
+use powadapt_io::Workload;
 use powadapt_meter::PowerRig;
 use powadapt_sim::{SimDuration, SimRng};
 
+use crate::figures::{CellTable, Key};
 use crate::TABLE1_LABELS;
 
 /// A Table 1 row: label, protocol, model, measured power range.
@@ -22,31 +23,33 @@ pub struct Row {
     pub max_w: f64,
 }
 
-/// Measures the power range of one device across representative workload
-/// extremes, plus a standby segment where the device supports it.
-pub fn measure_device(label: &str, scale: SweepScale, seed: u64) -> Row {
+/// The workload extremes of the grid: the lightest and heaviest shapes.
+const EXTREMES: [(Workload, u64, usize); 5] = [
+    (Workload::RandRead, 4 * KIB, 1),
+    (Workload::RandWrite, 4 * KIB, 1),
+    (Workload::SeqRead, 2 * MIB, 64),
+    (Workload::SeqWrite, 2 * MIB, 64),
+    (Workload::RandWrite, 256 * KIB, 64),
+];
+
+fn device_keys(label: &'static str) -> impl Iterator<Item = Key> {
+    EXTREMES
+        .into_iter()
+        .map(move |(w, chunk, depth)| Key::new(label, w, chunk, depth, 0))
+}
+
+/// The cells Table 1 reads: every device's workload extremes at ps0.
+pub fn keys() -> Vec<Key> {
+    TABLE1_LABELS.into_iter().flat_map(device_keys).collect()
+}
+
+/// One device's row: its power range over its workload extremes in
+/// `table`, plus a standby segment where the device supports it.
+fn row(table: &CellTable, label: &'static str) -> Row {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
-
-    // The workload extremes of the sweep: the lightest and heaviest shapes.
-    let cells = [
-        (Workload::RandRead, 4 * KIB, 1),
-        (Workload::RandWrite, 4 * KIB, 1),
-        (Workload::SeqRead, 2 * MIB, 64),
-        (Workload::SeqWrite, 2 * MIB, 64),
-        (Workload::RandWrite, 256 * KIB, 64),
-    ];
-    for (w, chunk, depth) in cells {
-        let mut dev = catalog::by_label(label, seed).expect("known label");
-        let job = JobSpec::new(w)
-            .block_size(chunk)
-            .io_depth(depth)
-            .runtime(scale.runtime)
-            .size_limit(scale.size_limit)
-            .ramp(scale.ramp)
-            .seed(seed);
-        let r = run_experiment(dev.as_mut(), &job).expect("valid experiment");
-        if let Some(s) = r.power.summary() {
+    for key in device_keys(label) {
+        if let Some(s) = table.get(key).power.summary() {
             lo = lo.min(s.min());
             hi = hi.max(s.max());
         }
@@ -54,6 +57,7 @@ pub fn measure_device(label: &str, scale: SweepScale, seed: u64) -> Row {
 
     // Idle floor and, where supported, standby floor — the paper's minima
     // include the device's lowest-power state.
+    let seed = table.seed();
     let mut dev = catalog::by_label(label, seed).expect("known label");
     lo = lo.min(dev.power_w());
     if dev.standby_power_w().is_some() {
@@ -87,24 +91,23 @@ pub fn measure_device(label: &str, scale: SweepScale, seed: u64) -> Row {
     }
 }
 
-/// Regenerates Table 1 for all four devices, measuring them in parallel
-/// across the workers of `cfg`. Each device's measurement is self-seeded,
-/// so rows are identical for any worker count.
-pub fn rows_with(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> Vec<Row> {
-    run_cells(&TABLE1_LABELS, cfg, |_, label| {
-        measure_device(label, scale, seed)
-    })
+/// Table 1's rows, in paper order.
+pub fn rows(table: &CellTable) -> Vec<Row> {
+    TABLE1_LABELS
+        .into_iter()
+        .map(|label| row(table, label))
+        .collect()
 }
 
 /// Prints the table in the paper's layout.
-pub fn run(scale: SweepScale, seed: u64, cfg: &ParallelConfig) {
+pub fn run(table: &CellTable) {
     println!("Table 1. Evaluated storage devices.");
     println!(
         "{:<6} {:<9} {:<22} Measured Power Range",
         "Label", "Protocol", "Model"
     );
     println!("{}", "-".repeat(64));
-    for r in rows_with(scale, seed, cfg) {
+    for r in rows(table) {
         println!(
             "{:<6} {:<9} {:<22} {:.1}-{:.1} W",
             r.label, r.protocol, r.model, r.min_w, r.max_w

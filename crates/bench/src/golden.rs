@@ -27,7 +27,9 @@ use powadapt_obs::TraceRecorder;
 use powadapt_sim::{SimDuration, SimTime};
 
 use crate::cli::CheckpointAt;
-use crate::figures::{fig10, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1};
+use crate::figures::{
+    self, fig10, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1, Cell, CellTable, Key,
+};
 
 /// Root seed for every golden summary.
 pub const GOLDEN_SEED: u64 = 42;
@@ -91,8 +93,8 @@ fn doc(figure: &str, seed: u64, rows: &[String]) -> String {
     s
 }
 
-fn table1_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = table1::rows_with(scale, seed, cfg)
+fn table1_rows(table: &CellTable) -> Vec<String> {
+    table1::rows(table)
         .iter()
         .map(|r| {
             format!(
@@ -104,101 +106,35 @@ fn table1_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String 
                 jf(r.max_w)
             )
         })
-        .collect();
-    doc("table1", seed, &rows)
-}
-
-fn fig2_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = crate::TABLE1_LABELS
-        .iter()
-        .zip(fig2::experiments_with(scale, seed, cfg))
-        .map(|(label, r)| {
-            let s = r.power.summary().expect("non-empty trace");
-            format!(
-                "{{\"device\": \"{label}\", \"ios\": {}, \"bytes\": {}, \"mean_w\": {}, \"min_w\": {}, \"max_w\": {}, {}}}",
-                r.io.ios(),
-                r.io.bytes(),
-                jf(s.mean()),
-                jf(s.min()),
-                jf(s.max()),
-                checksum_field(&r.power)
-            )
-        })
-        .collect();
-    doc("fig2", seed, &rows)
-}
-
-fn fig3_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = fig3::grid_with(scale, seed, cfg)
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"chunk\": {}, \"depth\": {}, \"ps\": {}, \"power_w\": {}}}",
-                c.chunk,
-                c.depth,
-                c.ps,
-                jf(c.power_w)
-            )
-        })
-        .collect();
-    doc("fig3", seed, &rows)
-}
-
-fn throughput_panel_rows(panel: &str, cells: &[fig4::Cell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"panel\": \"{panel}\", \"chunk\": {}, \"ps\": {}, \"mibs\": {}}}",
-                c.chunk,
-                c.ps,
-                jf(c.mibs)
-            )
-        })
         .collect()
 }
 
-fn fig4_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let mut rows =
-        throughput_panel_rows("a", &fig4::panel_with(Workload::SeqWrite, scale, seed, cfg));
-    rows.extend(throughput_panel_rows(
-        "b",
-        &fig4::panel_with(Workload::SeqRead, scale, seed, cfg),
-    ));
-    doc("fig4", seed, &rows)
+/// One row per key, formatted from the key and its measured cell.
+fn cell_rows(table: &CellTable, keys: Vec<Key>, row: impl Fn(Key, &Cell) -> String) -> Vec<String> {
+    keys.into_iter().map(|k| row(k, table.get(k))).collect()
 }
 
-fn latency_panel_rows(cells: &[fig5::Cell]) -> Vec<String> {
-    cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"chunk\": {}, \"ps\": {}, \"avg_us\": {}, \"p99_us\": {}}}",
-                c.chunk,
-                c.ps,
-                jf(c.avg_us),
-                jf(c.p99_us)
-            )
-        })
-        .collect()
+fn latency_row(k: Key, c: &Cell) -> String {
+    format!(
+        "{{\"chunk\": {}, \"ps\": {}, \"avg_us\": {}, \"p99_us\": {}}}",
+        k.chunk,
+        k.ps,
+        jf(c.avg_latency_us),
+        jf(c.p99_latency_us)
+    )
 }
 
-fn fig5_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let cells = fig5::panel_with(Workload::RandWrite, scale, seed, cfg);
-    doc("fig5", seed, &latency_panel_rows(&cells))
+/// A Figure 8 or 9 row: device, the swept `axis` and its value `at`.
+fn device_row(k: Key, c: &Cell, axis: &str, at: u64) -> String {
+    format!(
+        "{{\"device\": \"{}\", \"{axis}\": {at}, \"power_w\": {}, \"mibs\": {}}}",
+        k.device,
+        jf(c.avg_power_w),
+        jf(c.mibs())
+    )
 }
 
-fn fig6_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let cells = fig5::panel_with(Workload::RandRead, scale, seed, cfg);
-    let mut rows = latency_panel_rows(&cells);
-    rows.push(format!(
-        "{{\"max_deviation\": {}}}",
-        jf(fig6::max_deviation(&cells))
-    ));
-    doc("fig6", seed, &rows)
-}
-
-fn fig7_summary(seed: u64) -> String {
+fn fig7_rows(seed: u64) -> Vec<String> {
     // Figure 7 is a pair of single-device transition traces — inherently
     // sequential, so the golden pins its determinism rather than
     // worker-invariance.
@@ -232,7 +168,7 @@ fn fig7_summary(seed: u64) -> String {
     }
     let spin_up = hdd.now().duration_since(t1);
 
-    let rows = vec![
+    vec![
         format!("{{\"trace\": \"evo_standby\", {}}}", checksum_field(&down)),
         format!("{{\"trace\": \"evo_wake\", {}}}", checksum_field(&up)),
         format!(
@@ -240,44 +176,11 @@ fn fig7_summary(seed: u64) -> String {
             spin_down.as_nanos(),
             spin_up.as_nanos()
         ),
-    ];
-    doc("fig7", seed, &rows)
+    ]
 }
 
-fn fig8_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = fig8::grid_with(scale, seed, cfg)
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"device\": \"{}\", \"chunk\": {}, \"power_w\": {}, \"mibs\": {}}}",
-                c.device,
-                c.chunk,
-                jf(c.power_w),
-                jf(c.mibs)
-            )
-        })
-        .collect();
-    doc("fig8", seed, &rows)
-}
-
-fn fig9_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = fig9::grid_with(scale, seed, cfg)
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"device\": \"{}\", \"depth\": {}, \"power_w\": {}, \"mibs\": {}}}",
-                c.device,
-                c.depth,
-                jf(c.power_w),
-                jf(c.mibs)
-            )
-        })
-        .collect();
-    doc("fig9", seed, &rows)
-}
-
-fn fig10_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    let rows: Vec<String> = fig10::models_with(scale, seed, cfg)
+fn fig10_rows(table: &CellTable) -> Vec<String> {
+    fig10::models(table)
         .iter()
         .map(|m| {
             let coords: Vec<f64> = m
@@ -294,8 +197,7 @@ fn fig10_summary(scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
                 f64_checksum(&coords)
             )
         })
-        .collect();
-    doc("fig10", seed, &rows)
+        .collect()
 }
 
 /// Name of the committed observability event-count fixture
@@ -884,27 +786,70 @@ pub fn checkpoint_digests_summary() -> String {
     doc(CHECKPOINT_FIXTURE, GOLDEN_SEED, &rows)
 }
 
-/// Produces the canonical JSON summary of one figure under the given
-/// executor configuration. The output is byte-identical for every worker
-/// count — that invariant is what the golden suite enforces.
+/// Produces the canonical JSON summary of one figure, read from a cell
+/// table over the figure's keys. The output is byte-identical for every
+/// worker count — that invariant is what the golden suite enforces.
 ///
 /// # Panics
 ///
 /// Panics on an unknown figure name.
 pub fn figure_summary(name: &str, scale: SweepScale, seed: u64, cfg: &ParallelConfig) -> String {
-    match name {
-        "table1" => table1_summary(scale, seed, cfg),
-        "fig2" => fig2_summary(scale, seed, cfg),
-        "fig3" => fig3_summary(scale, seed, cfg),
-        "fig4" => fig4_summary(scale, seed, cfg),
-        "fig5" => fig5_summary(scale, seed, cfg),
-        "fig6" => fig6_summary(scale, seed, cfg),
-        "fig7" => fig7_summary(seed),
-        "fig8" => fig8_summary(scale, seed, cfg),
-        "fig9" => fig9_summary(scale, seed, cfg),
-        "fig10" => fig10_summary(scale, seed, cfg),
+    let table = CellTable::measure(figures::keys(name), scale, seed, cfg);
+    let rows = match name {
+        "table1" => table1_rows(&table),
+        "fig2" => cell_rows(&table, fig2::keys(), |k, c| {
+            let s = c.power.summary().expect("non-empty trace");
+            format!(
+                "{{\"device\": \"{}\", \"ios\": {}, \"bytes\": {}, \"mean_w\": {}, \"min_w\": {}, \"max_w\": {}, {}}}",
+                k.device,
+                c.ios,
+                c.bytes,
+                jf(s.mean()),
+                jf(s.min()),
+                jf(s.max()),
+                checksum_field(&c.power)
+            )
+        }),
+        "fig3" => cell_rows(&table, fig3::keys(), |k, c| {
+            format!(
+                "{{\"chunk\": {}, \"depth\": {}, \"ps\": {}, \"power_w\": {}}}",
+                k.chunk,
+                k.depth,
+                k.ps,
+                jf(c.avg_power_w)
+            )
+        }),
+        "fig4" => cell_rows(&table, fig4::keys(), |k, c| {
+            let panel = if k.workload == fig4::PANELS[0] {
+                "a"
+            } else {
+                "b"
+            };
+            format!(
+                "{{\"panel\": \"{panel}\", \"chunk\": {}, \"ps\": {}, \"mibs\": {}}}",
+                k.chunk,
+                k.ps,
+                jf(c.mibs())
+            )
+        }),
+        "fig5" => cell_rows(&table, fig5::keys(), latency_row),
+        "fig6" => {
+            let mut rows = cell_rows(&table, fig6::keys(), latency_row);
+            let max_dev = jf(fig6::max_deviation(&table));
+            rows.push(format!("{{\"max_deviation\": {max_dev}}}"));
+            rows
+        }
+        "fig7" => fig7_rows(seed),
+        "fig8" => cell_rows(&table, fig8::keys(), |k, c| {
+            device_row(k, c, "chunk", k.chunk)
+        }),
+        "fig9" => cell_rows(&table, fig9::keys(), |k, c| {
+            device_row(k, c, "depth", k.depth as u64)
+        }),
+        "fig10" => fig10_rows(&table),
         other => panic!("unknown figure {other}"),
-    }
+    };
+    doc(name, seed, &rows)
 }
 
 #[cfg(test)]
