@@ -10,13 +10,8 @@
 //! tracked against the node's physical cap, and emitted as Perfetto
 //! counter tracks for rack-level nodes.
 //!
-//! A wake cache holds each device's next event time, so a step advances
-//! only the devices due by then (plus those submitted to since their last
-//! advance), in device order. The result is the one a lockstep loop gets
-//! by advancing every device at every step: a device with no event in
-//! between changes nothing but its clock, and its power is constant. A
-//! lagging device is brought up to the step time before anything reads
-//! its clock (a submit, a control round), and every device is level with
+//! The devices step through a [`Stepper`], which advances only the due
+//! ones with the result of a lockstep loop; every device is level with
 //! [`ClusterSim::now`] whenever [`ClusterSim::run_to`] returns.
 //!
 //! Everything is a pure function of `ClusterSpec` (tree shape, device
@@ -28,10 +23,8 @@ use std::error::Error;
 use std::fmt;
 
 use powadapt_core::{AdaptiveController, ControlError, DeviceAction, SloWindow};
-use powadapt_device::{
-    DeviceClass, DeviceError, IoCompletion, IoId, IoKind, IoRequest, StandbyState, StorageDevice,
-};
-use powadapt_io::Arrival;
+use powadapt_device::{DeviceClass, DeviceError, IoId, IoKind, StandbyState, StorageDevice};
+use powadapt_io::{Arrival, Stepper};
 use powadapt_model::PowerThroughputModel;
 use powadapt_obs::{emit, EventKind, RecorderHandle};
 use powadapt_place::{DeviceSlot, MigrationIo, MigrationPhase, PlacementConfig, PlacementTier};
@@ -406,19 +399,8 @@ pub struct ClusterSim {
     mig_bytes: u64,
     /// Last processed event time.
     now: SimTime,
-    /// Reused completion buffer for the per-step device drain; transient,
-    /// never serialized.
-    drain_scratch: Vec<IoCompletion>,
-    /// Each flat device's `next_event()`, refreshed after every advance,
-    /// submit and control block, so picking the next step time makes no
-    /// device call.
-    wake: Vec<Option<SimTime>>,
-    /// Devices submitted to (or reconfigured) since their last advance.
-    /// The device trait does not promise that a submit schedules an
-    /// event: a device may acknowledge inside `submit` and hand the
-    /// completion over on its next advance, which lockstep makes on the
-    /// next step. So a touched device is advanced then even if not due.
-    touched: Vec<bool>,
+    /// Steps the flat devices, in flat order.
+    stepper: Stepper,
     /// Fixed-capacity hand-off from the hot completion drain to the
     /// migration dispatcher: `(move id, was the destination write)`.
     /// Pre-sized to the engine's concurrency cap (each in-flight move has
@@ -427,7 +409,7 @@ pub struct ClusterSim {
     mig_scratch: Vec<(u64, bool)>,
     /// Live prefix length of `mig_scratch`.
     mig_scratch_len: usize,
-    /// Reused holder buffer for placement-routed arrivals; transient.
+    /// Reused candidate buffer for routing an arrival; transient.
     holders_scratch: Vec<u32>,
     /// The recorder installed when the sim was built; every cluster-level
     /// emit goes here, so a later `install` does not retarget this run.
@@ -446,6 +428,15 @@ impl fmt::Debug for ClusterSim {
     }
 }
 
+/// Every device of every enclosure, in flat order.
+fn flat_devices(
+    controllers: &mut [AdaptiveController],
+) -> impl Iterator<Item = &mut (dyn StorageDevice + 'static)> {
+    controllers
+        .iter_mut()
+        .flat_map(AdaptiveController::devices_mut)
+}
+
 impl ClusterSim {
     /// Builds the simulation and applies the initial policy configuration
     /// (which may emit trace events, exactly as the start of a
@@ -461,7 +452,7 @@ impl ClusterSim {
     pub fn new(spec: ClusterSpec) -> Result<Self, ClusterError> {
         let mut sim = Self::build(spec)?;
         sim.apply_initial_policy()?;
-        sim.touch_all();
+        sim.stepper.touch_all(flat_devices(&mut sim.controllers));
         Ok(sim)
     }
 
@@ -704,9 +695,7 @@ impl ClusterSim {
             mig_backlog: VecDeque::new(),
             mig_bytes: 0,
             now: start,
-            drain_scratch: Vec::new(),
-            wake: vec![None; n_devices],
-            touched: vec![true; n_devices],
+            stepper: Stepper::default(),
             mig_scratch: vec![(0, false); mig_cap],
             mig_scratch_len: 0,
             holders_scratch: Vec::new(),
@@ -782,9 +771,7 @@ impl ClusterSim {
             for a in self.pending.iter().flatten() {
                 t = t.min(self.start.max(a.at));
             }
-            for &dt in self.wake.iter().flatten() {
-                t = t.min(dt);
-            }
+            t = self.stepper.next_wake().map_or(t, |w| w.min(t));
             if t >= limit {
                 break;
             }
@@ -793,9 +780,8 @@ impl ClusterSim {
         }
         // A caller may snapshot here: devices carry lockstep's clocks and
         // every SLO window is sorted, as the codec requires.
-        for gi in 0..self.flat.len() {
-            self.catch_up(gi, self.now);
-        }
+        self.stepper
+            .catch_up_all(flat_devices(&mut self.controllers), self.now);
         for a in &mut self.accounts {
             a.window.settle();
         }
@@ -887,9 +873,8 @@ impl ClusterSim {
         if t >= self.next_control || forced {
             // Fault handling and re-plans may act on any device, and a
             // device acts (and emits) at its own clock.
-            for gi in 0..self.flat.len() {
-                self.catch_up(gi, t);
-            }
+            self.stepper
+                .catch_up_all(flat_devices(&mut self.controllers), t);
             self.process_tree_faults(t);
             // The placement tier ticks first so this round's controller
             // re-plans see fresh standby pins and freshly started moves.
@@ -903,7 +888,7 @@ impl ClusterSim {
             // the cluster, not of the model-driven controller.
             self.audit_ledger(t);
             self.next_control = t + self.control_interval;
-            self.touch_all();
+            self.stepper.touch_all(flat_devices(&mut self.controllers));
         }
 
         if t >= self.next_sample {
@@ -914,23 +899,12 @@ impl ClusterSim {
         Ok(())
     }
 
-    /// Advances to `t` every device that is due by then or was touched,
-    /// in device order, crediting completions to their tenants' SLO
-    /// windows. The other devices would complete nothing, so lockstep's
-    /// crediting order holds.
+    /// Advances the due devices to `t`, in device order, crediting
+    /// completions to their tenants' SLO windows.
     fn drain_completions(&mut self, t: SimTime) {
-        let mut done = std::mem::take(&mut self.drain_scratch);
-        for gi in 0..self.flat.len() {
-            if !self.touched[gi] && self.wake[gi].is_none_or(|w| w > t) {
-                continue;
-            }
-            let (e, d) = self.flat[gi];
-            let dev = self.controllers[e].device_mut(d);
-            done.clear();
-            dev.advance_to_into(t, &mut done);
-            self.wake[gi] = dev.next_event();
-            self.touched[gi] = false;
-            for c in &done {
+        for (gi, &(e, d)) in self.flat.iter().enumerate() {
+            let done = self.stepper.drain(gi, self.controllers[e].device_mut(d), t);
+            for c in done {
                 match self.owners.remove(&c.id.0) {
                     Some(IoOwner::Tenant(tenant)) => {
                         let latency_us =
@@ -943,13 +917,9 @@ impl ClusterSim {
                     // the fixed-capacity scratch: the engine caps
                     // in-flight moves at the scratch's size, so the
                     // indexed store never overruns.
-                    Some(IoOwner::MigrationRead(m)) => {
-                        self.mig_scratch[self.mig_scratch_len] = (m, false);
-                        self.mig_scratch_len += 1;
-                        self.mig_bytes += c.len;
-                    }
-                    Some(IoOwner::MigrationWrite(m)) => {
-                        self.mig_scratch[self.mig_scratch_len] = (m, true);
+                    Some(owner @ (IoOwner::MigrationRead(m) | IoOwner::MigrationWrite(m))) => {
+                        let write = matches!(owner, IoOwner::MigrationWrite(_));
+                        self.mig_scratch[self.mig_scratch_len] = (m, write);
                         self.mig_scratch_len += 1;
                         self.mig_bytes += c.len;
                     }
@@ -957,8 +927,6 @@ impl ClusterSim {
                 }
             }
         }
-        done.clear();
-        self.drain_scratch = done;
     }
 
     /// Processes migration completions the drain handed over: a finished
@@ -1169,18 +1137,45 @@ impl ClusterSim {
                 }
             }
         }
-        if placement_routed {
-            let mut skipped = 0u32;
-            let mut submitted = false;
-            // First pass: holders that are routable and fully awake, in
-            // preference order (primary first).
+        if !placement_routed {
+            // Least-loaded routable device; ties break to the lowest
+            // index. A transient refusal moves on to the next candidate;
+            // exhausting all of them drops the arrival (open loop does not
+            // retry later).
+            holders.clear();
+            holders.extend((0..self.flat.len() as u32).filter(|&i| self.routable[i as usize]));
+            holders.sort_by_key(|&i| {
+                let (e, d) = self.flat[i as usize];
+                (self.controllers[e].devices()[d].inflight(), i)
+            });
+        }
+        // First pass: candidates that are routable and fully awake, in
+        // preference order (primary first, or least loaded first).
+        let mut skipped = 0u32;
+        let mut submitted = false;
+        for &h in &holders {
+            let gi = h as usize;
+            let (e, d) = self.flat[gi];
+            let awake = self.controllers[e].devices()[d].standby_state() == StandbyState::Active;
+            if !self.routable[gi] || !awake || self.controllers[e].is_quarantined(d) {
+                skipped += 1;
+                continue;
+            }
+            if self.try_submit(gi, id, arrival, now)? {
+                submitted = true;
+                break;
+            }
+        }
+        if placement_routed && !submitted {
+            // Every holder is asleep, parked, or refused: the data lives
+            // nowhere else, so wake a holder (primary first) — the
+            // legitimate spin-up a cold read pays.
             for &h in &holders {
                 let gi = h as usize;
                 let (e, d) = self.flat[gi];
-                let awake =
-                    self.controllers[e].devices()[d].standby_state() == StandbyState::Active;
-                if !self.routable[gi] || !awake || self.controllers[e].is_quarantined(d) {
-                    skipped += 1;
+                if self.faults.is_down(&self.tree, self.leaves[e])
+                    || self.controllers[e].is_quarantined(d)
+                {
                     continue;
                 }
                 if self.try_submit(gi, id, arrival, now)? {
@@ -1188,94 +1183,35 @@ impl ClusterSim {
                     break;
                 }
             }
-            if !submitted {
-                // Every holder is asleep, parked, or refused: the data
-                // lives nowhere else, so wake a holder (primary first) —
-                // the legitimate spin-up a cold read pays.
-                for &h in &holders {
-                    let gi = h as usize;
-                    let (e, d) = self.flat[gi];
-                    if self.faults.is_down(&self.tree, self.leaves[e])
-                        || self.controllers[e].is_quarantined(d)
-                    {
-                        continue;
-                    }
-                    if self.try_submit(gi, id, arrival, now)? {
-                        submitted = true;
-                        break;
-                    }
-                }
-            }
-            holders.clear();
-            self.holders_scratch = holders;
-            if skipped > 0 {
-                emit!(
-                    self.rec,
-                    now,
-                    "placement",
-                    EventKind::RoutedAround { id, skipped }
-                );
-            }
-            if submitted {
-                self.owners.insert(id, IoOwner::Tenant(tenant));
-                self.accounts[tenant].submitted += 1;
-            } else {
-                self.accounts[tenant].dropped += 1;
-                emit!(self.rec, now, "cluster", EventKind::ArrivalDropped { id });
-            }
-            return Ok(());
         }
         holders.clear();
         self.holders_scratch = holders;
-
-        // Least-loaded routable device; ties break to the lowest index. A
-        // transient refusal moves on to the next candidate; exhausting all
-        // of them drops the arrival (open loop does not retry later).
-        let mut candidates: Vec<usize> =
-            (0..self.flat.len()).filter(|&i| self.routable[i]).collect();
-        candidates.sort_by_key(|&i| {
-            let (e, d) = self.flat[i];
-            (self.controllers[e].devices()[d].inflight(), i)
-        });
-        let mut skipped = 0u32;
-        for &gi in &candidates {
-            let (e, d) = self.flat[gi];
-            let awake = self.controllers[e].devices()[d].standby_state() == StandbyState::Active;
-            if !awake || self.controllers[e].is_quarantined(d) {
-                skipped += 1;
-                continue;
-            }
-            if self.try_submit(gi, id, arrival, now)? {
-                if skipped > 0 {
-                    emit!(
-                        self.rec,
-                        now,
-                        "cluster",
-                        EventKind::RoutedAround { id, skipped }
-                    );
-                }
-                self.owners.insert(id, IoOwner::Tenant(tenant));
-                self.accounts[tenant].submitted += 1;
-                return Ok(());
-            }
-        }
         if skipped > 0 {
+            let track = if placement_routed {
+                "placement"
+            } else {
+                "cluster"
+            };
             emit!(
                 self.rec,
                 now,
-                "cluster",
+                track,
                 EventKind::RoutedAround { id, skipped }
             );
         }
-        self.accounts[tenant].dropped += 1;
-        emit!(self.rec, now, "cluster", EventKind::ArrivalDropped { id });
+        if submitted {
+            self.owners.insert(id, IoOwner::Tenant(tenant));
+            self.accounts[tenant].submitted += 1;
+        } else {
+            self.accounts[tenant].dropped += 1;
+            emit!(self.rec, now, "cluster", EventKind::ArrivalDropped { id });
+        }
         Ok(())
     }
 
     /// Submits `arrival` as request `id` against flat device `gi` at step
-    /// time `t`, clamping the transfer to the device's capacity. Returns
-    /// whether the device accepted it; transient refusals report `false`,
-    /// hard failures propagate.
+    /// time `t` through the stepper. Returns whether the device accepted
+    /// it; transient refusals report `false`, hard failures propagate.
     fn try_submit(
         &mut self,
         gi: usize,
@@ -1283,46 +1219,13 @@ impl ClusterSim {
         arrival: &Arrival,
         t: SimTime,
     ) -> Result<bool, ClusterError> {
-        self.catch_up(gi, t);
         let (e, d) = self.flat[gi];
         let dev = self.controllers[e].device_mut(d);
-        let cap = dev.spec().capacity();
-        let len = arrival.len.min(cap);
-        let offset = arrival.offset.min(cap - len);
-        let result = dev.submit(IoRequest::new(IoId(id), arrival.kind, offset, len));
-        self.wake[gi] = dev.next_event();
-        self.touched[gi] = true;
-        match result {
+        match self.stepper.submit(gi, dev, t, IoId(id), arrival) {
             Ok(()) => Ok(true),
             Err(e) if e.is_transient() => Ok(false),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Advances flat device `gi` to `t` if its clock lags behind. Only a
-    /// device with no event at or before `t` lags (the drain advanced the
-    /// due and touched ones), so this completes nothing: it only sets the
-    /// clock that a submit or a control round reads.
-    fn catch_up(&mut self, gi: usize, t: SimTime) {
-        let (e, d) = self.flat[gi];
-        let dev = self.controllers[e].device_mut(d);
-        if dev.now() < t {
-            dev.advance_to_into(t, &mut self.drain_scratch);
-            assert!(
-                self.drain_scratch.is_empty(),
-                "device {gi} completed IO while catching up to {t}"
-            );
-        }
-    }
-
-    /// Refreshes every device's wake entry and marks every device touched:
-    /// after construction, a restore, or a control block, any device may
-    /// have changed outside a submit.
-    fn touch_all(&mut self) {
-        for (gi, &(e, d)) in self.flat.iter().enumerate() {
-            self.wake[gi] = self.controllers[e].device_mut(d).next_event();
-        }
-        self.touched.fill(true);
     }
 
     /// Fires every due tree-fault transition: a trip takes the subtree's
@@ -1624,9 +1527,7 @@ powadapt_snap::snapshot! {
         flat: "derived from the enclosures",
         start: "derived from the devices",
         t_end: "derived from the spec",
-        drain_scratch: "per-step scratch, empty between steps",
-        wake: "derived: each device's next event, rebuilt from the devices",
-        touched: "derived: a restored run advances every device on its first step",
+        stepper: "derived: the wake cache is rebuilt from the devices, every device touched",
         mig_scratch: "per-step scratch, drained within the step",
         mig_scratch_len: "per-step scratch, zero between steps",
         holders_scratch: "per-arrival scratch",
@@ -1637,7 +1538,7 @@ powadapt_snap::snapshot! {
 
 impl ClusterSim {
     fn restore_wake(&mut self) -> Result<(), SnapError> {
-        self.touch_all();
+        self.stepper.touch_all(flat_devices(&mut self.controllers));
         Ok(())
     }
 

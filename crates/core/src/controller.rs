@@ -323,8 +323,14 @@ impl AdaptiveController {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn device_mut(&mut self, i: usize) -> &mut dyn StorageDevice {
         self.devices[i].as_mut()
+    }
+
+    /// Mutable access to every device, in device order.
+    pub fn devices_mut(&mut self) -> impl Iterator<Item = &mut (dyn StorageDevice + 'static)> {
+        self.devices.iter_mut().map(|d| &mut **d)
     }
 
     /// Consumes the controller, returning the devices.

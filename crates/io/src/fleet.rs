@@ -2,16 +2,17 @@
 //!
 //! The paper's §4 policies (power-aware IO redirection, asymmetric IO) act
 //! *across* devices. [`run_fleet`] drives an open-loop arrival stream
-//! against a set of simulated devices in one lockstep event loop: a
+//! against a set of simulated devices in one event loop: a
 //! [`Router`] picks the device for every request and may issue device
 //! control commands (power states, standby) on a periodic control tick,
 //! while the fleet's summed power is metered at 1 kHz. This turns the §4
 //! policy discussion into something that can be *measured*.
 
 use std::fmt;
+use std::ops::Range;
 
 use powadapt_device::{
-    DeviceError, IoCompletion, IoId, IoKind, IoRequest, PowerStateId, StandbyState, StorageDevice,
+    DeviceError, IoCompletion, IoId, IoKind, PowerStateId, StandbyState, StorageDevice,
 };
 use powadapt_meter::{PowerRig, PowerTrace};
 use powadapt_obs::{emit, EventKind};
@@ -20,6 +21,7 @@ use powadapt_sim::{SimDuration, SimRng, SimTime};
 use crate::openloop::Arrival;
 use crate::runner::ExperimentError;
 use crate::stats::IoStats;
+use crate::stepper::Stepper;
 
 /// A router's view of one device.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +113,24 @@ pub trait Router: fmt::Debug {
     }
 }
 
+/// The least-loaded device in `range`, scanning from `cursor` (relative
+/// to `range.start`) so ties rotate: the cursor moves just past the pick.
+///
+/// # Panics
+///
+/// Panics if `range` is empty or reaches past `fleet`.
+pub fn least_loaded(fleet: &[DeviceStatus], range: Range<usize>, cursor: &mut usize) -> usize {
+    let n = range.len();
+    assert!(n > 0, "router has no candidate devices");
+    // `min_by_key` keeps the first minimum in scan order.
+    let pick = (0..n)
+        .map(|off| (*cursor + off) % n)
+        .min_by_key(|&i| fleet[range.start + i].inflight)
+        .unwrap_or(0);
+    *cursor = (pick + 1) % n;
+    range.start + pick
+}
+
 /// The baseline router: sends each request to the least-loaded device,
 /// rotating through ties so idle fleets are still balanced. Applies no
 /// power control.
@@ -121,27 +141,7 @@ pub struct LeastLoadedRouter {
 
 impl Router for LeastLoadedRouter {
     fn route(&mut self, _arrival: &Arrival, fleet: &[DeviceStatus]) -> Route {
-        let n = fleet.len();
-        #[expect(
-            clippy::expect_used,
-            reason = "routers are only invoked with a non-empty fleet"
-        )]
-        let min = fleet
-            .iter()
-            .map(|d| d.inflight)
-            .min()
-            .expect("fleet is non-empty");
-        // First device at the minimum, scanning from the rotation cursor.
-        let mut pick = self.next % n;
-        for off in 0..n {
-            let i = (self.next + off) % n;
-            if fleet[i].inflight == min {
-                pick = i;
-                break;
-            }
-        }
-        self.next = (pick + 1) % n;
-        Route::Device(pick)
+        Route::Device(least_loaded(fleet, 0..fleet.len(), &mut self.next))
     }
 }
 
@@ -218,43 +218,17 @@ impl fmt::Display for FleetResult {
     }
 }
 
-/// Advances every device to `t`, appending completions into the
-/// per-device reuse buffers and notifying the router of each. This is the
-/// innermost per-step loop of every fleet run, so it must stay
-/// allocation-free: completions land in buffers owned by the caller and
-/// reused across steps.
-fn drain_fleet_completions(
-    devices: &mut [Box<dyn StorageDevice>],
-    completions: &mut [Vec<IoCompletion>],
-    router: &mut dyn Router,
-    t: SimTime,
-) {
-    for (i, d) in devices.iter_mut().enumerate() {
-        let before = completions[i].len();
-        d.advance_to_into(t, &mut completions[i]);
-        for c in &completions[i][before..] {
-            router.on_io_complete(i, c);
-        }
-    }
-}
-
-/// Rewrites `buf` to the fleet's current status, one entry per device.
-/// Entries are updated in place and labels copied into their existing
-/// strings, so once `buf` holds the whole fleet a refresh allocates
-/// nothing.
+/// Rewrites `buf` in place to the fleet's current status, one entry per
+/// device; once it holds the whole fleet, a refresh allocates nothing.
 fn refresh_statuses(devices: &[Box<dyn StorageDevice>], buf: &mut Vec<DeviceStatus>) {
-    buf.truncate(devices.len());
-    for (i, d) in devices.iter().enumerate() {
-        if i == buf.len() {
-            buf.push(DeviceStatus {
-                label: String::new(),
-                inflight: 0,
-                standby: StandbyState::Active,
-                power_state: d.power_state(),
-                supports_standby: false,
-            });
-        }
-        let s = &mut buf[i];
+    buf.resize_with(devices.len(), || DeviceStatus {
+        label: String::new(),
+        inflight: 0,
+        standby: StandbyState::Active,
+        power_state: PowerStateId(0),
+        supports_standby: false,
+    });
+    for (s, d) in buf.iter_mut().zip(devices) {
         d.spec().label().clone_into(&mut s.label);
         s.inflight = d.inflight();
         s.standby = d.standby_state();
@@ -263,26 +237,22 @@ fn refresh_statuses(devices: &[Box<dyn StorageDevice>], buf: &mut Vec<DeviceStat
     }
 }
 
+/// Applies `cmd`, returning the device it targets and the outcome.
 fn apply_command(
     devices: &mut [Box<dyn StorageDevice>],
     cmd: DeviceCommand,
-) -> Result<(), DeviceError> {
+) -> (usize, Result<(), DeviceError>) {
     match cmd {
-        DeviceCommand::SetPowerState { device, ps } => devices[device].set_power_state(ps),
+        DeviceCommand::SetPowerState { device, ps } => {
+            (device, devices[device].set_power_state(ps))
+        }
+        // A device already entering standby, asleep or waking (a wake in
+        // progress wins) needs no request.
         DeviceCommand::Standby { device } => match devices[device].standby_state() {
-            StandbyState::Standby | StandbyState::EnteringStandby => Ok(()),
-            StandbyState::ExitingStandby => Ok(()), // wake in progress wins
-            StandbyState::Active => devices[device].request_standby(),
+            StandbyState::Active => (device, devices[device].request_standby()),
+            _ => (device, Ok(())),
         },
-        DeviceCommand::Wake { device } => devices[device].request_wake(),
-    }
-}
-
-fn command_target(cmd: &DeviceCommand) -> usize {
-    match *cmd {
-        DeviceCommand::SetPowerState { device, .. }
-        | DeviceCommand::Standby { device }
-        | DeviceCommand::Wake { device } => device,
+        DeviceCommand::Wake { device } => (device, devices[device].request_wake()),
     }
 }
 
@@ -290,9 +260,11 @@ fn command_target(cmd: &DeviceCommand) -> usize {
 /// [`ArrivalGen`](crate::ArrivalGen) or a recorded
 /// [`ArrivalTrace`](crate::ArrivalTrace) (`trace.arrivals().iter().copied()`).
 ///
-/// All devices advance in lockstep so the 1 kHz fleet-power samples are
+/// A [`Stepper`] advances only the devices due at each step, with the
+/// result of a lockstep loop, so the 1 kHz fleet-power samples are
 /// coherent sums, measured by a rig seeded from `meter_seed`. The run
 /// ends when the stream is exhausted and every device has drained.
+/// Arrivals larger than a device are clamped to its capacity.
 ///
 /// Transient device errors ([`DeviceError::is_transient`]) do not abort
 /// the run: a refused submit is reported to the router
@@ -355,6 +327,10 @@ where
     let mut next_id = 0u64;
     let mut routed: Vec<u64> = vec![0; devices.len()];
     let mut completions: Vec<Vec<IoCompletion>> = vec![Vec::new(); devices.len()];
+    let mut stepper = Stepper::default();
+    stepper.touch_all(devices.iter_mut().map(|d| &mut **d));
+    // The last step time, which every device's clock ends on.
+    let mut now = start;
     let mut absorbed: Vec<IoCompletion> = Vec::new();
     // Reused across arrivals; re-routing marks the devices already tried.
     let mut tried = vec![false; devices.len()];
@@ -370,20 +346,22 @@ where
         if let Some(a) = &pending_arrival {
             t = t.min(start.max(a.at));
         }
-        let mut device_pending = false;
-        for d in devices.iter_mut() {
-            if let Some(dt) = d.next_event() {
-                device_pending = true;
-                t = t.min(dt);
-            }
-        }
-        if pending_arrival.is_none() && !device_pending {
+        let wake = stepper.next_wake();
+        if pending_arrival.is_none() && wake.is_none() {
             break;
         }
+        t = wake.map_or(t, |w| w.min(t));
+        now = t;
 
-        // Advance the whole fleet to t. Completions append straight into
-        // the per-device buffers; no per-step vector allocation.
-        drain_fleet_completions(devices, &mut completions, router, t);
+        // Advance the due devices to t; completions land in the
+        // per-device buffers, so a step allocates nothing.
+        for (i, d) in devices.iter_mut().enumerate() {
+            let done = stepper.drain(i, &mut **d, t);
+            for c in done {
+                router.on_io_complete(i, c);
+            }
+            completions[i].extend_from_slice(done);
+        }
 
         // Admit any arrivals due at or before t.
         while let Some(a) = pending_arrival {
@@ -400,10 +378,7 @@ where
                 match route {
                     Route::Device(target) => {
                         assert!(target < devices.len(), "router returned index {target}");
-                        let dev = &mut devices[target];
-                        let cap = dev.spec().capacity();
-                        let offset = a.offset.min(cap - a.len);
-                        match dev.submit(IoRequest::new(IoId(next_id), a.kind, offset, a.len)) {
+                        match stepper.submit(target, &mut *devices[target], t, IoId(next_id), &a) {
                             Ok(()) => {
                                 routed[target] += 1;
                                 break;
@@ -466,17 +441,19 @@ where
 
         // Control tick.
         if t >= next_control {
+            stepper.catch_up_all(devices.iter_mut().map(|d| &mut **d), t);
             refresh_statuses(devices, &mut fleet_status);
             for cmd in router.control(t, &fleet_status) {
-                if let Err(e) = apply_command(devices, cmd) {
-                    if e.is_transient() {
+                match apply_command(devices, cmd) {
+                    (_, Ok(())) => {}
+                    (device, Err(e)) if e.is_transient() => {
                         command_errors += 1;
-                        router.on_device_error(command_target(&cmd), &e, t);
-                    } else {
-                        return Err(e.into());
+                        router.on_device_error(device, &e, t);
                     }
+                    (_, Err(e)) => return Err(e.into()),
                 }
             }
+            stepper.touch_all(devices.iter_mut().map(|d| &mut **d));
             next_control = t + control_interval;
         }
 
@@ -487,6 +464,8 @@ where
         }
     }
 
+    // `end` reads a device clock: every device stops on lockstep's.
+    stepper.catch_up_all(devices.iter_mut().map(|d| &mut **d), now);
     let end = devices[0].now();
     let per_device: Vec<DeviceOutcome> = devices
         .iter()
@@ -682,6 +661,32 @@ mod tests {
             replayed.energy_j.to_bits(),
             "same arrivals + same meter seed = identical measurement"
         );
+    }
+
+    #[test]
+    fn an_arrival_larger_than_the_device_is_clamped_to_its_capacity() {
+        use crate::wltrace::ArrivalTrace;
+        use powadapt_device::{DeviceClass, DeviceSpec, Protocol, Ssd, MIB};
+        // An SSD3 shrunk to 1 MiB, so serving its whole capacity is quick.
+        let cfg = catalog::ssd3_d3_p4510(1).config().clone();
+        let spec = DeviceSpec::new("SSD3", "test", Protocol::Sata, DeviceClass::Ssd, MIB);
+        let mut devices: Vec<Box<dyn StorageDevice>> = vec![Box::new(Ssd::new(spec, cfg, 1))];
+        let csv = format!(
+            "time_s,kind,offset,len\n0.001,W,0,{}\n0.002,R,4096,4096\n",
+            MIB + 4096
+        );
+        let trace = ArrivalTrace::from_csv(csv.as_bytes()).expect("valid trace");
+        let mut router = LeastLoadedRouter::default();
+        let r = run_fleet(
+            &mut devices,
+            &mut router,
+            trace.arrivals().iter().copied(),
+            1,
+            SimDuration::from_millis(50),
+        )
+        .expect("an oversize arrival is clamped, not refused");
+        assert_eq!(r.total.ios(), 2);
+        assert_eq!(r.total.bytes(), MIB + 4096);
     }
 
     #[test]

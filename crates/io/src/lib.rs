@@ -53,19 +53,21 @@ mod openloop;
 mod parallel;
 mod runner;
 mod stats;
+mod stepper;
 mod sweep;
 mod wltrace;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreakerRouter, QuarantineEvent};
 pub use fleet::{
-    run_fleet, DeviceCommand, DeviceOutcome, DeviceStatus, FleetResult, LeastLoadedRouter, Route,
-    Router,
+    least_loaded, run_fleet, DeviceCommand, DeviceOutcome, DeviceStatus, FleetResult,
+    LeastLoadedRouter, Route, Router,
 };
 pub use job::{AccessPattern, JobSpec, Workload};
 pub use openloop::{Arrival, ArrivalGen, Arrivals, OpenLoopSpec};
 pub use parallel::{run_cells, ParallelConfig};
 pub use runner::{run_experiment, ExperimentError, ExperimentResult};
 pub use stats::{InvertedWindow, IoStats};
+pub use stepper::Stepper;
 pub use sweep::{
     enumerate_cells, full_sweep_with, run_fresh, SweepCell, SweepPoint, SweepScale, PAPER_CHUNKS,
     PAPER_DEPTHS,

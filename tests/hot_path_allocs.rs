@@ -9,9 +9,10 @@
 //! `dyn StorageDevice`, so an allocation three calls down fails the test
 //! as surely as one in the primitive itself.
 //!
-//! The two private drain loops built on these primitives — the fleet
-//! runner's and `ClusterSim`'s — are covered through `advance_to_into`
-//! here and through perfbench's end-to-end wall time.
+//! The fleet runner and `ClusterSim` both drain their devices through
+//! `powadapt_io::Stepper`, whose per-step calls are counted here on a
+//! mixed fleet; the two loops' own bookkeeping is covered by perfbench's
+//! end-to-end wall time.
 //!
 //! Run alone with `cargo test --test hot_path_allocs`.
 
@@ -22,7 +23,7 @@ use powadapt::device::{
     catalog, FaultInjector, FaultPlan, IoCompletion, IoId, IoKind, IoRequest, StorageDevice, GIB,
     KIB,
 };
-use powadapt::io::PAPER_DEPTHS;
+use powadapt::io::{Arrival, Stepper, PAPER_DEPTHS};
 use powadapt::obs::{MetricsRegistry, Sketch};
 use powadapt::sim::{EventQueue, SimDuration, SimRng, Slab};
 
@@ -239,6 +240,57 @@ fn deepest_paper_queue_steps_allocate_nothing() {
             l.step();
         });
     }
+}
+
+#[test]
+fn stepper_steps_allocate_nothing() {
+    // A closed loop per device behind one stepper: each step drains the
+    // due devices and refills each through `Stepper::submit`.
+    let mut devices: Vec<Box<dyn StorageDevice>> = vec![
+        Box::new(catalog::ssd2_d7_p5510(1)),
+        Box::new(catalog::evo_860(1)),
+        Box::new(catalog::hdd_exos_7e2000(1)),
+        Box::new(FaultInjector::seeded(
+            Box::new(catalog::ssd2_d7_p5510(2)),
+            FaultPlan::none().latency_spikes(0.05, SimDuration::from_millis(20)),
+            3,
+        )),
+    ];
+    let mut stepper = Stepper::default();
+    stepper.touch_all(devices.iter_mut().map(|d| &mut **d));
+    let mut rng = SimRng::seed_from(7);
+    let mut next_id = 0u64;
+    let mut refill = vec![ClosedLoop::DEPTH; devices.len()];
+    let mut t = powadapt::sim::SimTime::ZERO;
+    assert_steady_state_alloc_free("Stepper", || {
+        for (i, dev) in devices.iter_mut().enumerate() {
+            for _ in 0..refill[i] {
+                let kind = if rng.chance(0.3) {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                };
+                let len = ClosedLoop::LEN;
+                let offset = rng.next_u64() % (4 * GIB / len) * len;
+                let a = Arrival {
+                    at: t,
+                    kind,
+                    offset,
+                    len,
+                };
+                stepper
+                    .submit(i, &mut **dev, t, IoId(next_id), &a)
+                    .expect("device accepts the request");
+                next_id += 1;
+            }
+        }
+        t = stepper
+            .next_wake()
+            .expect("a closed loop always has IO in flight");
+        for (i, dev) in devices.iter_mut().enumerate() {
+            refill[i] = stepper.drain(i, &mut **dev, t).len();
+        }
+    });
 }
 
 #[test]
