@@ -11,6 +11,7 @@
 //! `cargo run -p powadapt-bench --bin regen_goldens`.
 
 use std::fmt::Write as _;
+use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -23,8 +24,9 @@ use powadapt_io::{
 };
 use powadapt_meter::PowerTrace;
 use powadapt_model::{ConfigPoint, PowerThroughputModel};
-use powadapt_obs::TraceRecorder;
+use powadapt_obs::{EventLog, TraceRecorder};
 use powadapt_sim::{SimDuration, SimTime};
+use powadapt_snap::Snapshot as _;
 
 use crate::cli::CheckpointAt;
 use crate::figures::{
@@ -707,7 +709,8 @@ pub fn checkpoint_devices() -> [(&'static str, Box<dyn StorageDevice>); 5] {
 /// cell at its midpoint, every `placement_eval` cell at its quarter point
 /// (mid-migration for the temperature-driven arm), every long-horizon
 /// checkpoint (mid-outage failover, mid-roll firmware, diurnal
-/// midnights), and mid-IO SSD, HDD, and fault-injected devices. The
+/// midnights), mid-IO SSD, HDD, and fault-injected devices, and the
+/// event log that recorded a `cluster_eval` cell to its midpoint. The
 /// fixture pins the snapshot byte layout itself, not just the results a
 /// resume reproduces. The digest covers the whole sealed file, envelope
 /// included: a new `FORMAT_VERSION` or envelope checksum moves every
@@ -725,15 +728,15 @@ pub fn checkpoint_digests_summary() -> String {
         SelectionPolicy,
     };
 
-    let at = |spec: ClusterSpec, num: u64, den: u64| {
-        let mut sim = ClusterSim::new(spec).expect("cell builds");
+    let build = |spec: ClusterSpec| ClusterSim::new(spec).expect("cell builds");
+    let at = |sim: &mut ClusterSim, num: u64, den: u64| {
         let span = sim.end_time().duration_since(sim.start_time()).as_nanos();
         let t = sim.start_time() + SimDuration::from_nanos(span / den * num);
         sim.run_to(t).expect("cell runs to checkpoint");
         sim.snapshot().expect("snapshot serializes")
     };
     let until = |spec: ClusterSpec, t: SimTime| {
-        let mut sim = ClusterSim::new(spec).expect("cell builds");
+        let mut sim = build(spec);
         sim.run_to(t).expect("cell runs to checkpoint");
         sim.snapshot().expect("snapshot serializes")
     };
@@ -741,7 +744,7 @@ pub fn checkpoint_digests_summary() -> String {
     let mut rows = Vec::new();
     for seed in [GOLDEN_SEED, GOLDEN_SEED + 1] {
         for policy in policies {
-            let snap = at(oversubscribed_cluster(policy, seed), 1, 2);
+            let snap = at(&mut build(oversubscribed_cluster(policy, seed)), 1, 2);
             rows.push(digest_row(
                 &format!("cluster_eval/{policy}/{seed}/mid"),
                 &snap,
@@ -753,7 +756,7 @@ pub fn checkpoint_digests_summary() -> String {
         PlacementArm::StaticSpread,
         PlacementArm::NoMigration,
     ] {
-        let snap = at(placement_cluster(arm, GOLDEN_SEED), 1, 4);
+        let snap = at(&mut build(placement_cluster(arm, GOLDEN_SEED)), 1, 4);
         rows.push(digest_row(
             &format!("placement_eval/{arm:?}/{GOLDEN_SEED}/quarter"),
             &snap,
@@ -783,7 +786,173 @@ pub fn checkpoint_digests_summary() -> String {
     for (name, dev) in checkpoint_devices() {
         rows.push(digest_row(name, &device_checkpoint(dev)));
     }
+    // No cluster or device checkpoint holds an event log. The recorder is
+    // installed only while the cell is built, which is when its parts
+    // capture it; the small ring evicts, so `total` and `dropped` differ.
+    let policy = SelectionPolicy::ModelDriven;
+    let log = Arc::new(EventLog::new(1 << 12));
+    let mut sim = powadapt_obs::with_installed(log.clone(), || {
+        build(oversubscribed_cluster(policy, GOLDEN_SEED))
+    });
+    at(&mut sim, 1, 2);
+    let mut w = powadapt_snap::SnapWriter::new();
+    log.write_state(&mut w).expect("event log serializes");
+    rows.push(digest_row(
+        &format!("obs/event_log/cluster_eval/{policy}/{GOLDEN_SEED}/mid"),
+        &powadapt_snap::seal(&w.into_payload()),
+    ));
     doc(CHECKPOINT_FIXTURE, GOLDEN_SEED, &rows)
+}
+
+/// File name of the committed snapshot ABI lock, beside the fixtures in
+/// [`goldens_dir`].
+pub const ABI_LOCK: &str = "snapshot_abi.lock";
+
+/// The components whose `Snapshot` impl is written by hand, not by
+/// `snapshot!`, each with its lock line: the fields its codec writes, in
+/// order. A hand-written impl on a type missing here fails the scan.
+const HAND_WRITTEN_CODECS: [(&str, &str); 1] = [("sim/EventQueue", "heap, next_seq")];
+
+fn hand_written_codec(key: &str) -> Result<String, String> {
+    HAND_WRITTEN_CODECS
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|(k, fields)| format!("{k}: {fields}"))
+        .ok_or_else(|| {
+            format!("{key}: a hand-written snapshot codec missing from HAND_WRITTEN_CODECS")
+        })
+}
+
+/// Every `.rs` file under `crates/*/src`, as `(crate, source)` pairs:
+/// the input of [`snapshot_abi_lock`].
+///
+/// # Errors
+///
+/// Any failure to read the source tree.
+pub fn snapshot_abi_sources() -> std::io::Result<Vec<(String, String)>> {
+    fn walk(
+        dir: &std::path::Path,
+        krate: &str,
+        out: &mut Vec<(String, String)>,
+    ) -> std::io::Result<()> {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                walk(&path, krate, out)?;
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push((krate.to_string(), fs::read_to_string(&path)?));
+            }
+        }
+        Ok(())
+    }
+    let mut out = Vec::new();
+    for entry in fs::read_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(".."))? {
+        let dir = entry?.path();
+        let krate = dir.file_name().map(|n| n.to_string_lossy().into_owned());
+        if let (Some(krate), true) = (krate, dir.join("src").is_dir()) {
+            walk(&dir.join("src"), &krate, &mut out)?;
+        }
+    }
+    Ok(out)
+}
+
+/// The snapshot ABI lock of `sources`: the byte layout of every snapshot
+/// component, one sorted line each (`crate/Type: entry, ...`), under
+/// `format_version` and an FNV-1a-64 fingerprint of those lines.
+///
+/// A `snapshot!` site's line is its entry list in list order, each entry
+/// `name` or `name: mode`: that list is the byte order. Its `skip` and
+/// `after` parts write no bytes and are left out, so a new skipped field
+/// keeps the lock while a reorder or a new mode moves it. A hand-written
+/// codec's line comes from [`HAND_WRITTEN_CODECS`]. Line comments are
+/// dropped first, so doc examples are not sites, and the `$crate::`
+/// recursion inside `macro_rules! snapshot` is not one either.
+///
+/// # Errors
+///
+/// An `impl Snapshot for` a concrete type, or a `snapshot!` site without
+/// an entry list, whose type is not in [`HAND_WRITTEN_CODECS`].
+pub fn snapshot_abi_lock(
+    sources: &[(String, String)],
+    format_version: u32,
+) -> Result<String, String> {
+    const SITE: &str = "snapshot! {";
+    let ident_len = |s: &str| s.find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '$'));
+    let mut lines = Vec::new();
+    for (krate, src) in sources {
+        let code = src
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or(l))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for (at, _) in code.match_indices(SITE) {
+            let rest = code[at + SITE.len()..].trim_start();
+            let rest = rest.strip_prefix("value ").unwrap_or(rest).trim_start();
+            let (ty, rest) = rest.split_at(ident_len(rest).unwrap_or(rest.len()));
+            if ty.is_empty() || ty.starts_with('$') {
+                continue;
+            }
+            let key = format!("{krate}/{ty}");
+            let Some(list) = rest.trim_start().strip_prefix('{') else {
+                lines.push(hand_written_codec(&key)?);
+                continue;
+            };
+            let (mut entries, mut entry, mut depth) = (Vec::new(), String::new(), 0);
+            for c in list.chars().filter(|c| !c.is_whitespace()) {
+                match c {
+                    ',' | '}' if depth == 0 => {
+                        entries.push(std::mem::take(&mut entry));
+                        if c == '}' {
+                            break;
+                        }
+                        continue;
+                    }
+                    '(' => depth += 1,
+                    ')' => depth -= 1,
+                    _ => {}
+                }
+                entry.push(c);
+            }
+            let rendered: Vec<String> = entries
+                .iter()
+                .filter(|e| !e.is_empty())
+                .map(|e| match e.split_once(':') {
+                    Some((name, mode)) => format!("{name}: {}", mode.replace(',', ", ")),
+                    None => e.clone(),
+                })
+                .collect();
+            lines.push(format!("{key}: {}", rendered.join(", ")));
+        }
+        for line in code.lines() {
+            let Some((_, ty)) = line
+                .trim_start()
+                .strip_prefix("impl")
+                .and_then(|l| l.split_once("Snapshot for "))
+            else {
+                continue;
+            };
+            let ty = &ty[..ident_len(ty).unwrap_or(ty.len())];
+            // The blanket `Option<T>` and boxed-device impls forward to a
+            // codec listed elsewhere; `$ty` is the macro's own impl.
+            if !matches!(ty, "Option" | "Box" | "$ty") {
+                lines.push(hand_written_codec(&format!("{krate}/{ty}"))?);
+            }
+        }
+    }
+    lines.sort();
+    let inventory: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    Ok(format!(
+        "# powadapt snapshot ABI lock, generated by `regen_goldens` and compared\n\
+         # by `tests/checkpoint_digests.rs`. Changing a snapshot component's byte\n\
+         # layout (a snapshot! list's entries, modes or order; a hand-written\n\
+         # codec's fields) changes the hash, and FORMAT_VERSION\n\
+         # (crates/snap/src/lib.rs) must move with it.\n\
+         format_version = {format_version}\n\
+         hash = {:#018x}\n\
+         \n\
+         {inventory}",
+        fnv1a_64(inventory.as_bytes())
+    ))
 }
 
 /// Produces the canonical JSON summary of one figure, read from a cell

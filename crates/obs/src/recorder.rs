@@ -232,7 +232,9 @@ impl fmt::Debug for EventLog {
 }
 
 impl EventLog {
-    /// Default ring capacity: enough for a full `policy_eval` trace.
+    /// Default ring capacity, 2^20 events. A long run records more (a
+    /// full `policy_eval` trace records about 1.46 million), so its ring
+    /// keeps only the newest 2^20; `dropped` counts the evicted rest.
     pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// An event log retaining at most `capacity` events (min 1).

@@ -226,10 +226,19 @@ impl TraceSession {
                 if !folded.is_empty() {
                     fs::write(format!("{path}.folded"), folded)?;
                 }
+                let dropped = rec.log().dropped();
+                let written = if dropped > 0 {
+                    format!(
+                        "{} of {} recorded events; the ring evicted the oldest {dropped}",
+                        events.len(),
+                        rec.log().total()
+                    )
+                } else {
+                    format!("{} events", events.len())
+                };
                 eprintln!(
-                    "powadapt-obs: wrote {} events to {path} (+ .metrics.json, \
-                     .events.jsonl, .folded); open at https://ui.perfetto.dev",
-                    events.len()
+                    "powadapt-obs: wrote {written} to {path} (+ .metrics.json, \
+                     .events.jsonl, .folded); open at https://ui.perfetto.dev"
                 );
                 Ok(())
             }

@@ -46,7 +46,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::path::Path;
 
 mod codec;
 
@@ -100,8 +99,6 @@ pub enum SnapError {
     InvalidValue(String),
     /// The component does not support snapshotting.
     Unsupported(&'static str),
-    /// An I/O failure reading or writing a snapshot file.
-    Io(String),
 }
 
 impl fmt::Display for SnapError {
@@ -125,7 +122,6 @@ impl fmt::Display for SnapError {
             }
             SnapError::InvalidValue(what) => write!(f, "invalid snapshot value: {what}"),
             SnapError::Unsupported(what) => write!(f, "snapshot unsupported: {what}"),
-            SnapError::Io(e) => write!(f, "snapshot i/o error: {e}"),
         }
     }
 }
@@ -455,28 +451,6 @@ pub fn open(data: &[u8]) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Seals `payload` and writes it to `path`.
-///
-/// # Errors
-///
-/// [`SnapError::Io`] on filesystem failure.
-pub fn write_file(path: &Path, payload: &[u8]) -> Result<(), SnapError> {
-    std::fs::write(path, seal(payload))
-        .map_err(|e| SnapError::Io(format!("{}: {e}", path.display())))
-}
-
-/// Reads `path`, validates the envelope, and returns the payload.
-///
-/// # Errors
-///
-/// [`SnapError::Io`] on filesystem failure, or any [`open`] error on a
-/// malformed file.
-pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapError> {
-    let data =
-        std::fs::read(path).map_err(|e| SnapError::Io(format!("{}: {e}", path.display())))?;
-    open(&data).map(<[u8]>::to_vec)
-}
-
 /// A component whose dynamic state can be serialized.
 ///
 /// Implementations write *state*, never configuration: restore rebuilds
@@ -666,24 +640,6 @@ mod tests {
         let payload = w.into_payload();
         let mut r = SnapReader::new(&payload);
         assert!(matches!(r.seq_len(), Err(SnapError::InvalidValue(_))));
-    }
-
-    #[test]
-    fn file_round_trip_and_corruption() {
-        let dir = std::env::temp_dir().join("powadapt-snap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.psnp");
-        write_file(&path, b"state").unwrap();
-        assert_eq!(read_file(&path).unwrap(), b"state");
-        // Corrupt one payload byte on disk.
-        let mut data = std::fs::read(&path).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0x40;
-        std::fs::write(&path, &data).unwrap();
-        assert!(read_file(&path).is_err());
-        let missing = dir.join("does-not-exist.psnp");
-        assert!(matches!(read_file(&missing), Err(SnapError::Io(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
