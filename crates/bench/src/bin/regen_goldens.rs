@@ -10,6 +10,7 @@
 use std::fs;
 
 use powadapt_bench::cli;
+use powadapt_bench::golden::slices::{cluster_slices_summary, SLICES_FIXTURE};
 use powadapt_bench::golden::{
     checkpoint_digests_summary, cluster_eval_summary, figure_summary, golden_scale, goldens_dir,
     obs_events_summary, placement_eval_summary, snapshot_abi_lock, snapshot_abi_sources, ABI_LOCK,
@@ -45,6 +46,7 @@ fn main() {
         (CLUSTER_FIXTURE, cluster_eval_summary(&cfg)),
         (PLACEMENT_FIXTURE, placement_eval_summary(&cfg)),
         (CHECKPOINT_FIXTURE, checkpoint_digests_summary()),
+        (SLICES_FIXTURE, cluster_slices_summary()),
     ] {
         write_fixture(&dir, &format!("{name}.json"), &summary);
     }

@@ -33,6 +33,8 @@ use crate::figures::{
     self, fig10, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1, Cell, CellTable, Key,
 };
 
+pub mod slices;
+
 /// Root seed for every golden summary.
 pub const GOLDEN_SEED: u64 = 42;
 

@@ -401,6 +401,10 @@ pub struct ClusterSim {
     now: SimTime,
     /// Steps the flat devices, in flat order.
     stepper: Stepper,
+    /// Flat devices whose events the loop steps at their own time: those
+    /// holding a migration leg, or every device while the backlog waits.
+    /// Rebuilt whenever a step may have changed the moves or the backlog.
+    eager: Vec<bool>,
     /// Fixed-capacity hand-off from the hot completion drain to the
     /// migration dispatcher: `(move id, was the destination write)`.
     /// Pre-sized to the engine's concurrency cap (each in-flight move has
@@ -453,6 +457,7 @@ impl ClusterSim {
         let mut sim = Self::build(spec)?;
         sim.apply_initial_policy()?;
         sim.stepper.touch_all(flat_devices(&mut sim.controllers));
+        sim.refresh_eager();
         Ok(sim)
     }
 
@@ -696,6 +701,7 @@ impl ClusterSim {
             mig_bytes: 0,
             now: start,
             stepper: Stepper::default(),
+            eager: Vec::new(),
             mig_scratch: vec![(0, false); mig_cap],
             mig_scratch_len: 0,
             holders_scratch: Vec::new(),
@@ -756,14 +762,22 @@ impl ClusterSim {
     /// exactly the state mid-loop of an uninterrupted run: snapshotting
     /// here and resuming continues bit-for-bit.
     ///
+    /// The loop steps at arrivals, sample and control ticks, tree-fault
+    /// transitions and the events of the eager devices (see
+    /// [`Stepper`](powadapt_io::Stepper) for why the others may lag).
+    /// Once nothing but lagging devices' events lies before `limit`, it
+    /// steps those one event time at a time, as a loop that visited every
+    /// device event would, so `now` and every device clock end where that
+    /// loop leaves them.
+    ///
     /// # Errors
     ///
     /// Propagates controller, device, and tree failures.
     pub fn run_to(&mut self, limit: SimTime) -> Result<(), ClusterError> {
         let limit = limit.min(self.t_end);
         loop {
-            // Next event time across arrivals, devices, the two tickers,
-            // and scheduled tree-fault transitions.
+            // Next event time across arrivals, eager devices, the two
+            // tickers, and scheduled tree-fault transitions.
             let mut t = self.next_sample.min(self.next_control);
             if let Some(ft) = self.faults.next_transition() {
                 t = t.min(self.now.max(ft));
@@ -771,9 +785,15 @@ impl ClusterSim {
             for a in self.pending.iter().flatten() {
                 t = t.min(self.start.max(a.at));
             }
-            t = self.stepper.next_wake().map_or(t, |w| w.min(t));
+            if let Some(w) = self.stepper.next_wake_among(&self.eager) {
+                t = t.min(w);
+            }
             if t >= limit {
-                break;
+                // The tail: the lagging devices' events before `limit`.
+                match self.stepper.next_wake() {
+                    Some(w) if w < limit => t = w,
+                    _ => break,
+                }
             }
             self.step_at(t)?;
             self.now = t;
@@ -863,6 +883,9 @@ impl ClusterSim {
     /// round and power sampling when due.
     fn step_at(&mut self, t: SimTime) -> Result<(), ClusterError> {
         self.drain_completions(t);
+        // Only migration completions, the backlog and the placement round
+        // change which devices are eager.
+        let mut moved = self.mig_scratch_len > 0 || !self.mig_backlog.is_empty();
         self.dispatch_migrations(t)?;
         self.admit_arrivals(t)?;
 
@@ -889,6 +912,10 @@ impl ClusterSim {
             self.audit_ledger(t);
             self.next_control = t + self.control_interval;
             self.stepper.touch_all(flat_devices(&mut self.controllers));
+            moved = true;
+        }
+        if moved {
+            self.refresh_eager();
         }
 
         if t >= self.next_sample {
@@ -926,6 +953,27 @@ impl ClusterSim {
                     None => {}
                 }
             }
+        }
+    }
+
+    /// Marks the devices whose completions the cluster must act on at
+    /// their own time: the source of every move reading, the destination
+    /// of every move writing, and every device while the backlog holds a
+    /// leg (each step retries it).
+    fn refresh_eager(&mut self) {
+        let all = !self.mig_backlog.is_empty();
+        self.eager.clear();
+        self.eager.resize(self.flat.len(), all);
+        if all {
+            return;
+        }
+        for m in self.place.iter().flat_map(PlacementTier::moves) {
+            let leg = match m.phase {
+                MigrationPhase::Reading => m.from,
+                MigrationPhase::Writing => m.to,
+                MigrationPhase::Queued => continue,
+            };
+            self.eager[leg as usize] = true;
         }
     }
 
@@ -1528,6 +1576,7 @@ powadapt_snap::snapshot! {
         start: "derived from the devices",
         t_end: "derived from the spec",
         stepper: "derived: the wake cache is rebuilt from the devices, every device touched",
+        eager: "derived from the placement tier's moves and the backlog",
         mig_scratch: "per-step scratch, drained within the step",
         mig_scratch_len: "per-step scratch, zero between steps",
         holders_scratch: "per-arrival scratch",
@@ -1539,6 +1588,7 @@ powadapt_snap::snapshot! {
 impl ClusterSim {
     fn restore_wake(&mut self) -> Result<(), SnapError> {
         self.stepper.touch_all(flat_devices(&mut self.controllers));
+        self.refresh_eager();
         Ok(())
     }
 

@@ -1,16 +1,24 @@
-//! The cluster advances a device only when it has something to do: a
-//! device with no event due and nothing submitted is left alone until a
-//! control round or the end of a `run_to` slice, and the report is the
-//! one an undecorated run produces.
+//! The cluster advances a device only when it has something to do, and
+//! steps only where the cluster must act:
+//!
+//! - a device with no event due and nothing submitted is left alone until
+//!   a control round or the end of a `run_to` slice;
+//! - a busy device that carries no migration leg is not stepped at each
+//!   of its own events: it catches up at the next arrival, tick or slice
+//!   end, in one advance across all the events on the way.
+//!
+//! Either way the report is the one an undecorated run produces.
 
 #![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::rc::Rc;
 
+use std::collections::BTreeSet;
+
 use powadapt_cluster::{
-    fig10_model, run_cluster, ClusterSim, ClusterSpec, EnclosureSpec, NodeKind, PowerTree,
-    SelectionPolicy, TenantArrivals, TenantSpec, TreeFaultWindow,
+    fig10_model, placement_cluster, run_cluster, ClusterSim, ClusterSpec, EnclosureSpec, NodeKind,
+    PlacementArm, PowerTree, SelectionPolicy, TenantArrivals, TenantSpec, TreeFaultWindow,
 };
 use powadapt_core::Slo;
 use powadapt_device::{
@@ -20,14 +28,21 @@ use powadapt_device::{
 use powadapt_obs::RecorderHandle;
 use powadapt_sim::{SimDuration, SimTime};
 
-/// Calls one device received.
+/// The device clock at each advance's target and at each submit one
+/// device received.
 #[derive(Debug, Default)]
 struct Calls {
-    advance: Cell<u64>,
-    submit: Cell<u64>,
+    advanced_to: RefCell<Vec<SimTime>>,
+    submitted_at: RefCell<Vec<SimTime>>,
 }
 
-/// Delegates everything to `inner`, counting advances and submits.
+impl Calls {
+    fn advances(&self) -> u64 {
+        self.advanced_to.borrow().len() as u64
+    }
+}
+
+/// Delegates everything to `inner`, logging advances and submits.
 #[derive(Debug)]
 struct Counting {
     inner: Box<dyn StorageDevice>,
@@ -44,7 +59,7 @@ impl StorageDevice for Counting {
     }
 
     fn submit(&mut self, req: IoRequest) -> Result<(), DeviceError> {
-        self.calls.submit.set(self.calls.submit.get() + 1);
+        self.calls.submitted_at.borrow_mut().push(self.inner.now());
         self.inner.submit(req)
     }
 
@@ -59,7 +74,7 @@ impl StorageDevice for Counting {
     }
 
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
-        self.calls.advance.set(self.calls.advance.get() + 1);
+        self.calls.advanced_to.borrow_mut().push(t);
         self.inner.advance_to_into(t, out);
     }
 
@@ -168,12 +183,10 @@ fn spec() -> ClusterSpec {
     }
 }
 
-#[test]
-fn idle_devices_are_advanced_only_by_control_rounds_and_slice_ends() {
-    let plain = run_cluster(spec()).unwrap();
-
-    let calls: Vec<Rc<Calls>> = (0..2).map(|_| Rc::default()).collect();
-    let mut spec = spec();
+/// Wraps every device of `spec` in a [`Counting`] decorator, one
+/// [`Calls`] per enclosure.
+fn decorated(mut spec: ClusterSpec) -> (ClusterSpec, Vec<Rc<Calls>>) {
+    let calls: Vec<Rc<Calls>> = spec.enclosures.iter().map(|_| Rc::default()).collect();
     for (enc, c) in spec.enclosures.iter_mut().zip(&calls) {
         enc.devices = std::mem::take(&mut enc.devices)
             .into_iter()
@@ -185,33 +198,154 @@ fn idle_devices_are_advanced_only_by_control_rounds_and_slice_ends() {
             })
             .collect();
     }
-    let mut sim = ClusterSim::new(spec).unwrap();
-    let slice = SimDuration::from_millis(7);
-    let mut slices = 1; // `finish` runs the last one.
+    (spec, calls)
+}
+
+/// Runs `sim` to its end in `run_to` slices of `slice`, and returns the
+/// report and every slice's limit (`finish` runs the last one, to the
+/// end).
+fn run_sliced(
+    mut sim: ClusterSim,
+    slice: SimDuration,
+) -> (powadapt_cluster::ClusterReport, Vec<SimTime>) {
+    let mut limits = Vec::new();
     let mut limit = sim.start_time() + slice;
     while limit < sim.end_time() {
         sim.run_to(limit).unwrap();
-        slices += 1;
+        limits.push(limit);
         limit = limit.saturating_add(slice);
     }
-    let counted = sim.finish().unwrap();
+    limits.push(sim.end_time());
+    (sim.finish().unwrap(), limits)
+}
+
+#[test]
+fn idle_devices_are_advanced_only_by_control_rounds_and_slice_ends() {
+    let plain = run_cluster(spec()).unwrap();
+    let (spec, calls) = decorated(spec());
+    let (counted, limits) = run_sliced(ClusterSim::new(spec).unwrap(), SimDuration::from_millis(7));
     assert_eq!(counted, plain, "counting changed the run");
 
+    let slices = limits.len() as u64;
     let (busy, idle) = (&calls[0], &calls[1]);
     assert!(plain.served_ios > 100, "enc0 served {}", plain.served_ios);
-    assert_eq!(idle.submit.get(), 0, "the dark enclosure received IO");
+    assert!(
+        idle.submitted_at.borrow().is_empty(),
+        "the dark enclosure received IO"
+    );
     // Each control round catches the idle device up before it runs and
     // advances it once more on the next step (the round may have changed
     // it); each slice end catches it up; construction and the closing
     // drain add one each.
     let bound = 2 * counted.rebalance_rounds + slices + 2;
     assert!(
-        idle.advance.get() <= bound,
+        idle.advances() <= bound,
         "idle device advanced {} times, bound {bound} ({} rounds, {slices} slices); \
          the busy one {} times",
-        idle.advance.get(),
+        idle.advances(),
         counted.rebalance_rounds,
-        busy.advance.get(),
+        busy.advances(),
     );
-    assert!(busy.advance.get() > 10 * bound, "too few steps to tell");
+    assert!(busy.advances() > 10 * bound, "too few steps to tell");
+}
+
+#[test]
+fn busy_devices_without_migration_legs_catch_up_only_where_the_cluster_acts() {
+    let plain = run_cluster(spec()).unwrap();
+    let (spec, calls) = decorated(spec());
+    let (sample, control) = (spec.sample_interval, spec.control_interval);
+    let sim = ClusterSim::new(spec).unwrap();
+    let start = sim.start_time();
+    let (counted, limits) = run_sliced(sim, SimDuration::from_millis(7));
+    assert_eq!(counted, plain, "counting changed the run");
+
+    // Where the cluster acts on its own account: arrivals (every one is
+    // submitted to the busy device), sample and control ticks, the end.
+    let busy = &calls[0];
+    let submitted = busy.submitted_at.borrow();
+    let next_tick = |t: SimTime, every: SimDuration| {
+        let n = t.duration_since(start).as_nanos() / every.as_nanos() + 1;
+        start + SimDuration::from_nanos(n * every.as_nanos())
+    };
+    let next_act = |t: SimTime| {
+        let arrival = submitted.get(submitted.partition_point(|&a| a <= t));
+        [next_tick(t, sample), next_tick(t, control)]
+            .into_iter()
+            .chain(arrival.copied())
+            .min()
+            .unwrap()
+    };
+    let acts = |t: SimTime| {
+        submitted.binary_search(&t).is_ok()
+            || next_tick(t, sample) == t + sample
+            || next_tick(t, control) == t + control
+            || limits.last() == Some(&t)
+    };
+    // Before a slice ends the loop steps the lagging devices' events
+    // after its last action, one by one, to end where a loop that
+    // visited every device event ends: the slice's tail.
+    let in_tail = |t: SimTime| next_act(t) >= limits[limits.partition_point(|&l| l <= t)];
+    let advanced_to = busy.advanced_to.borrow();
+    let (at_acts, tail): (Vec<SimTime>, Vec<SimTime>) =
+        advanced_to.iter().copied().partition(|&t| acts(t));
+    let stray: Vec<&SimTime> = tail.iter().filter(|&&t| !in_tail(t)).collect();
+    assert!(
+        stray.is_empty(),
+        "busy device advanced between cluster actions, outside a slice tail: {stray:?}"
+    );
+
+    // At most once per action (a control round may advance it once more
+    // on the next step, which is an action too), once per slice end, and
+    // at construction and the closing drain.
+    let arrivals: u64 = counted
+        .tenants
+        .iter()
+        .map(|t| t.submitted + t.dropped)
+        .sum();
+    let samples = DURATION.as_nanos() / sample.as_nanos();
+    let slices = limits.len() as u64;
+    let bound = arrivals + samples + counted.rebalance_rounds + slices + 2;
+    assert!(
+        at_acts.len() as u64 <= bound,
+        "busy device advanced {} times at cluster actions, bound {bound} ({arrivals} arrivals, \
+         {samples} samples, {} rounds, {slices} slices)",
+        at_acts.len(),
+        counted.rebalance_rounds,
+    );
+}
+
+#[test]
+fn placement_cell_steps_about_once_per_served_io() {
+    let plain = run_cluster(placement_cluster(PlacementArm::TempDriven, 42)).unwrap();
+    let (spec, calls) = decorated(placement_cluster(PlacementArm::TempDriven, 42));
+    let (sample, control) = (spec.sample_interval, spec.control_interval);
+    let sim = ClusterSim::new(spec).unwrap();
+    let (start, end) = (sim.start_time(), sim.end_time());
+    let (counted, _) = run_sliced(sim, SimDuration::from_secs(10));
+    assert_eq!(counted, plain, "counting changed the run");
+    assert!(counted.migrations_completed > 0, "the cell must migrate");
+
+    // Every step acts at its time on a device (a submit, or an advance of
+    // a due device) or is a tick; arrivals dropped without a submit are
+    // added. The closing drain at the end is not a step.
+    let mut instants = BTreeSet::new();
+    for c in &calls {
+        instants.extend(c.advanced_to.borrow().iter());
+        instants.extend(c.submitted_at.borrow().iter());
+    }
+    for every in [sample, control] {
+        let ticks = end.duration_since(start).as_nanos() / every.as_nanos();
+        instants.extend((1..=ticks).map(|k| start + SimDuration::from_nanos(k * every.as_nanos())));
+    }
+    instants.remove(&end);
+    let steps = instants.len() as u64 + counted.dropped;
+    let advances: u64 = calls.iter().map(|c| c.advances()).sum();
+    // A loop stepping at every device event takes about 801k steps and
+    // 806k advances here.
+    assert!(
+        10 * steps <= 13 * counted.served_ios,
+        "{steps} step instants for {} served IOs",
+        counted.served_ios
+    );
+    assert!(advances <= 300_000, "{advances} advances");
 }

@@ -331,9 +331,10 @@ impl FaultInjector {
     }
 
     /// Moves held completions due at or before `t` into `out`, in
-    /// deterministic (release time, id) order. They go straight into
-    /// `out` and are sorted there, so releasing allocates nothing.
-    fn release_due(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
+    /// deterministic (release time, id) order, and returns how many. They
+    /// go straight into `out` and are sorted there, so releasing
+    /// allocates nothing.
+    fn release_due(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) -> usize {
         let start = out.len();
         self.held.retain(|c| {
             if c.completed <= t {
@@ -344,6 +345,7 @@ impl FaultInjector {
             }
         });
         out[start..].sort_by_key(|c| (c.completed, c.id));
+        out.len() - start
     }
 }
 
@@ -388,14 +390,14 @@ impl StorageDevice for FaultInjector {
     }
 
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
-        self.release_due(t, out);
         let start = out.len();
         self.inner.advance_to_into(t, out);
         // Walk the completions the inner device just appended, drawing the
         // spike chance per completion in arrival order (the RNG sequence
-        // is part of the deterministic contract). Spiked completions that
-        // land beyond `t` move to `held`; a single compaction pass keeps
+        // is part of the deterministic contract). Delayed completions move
+        // to `held`, even those due by `t`; a single compaction pass keeps
         // the rest in order without re-shifting the tail per removal.
+        let delays = !self.plan.latency_spike.is_zero();
         let mut write = start;
         for read in start..out.len() {
             let mut c = out[read];
@@ -410,7 +412,7 @@ impl StorageDevice for FaultInjector {
                     }
                 );
                 c.completed += self.plan.latency_spike;
-                if c.completed > t {
+                if delays {
                     self.held.push(c);
                     continue;
                 }
@@ -419,6 +421,15 @@ impl StorageDevice for FaultInjector {
             write += 1;
         }
         out.truncate(write);
+        // Stepping event by event releases a held completion at its own
+        // time, ahead of the inner completions of that instant. Merging
+        // the released ones in by time keeps that order when one call
+        // spans many events (the merge is a no-op when it spans one).
+        let released = self.release_due(t, out);
+        if released > 0 && write > start {
+            out[start..].rotate_right(released);
+            out[start..].sort_by_key(|c| c.completed);
+        }
     }
 
     fn power_w(&self) -> f64 {

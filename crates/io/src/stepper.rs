@@ -2,8 +2,8 @@
 //!
 //! [`run_fleet`](crate::run_fleet) and the cluster simulation step many
 //! devices from event time to event time. A [`Stepper`] advances only the
-//! due devices, with the result of lockstep, which advances every device
-//! at every step:
+//! due devices, with the result of lockstep, which steps at every device
+//! event and advances every device at every step:
 //!
 //! - A wake cache holds each device's `next_event()`, refreshed after
 //!   every advance, submit and touch. A device that is neither due nor
@@ -19,7 +19,36 @@
 //!   clock may not be read stale (submits, fault windows and trace events
 //!   use it), so it is caught up to the step time, completing nothing,
 //!   before a submit to it; a loop catches every device up before control
-//!   commands and when it stops.
+//!   commands and when it stops. The "completed IO while catching up"
+//!   assertion checks that no due device was skipped.
+//!
+//! A loop may also choose the step times. `run_fleet` steps at every
+//! device event ([`next_wake`](Stepper::next_wake)): its router observes
+//! each completion at its own time. The cluster steps only at the events
+//! of its *eager* devices ([`next_wake_among`](Stepper::next_wake_among))
+//! beside its arrivals, ticks and fault transitions, and lets the other
+//! devices lag:
+//!
+//! - Eager are the devices whose completions start cluster work at their
+//!   own time: the source of a migration reading and the destination of
+//!   one writing, whose completion issues the next leg or commits the
+//!   move. While the migration backlog holds a leg every device is
+//!   eager, because lockstep retries the backlog at every step and a
+//!   retry's outcome depends on when it runs. (This relies on every
+//!   in-tree device completing only at its events: one that acknowledged
+//!   inside `submit` would hand a leg over at the next cluster step, not
+//!   at lockstep's.)
+//! - A lazy device's completions belong to tenants. They feed the SLO
+//!   windows, whose every query is order-free, and the ownership map;
+//!   neither cares when a completion is drained, as long as it is drained
+//!   before the step that reads them. Every step drains every due device
+//!   first, in one `advance_to_into(t)` across all of its events, which a
+//!   device must make equal to advancing at each of them
+//!   (`crates/device/tests/properties.rs` checks this per device model).
+//! - Before a `run_to` slice ends, the cluster steps the lazy devices'
+//!   remaining events before the limit one event time at a time, as
+//!   lockstep would, so its clock, the device clocks and the checkpoint
+//!   bytes at the boundary are lockstep's.
 //!
 //! The cache is a plain scan: at 4–8 devices a heap costs more.
 
@@ -45,6 +74,17 @@ impl Stepper {
     #[inline]
     pub fn next_wake(&self) -> Option<SimTime> {
         self.wake.iter().flatten().copied().min()
+    }
+
+    /// The earliest cached event of the devices `among` marks, indexed
+    /// like the devices.
+    #[inline]
+    pub fn next_wake_among(&self, among: &[bool]) -> Option<SimTime> {
+        self.wake
+            .iter()
+            .zip(among)
+            .filter_map(|(w, &on)| w.filter(|_| on))
+            .min()
     }
 
     /// Advances device `i` to `t` if it is due or touched, and returns

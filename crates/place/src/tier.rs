@@ -419,6 +419,11 @@ impl PlacementTier {
     pub fn migration(&self, id: u64) -> Option<&Migration> {
         self.engine.get(id)
     }
+
+    /// Every unfinished move (queued or in flight), in id order.
+    pub fn moves(&self) -> impl Iterator<Item = &Migration> {
+        self.engine.moves()
+    }
 }
 
 // cfg and slots are rebuilt from the spec on resume; everything dynamic is
