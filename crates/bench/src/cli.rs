@@ -282,7 +282,7 @@ pub fn checkpoint_flags(
             cli.fail(&format!("cannot write {path}"), &e);
         }
         let pending = sim.placement().map_or(String::new(), |tier| {
-            format!(" ({} migrations in flight)", tier.pending_migrations())
+            format!(" ({} migrations in flight)", tier.engine().pending())
         });
         println!(
             "checkpoint: {} bytes at t={:?}{pending} -> {path}",

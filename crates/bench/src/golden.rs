@@ -858,14 +858,60 @@ pub fn snapshot_abi_sources() -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
+/// The items of the list `s` opens, split at its top-level commas and
+/// trimmed: `s` starts inside a `{`, `(`, `[` or `<`, and the list ends
+/// at the bracket that closes it (the `>` of `->` closes nothing).
+fn list_items(s: &str) -> Vec<&str> {
+    let (mut items, mut depth, mut from, mut prev) = (Vec::new(), 0, 0, ' ');
+    for (i, c) in s.char_indices() {
+        match c {
+            '<' | '(' | '[' | '{' => depth += 1,
+            '>' if prev == '-' => {}
+            '>' | ')' | ']' | '}' if depth == 0 => {
+                items.push(s[from..i].trim());
+                break;
+            }
+            '>' | ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => {
+                items.push(s[from..i].trim());
+                from = i + 1;
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    items.retain(|item| !item.is_empty());
+    items
+}
+
+/// `(name, declared type)` of every named field of `struct ty { .. }` in
+/// `code`, whitespace collapsed; `None` when `code` does not declare it.
+fn struct_fields(code: &str, ty: &str) -> Option<Vec<(String, String)>> {
+    let decl = format!("struct {ty}");
+    code.match_indices(&decl).find_map(|(at, _)| {
+        let rest = code[at + decl.len()..].trim_start();
+        let body = &rest[rest.find('{')? + 1..];
+        rest.starts_with(['{', '<']).then(|| {
+            let field = |item: &&str| {
+                let (head, ty) = item.split_once(": ")?;
+                let ty = ty.split_whitespace().collect::<Vec<_>>().join(" ");
+                Some((head.split_whitespace().last()?.to_string(), ty))
+            };
+            list_items(body).iter().filter_map(field).collect()
+        })
+    })
+}
+
 /// The snapshot ABI lock of `sources`: the byte layout of every snapshot
 /// component, one sorted line each (`crate/Type: entry, ...`), under
 /// `format_version` and an FNV-1a-64 fingerprint of those lines.
 ///
 /// A `snapshot!` site's line is its entry list in list order, each entry
-/// `name` or `name: mode`: that list is the byte order. Its `skip` and
-/// `after` parts write no bytes and are left out, so a new skipped field
-/// keeps the lock while a reorder or a new mode moves it. A hand-written
+/// `name: Type` or `name: Type [mode]`, with the field's type as the
+/// struct declares it: that list is the byte order, and the types are
+/// what each entry writes. Its `skip` and `after` parts write no bytes
+/// and are left out, so a new skipped field keeps the lock while a
+/// reorder, a new mode or a retyped field moves it. A hand-written
 /// codec's line comes from [`HAND_WRITTEN_CODECS`]. Line comments are
 /// dropped first, so doc examples are not sites, and the `$crate::`
 /// recursion inside `macro_rules! snapshot` is not one either.
@@ -873,20 +919,28 @@ pub fn snapshot_abi_sources() -> std::io::Result<Vec<(String, String)>> {
 /// # Errors
 ///
 /// An `impl Snapshot for` a concrete type, or a `snapshot!` site without
-/// an entry list, whose type is not in [`HAND_WRITTEN_CODECS`].
+/// an entry list, whose type is not in [`HAND_WRITTEN_CODECS`]; a site
+/// whose struct its crate does not declare; an entry that names no field
+/// of the struct's first declaration.
 pub fn snapshot_abi_lock(
     sources: &[(String, String)],
     format_version: u32,
 ) -> Result<String, String> {
     const SITE: &str = "snapshot! {";
     let ident_len = |s: &str| s.find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '$'));
+    let sources: Vec<(&str, String)> = sources
+        .iter()
+        .map(|(krate, src)| {
+            let code = src
+                .lines()
+                .map(|l| l.split("//").next().unwrap_or(l))
+                .collect::<Vec<_>>()
+                .join("\n");
+            (krate.as_str(), code)
+        })
+        .collect();
     let mut lines = Vec::new();
-    for (krate, src) in sources {
-        let code = src
-            .lines()
-            .map(|l| l.split("//").next().unwrap_or(l))
-            .collect::<Vec<_>>()
-            .join("\n");
+    for (krate, code) in &sources {
         for (at, _) in code.match_indices(SITE) {
             let rest = code[at + SITE.len()..].trim_start();
             let rest = rest.strip_prefix("value ").unwrap_or(rest).trim_start();
@@ -899,30 +953,23 @@ pub fn snapshot_abi_lock(
                 lines.push(hand_written_codec(&key)?);
                 continue;
             };
-            let (mut entries, mut entry, mut depth) = (Vec::new(), String::new(), 0);
-            for c in list.chars().filter(|c| !c.is_whitespace()) {
-                match c {
-                    ',' | '}' if depth == 0 => {
-                        entries.push(std::mem::take(&mut entry));
-                        if c == '}' {
-                            break;
-                        }
-                        continue;
-                    }
-                    '(' => depth += 1,
-                    ')' => depth -= 1,
-                    _ => {}
-                }
-                entry.push(c);
-            }
-            let rendered: Vec<String> = entries
+            let fields = sources
                 .iter()
-                .filter(|e| !e.is_empty())
-                .map(|e| match e.split_once(':') {
-                    Some((name, mode)) => format!("{name}: {}", mode.replace(',', ", ")),
-                    None => e.clone(),
-                })
-                .collect();
+                .filter(|(k, _)| k == krate)
+                .find_map(|(_, code)| struct_fields(code, ty))
+                .ok_or_else(|| format!("{key}: its crate declares no such struct"))?;
+            let mut rendered = Vec::new();
+            for entry in list_items(list) {
+                let entry: String = entry.split_whitespace().collect();
+                let (name, mode) = entry.split_once(':').unwrap_or((&entry, ""));
+                let Some((_, ty)) = fields.iter().find(|(field, _)| field == name) else {
+                    return Err(format!("{key}: entry `{name}` is no field of the struct"));
+                };
+                rendered.push(match mode {
+                    "" => format!("{name}: {ty}"),
+                    mode => format!("{name}: {ty} [{}]", mode.replace(',', ", ")),
+                });
+            }
             lines.push(format!("{key}: {}", rendered.join(", ")));
         }
         for line in code.lines() {
@@ -946,8 +993,8 @@ pub fn snapshot_abi_lock(
     Ok(format!(
         "# powadapt snapshot ABI lock, generated by `regen_goldens` and compared\n\
          # by `tests/checkpoint_digests.rs`. Changing a snapshot component's byte\n\
-         # layout (a snapshot! list's entries, modes or order; a hand-written\n\
-         # codec's fields) changes the hash, and FORMAT_VERSION\n\
+         # layout (a snapshot! list's entries, modes, order or field types; a\n\
+         # hand-written codec's fields) changes the hash, and FORMAT_VERSION\n\
          # (crates/snap/src/lib.rs) must move with it.\n\
          format_version = {format_version}\n\
          hash = {:#018x}\n\

@@ -8,7 +8,8 @@
 //! run, and is snapshotted and resumed from the sealed bytes at every
 //! slice boundary. The fixture pins, per spec, a digest of every
 //! checkpoint and of the final report: any change to how the cluster
-//! steps its devices must reproduce both byte for byte.
+//! steps its devices must reproduce the reports byte for byte, and the
+//! checkpoints too unless it moves `FORMAT_VERSION`.
 
 use powadapt_cluster::{
     oversubscribed_cluster, placement_cluster, ClusterReport, ClusterSim, ClusterSpec,

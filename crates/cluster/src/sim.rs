@@ -18,7 +18,7 @@
 //! seeds, tenant seeds derived from the cluster seed): re-running a spec
 //! reproduces the report bit for bit at any worker count.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -27,7 +27,7 @@ use powadapt_device::{DeviceClass, DeviceError, IoId, IoKind, StandbyState, Stor
 use powadapt_io::{Arrival, Stepper};
 use powadapt_model::PowerThroughputModel;
 use powadapt_obs::{emit, EventKind, RecorderHandle};
-use powadapt_place::{DeviceSlot, MigrationIo, MigrationPhase, PlacementConfig, PlacementTier};
+use powadapt_place::{DeviceSlot, MigrationPhase, PlacementConfig, PlacementTier};
 use powadapt_sim::units::Micros;
 use powadapt_sim::{SimDuration, SimTime};
 use powadapt_snap::{SnapError, SnapReader, SnapWriter};
@@ -81,25 +81,17 @@ pub struct ClusterSpec {
     pub placement: Option<PlacementConfig>,
 }
 
-/// Who an in-flight IO belongs to: a tenant's arrival, or one leg of a
-/// background extent migration.
+/// Who an in-flight IO belongs to: a tenant's arrival, or the current
+/// leg of a background extent migration (the move's phase says which).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IoOwner {
     /// A tenant arrival (index into the tenant list).
     Tenant(usize),
-    /// The source read of migration `id`.
-    MigrationRead(u64),
-    /// The destination write of migration `id`.
-    MigrationWrite(u64),
+    /// The current leg of migration `id`.
+    Migration(u64),
 }
 
-powadapt_snap::codec! {
-    enum IoOwner {
-        0 => Tenant(tenant),
-        1 => MigrationRead(id),
-        2 => MigrationWrite(id),
-    }
-}
+powadapt_snap::codec! { enum IoOwner { 0 => Tenant(tenant), 1 => Migration(id) } }
 
 /// Errors from a cluster run.
 #[derive(Debug)]
@@ -110,7 +102,7 @@ pub enum ClusterError {
     /// The power tree rejected its configuration or a rebalance round.
     Tree(TreeError),
     /// An enclosure controller failed (mismatched models, or every device
-    /// refused its action).
+    /// refused its action with a non-transient error).
     Control(ControlError),
     /// A device rejected an operation with a non-transient error.
     Device(DeviceError),
@@ -389,11 +381,10 @@ pub struct ClusterSim {
     /// Integer-femtojoule energy accounts, audited every control round.
     ledger: EnergyLedger,
     /// The placement tier, when the spec configures one. Presence is part
-    /// of the spec; its dynamic state is serialized.
+    /// of the spec; its dynamic state is serialized. Its migration engine
+    /// queues the legs no device has accepted yet (transient refusals
+    /// retry on later steps, dark feeds defer).
     place: Option<PlacementTier>,
-    /// Migration IOs the tier has issued that no device has accepted yet
-    /// (transient refusals retry on later steps, dark feeds defer).
-    mig_backlog: VecDeque<MigrationIo>,
     /// Cumulative bytes completed by migration IOs — the system-tenant
     /// usage signal the ledger attributes energy against.
     mig_bytes: u64,
@@ -402,17 +393,10 @@ pub struct ClusterSim {
     /// Steps the flat devices, in flat order.
     stepper: Stepper,
     /// Flat devices whose events the loop steps at their own time: those
-    /// holding a migration leg, or every device while the backlog waits.
-    /// Rebuilt whenever a step may have changed the moves or the backlog.
+    /// holding a migration leg, or every device while a leg waits for
+    /// one. Rebuilt whenever a step may have changed the moves or the
+    /// waiting legs.
     eager: Vec<bool>,
-    /// Fixed-capacity hand-off from the hot completion drain to the
-    /// migration dispatcher: `(move id, was the destination write)`.
-    /// Pre-sized to the engine's concurrency cap (each in-flight move has
-    /// at most one IO outstanding) and always drained within the same
-    /// step, so it never grows and never lives across a snapshot.
-    mig_scratch: Vec<(u64, bool)>,
-    /// Live prefix length of `mig_scratch`.
-    mig_scratch_len: usize,
     /// Reused candidate buffer for routing an arrival; transient.
     holders_scratch: Vec<u32>,
     /// The recorder installed when the sim was built; every cluster-level
@@ -509,8 +493,10 @@ impl ClusterSim {
     }
 
     /// IOs completed and credited to tenants so far. Monotone over the
-    /// run; the final report's `served_ios` also includes the end-of-run
-    /// drain, so it can exceed the last mid-run reading.
+    /// run. A lagging device's completions are credited at the next step
+    /// that advances it, and the final report's `served_ios` also
+    /// includes the end-of-run drain, so it can exceed the last mid-run
+    /// reading.
     pub fn served_ios_so_far(&self) -> u64 {
         self.accounts.iter().map(|a| a.window.len() as u64).sum()
     }
@@ -644,7 +630,6 @@ impl ClusterSim {
                     .map_or(e as u32, |p| p as u32)
             })
             .collect();
-        let mig_cap = placement.as_ref().map_or(0, |c| c.max_active_migrations);
         let place = match placement {
             None => None,
             Some(cfg) => {
@@ -697,13 +682,10 @@ impl ClusterSim {
             faults,
             ledger,
             place,
-            mig_backlog: VecDeque::new(),
             mig_bytes: 0,
             now: start,
             stepper: Stepper::default(),
             eager: Vec::new(),
-            mig_scratch: vec![(0, false); mig_cap],
-            mig_scratch_len: 0,
             holders_scratch: Vec::new(),
             rec,
         })
@@ -764,11 +746,11 @@ impl ClusterSim {
     ///
     /// The loop steps at arrivals, sample and control ticks, tree-fault
     /// transitions and the events of the eager devices (see
-    /// [`Stepper`](powadapt_io::Stepper) for why the others may lag).
-    /// Once nothing but lagging devices' events lies before `limit`, it
-    /// steps those one event time at a time, as a loop that visited every
-    /// device event would, so `now` and every device clock end where that
-    /// loop leaves them.
+    /// [`Stepper`](powadapt_io::Stepper) for why the others may lag). It
+    /// stops after the last such step before `limit` and catches every
+    /// device up to that `now`. A lagging device's events between `now`
+    /// and `limit` run at the next step, in this process or after a
+    /// resume, in one advance, so where a slice ends moves no report.
     ///
     /// # Errors
     ///
@@ -789,16 +771,12 @@ impl ClusterSim {
                 t = t.min(w);
             }
             if t >= limit {
-                // The tail: the lagging devices' events before `limit`.
-                match self.stepper.next_wake() {
-                    Some(w) if w < limit => t = w,
-                    _ => break,
-                }
+                break;
             }
             self.step_at(t)?;
             self.now = t;
         }
-        // A caller may snapshot here: devices carry lockstep's clocks and
+        // A caller may snapshot here: every device is level with `now` and
         // every SLO window is sorted, as the codec requires.
         self.stepper
             .catch_up_all(flat_devices(&mut self.controllers), self.now);
@@ -853,10 +831,10 @@ impl ClusterSim {
         let total_bytes: u64 = tenant_reports.iter().map(|t| t.bytes).sum();
         let served_ios: u64 = tenant_reports.iter().map(|t| t.served).sum();
         let dropped: u64 = tenant_reports.iter().map(|t| t.dropped).sum();
-        let (migrations_started, migrations_completed) = self
-            .place
-            .as_ref()
-            .map_or((0, 0), PlacementTier::migrations);
+        let (migrations_started, migrations_completed) =
+            self.place.as_ref().map_or((0, 0), |tier| {
+                (tier.engine().started(), tier.engine().completed())
+            });
 
         Ok(ClusterReport {
             policy: self.policy,
@@ -882,11 +860,10 @@ impl ClusterSim {
     /// admit arrivals, process tree-fault transitions, run the control
     /// round and power sampling when due.
     fn step_at(&mut self, t: SimTime) -> Result<(), ClusterError> {
-        self.drain_completions(t);
-        // Only migration completions, the backlog and the placement round
-        // change which devices are eager.
-        let mut moved = self.mig_scratch_len > 0 || !self.mig_backlog.is_empty();
-        self.dispatch_migrations(t)?;
+        // Only migration completions, waiting legs and the placement
+        // round change which devices are eager.
+        let mut moved = self.drain_completions(t) || self.legs_waiting();
+        self.flush_migration_legs(t)?;
         self.admit_arrivals(t)?;
 
         // A breaker trip or restore forces an immediate control round so
@@ -927,8 +904,10 @@ impl ClusterSim {
     }
 
     /// Advances the due devices to `t`, in device order, crediting
-    /// completions to their tenants' SLO windows.
-    fn drain_completions(&mut self, t: SimTime) {
+    /// completions to their tenants' SLO windows and finished migration
+    /// legs to the placement tier. Returns whether a leg finished.
+    fn drain_completions(&mut self, t: SimTime) -> bool {
+        let mut legs_done = false;
         for (gi, &(e, d)) in self.flat.iter().enumerate() {
             let done = self.stepper.drain(gi, self.controllers[e].device_mut(d), t);
             for c in done {
@@ -940,115 +919,95 @@ impl ClusterSim {
                             .window
                             .observe(Micros::new(latency_us), c.len);
                     }
-                    // Migration legs are handed to the dispatcher via
-                    // the fixed-capacity scratch: the engine caps
-                    // in-flight moves at the scratch's size, so the
-                    // indexed store never overruns.
-                    Some(owner @ (IoOwner::MigrationRead(m) | IoOwner::MigrationWrite(m))) => {
-                        let write = matches!(owner, IoOwner::MigrationWrite(_));
-                        self.mig_scratch[self.mig_scratch_len] = (m, write);
-                        self.mig_scratch_len += 1;
+                    // A finished read queues the move's write leg; a
+                    // finished write commits the move.
+                    Some(IoOwner::Migration(m)) => {
+                        legs_done = true;
                         self.mig_bytes += c.len;
+                        let tier = self.place.as_mut();
+                        if let Some(m) = tier.and_then(|tier| tier.migration_leg_done(m)) {
+                            emit!(
+                                self.rec,
+                                t,
+                                "placement",
+                                EventKind::MigrationCompleted {
+                                    extent: m.extent,
+                                    from: m.from,
+                                    to: m.to,
+                                }
+                            );
+                        }
                     }
                     None => {}
                 }
             }
         }
+        legs_done
+    }
+
+    /// True while a migration leg waits for a device.
+    fn legs_waiting(&self) -> bool {
+        self.place
+            .as_ref()
+            .is_some_and(|tier| !tier.engine().legs().is_empty())
     }
 
     /// Marks the devices whose completions the cluster must act on at
-    /// their own time: the source of every move reading, the destination
-    /// of every move writing, and every device while the backlog holds a
-    /// leg (each step retries it).
+    /// their own time: the device of every move's current leg, and every
+    /// device while a leg waits for one (each step retries it).
     fn refresh_eager(&mut self) {
-        let all = !self.mig_backlog.is_empty();
+        let all = self.legs_waiting();
         self.eager.clear();
         self.eager.resize(self.flat.len(), all);
         if all {
             return;
         }
-        for m in self.place.iter().flat_map(PlacementTier::moves) {
-            let leg = match m.phase {
-                MigrationPhase::Reading => m.from,
-                MigrationPhase::Writing => m.to,
-                MigrationPhase::Queued => continue,
-            };
-            self.eager[leg as usize] = true;
-        }
-    }
-
-    /// Processes migration completions the drain handed over: a finished
-    /// source read yields the destination write (queued on the backlog),
-    /// a finished destination write commits the move in the catalog. Then
-    /// flushes the backlog against the devices.
-    fn dispatch_migrations(&mut self, t: SimTime) -> Result<(), ClusterError> {
-        if self.mig_scratch_len == 0 && self.mig_backlog.is_empty() {
-            return Ok(());
-        }
-        for k in 0..self.mig_scratch_len {
-            let (mid, was_write) = self.mig_scratch[k];
-            let Some(tier) = self.place.as_mut() else {
-                break;
-            };
-            if was_write {
-                if let Some(m) = tier.migration_write_done(mid) {
-                    emit!(
-                        self.rec,
-                        t,
-                        "placement",
-                        EventKind::MigrationCompleted {
-                            extent: m.extent,
-                            from: m.from,
-                            to: m.to,
-                        }
-                    );
-                }
-            } else if let Some(wr) = tier.migration_read_done(mid) {
-                self.mig_backlog.push_back(wr);
+        for m in self.place.iter().flat_map(|tier| tier.engine().moves()) {
+            if let Some(dev) = m.leg_device() {
+                self.eager[dev as usize] = true;
             }
         }
-        self.mig_scratch_len = 0;
-        self.flush_migration_backlog(t)
     }
 
-    /// Submits every backlogged migration IO its device will take right
-    /// now. Dark feeds and transient refusals re-queue the IO for a later
-    /// step; migration destinations in standby wake on submit (the
-    /// device-level auto-wake), which is the intended drain path.
-    fn flush_migration_backlog(&mut self, t: SimTime) -> Result<(), ClusterError> {
-        let mut remaining = self.mig_backlog.len();
-        while remaining > 0 {
-            remaining -= 1;
-            let Some(io) = self.mig_backlog.pop_front() else {
+    /// Submits every waiting migration leg its device will take right
+    /// now, oldest first. Dark feeds and transient refusals re-queue the
+    /// leg for a later step; migration destinations in standby wake on
+    /// submit (the device-level auto-wake), which is the intended drain
+    /// path.
+    fn flush_migration_legs(&mut self, t: SimTime) -> Result<(), ClusterError> {
+        let waiting = self
+            .place
+            .as_ref()
+            .map_or(0, |tier| tier.engine().legs().len());
+        for _ in 0..waiting {
+            let Some(m) = self.place.as_mut().and_then(PlacementTier::pop_leg) else {
                 break;
             };
-            let gi = io.dev as usize;
-            let (e, _) = self.flat[gi];
-            if self.faults.is_down(&self.tree, self.leaves[e]) {
-                self.mig_backlog.push_back(io);
+            let Some(gi) = m.leg_device().map(|dev| dev as usize) else {
                 continue;
-            }
-            let id = self.next_id;
-            self.next_id += 1;
+            };
+            let kind = if m.phase == MigrationPhase::Writing {
+                IoKind::Write
+            } else {
+                IoKind::Read
+            };
             let arrival = Arrival {
                 at: t,
-                kind: if io.write {
-                    IoKind::Write
-                } else {
-                    IoKind::Read
-                },
-                offset: io.offset,
-                len: io.len,
+                kind,
+                offset: m.offset,
+                len: m.len,
             };
-            if self.try_submit(gi, id, &arrival, t)? {
-                let owner = if io.write {
-                    IoOwner::MigrationWrite(io.migration)
-                } else {
-                    IoOwner::MigrationRead(io.migration)
-                };
-                self.owners.insert(id, owner);
-            } else {
-                self.mig_backlog.push_back(io);
+            let (e, _) = self.flat[gi];
+            if !self.faults.is_down(&self.tree, self.leaves[e]) {
+                let id = self.next_id;
+                self.next_id += 1;
+                if self.try_submit(gi, id, &arrival, t)? {
+                    self.owners.insert(id, IoOwner::Migration(m.id));
+                    continue;
+                }
+            }
+            if let Some(tier) = self.place.as_mut() {
+                tier.defer_leg(m.id);
             }
         }
         Ok(())
@@ -1056,11 +1015,11 @@ impl ClusterSim {
 
     /// One placement-tier round, run on the control cadence before the
     /// controller re-plans: ticks the tier (consolidation planning, rate-
-    /// limited move starts, standby-pin refresh), queues the started
-    /// source reads, and syncs the pin set into the enclosure
-    /// controllers. A changed pin invalidates the enclosure's applied
-    /// budget so the next control round re-plans it even under an
-    /// unchanged grant.
+    /// limited move starts, standby-pin refresh), submits the waiting
+    /// legs, the started moves' source reads among them, and syncs the
+    /// pin set into the enclosure controllers. A changed pin invalidates
+    /// the enclosure's applied budget so the next control round re-plans
+    /// it even under an unchanged grant.
     fn place_round(&mut self, now: SimTime) -> Result<(), ClusterError> {
         if self.place.is_none() {
             return Ok(());
@@ -1084,8 +1043,8 @@ impl ClusterSim {
             tier.tick(now, &allowed)
         };
         if let Some(tier) = self.place.as_ref() {
-            for io in &starts {
-                if let Some(m) = tier.migration(io.migration) {
+            for &id in &starts {
+                if let Some(m) = tier.engine().get(id) {
                     emit!(
                         self.rec,
                         now,
@@ -1107,8 +1066,7 @@ impl ClusterSim {
                 }
             }
         }
-        self.mig_backlog.extend(starts);
-        self.flush_migration_backlog(now)
+        self.flush_migration_legs(now)
     }
 
     /// Admits arrivals due at or before `t`, merged across tenants in
@@ -1445,6 +1403,12 @@ impl ClusterSim {
                 // configuration: the tree guarantees floors when feasible,
                 // so this only happens under pathological margins.
                 Err(ControlError::Infeasible { .. }) => self.infeasible_rounds += 1,
+                // Every device refused for now (a dropout, say): the
+                // enclosure sits this round out like a dark one and is
+                // re-planned next round.
+                Err(ControlError::Device(err)) if err.is_transient() => {
+                    self.last_applied[e] = None;
+                }
                 Err(err) => return Err(err.into()),
             }
         }
@@ -1532,7 +1496,7 @@ impl ClusterSim {
 // The cluster's complete dynamic state: event-loop cursors, routing and
 // accounting vectors, in-flight ownership, tenant streams and SLO windows,
 // every controller (devices, health, quarantine), the tree-fault phases,
-// the ledger, and the placement tier with its migration backlog.
+// the ledger, and the placement tier with its migration legs.
 // Configuration — topology, models, tenants, intervals — is rebuilt from
 // the spec on resume.
 powadapt_snap::snapshot! {
@@ -1558,7 +1522,6 @@ powadapt_snap::snapshot! {
         faults: state,
         ledger: state,
         mig_bytes,
-        mig_backlog,
         place: state,
     }
     skip {
@@ -1576,13 +1539,11 @@ powadapt_snap::snapshot! {
         start: "derived from the devices",
         t_end: "derived from the spec",
         stepper: "derived: the wake cache is rebuilt from the devices, every device touched",
-        eager: "derived from the placement tier's moves and the backlog",
-        mig_scratch: "per-step scratch, drained within the step",
-        mig_scratch_len: "per-step scratch, zero between steps",
+        eager: "derived from the placement tier's moves and waiting legs",
         holders_scratch: "per-arrival scratch",
         rec: "telemetry sink, captured at construction",
     }
-    after restore_clock, restore_owners, restore_backlog, restore_wake
+    after restore_clock, restore_owners, restore_wake
 }
 
 impl ClusterSim {
@@ -1603,9 +1564,10 @@ impl ClusterSim {
     }
 
     /// Every in-flight IO sits below the next request id and belongs to a
-    /// tenant of the spec or to an unfinished migration leg in the
-    /// matching phase.
+    /// tenant of the spec or to a migration leg: exactly one IO for each
+    /// started move whose leg is not waiting for a device.
     fn restore_owners(&mut self) -> Result<(), SnapError> {
+        let mut owned = Vec::new();
         for (&id, &owner) in &self.owners {
             if id >= self.next_id {
                 return Err(SnapError::InvalidValue(format!(
@@ -1613,57 +1575,35 @@ impl ClusterSim {
                     self.next_id
                 )));
             }
-            let (mid, phase) = match owner {
-                IoOwner::Tenant(t) if t < self.tenants.len() => continue,
+            match owner {
+                IoOwner::Tenant(t) if t < self.tenants.len() => {}
                 IoOwner::Tenant(t) => {
                     return Err(SnapError::InvalidValue(format!(
                         "in-flight IO {id} owned by tenant {t}, cluster has {}",
                         self.tenants.len()
                     )))
                 }
-                IoOwner::MigrationRead(m) => (m, MigrationPhase::Reading),
-                IoOwner::MigrationWrite(m) => (m, MigrationPhase::Writing),
-            };
-            if !self.migration_in_phase(mid, phase) {
-                return Err(SnapError::InvalidValue(format!(
-                    "in-flight IO {id} belongs to migration {mid}, which is missing or out of phase"
-                )));
+                IoOwner::Migration(m) => owned.push(m),
             }
         }
-        Ok(())
-    }
-
-    /// Backlogged migration legs target real devices and never
-    /// double-issue a leg already in flight.
-    fn restore_backlog(&mut self) -> Result<(), SnapError> {
-        for io in &self.mig_backlog {
-            if io.dev as usize >= self.flat.len() {
-                return Err(SnapError::InvalidValue(format!(
-                    "backlogged migration IO targets device {}, cluster has {}",
-                    io.dev,
-                    self.flat.len()
-                )));
-            }
-            let phase = if io.write {
-                MigrationPhase::Writing
-            } else {
-                MigrationPhase::Reading
-            };
-            if !self.migration_in_phase(io.migration, phase) {
-                return Err(SnapError::InvalidValue(format!(
-                    "backlogged migration IO for move {}, which is missing or out of phase",
-                    io.migration
-                )));
-            }
+        owned.sort_unstable();
+        let held: Vec<u64> = self
+            .place
+            .iter()
+            .map(PlacementTier::engine)
+            .flat_map(|engine| {
+                engine
+                    .moves()
+                    .filter(|m| m.leg_device().is_some() && !engine.legs().contains(&m.id))
+                    .map(|m| m.id)
+            })
+            .collect();
+        if owned != held {
+            return Err(SnapError::InvalidValue(format!(
+                "migration IOs in flight for moves {owned:?}, but devices hold the legs of {held:?}"
+            )));
         }
         Ok(())
-    }
-
-    fn migration_in_phase(&self, id: u64, phase: MigrationPhase) -> bool {
-        self.place
-            .as_ref()
-            .and_then(|tier| tier.migration(id))
-            .is_some_and(|m| m.phase == phase)
     }
 }
 

@@ -10,7 +10,8 @@
 )]
 
 use powadapt_cluster::{placement_cluster, run_cluster, ClusterReport, ClusterSim, PlacementArm};
-use powadapt_sim::SimDuration;
+use powadapt_device::{FaultInjector, FaultPlan};
+use powadapt_sim::{SimDuration, SimTime};
 
 fn run(arm: PlacementArm) -> ClusterReport {
     run_cluster(placement_cluster(arm, 42)).unwrap()
@@ -126,7 +127,7 @@ fn checkpoint_mid_migration_resumes_bit_exact() {
     let quarter = sim.start_time()
         + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 4);
     sim.run_to(quarter).unwrap();
-    let pending = sim.placement().unwrap().pending_migrations();
+    let pending = sim.placement().unwrap().engine().pending();
     assert!(
         pending > 0,
         "the checkpoint must land mid-migration to exercise in-flight state"
@@ -136,4 +137,22 @@ fn checkpoint_mid_migration_resumes_bit_exact() {
 
     let resumed = ClusterSim::resume(spec(), &snap).unwrap().finish().unwrap();
     assert_eq!(resumed, straight);
+}
+
+/// A dropout over the one Exos of `enc-cold0` covers the 40 s round,
+/// where the first consolidation batch unpins the cold tier and the
+/// enclosure is re-planned. Its only device refuses, so the round sits
+/// the enclosure out like a dark one, and the run completes within caps.
+#[test]
+fn dropout_over_a_single_device_enclosure_is_ridden_out() {
+    let mut spec = placement_cluster(PlacementArm::TempDriven, 42);
+    let enc = spec.enclosures.iter_mut().find(|e| e.name == "enc-cold0");
+    let enc = enc.unwrap();
+    let dev = enc.devices.pop().unwrap();
+    assert!(enc.devices.is_empty());
+    let plan =
+        FaultPlan::none().dropout(SimTime::from_millis(39_500), SimTime::from_millis(40_500));
+    enc.devices
+        .push(Box::new(FaultInjector::seeded(dev, plan, 7)));
+    assert!(run_cluster(spec).unwrap().caps_respected());
 }

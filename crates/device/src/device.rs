@@ -60,27 +60,28 @@ pub trait StorageDevice: fmt::Debug {
 
     /// Advances the device to time `t`, processing all internal events up to
     /// and including `t`, and returns the completions that occurred.
+    /// Provided over [`StorageDevice::advance_to_into`].
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than [`StorageDevice::now`].
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion>;
+    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
+        let mut out = Vec::new();
+        self.advance_to_into(t, &mut out);
+        out
+    }
 
     /// Advances the device to time `t` like [`StorageDevice::advance_to`],
     /// appending completions to `out` instead of returning a fresh vector.
     ///
-    /// Experiment loops call this once per event step, so the in-repo
-    /// devices override it to drain their internal completion arena
-    /// without allocating; the caller's buffer is reused across steps.
-    /// The default delegates to `advance_to`, keeping third-party device
-    /// types valid.
+    /// Experiment loops call this once per event step and reuse `out`
+    /// across steps, so a device drains its internal completion arena
+    /// without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than [`StorageDevice::now`].
-    fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
-        out.extend(self.advance_to(t));
-    }
+    fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>);
 
     /// Steps the device event by event until one step completes an IO,
     /// or up to `limit`, and returns the time it stopped at.

@@ -383,12 +383,6 @@ impl StorageDevice for FaultInjector {
         }
     }
 
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
-
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         let start = out.len();
         self.inner.advance_to_into(t, out);

@@ -576,12 +576,6 @@ impl StorageDevice for Hdd {
         self.events.next_time()
     }
 
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
-
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         assert!(
             t >= self.now,

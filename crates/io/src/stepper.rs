@@ -45,10 +45,10 @@
 //!   first, in one `advance_to_into(t)` across all of its events, which a
 //!   device must make equal to advancing at each of them
 //!   (`crates/device/tests/properties.rs` checks this per device model).
-//! - Before a `run_to` slice ends, the cluster steps the lazy devices'
-//!   remaining events before the limit one event time at a time, as
-//!   lockstep would, so its clock, the device clocks and the checkpoint
-//!   bytes at the boundary are lockstep's.
+//! - A `run_to` slice ends at its last step: every device is caught up
+//!   to it, and a lazy device's later events wait for the next step,
+//!   which drains them in one advance as mid-slice. Reports do not see
+//!   slice ends; checkpoints (pinned since snapshot format 6) do.
 //!
 //! The cache is a plain scan: at 4–8 devices a heap costs more.
 

@@ -58,11 +58,6 @@ impl StorageDevice for EagerAck {
     fn next_event(&mut self) -> Option<SimTime> {
         self.inner.next_event()
     }
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         out.append(&mut self.acked);
         self.inner.advance_to_into(t, out);

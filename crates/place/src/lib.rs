@@ -36,6 +36,6 @@ pub mod temperature;
 pub mod tier;
 
 pub use catalog::{Extent, ExtentCatalog, ExtentKey};
-pub use migrate::{Migration, MigrationEngine, MigrationIo, MigrationPhase};
+pub use migrate::{Migration, MigrationEngine, MigrationPhase};
 pub use temperature::Temperature;
 pub use tier::{DeviceSlot, Placed, PlacementConfig, PlacementMode, PlacementTier};

@@ -3,10 +3,12 @@
 //!
 //! A *move* relocates one extent replica: read the extent off the source
 //! device, write it to the destination, then commit the holder change in
-//! the catalog. The engine owns the move lifecycle and the rate limit;
-//! the cluster layer issues the actual IOs through the fleet runner and
-//! reports completions back, so migration traffic shares queues, power,
-//! and breaker caps with tenant IO instead of bypassing them.
+//! the catalog. The engine owns the move lifecycle, the rate limit and
+//! the queue of legs awaiting a device; a leg (which device, read or
+//! write) follows from its move's phase. The cluster layer issues the
+//! actual IOs through the fleet runner and reports completions back, so
+//! migration traffic shares queues, power, and breaker caps with tenant
+//! IO instead of bypassing them.
 //!
 //! Rate limiting is a token allowance computed from absolute sim time:
 //! `allowance(t) = rate_bps * t / 1s`, with `spent` bytes charged as moves
@@ -15,8 +17,7 @@
 //! would have. Unused allowance is clamped to one `burst_bytes` window so
 //! a long-idle engine cannot unleash a migration storm.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use powadapt_sim::SimTime;
 use powadapt_snap::{ById, Keyed, SnapError};
@@ -35,7 +36,7 @@ pub enum MigrationPhase {
 powadapt_snap::codec! { enum MigrationPhase { 0 => Queued, 1 => Reading, 2 => Writing } }
 
 /// One extent move, from enqueue to commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {
     /// Engine-wide move id, never reused.
     pub id: u64,
@@ -55,36 +56,34 @@ pub struct Migration {
 
 powadapt_snap::snapshot! { value Migration { id, extent, from, to, offset, len, phase } }
 
+impl Migration {
+    /// The device of the move's current leg: the source while reading,
+    /// the destination while writing, none while queued.
+    pub fn leg_device(&self) -> Option<u32> {
+        match self.phase {
+            MigrationPhase::Queued => None,
+            MigrationPhase::Reading => Some(self.from),
+            MigrationPhase::Writing => Some(self.to),
+        }
+    }
+}
+
 impl Keyed for Migration {
     fn key(&self) -> u64 {
         self.id
     }
 }
 
-/// One migration IO the cluster layer must issue on the engine's behalf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationIo {
-    /// The move this IO belongs to.
-    pub migration: u64,
-    /// Flat device index to submit against.
-    pub dev: u32,
-    /// True for the destination write, false for the source read.
-    pub write: bool,
-    /// Device offset (pre-clamp).
-    pub offset: u64,
-    /// Transfer length in bytes.
-    pub len: u64,
-}
-
-powadapt_snap::codec! { MigrationIo { migration, dev, write, offset, len } }
-
 /// The deterministic move queue + token allowance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationEngine {
-    /// Move ids awaiting start, in enqueue order.
-    queue: VecDeque<u64>,
-    /// Every unfinished move (queued or in flight), by id.
+    /// Every unfinished move, by id. The queued ones await a start in id
+    /// order, which is enqueue order.
     moves: BTreeMap<u64, Migration>,
+    /// Started moves whose current leg no device has taken yet, oldest
+    /// first: a fresh move's source read, a finished read's destination
+    /// write, or a leg a device refused.
+    legs: VecDeque<u64>,
     /// Next move id to assign.
     next_id: u64,
     /// Sustained migration rate in bytes/second; 0 disables migration.
@@ -93,12 +92,8 @@ pub struct MigrationEngine {
     burst_bytes: u64,
     /// Cumulative bytes charged against the allowance.
     spent_bytes: u64,
-    /// Moves with an IO currently in flight.
-    inflight: usize,
-    /// Cap on concurrently in-flight moves.
+    /// Cap on concurrently started moves.
     max_active: usize,
-    /// Moves started, lifetime.
-    started: u64,
     /// Moves committed, lifetime.
     completed: u64,
 }
@@ -107,15 +102,13 @@ impl MigrationEngine {
     /// A new engine with the given rate limit and concurrency cap.
     pub fn new(rate_bps: u64, burst_bytes: u64, max_active: usize) -> Self {
         MigrationEngine {
-            queue: VecDeque::new(),
             moves: BTreeMap::new(),
+            legs: VecDeque::new(),
             next_id: 0,
             rate_bps,
             burst_bytes,
             spent_bytes: 0,
-            inflight: 0,
             max_active,
-            started: 0,
             completed: 0,
         }
     }
@@ -145,7 +138,6 @@ impl MigrationEngine {
                 phase: MigrationPhase::Queued,
             },
         );
-        self.queue.push_back(id);
         id
     }
 
@@ -162,71 +154,72 @@ impl MigrationEngine {
     }
 
     /// Starts every queued move the allowance, the concurrency cap, and
-    /// the per-device gate permit, in enqueue order; returns the source
-    /// reads to issue. Moves whose endpoints `allowed` rejects stay
-    /// queued in order for a later round (breaker-cap coordination).
-    pub fn start_ready(&mut self, now: SimTime, allowed: &[bool]) -> Vec<MigrationIo> {
+    /// the per-device gate permit, in enqueue order, and queues their
+    /// source reads as legs; returns the started move ids. Moves whose
+    /// endpoints `allowed` rejects stay queued in order for a later round
+    /// (breaker-cap coordination).
+    pub fn start_ready(&mut self, now: SimTime, allowed: &[bool]) -> Vec<u64> {
         let mut out = Vec::new();
         let mut budget = self.available(now);
-        let mut deferred: VecDeque<u64> = VecDeque::new();
-        while let Some(id) = self.queue.pop_front() {
-            if self.inflight >= self.max_active || budget == 0 {
-                deferred.push_back(id);
-                continue;
+        let gate_ok = |d: u32| allowed.get(d as usize).copied().unwrap_or(false);
+        let mut active = self.moves().filter(|m| m.leg_device().is_some()).count();
+        for m in self.moves.values_mut() {
+            if active >= self.max_active || budget == 0 {
+                break;
             }
-            let Some(m) = self.moves.get_mut(&id) else {
-                continue;
-            };
-            let gate_ok = |d: u32| allowed.get(d as usize).copied().unwrap_or(false);
-            if !gate_ok(m.from) || !gate_ok(m.to) || m.len > budget {
-                deferred.push_back(id);
+            if m.phase != MigrationPhase::Queued
+                || !gate_ok(m.from)
+                || !gate_ok(m.to)
+                || m.len > budget
+            {
                 continue;
             }
             budget -= m.len;
             self.spent_bytes += m.len;
-            self.inflight += 1;
-            self.started += 1;
+            active += 1;
             m.phase = MigrationPhase::Reading;
-            out.push(MigrationIo {
-                migration: id,
-                dev: m.from,
-                write: false,
-                offset: m.offset,
-                len: m.len,
-            });
+            self.legs.push_back(m.id);
+            out.push(m.id);
         }
-        self.queue = deferred;
         out
     }
 
-    /// The source read of move `id` completed: returns the destination
-    /// write to issue. `None` for unknown or out-of-phase ids.
-    pub fn read_done(&mut self, id: u64) -> Option<MigrationIo> {
+    /// The in-flight leg of move `id` completed. A finished source read
+    /// queues the destination write and returns `None`; a finished
+    /// destination write removes the move and returns it, for the caller
+    /// to commit. `None` too for unknown or queued ids.
+    pub fn leg_done(&mut self, id: u64) -> Option<Migration> {
         let m = self.moves.get_mut(&id)?;
-        if m.phase != MigrationPhase::Reading {
-            return None;
+        match m.phase {
+            MigrationPhase::Queued => None,
+            MigrationPhase::Reading => {
+                m.phase = MigrationPhase::Writing;
+                self.legs.push_back(id);
+                None
+            }
+            MigrationPhase::Writing => {
+                self.completed += 1;
+                self.moves.remove(&id)
+            }
         }
-        m.phase = MigrationPhase::Writing;
-        Some(MigrationIo {
-            migration: id,
-            dev: m.to,
-            write: true,
-            offset: m.offset,
-            len: m.len,
-        })
     }
 
-    /// The destination write of move `id` completed: the move is done and
-    /// removed; the caller commits the holder change. `None` for unknown
-    /// or out-of-phase ids.
-    pub fn write_done(&mut self, id: u64) -> Option<Migration> {
-        if self.moves.get(&id)?.phase != MigrationPhase::Writing {
-            return None;
-        }
-        let m = self.moves.remove(&id)?;
-        self.inflight -= 1;
-        self.completed += 1;
-        Some(m)
+    /// Takes the oldest leg awaiting a device: its move, whose phase
+    /// names the leg. A caller whose device refuses it hands it back with
+    /// [`defer_leg`](Self::defer_leg).
+    pub fn pop_leg(&mut self) -> Option<Migration> {
+        let id = self.legs.pop_front()?;
+        self.moves.get(&id).copied()
+    }
+
+    /// Re-queues move `id`'s leg behind every other waiting leg.
+    pub fn defer_leg(&mut self, id: u64) {
+        self.legs.push_back(id);
+    }
+
+    /// The moves whose leg awaits a device, oldest first.
+    pub fn legs(&self) -> &VecDeque<u64> {
+        &self.legs
     }
 
     /// Unfinished moves (queued + in flight).
@@ -244,9 +237,10 @@ impl MigrationEngine {
         self.moves.values()
     }
 
-    /// Moves started over the engine's lifetime.
+    /// Moves started over the engine's lifetime: the committed ones and
+    /// those in flight.
     pub fn started(&self) -> u64 {
-        self.started
+        self.completed + self.moves().filter(|m| m.leg_device().is_some()).count() as u64
     }
 
     /// Moves committed over the engine's lifetime.
@@ -265,51 +259,35 @@ powadapt_snap::snapshot! {
         max_active,
         next_id,
         spent_bytes,
-        inflight,
-        started,
         completed,
         moves: with(ById),
-        queue,
+        legs,
     }
-    after restore_queue
+    after restore_moves
 }
 
 impl MigrationEngine {
-    /// Every move id is below `next_id`, the queue holds exactly the
-    /// queued moves, and the in-flight count matches the rest.
-    fn restore_queue(&mut self) -> Result<(), SnapError> {
+    /// Every move id is below `next_id`, and each leg awaiting a device
+    /// belongs to a distinct move in flight.
+    fn restore_moves(&mut self) -> Result<(), SnapError> {
         if let Some(m) = self.moves.values().find(|m| m.id >= self.next_id) {
             return Err(SnapError::InvalidValue(format!(
                 "migration id {} is not below next_id {}",
                 m.id, self.next_id
             )));
         }
-        for &id in &self.queue {
-            if !self
-                .moves
-                .get(&id)
-                .is_some_and(|m| m.phase == MigrationPhase::Queued)
-            {
-                return Err(SnapError::InvalidValue(format!(
-                    "queued migration id {id} is unknown or not in the queued phase"
-                )));
-            }
+        let mut seen = BTreeSet::new();
+        let in_flight = |id| self.get(id).and_then(Migration::leg_device).is_some();
+        match self
+            .legs
+            .iter()
+            .find(|&&id| !seen.insert(id) || !in_flight(id))
+        {
+            Some(id) => Err(SnapError::InvalidValue(format!(
+                "migration leg of move {id}: the move is unknown, queued, or has two legs"
+            ))),
+            None => Ok(()),
         }
-        let queued = self
-            .moves
-            .values()
-            .filter(|m| m.phase == MigrationPhase::Queued)
-            .count();
-        let live = self.moves.len() - queued;
-        if queued != self.queue.len() || live != self.inflight {
-            return Err(SnapError::InvalidValue(format!(
-                "migration phase accounting mismatch: {queued} queued vs queue len {}, \
-                 {live} in flight vs recorded {}",
-                self.queue.len(),
-                self.inflight
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -338,8 +316,9 @@ mod tests {
         let t1 = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(1);
         let started = e.start_ready(t1, ALL);
         assert_eq!(started.len(), 1);
-        assert!(!started[0].write);
-        assert_eq!(started[0].dev, 0);
+        let leg = e.pop_leg().unwrap();
+        assert_eq!(leg.phase, MigrationPhase::Reading);
+        assert_eq!(leg.leg_device(), Some(0));
         assert_eq!(e.pending(), 2);
         // A second later the other move's bytes have accrued.
         let t2 = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(2);
@@ -366,13 +345,12 @@ mod tests {
         let mut allowed = vec![true; 8];
         allowed[3] = false;
         let t = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(1);
-        let started = e.start_ready(t, &allowed);
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].migration, b);
+        assert_eq!(e.start_ready(t, &allowed), [b]);
         allowed[3] = true;
-        let started = e.start_ready(t, &allowed);
-        assert_eq!(started.len(), 1);
-        assert_eq!(started[0].migration, a);
+        assert_eq!(e.start_ready(t, &allowed), [a]);
+        // Their source reads wait in start order.
+        assert_eq!(e.pop_leg().unwrap().id, b);
+        assert_eq!(e.pop_leg().unwrap().id, a);
     }
 
     #[test]
@@ -380,19 +358,33 @@ mod tests {
         let mut e = engine();
         let id = e.enqueue(7, 0, 1, 4096, 100);
         let t = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(1);
-        assert_eq!(e.start_ready(t, ALL).len(), 1);
+        assert_eq!(e.start_ready(t, ALL), [id]);
         assert!(e.busy(0) && e.busy(1) && !e.busy(2));
         assert!(e.moving(7));
-        let wr = e.read_done(id).unwrap();
-        assert!(wr.write);
-        assert_eq!(wr.dev, 1);
+        assert_eq!(e.pop_leg().unwrap().leg_device(), Some(0));
+        assert!(e.leg_done(id).is_none());
+        let wr = e.pop_leg().unwrap();
+        assert_eq!(wr.phase, MigrationPhase::Writing);
+        assert_eq!(wr.leg_device(), Some(1));
         assert_eq!(wr.offset, 4096);
-        assert!(e.read_done(id).is_none());
-        let done = e.write_done(id).unwrap();
+        assert!(e.legs().is_empty());
+        let done = e.leg_done(id).unwrap();
         assert_eq!(done.extent, 7);
         assert_eq!((e.started(), e.completed()), (1, 1));
         assert_eq!(e.pending(), 0);
         assert!(!e.busy(0));
+    }
+
+    /// `e` through a snapshot into a fresh engine.
+    fn restored(e: &MigrationEngine) -> Result<MigrationEngine, SnapError> {
+        let mut w = SnapWriter::new();
+        e.write_state(&mut w)?;
+        let payload = w.into_payload();
+        let mut fresh = MigrationEngine::new(0, 0, 0);
+        let mut r = SnapReader::new(&payload);
+        fresh.read_state(&mut r)?;
+        r.finish()?;
+        Ok(fresh)
     }
 
     #[test]
@@ -402,29 +394,29 @@ mod tests {
         e.enqueue(1, 2, 3, 0, 500);
         let t = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(1);
         let _ = e.start_ready(t, ALL);
-        let _ = e.read_done(id);
-        let mut w = SnapWriter::new();
-        e.write_state(&mut w).unwrap();
-        let payload = w.into_payload();
-        let mut fresh = MigrationEngine::new(0, 0, 0);
-        let mut r = SnapReader::new(&payload);
-        fresh.read_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(fresh, e);
+        let _ = e.pop_leg();
+        let _ = e.leg_done(id);
+        assert_eq!(restored(&e).unwrap(), e);
     }
 
     #[test]
     fn restore_rejects_inconsistent_queue() {
         let mut e = engine();
-        e.enqueue(0, 0, 1, 0, 500);
-        let mut w = SnapWriter::new();
-        e.write_state(&mut w).unwrap();
-        let mut payload = w.into_payload();
-        // Flip the queued id to an unknown one (last 8 bytes).
-        let n = payload.len();
-        payload[n - 8] = 0xFF;
-        let mut fresh = MigrationEngine::new(0, 0, 0);
-        let mut r = SnapReader::new(&payload);
-        assert!(fresh.read_state(&mut r).is_err());
+        let started = e.enqueue(0, 0, 1, 0, 500);
+        let queued = e.enqueue(1, 2, 3, 0, 500);
+        e.max_active = 1;
+        let t = SimTime::ZERO + powadapt_sim::SimDuration::from_secs(1);
+        assert_eq!(e.start_ready(t, ALL), [started]);
+        for (legs, ok) in [
+            (&[started][..], true),
+            // A device holds the leg.
+            (&[], true),
+            (&[queued], false),
+            (&[99], false),
+            (&[started, started], false),
+        ] {
+            e.legs = legs.iter().copied().collect();
+            assert_eq!(restored(&e).is_ok(), ok, "{legs:?}");
+        }
     }
 }

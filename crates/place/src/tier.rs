@@ -13,7 +13,7 @@ use powadapt_sim::{SimDuration, SimTime};
 use powadapt_snap::SnapError;
 
 use crate::catalog::ExtentCatalog;
-use crate::migrate::{Migration, MigrationEngine, MigrationIo};
+use crate::migrate::{Migration, MigrationEngine};
 
 /// Heat contributed per 4 KiB page accessed: temperatures read as "pages
 /// touched per window", decayed by half each window.
@@ -348,9 +348,9 @@ impl PlacementTier {
     /// One control-round tick: runs the consolidation planner at batch
     /// boundaries, starts rate-limited moves whose endpoints `allowed`
     /// clears (devices outside their breaker headroom stay untouched),
-    /// and refreshes the standby pin set. Returns the source reads to
-    /// issue.
-    pub fn tick(&mut self, now: SimTime, allowed: &[bool]) -> Vec<MigrationIo> {
+    /// and refreshes the standby pin set. Returns the started move ids;
+    /// their source reads wait as legs ([`pop_leg`](Self::pop_leg)).
+    pub fn tick(&mut self, now: SimTime, allowed: &[bool]) -> Vec<u64> {
         let window = self.window(now);
         if self.cfg.consolidate {
             let batch = now.as_nanos() / self.cfg.batch_window.as_nanos();
@@ -368,17 +368,12 @@ impl PlacementTier {
         starts
     }
 
-    /// Forwards a completed migration source read; returns the
-    /// destination write to issue.
-    pub fn migration_read_done(&mut self, id: u64) -> Option<MigrationIo> {
-        self.engine.read_done(id)
-    }
-
-    /// Forwards a completed migration destination write; commits the
-    /// holder change and releases the source's capacity. Returns the
+    /// Forwards a completed migration leg. A finished source read queues
+    /// the destination write; a finished destination write commits the
+    /// holder change, releases the source's capacity, and returns the
     /// committed move.
-    pub fn migration_write_done(&mut self, id: u64) -> Option<Migration> {
-        let m = self.engine.write_done(id)?;
+    pub fn migration_leg_done(&mut self, id: u64) -> Option<Migration> {
+        let m = self.engine.leg_done(id)?;
         self.catalog.replace_holder(m.extent, m.from, m.to);
         self.used[m.from as usize] = self.used[m.from as usize].saturating_sub(m.len);
         self.moved_bytes += m.len;
@@ -405,24 +400,20 @@ impl PlacementTier {
         &self.used
     }
 
-    /// Lifetime (started, completed) move counts.
-    pub fn migrations(&self) -> (u64, u64) {
-        (self.engine.started(), self.engine.completed())
+    /// The migration engine: its moves, legs and lifetime counts.
+    pub fn engine(&self) -> &MigrationEngine {
+        &self.engine
     }
 
-    /// Unfinished moves (queued + in flight).
-    pub fn pending_migrations(&self) -> usize {
-        self.engine.pending()
+    /// Takes the oldest migration leg awaiting a device; see
+    /// [`MigrationEngine::pop_leg`].
+    pub fn pop_leg(&mut self) -> Option<Migration> {
+        self.engine.pop_leg()
     }
 
-    /// The unfinished move with `id`, if any.
-    pub fn migration(&self, id: u64) -> Option<&Migration> {
-        self.engine.get(id)
-    }
-
-    /// Every unfinished move (queued or in flight), in id order.
-    pub fn moves(&self) -> impl Iterator<Item = &Migration> {
-        self.engine.moves()
+    /// Re-queues move `id`'s leg behind every other waiting leg.
+    pub fn defer_leg(&mut self, id: u64) {
+        self.engine.defer_leg(id);
     }
 }
 
@@ -463,13 +454,13 @@ impl PlacementTier {
             }
         }
         for m in self.engine.moves() {
-            let slot = expect.get_mut(m.to as usize).ok_or_else(|| {
-                SnapError::InvalidValue(format!(
-                    "migration {} destination {} is out of range for {n} devices",
-                    m.id, m.to
-                ))
-            })?;
-            *slot += m.len;
+            if m.from as usize >= n || m.to as usize >= n {
+                return Err(SnapError::InvalidValue(format!(
+                    "migration {} from {} to {} is out of range for {n} devices",
+                    m.id, m.from, m.to
+                )));
+            }
+            expect[m.to as usize] += m.len;
         }
         if expect != self.used {
             return Err(SnapError::InvalidValue(
@@ -604,16 +595,13 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_secs(8);
         let starts = tier.tick(t, ALL);
         assert_eq!(starts.len(), 1);
-        let io = starts[0];
-        assert!(!io.write);
-        assert_eq!(io.dev, 0);
-        let dest = {
-            let wr = tier.migration_read_done(io.migration).unwrap();
-            assert!(wr.write);
-            wr.dev
-        };
+        let read = tier.pop_leg().unwrap();
+        assert_eq!(read.id, starts[0]);
+        assert_eq!(read.leg_device(), Some(0));
+        assert!(tier.migration_leg_done(read.id).is_none());
+        let dest = tier.pop_leg().unwrap().leg_device().unwrap();
         assert!(!tier.pinned()[0] && !tier.pinned()[dest as usize]);
-        let done = tier.migration_write_done(io.migration).unwrap();
+        let done = tier.migration_leg_done(read.id).unwrap();
         assert_eq!(done.from, 0);
         assert_eq!(done.to, dest);
         // Capacity followed the move and the system moved-bytes account
@@ -656,7 +644,8 @@ mod tests {
         let starts = tier.tick(t, ALL);
         assert!(!starts.is_empty());
         // One move advanced to the write phase, others queued/reading.
-        let _ = tier.migration_read_done(starts[0].migration).unwrap();
+        assert_eq!(tier.pop_leg().unwrap().id, starts[0]);
+        assert!(tier.migration_leg_done(starts[0]).is_none());
         let mut w = SnapWriter::new();
         tier.write_state(&mut w).unwrap();
         let payload = w.into_payload();

@@ -30,8 +30,9 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct RollingMean {
     window: SimDuration,
-    /// Completed segments `(start, end, value)` inside the window, oldest first.
-    segments: VecDeque<(SimTime, SimTime, f64)>,
+    /// Completed segments `(start, value)` inside the window, oldest
+    /// first. Each ends where the next starts, the last at `open_since`.
+    segments: VecDeque<(SimTime, f64)>,
     /// Sum of `value * seconds` over `segments`.
     area: f64,
     /// Start time and value of the still-open segment.
@@ -79,9 +80,8 @@ impl RollingMean {
             self.open_since
         );
         if at > self.open_since {
-            let seg = (self.open_since, at, self.open_value);
             self.area += self.open_value * (at - self.open_since).as_secs_f64();
-            self.segments.push_back(seg);
+            self.segments.push_back((self.open_since, self.open_value));
         }
         self.open_since = at;
         self.open_value = value;
@@ -112,9 +112,9 @@ impl RollingMean {
         // Area of completed segments clipped to [from, now] plus the open tail.
         let mut area = self.area;
         // The front segment may straddle `from`; subtract the part before it.
-        if let Some(&(s, e, v)) = self.segments.front() {
+        if let Some(&(s, v)) = self.segments.front() {
             if s < from {
-                let clipped_end = e.min(from);
+                let clipped_end = self.front_end().min(from);
                 area -= v * (clipped_end - s).as_secs_f64();
             }
         }
@@ -130,7 +130,8 @@ impl RollingMean {
             return;
         };
         // Drop segments that ended at or before the cutoff.
-        while let Some(&(s, e, v)) = self.segments.front() {
+        while let Some(&(s, v)) = self.segments.front() {
+            let e = self.front_end();
             if e <= cutoff {
                 self.area -= v * (e - s).as_secs_f64();
                 self.segments.pop_front();
@@ -138,6 +139,12 @@ impl RollingMean {
                 break;
             }
         }
+    }
+
+    /// Where the oldest retained segment ends: where the next one starts,
+    /// or where the open segment does.
+    fn front_end(&self) -> SimTime {
+        self.segments.get(1).map_or(self.open_since, |&(s, _)| s)
     }
 
     /// Number of retained segments (diagnostic).
@@ -158,10 +165,14 @@ powadapt_snap::snapshot! {
 }
 
 impl RollingMean {
+    /// Every segment starts before the next boundary (the next segment's
+    /// start, or the open segment's), so each has a positive length.
     fn restore_segments(&mut self) -> Result<(), powadapt_snap::SnapError> {
-        match self.segments.iter().find(|&&(s, e, _)| e < s) {
-            Some(&(s, e, _)) => Err(powadapt_snap::SnapError::InvalidValue(format!(
-                "rolling segment ends at {e} before it starts at {s}"
+        let starts = self.segments.iter().map(|&(s, _)| s);
+        let ends = starts.clone().skip(1).chain([self.open_since]);
+        match starts.zip(ends).find(|&(s, e)| s >= e) {
+            Some((s, e)) => Err(powadapt_snap::SnapError::InvalidValue(format!(
+                "rolling segment starts at {s}, not before its end at {e}"
             ))),
             None => Ok(()),
         }
@@ -239,6 +250,25 @@ mod tests {
         let mut rm = RollingMean::new(SimDuration::from_secs(1), 0.0);
         rm.push(s(5), 1.0);
         rm.push(s(4), 2.0);
+    }
+
+    #[test]
+    fn restore_rejects_a_segment_not_before_its_end() {
+        let mut rm = RollingMean::new(SimDuration::from_secs(10), 1.0);
+        for k in 1..4 {
+            rm.push(s(k), k as f64);
+        }
+        // Segments start at 0, 1 and 2 s, the open one at 3 s: a start
+        // moved onto the next boundary, or past it, is rejected.
+        for (i, to, ok) in [(0, 0, true), (0, 1, false), (2, 3, false), (1, 5, false)] {
+            let mut moved = rm.clone();
+            moved.segments[i].0 = s(to);
+            assert_eq!(
+                moved.restore_segments().is_ok(),
+                ok,
+                "segment {i} at {to} s"
+            );
+        }
     }
 
     #[test]

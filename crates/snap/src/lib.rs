@@ -64,10 +64,15 @@ pub const MAGIC: [u8; 4] = *b"PSNP";
 /// migrations, standby pins), cluster IO-owner tagging, the ledger's
 /// reserved system account, and the HDD write-through media-op variant;
 /// 5 = word-wise envelope checksum (four `u64` lanes) in place of the
-/// byte-at-a-time FNV-1a, with the payload bytes unchanged from 4.
+/// byte-at-a-time FNV-1a, with the payload bytes unchanged from 4;
+/// 6 = each fact stored once: a rolling-mean segment is `(start, value)`,
+/// the migration engine keeps the legs awaiting a device as move ids and
+/// derives its start queue and counts from its moves (the cluster's leg
+/// backlog and read/write owner split go), and a `run_to` slice leaves
+/// lagging devices at the cluster clock.
 /// Older checkpoints are rejected with [`SnapError::UnsupportedVersion`]
 /// rather than mis-parsed.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Typed failures of snapshot decoding. Every malformed input maps to one
 /// of these; decoding never panics.

@@ -18,8 +18,8 @@
 //!
 //! It also compares the snapshot ABI lock (`goldens/snapshot_abi.lock`),
 //! which sees what the digests cannot: a reorder of entries whose bytes
-//! happen to be equal in every fixture checkpoint, and components no
-//! fixture reaches. The digests see what the lock cannot: `codec!` sites,
+//! happen to be equal in every fixture checkpoint, a retyped field, and
+//! components no fixture reaches. The digests see what the lock cannot: `codec!` sites,
 //! `Wire` adapters and primitive encodings.
 
 use std::fs;
@@ -180,7 +180,12 @@ fn snapshot_abi_lock_catches_layout_drift() {
         ),
         (
             "Temperature { value, last_window }",
-            "Temperature { value, last_window, planted }",
+            "Temperature { value, last_window, value }",
+        ),
+        // A type-only change: format 5's rolling-mean segments.
+        (
+            "segments: VecDeque<(SimTime, f64)>,",
+            "segments: VecDeque<(SimTime, SimTime, f64)>,",
         ),
     ];
     for (from, to) in unbumped {
@@ -197,6 +202,9 @@ fn snapshot_abi_lock_catches_layout_drift() {
     assert!(verdict.is_err_and(|e| e.contains("stale")));
     let skipped = edit("skip { capacity:", "skip { planted: \"derived\", capacity:");
     assert_eq!(abi_verdict(&lock(&skipped, FORMAT_VERSION), &base), Ok(()));
+    // An entry the struct does not declare has no type to lock.
+    let planted = edit(unbumped[2].0, "Temperature { value, last_window, planted }");
+    assert!(snapshot_abi_lock(&planted, FORMAT_VERSION).is_err());
     let mut unlisted = sources.clone();
     unlisted[0].1.push_str("\nimpl Snapshot for Planted {}\n");
     assert!(snapshot_abi_lock(&unlisted, FORMAT_VERSION).is_err());

@@ -4,10 +4,10 @@
 //! `cluster_slices` fixture byte for byte — every checkpoint and every
 //! report.
 //!
-//! The fixture was written by the lockstep cluster loop, which visited
-//! every device event. It is the oracle for any loop that steps less
-//! often: skipping a step that had work to do moves a checkpoint or a
-//! report, and the row names the spec that moved.
+//! The report columns still come from the lockstep cluster loop, which
+//! visited every device event: skipping a step that had work to do moves
+//! a report, and the row names the spec that moved. The checkpoint
+//! columns are pinned since snapshot format 6.
 
 use std::fs;
 
