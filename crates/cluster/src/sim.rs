@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use powadapt_core::{AdaptiveController, ControlError, DeviceAction, SloWindow};
 use powadapt_device::{DeviceClass, DeviceError, IoId, IoKind, StandbyState, StorageDevice};
@@ -355,6 +356,9 @@ pub struct ClusterSim {
     enc_models: Vec<Vec<PowerThroughputModel>>,
     /// Global device index → (enclosure, device-in-enclosure).
     flat: Vec<(usize, usize)>,
+    /// Enclosure → the flat index of its first device; the rest of its
+    /// devices follow in controller order.
+    enc_first: Vec<usize>,
     start: SimTime,
     t_end: SimTime,
     // Dynamic state, carried by the snapshot field list below.
@@ -558,6 +562,7 @@ impl ClusterSim {
         let mut enc_models: Vec<Vec<PowerThroughputModel>> = Vec::with_capacity(enclosures.len());
         let mut enc_names: Vec<String> = Vec::with_capacity(enclosures.len());
         let mut flat: Vec<(usize, usize)> = Vec::new();
+        let mut enc_first: Vec<usize> = Vec::with_capacity(enclosures.len());
         for (e, enc) in enclosures.into_iter().enumerate() {
             if enc.devices.is_empty() {
                 return Err(ClusterError::InvalidSpec(format!(
@@ -565,6 +570,7 @@ impl ClusterSim {
                     enc.name
                 )));
             }
+            enc_first.push(flat.len());
             for d in 0..enc.devices.len() {
                 flat.push((e, d));
             }
@@ -659,6 +665,7 @@ impl ClusterSim {
             duration,
             enc_models,
             flat,
+            enc_first,
             start,
             t_end,
             controllers,
@@ -696,26 +703,11 @@ impl ClusterSim {
             SelectionPolicy::UniformStatic => {
                 // The naive contract: every device gets an equal slice of
                 // the cluster's physical cap, decided once, never revisited.
-                let share_w = self.tree.cap_w(self.tree.root_id()) / self.flat.len() as f64;
                 for e in 0..self.controllers.len() {
-                    let choices = uniform_choices(&self.enc_models[e], share_w);
-                    for (d, choice) in choices.iter().enumerate() {
-                        let Some(gi) = self.flat.iter().position(|&(fe, fd)| fe == e && fd == d)
-                        else {
-                            continue;
-                        };
-                        match choice {
-                            Some(point) => {
-                                self.controllers[e]
-                                    .device_mut(d)
-                                    .set_power_state(point.power_state())?;
-                                self.routable[gi] = true;
-                            }
-                            None => self.routable[gi] = false,
-                        }
-                    }
+                    self.apply_uniform_share(e)?;
                 }
                 // Report the share totals as the tree's static "grants".
+                let share_w = self.uniform_share_w();
                 for (leaf, ctl) in self.leaves.iter().zip(&self.controllers) {
                     self.last_grants[leaf.0] = share_w * ctl.devices().len() as f64;
                 }
@@ -1250,11 +1242,8 @@ impl ClusterSim {
                         }
                     );
                     for e in self.enclosures_under(node) {
-                        for (gi, &(fe, _)) in self.flat.iter().enumerate() {
-                            if fe == e {
-                                self.routable[gi] = false;
-                            }
-                        }
+                        let devices = self.enclosure_devices(e);
+                        self.routable[devices].fill(false);
                         // Fail closed: the feed is gone, so the subtree
                         // sheds its load. Standby is best effort — a
                         // refusal mid-transition still leaves the
@@ -1283,8 +1272,10 @@ impl ClusterSim {
                             let _ = self.controllers[e].device_mut(d).request_wake();
                         }
                         self.last_applied[e] = None;
+                        // Best effort: a device may still be mid-wake; it
+                        // serves at whatever state it exits standby into.
                         if self.policy == SelectionPolicy::UniformStatic {
-                            self.reapply_uniform_share(e);
+                            let _ = self.apply_uniform_share(e);
                         }
                     }
                 }
@@ -1302,27 +1293,39 @@ impl ClusterSim {
             .collect()
     }
 
-    /// Re-applies the uniform static share to enclosure `e` after its feed
-    /// returns (the static policy has no control rounds to recover with).
-    fn reapply_uniform_share(&mut self, e: usize) {
-        let share_w = self.tree.cap_w(self.tree.root_id()) / self.flat.len() as f64;
-        let choices = uniform_choices(&self.enc_models[e], share_w);
+    /// Flat indices of enclosure `e`'s devices.
+    fn enclosure_devices(&self, e: usize) -> Range<usize> {
+        let first = self.enc_first[e];
+        first..first + self.controllers[e].devices().len()
+    }
+
+    /// Each device's equal slice of the cluster's physical cap.
+    fn uniform_share_w(&self) -> f64 {
+        self.tree.cap_w(self.tree.root_id()) / self.flat.len() as f64
+    }
+
+    /// Applies the uniform static share to enclosure `e`, at the start of
+    /// the run and again whenever its feed returns (the static policy has
+    /// no control rounds to recover with). A device whose share affords a
+    /// configuration routes; the others do not. Every device is
+    /// configured even if one refuses; the first refusal is returned.
+    fn apply_uniform_share(&mut self, e: usize) -> Result<(), DeviceError> {
+        let first = self.enc_first[e];
+        let choices = uniform_choices(&self.enc_models[e], self.uniform_share_w());
+        let mut result = Ok(());
         for (d, choice) in choices.iter().enumerate() {
-            let Some(gi) = self.flat.iter().position(|&(fe, fd)| fe == e && fd == d) else {
-                continue;
-            };
-            match choice {
+            self.routable[first + d] = match choice {
                 Some(point) => {
-                    // Best effort: the device may still be mid-wake; it
-                    // serves at whatever state it exits standby into.
-                    let _ = self.controllers[e]
+                    let set = self.controllers[e]
                         .device_mut(d)
                         .set_power_state(point.power_state());
-                    self.routable[gi] = true;
+                    result = result.and(set);
+                    true
                 }
-                None => self.routable[gi] = false,
-            }
+                None => false,
+            };
         }
+        result
     }
 
     /// One demand → rebalance → re-plan round of the model-driven policy.
@@ -1389,13 +1392,14 @@ impl ClusterSim {
             }
             match self.controllers[e].apply_budget(granted_w) {
                 Ok(plan) => {
-                    set_routable_from_plan(
-                        &mut self.routable,
-                        &self.flat,
-                        e,
-                        &plan.actions,
-                        &self.controllers[e],
-                    );
+                    // `Operate` actions route; `Standby` and quarantined
+                    // devices (absent from the plan) do not.
+                    let devices = self.enclosure_devices(e);
+                    let routable = &mut self.routable[devices];
+                    routable.fill(false);
+                    for (d, action) in &plan.actions {
+                        routable[*d] = matches!(action, DeviceAction::Operate(_));
+                    }
                     self.last_applied[e] = Some(granted_w);
                     self.replans += 1;
                 }
@@ -1536,6 +1540,7 @@ powadapt_snap::snapshot! {
         duration: "spec config",
         enc_models: "spec config: the model tables",
         flat: "derived from the enclosures",
+        enc_first: "derived from the enclosures",
         start: "derived from the devices",
         t_end: "derived from the spec",
         stepper: "derived: the wake cache is rebuilt from the devices, every device touched",
@@ -1622,35 +1627,4 @@ impl ClusterSim {
 /// non-transiently.
 pub fn run_cluster(spec: ClusterSpec) -> Result<ClusterReport, ClusterError> {
     ClusterSim::new(spec)?.finish()
-}
-
-/// Marks devices routable per the enclosure's applied plan: `Operate`
-/// actions route, `Standby` (and quarantined devices absent from the
-/// plan) do not. Actions match devices by label, first unclaimed wins.
-fn set_routable_from_plan(
-    routable: &mut [bool],
-    flat: &[(usize, usize)],
-    e: usize,
-    actions: &[(String, DeviceAction)],
-    ctl: &AdaptiveController,
-) {
-    for (gi, &(fe, _)) in flat.iter().enumerate() {
-        if fe == e {
-            routable[gi] = false;
-        }
-    }
-    let mut assigned = vec![false; ctl.devices().len()];
-    for (label, action) in actions {
-        let slot = ctl
-            .devices()
-            .iter()
-            .enumerate()
-            .position(|(d, dev)| !assigned[d] && dev.spec().label() == label);
-        if let Some(d) = slot {
-            assigned[d] = true;
-            if let Some(gi) = flat.iter().position(|&(fe, fd)| fe == e && fd == d) {
-                routable[gi] = matches!(action, DeviceAction::Operate(_));
-            }
-        }
-    }
 }

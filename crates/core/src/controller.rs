@@ -32,10 +32,10 @@ pub enum DeviceAction {
 /// The plan the controller applied in response to a budget.
 #[derive(Debug, Clone)]
 pub struct AppliedPlan {
-    /// `(device label, action)` per device that accepted an action, in
+    /// `(device index, action)` per device that accepted an action, in
     /// controller order. Quarantined devices are absent here and listed in
     /// [`quarantined`](AppliedPlan::quarantined) instead.
-    pub actions: Vec<(String, DeviceAction)>,
+    pub actions: Vec<(usize, DeviceAction)>,
     /// Expected total power, in watts. Includes the measured draw of
     /// quarantined devices, so compliance is judged fleet-wide.
     pub expected_power_w: f64,
@@ -45,9 +45,9 @@ pub struct AppliedPlan {
     /// Devices that refused their planned action this round (retries
     /// exhausted), with the evidence.
     pub degraded: Vec<Degradation>,
-    /// Labels of every device currently out of service — quarantined this
-    /// round or still cooling down from an earlier one.
-    pub quarantined: Vec<String>,
+    /// Indices of every device currently out of service — quarantined
+    /// this round or still cooling down from an earlier one.
+    pub quarantined: Vec<usize>,
 }
 
 impl AppliedPlan {
@@ -65,23 +65,23 @@ impl fmt::Display for AppliedPlan {
             self.expected_power_w,
             self.expected_throughput_bps / (1024.0 * 1024.0)
         )?;
-        for (label, action) in &self.actions {
+        for (i, action) in &self.actions {
             match action {
-                DeviceAction::Operate(p) => writeln!(f, "  {label}: operate [{p}]")?,
+                DeviceAction::Operate(p) => writeln!(f, "  device {i}: operate [{p}]")?,
                 DeviceAction::Standby { power_w } => {
-                    writeln!(f, "  {label}: standby ({power_w:.2} W)")?;
+                    writeln!(f, "  device {i}: standby ({power_w:.2} W)")?;
                 }
             }
         }
         for d in &self.degraded {
             writeln!(
                 f,
-                "  {}: DEGRADED after {} attempt(s): {}",
+                "  device {}: DEGRADED after {} attempt(s): {}",
                 d.device, d.attempts, d.error
             )?;
         }
-        for label in &self.quarantined {
-            writeln!(f, "  {label}: quarantined")?;
+        for i in &self.quarantined {
+            writeln!(f, "  device {i}: quarantined")?;
         }
         Ok(())
     }
@@ -442,7 +442,7 @@ impl AdaptiveController {
             let action = DeviceAction::Standby { power_w };
             if let Err((e, attempts)) = self.apply_action(i, &action) {
                 degraded.push(Degradation {
-                    device: self.devices[i].spec().label().to_string(),
+                    device: i,
                     planned: action.clone(),
                     error: e,
                     attempts,
@@ -506,7 +506,7 @@ impl AdaptiveController {
             match refused {
                 Some((i, e, attempts, action)) => {
                     degraded.push(Degradation {
-                        device: self.devices[i].spec().label().to_string(),
+                        device: i,
                         planned: action,
                         error: e.clone(),
                         attempts,
@@ -519,7 +519,7 @@ impl AdaptiveController {
                 None => {
                     // The pinned standby draw is already inside reserved_w;
                     // their actions join the plan without re-counting it.
-                    let mut indexed: Vec<(usize, DeviceAction)> =
+                    let mut actions: Vec<(usize, DeviceAction)> =
                         Vec::with_capacity(included.len() + pinned_actions.len());
                     let mut expected_power_w = reserved_w;
                     let mut expected_throughput_bps = 0.0;
@@ -531,18 +531,14 @@ impl AdaptiveController {
                                 expected_throughput_bps += point.throughput_bps();
                             }
                         }
-                        indexed.push((i, action.clone()));
+                        actions.push((i, action.clone()));
                     }
-                    indexed.extend(pinned_actions.iter().cloned());
-                    indexed.sort_by_key(|&(i, _)| i);
-                    let actions: Vec<(String, DeviceAction)> = indexed
-                        .into_iter()
-                        .map(|(i, a)| (self.devices[i].spec().label().to_string(), a))
-                        .collect();
-                    let quarantined: Vec<String> = (0..self.devices.len())
+                    actions.extend(pinned_actions);
+                    actions.sort_by_key(|&(i, _)| i);
+                    let quarantined: Vec<usize> = (0..self.devices.len())
                         .filter(|&i| excluded[i] && !self.pinned[i])
-                        .map(|i| self.devices[i].spec().label().to_string())
                         .collect();
+                    let label = |i: usize| self.devices[i].spec().label().to_string();
                     emit!(
                         self.rec,
                         self.devices[0].now(),
@@ -552,8 +548,8 @@ impl AdaptiveController {
                             measured_w: self.measured_power_w(),
                             expected_power_w,
                             expected_throughput_bps,
-                            quarantined: quarantined.clone(),
-                            degraded: degraded.iter().map(|d| d.device.clone()).collect(),
+                            quarantined: quarantined.iter().map(|&i| label(i)).collect(),
+                            degraded: degraded.iter().map(|d| label(d.device)).collect(),
                         }))
                     );
                     return Ok(AppliedPlan {
@@ -764,6 +760,28 @@ mod tests {
         r.finish().unwrap();
         assert!(fresh.is_pinned_standby(1));
         assert!(!fresh.is_pinned_standby(0));
+    }
+
+    #[test]
+    fn plan_names_the_healthy_twin_by_index_when_the_first_is_quarantined() {
+        use powadapt_device::{FaultInjector, FaultPlan};
+        let refusing = FaultInjector::seeded(
+            Box::new(catalog::ssd2_d7_p5510(1)),
+            FaultPlan::none().admin_failures(1.0),
+            7,
+        );
+        let mut ctl = AdaptiveController::new(
+            vec![Box::new(refusing), Box::new(catalog::ssd2_d7_p5510(2))],
+            vec![ssd2_model(), ssd2_model()],
+        )
+        .unwrap();
+        let plan = ctl.apply_budget(40.0).unwrap();
+        assert_eq!(plan.quarantined, vec![0]);
+        assert_eq!(plan.degraded.len(), 1);
+        assert_eq!(plan.degraded[0].device, 0);
+        assert_eq!(plan.actions.len(), 1);
+        assert_eq!(plan.actions[0].0, 1);
+        assert!(matches!(plan.actions[0].1, DeviceAction::Operate(_)));
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl DeviceHealth {
 /// degraded control round produced.
 #[derive(Debug, Clone)]
 pub struct Degradation {
-    /// Label of the refusing device.
-    pub device: String,
+    /// Controller index of the refusing device.
+    pub device: usize,
     /// The action the plan wanted to apply.
     pub planned: DeviceAction,
     /// The error that exhausted the retry budget (or failed fast).

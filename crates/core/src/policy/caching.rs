@@ -213,7 +213,6 @@ mod tests {
             SimDuration::from_micros(5),
         );
         let fleet = vec![DeviceStatus {
-            label: "D".into(),
             inflight: 0,
             standby: StandbyState::Active,
             power_state: powadapt_device::PowerStateId(0),
@@ -241,7 +240,6 @@ mod tests {
             SimDuration::from_micros(5),
         );
         let fleet = vec![DeviceStatus {
-            label: "D".into(),
             inflight: 0,
             standby: StandbyState::Active,
             power_state: powadapt_device::PowerStateId(0),
@@ -267,7 +265,6 @@ mod tests {
             SimDuration::from_micros(5),
         );
         let fleet = vec![DeviceStatus {
-            label: "D".into(),
             inflight: 0,
             standby: StandbyState::Active,
             power_state: powadapt_device::PowerStateId(0),
@@ -343,7 +340,6 @@ mod tests {
                 // before the run (EXCES populates its cache from prior
                 // activity).
                 let fleet_view = vec![DeviceStatus {
-                    label: "HDD".into(),
                     inflight: 0,
                     standby: StandbyState::Active,
                     power_state: powadapt_device::PowerStateId(0),

@@ -292,7 +292,6 @@ mod tests {
 
     fn status(inflight: usize) -> DeviceStatus {
         DeviceStatus {
-            label: "dev".to_string(),
             inflight,
             standby: powadapt_device::StandbyState::Active,
             power_state: powadapt_device::PowerStateId(0),

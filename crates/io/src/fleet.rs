@@ -26,8 +26,6 @@ use crate::stepper::Stepper;
 /// A router's view of one device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceStatus {
-    /// Paper label of the device.
-    pub label: String,
     /// Requests submitted but not yet completed.
     pub inflight: usize,
     /// Standby status.
@@ -222,14 +220,12 @@ impl fmt::Display for FleetResult {
 /// device; once it holds the whole fleet, a refresh allocates nothing.
 fn refresh_statuses(devices: &[Box<dyn StorageDevice>], buf: &mut Vec<DeviceStatus>) {
     buf.resize_with(devices.len(), || DeviceStatus {
-        label: String::new(),
         inflight: 0,
         standby: StandbyState::Active,
         power_state: PowerStateId(0),
         supports_standby: false,
     });
     for (s, d) in buf.iter_mut().zip(devices) {
-        d.spec().label().clone_into(&mut s.label);
         s.inflight = d.inflight();
         s.standby = d.standby_state();
         s.power_state = d.power_state();

@@ -228,7 +228,6 @@ fn lockstep_fleet(
         devices
             .iter()
             .map(|d| DeviceStatus {
-                label: d.spec().label().to_string(),
                 inflight: d.inflight(),
                 standby: d.standby_state(),
                 power_state: d.power_state(),

@@ -88,12 +88,12 @@ fn controller_degrades_instead_of_failing_when_headroom_exists() {
         .expect("degraded plan, not an error, when the rest of the fleet fits");
     assert!(!plan.is_clean());
     assert_eq!(plan.degraded.len(), 1);
-    assert_eq!(plan.degraded[0].device, "SSD2");
+    assert_eq!(plan.degraded[0].device, 0);
     assert!(plan.degraded[0].error.is_transient());
-    assert_eq!(plan.quarantined, vec!["SSD2".to_string()]);
+    assert_eq!(plan.quarantined, vec![0]);
     // The compliant remainder (HDD) got an action; the SSD sat out.
     assert_eq!(plan.actions.len(), 1);
-    assert_eq!(plan.actions[0].0, "HDD");
+    assert_eq!(plan.actions[0].0, 1);
     // Fleet-wide compliance: quarantined draw is counted, not ignored.
     assert!(plan.expected_power_w <= 30.0);
     assert!(ctl.is_quarantined(0));
@@ -129,7 +129,7 @@ fn stuck_device_quarantined_then_readmitted_after_cooldown() {
     // The fault window passes while the device sits out its cooldown.
     ctl.device_mut(0).advance_to(SimTime::from_millis(20));
     let during_cooldown = ctl.apply_budget(15.0).expect("still degraded");
-    assert!(during_cooldown.quarantined.contains(&"SSD2".to_string()));
+    assert!(during_cooldown.quarantined.contains(&0));
 
     // Cooldown (default 2 rounds) expires: the probe succeeds and the
     // fleet is clean again.
