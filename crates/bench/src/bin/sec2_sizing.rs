@@ -87,7 +87,7 @@ fn main() {
     println!("  fleet dynamic range without any control: {range:.0} W — \"comparable with the");
     println!("  power dynamic range of the host server without storage devices\" (Sec. 2).");
     println!(
-        "  the 9 W cap alone shrinks the fleet ceiling by {:.0} W ({:.0}%).",
+        "  the 9 W cap alone shrinks the fleet write ceiling by {:.0} W ({:.0}%).",
         fleet_power(|_| write_w) - fleet_power(|_| capped_w),
         100.0 * (1.0 - capped_w / write_w)
     );

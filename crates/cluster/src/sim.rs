@@ -4,8 +4,8 @@
 //! One event loop steps the cluster from event time to event time. It
 //! merges the tenants' arrival streams in time order and runs a control
 //! round on a fixed interval: enclosures report demands, the tree
-//! rebalances, and revised budgets cascade into
-//! [`AdaptiveController::apply_budget`] re-plans. Per-tenant latencies
+//! rebalances, and each enclosure's [`AdaptiveController::replan`]
+//! decides whether its revised budget needs a re-plan. Per-tenant latencies
 //! land in [`SloWindow`]s; per-node power is sampled on its own interval,
 //! tracked against the node's physical cap, and emitted as Perfetto
 //! counter tracks for rack-level nodes.
@@ -21,9 +21,8 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
-use powadapt_core::{AdaptiveController, ControlError, DeviceAction, SloWindow};
+use powadapt_core::{AdaptiveController, ControlError, SloWindow};
 use powadapt_device::{DeviceClass, DeviceError, IoId, IoKind, StandbyState, StorageDevice};
 use powadapt_io::{Arrival, Stepper};
 use powadapt_model::PowerThroughputModel;
@@ -196,7 +195,7 @@ pub struct TenantReport {
     pub served: u64,
     /// Bytes completed within the run.
     pub bytes: u64,
-    /// Arrivals dropped because no routable device accepted them.
+    /// Arrivals dropped because no serving device accepted them.
     pub dropped: u64,
     /// Mean completion latency, in microseconds (0 when nothing served).
     pub mean_latency_us: f64,
@@ -353,26 +352,20 @@ pub struct ClusterSim {
     sample_interval: SimDuration,
     planning_margin: f64,
     duration: SimDuration,
-    enc_models: Vec<Vec<PowerThroughputModel>>,
     /// Global device index → (enclosure, device-in-enclosure).
     flat: Vec<(usize, usize)>,
-    /// Enclosure → the flat index of its first device; the rest of its
-    /// devices follow in controller order.
-    enc_first: Vec<usize>,
     start: SimTime,
     t_end: SimTime,
     // Dynamic state, carried by the snapshot field list below.
+    /// Per enclosure: commands its devices, keeps which serve, decides re-plans.
     controllers: Vec<AdaptiveController>,
     streams: Vec<TenantStream>,
     pending: Vec<Option<Arrival>>,
     accounts: Vec<TenantAccount>,
-    /// Which devices the router may target, per the active plan.
-    routable: Vec<bool>,
     node_max: Vec<f64>,
     node_sum: Vec<f64>,
     node_samples: u64,
     last_grants: Vec<f64>,
-    last_applied: Vec<Option<f64>>,
     rebalance_rounds: u64,
     replans: u64,
     infeasible_rounds: u64,
@@ -556,13 +549,8 @@ impl ClusterSim {
 
         let rec = powadapt_obs::current();
 
-        // Build controllers; keep a model copy per enclosure for demand and
-        // baseline math (the controller owns its own).
         let mut controllers: Vec<AdaptiveController> = Vec::with_capacity(enclosures.len());
-        let mut enc_models: Vec<Vec<PowerThroughputModel>> = Vec::with_capacity(enclosures.len());
-        let mut enc_names: Vec<String> = Vec::with_capacity(enclosures.len());
         let mut flat: Vec<(usize, usize)> = Vec::new();
-        let mut enc_first: Vec<usize> = Vec::with_capacity(enclosures.len());
         for (e, enc) in enclosures.into_iter().enumerate() {
             if enc.devices.is_empty() {
                 return Err(ClusterError::InvalidSpec(format!(
@@ -570,21 +558,16 @@ impl ClusterSim {
                     enc.name
                 )));
             }
-            enc_first.push(flat.len());
             for d in 0..enc.devices.len() {
                 flat.push((e, d));
             }
-            enc_models.push(enc.models.clone());
-            enc_names.push(enc.name);
             let mut ctl = AdaptiveController::new(enc.devices, enc.models)?;
             for d in 0..ctl.devices().len() {
-                let track = powadapt_obs::intern(&format!("{}.dev{d}", enc_names[e]));
+                let track = powadapt_obs::intern(&format!("{}.dev{d}", enc.name));
                 ctl.device_mut(d).set_recorder(rec.clone(), track);
             }
             controllers.push(ctl);
         }
-        let n_devices = flat.len();
-        let n_controllers = controllers.len();
 
         let start = controllers[0].devices()[0].now();
         for ctl in &controllers {
@@ -663,22 +646,18 @@ impl ClusterSim {
             sample_interval,
             planning_margin,
             duration,
-            enc_models,
             flat,
-            enc_first,
             start,
             t_end,
             controllers,
             streams,
             pending,
             accounts,
-            routable: vec![false; n_devices],
             node_tracks,
             node_max: vec![0.0; n_nodes],
             node_sum: vec![0.0; n_nodes],
             node_samples: 0,
             last_grants: vec![0.0; n_nodes],
-            last_applied: vec![None; n_controllers],
             rebalance_rounds: 0,
             replans: 0,
             infeasible_rounds: 0,
@@ -1009,9 +988,8 @@ impl ClusterSim {
     /// controller re-plans: ticks the tier (consolidation planning, rate-
     /// limited move starts, standby-pin refresh), submits the waiting
     /// legs, the started moves' source reads among them, and syncs the
-    /// pin set into the enclosure controllers. A changed pin invalidates
-    /// the enclosure's applied budget so the next control round re-plans
-    /// it even under an unchanged grant.
+    /// pin set into the enclosure controllers (a flipped pin makes the
+    /// controller re-plan at its next round, whatever the grant).
     fn place_round(&mut self, now: SimTime) -> Result<(), ClusterError> {
         if self.place.is_none() {
             return Ok(());
@@ -1049,13 +1027,8 @@ impl ClusterSim {
                     );
                 }
             }
-            for (gi, &p) in tier.pinned().iter().enumerate() {
-                let (e, d) = self.flat[gi];
-                let before = self.controllers[e].is_pinned_standby(d);
+            for (&(e, d), &p) in self.flat.iter().zip(tier.pinned()) {
                 self.controllers[e].set_pinned_standby(d, p);
-                if before != self.controllers[e].is_pinned_standby(d) {
-                    self.last_applied[e] = None;
-                }
             }
         }
         self.flush_migration_legs(now)
@@ -1086,7 +1059,7 @@ impl ClusterSim {
 
     /// Routes and submits one arrival: through the placement tier's
     /// extent catalog when configured (writes to the extent's primary,
-    /// reads to any awake holder), otherwise to the least-loaded routable
+    /// reads to any awake holder), otherwise to the least-loaded serving
     /// device. Either way, spun-down and quarantined devices are routed
     /// *around* — visibly, via [`EventKind::RoutedAround`] — instead of
     /// paying a hidden spin-up on the request path.
@@ -1136,18 +1109,21 @@ impl ClusterSim {
             }
         }
         if !placement_routed {
-            // Least-loaded routable device; ties break to the lowest
+            // Least-loaded serving device; ties break to the lowest
             // index. A transient refusal moves on to the next candidate;
             // exhausting all of them drops the arrival (open loop does not
             // retry later).
             holders.clear();
-            holders.extend((0..self.flat.len() as u32).filter(|&i| self.routable[i as usize]));
+            holders.extend((0..self.flat.len() as u32).filter(|&i| {
+                let (e, d) = self.flat[i as usize];
+                self.controllers[e].serves(d)
+            }));
             holders.sort_by_key(|&i| {
                 let (e, d) = self.flat[i as usize];
                 (self.controllers[e].devices()[d].inflight(), i)
             });
         }
-        // First pass: candidates that are routable and fully awake, in
+        // First pass: candidates that serve and are fully awake, in
         // preference order (primary first, or least loaded first).
         let mut skipped = 0u32;
         let mut submitted = false;
@@ -1155,7 +1131,7 @@ impl ClusterSim {
             let gi = h as usize;
             let (e, d) = self.flat[gi];
             let awake = self.controllers[e].devices()[d].standby_state() == StandbyState::Active;
-            if !self.routable[gi] || !awake || self.controllers[e].is_quarantined(d) {
+            if !self.controllers[e].serves(d) || !awake || self.controllers[e].is_quarantined(d) {
                 skipped += 1;
                 continue;
             }
@@ -1227,8 +1203,8 @@ impl ClusterSim {
     }
 
     /// Fires every due tree-fault transition: a trip takes the subtree's
-    /// enclosures dark (unroutable, devices asked into standby), a restore
-    /// brings them back.
+    /// enclosures dark (the feed is gone, so the subtree sheds its load),
+    /// a restore brings them back.
     fn process_tree_faults(&mut self, t: SimTime) {
         for ev in self.faults.due(t) {
             match ev {
@@ -1242,16 +1218,7 @@ impl ClusterSim {
                         }
                     );
                     for e in self.enclosures_under(node) {
-                        let devices = self.enclosure_devices(e);
-                        self.routable[devices].fill(false);
-                        // Fail closed: the feed is gone, so the subtree
-                        // sheds its load. Standby is best effort — a
-                        // refusal mid-transition still leaves the
-                        // enclosure unroutable and demand-less.
-                        for d in 0..self.controllers[e].devices().len() {
-                            let _ = self.controllers[e].device_mut(d).request_standby();
-                        }
-                        self.last_applied[e] = None;
+                        self.controllers[e].set_feed(false);
                     }
                 }
                 TreeFaultEvent::Restore(node) => {
@@ -1268,12 +1235,9 @@ impl ClusterSim {
                         if self.faults.is_down(&self.tree, self.leaves[e]) {
                             continue;
                         }
-                        for d in 0..self.controllers[e].devices().len() {
-                            let _ = self.controllers[e].device_mut(d).request_wake();
-                        }
-                        self.last_applied[e] = None;
-                        // Best effort: a device may still be mid-wake; it
-                        // serves at whatever state it exits standby into.
+                        self.controllers[e].set_feed(true);
+                        // The static policy has no control round to
+                        // recover with; its share is best effort here.
                         if self.policy == SelectionPolicy::UniformStatic {
                             let _ = self.apply_uniform_share(e);
                         }
@@ -1293,39 +1257,17 @@ impl ClusterSim {
             .collect()
     }
 
-    /// Flat indices of enclosure `e`'s devices.
-    fn enclosure_devices(&self, e: usize) -> Range<usize> {
-        let first = self.enc_first[e];
-        first..first + self.controllers[e].devices().len()
-    }
-
     /// Each device's equal slice of the cluster's physical cap.
     fn uniform_share_w(&self) -> f64 {
         self.tree.cap_w(self.tree.root_id()) / self.flat.len() as f64
     }
 
     /// Applies the uniform static share to enclosure `e`, at the start of
-    /// the run and again whenever its feed returns (the static policy has
-    /// no control rounds to recover with). A device whose share affords a
-    /// configuration routes; the others do not. Every device is
-    /// configured even if one refuses; the first refusal is returned.
+    /// the run and again whenever its feed returns: a device whose share
+    /// affords a configuration serves; the others do not.
     fn apply_uniform_share(&mut self, e: usize) -> Result<(), DeviceError> {
-        let first = self.enc_first[e];
-        let choices = uniform_choices(&self.enc_models[e], self.uniform_share_w());
-        let mut result = Ok(());
-        for (d, choice) in choices.iter().enumerate() {
-            self.routable[first + d] = match choice {
-                Some(point) => {
-                    let set = self.controllers[e]
-                        .device_mut(d)
-                        .set_power_state(point.power_state());
-                    result = result.and(set);
-                    true
-                }
-                None => false,
-            };
-        }
-        result
+        let choices = uniform_choices(self.controllers[e].models(), self.uniform_share_w());
+        self.controllers[e].apply_choices(&choices)
     }
 
     /// One demand → rebalance → re-plan round of the model-driven policy.
@@ -1344,9 +1286,8 @@ impl ClusterSim {
         let demands: Vec<Demand> = self
             .controllers
             .iter()
-            .zip(&self.enc_models)
             .zip(&down)
-            .map(|((ctl, models), &is_down)| {
+            .map(|(ctl, &is_down)| {
                 if is_down {
                     return Demand {
                         floor_w: 0.0,
@@ -1354,6 +1295,7 @@ impl ClusterSim {
                     };
                 }
                 let busy = ctl.devices().iter().any(|d| d.inflight() > 0);
+                let models = ctl.models();
                 let floor_w = fleet_floor_w(models);
                 Demand {
                     floor_w,
@@ -1384,25 +1326,8 @@ impl ClusterSim {
             if down[e] {
                 continue;
             }
-            let granted_w = grants[leaf.0].granted_w;
-            let unchanged =
-                self.last_applied[e].is_some_and(|prev| (prev - granted_w).abs() <= 0.05);
-            if unchanged {
-                continue;
-            }
-            match self.controllers[e].apply_budget(granted_w) {
-                Ok(plan) => {
-                    // `Operate` actions route; `Standby` and quarantined
-                    // devices (absent from the plan) do not.
-                    let devices = self.enclosure_devices(e);
-                    let routable = &mut self.routable[devices];
-                    routable.fill(false);
-                    for (d, action) in &plan.actions {
-                        routable[*d] = matches!(action, DeviceAction::Operate(_));
-                    }
-                    self.last_applied[e] = Some(granted_w);
-                    self.replans += 1;
-                }
+            match self.controllers[e].replan(grants[leaf.0].granted_w) {
+                Ok(replanned) => self.replans += u64::from(replanned),
                 // A grant below the enclosure floor keeps the previous
                 // configuration: the tree guarantees floors when feasible,
                 // so this only happens under pathological margins.
@@ -1410,9 +1335,7 @@ impl ClusterSim {
                 // Every device refused for now (a dropout, say): the
                 // enclosure sits this round out like a dark one and is
                 // re-planned next round.
-                Err(ControlError::Device(err)) if err.is_transient() => {
-                    self.last_applied[e] = None;
-                }
+                Err(ControlError::Device(err)) if err.is_transient() => {}
                 Err(err) => return Err(err.into()),
             }
         }
@@ -1497,10 +1420,11 @@ impl ClusterSim {
     }
 }
 
-// The cluster's complete dynamic state: event-loop cursors, routing and
-// accounting vectors, in-flight ownership, tenant streams and SLO windows,
-// every controller (devices, health, quarantine), the tree-fault phases,
-// the ledger, and the placement tier with its migration legs.
+// The cluster's complete dynamic state: event-loop cursors, accounting
+// vectors, in-flight ownership, tenant streams and SLO windows, every
+// controller (devices, health, quarantine, serving set, applied budget),
+// the tree-fault phases, the ledger, and the placement tier with its
+// migration legs.
 // Configuration — topology, models, tenants, intervals — is rebuilt from
 // the spec on resume.
 powadapt_snap::snapshot! {
@@ -1513,11 +1437,9 @@ powadapt_snap::snapshot! {
         replans,
         infeasible_rounds,
         node_samples,
-        routable: seq,
         node_max: seq,
         node_sum: seq,
         last_grants: seq,
-        last_applied: seq,
         owners,
         streams: seq_state,
         pending: seq,
@@ -1538,9 +1460,7 @@ powadapt_snap::snapshot! {
         sample_interval: "spec config",
         planning_margin: "spec config",
         duration: "spec config",
-        enc_models: "spec config: the model tables",
         flat: "derived from the enclosures",
-        enc_first: "derived from the enclosures",
         start: "derived from the devices",
         t_end: "derived from the spec",
         stepper: "derived: the wake cache is rebuilt from the devices, every device touched",

@@ -6,7 +6,8 @@
 //! bounded [`RetryPolicy`], persistent refusers are quarantined for a few
 //! control rounds, and the remaining budget is re-planned across the
 //! compliant devices, so one broken drive cannot take the fleet out of
-//! its power envelope.
+//! its power envelope. The controller alone commands its devices, keeps
+//! which of them serve IO, and decides when to re-plan.
 
 use std::error::Error;
 use std::fmt;
@@ -223,6 +224,12 @@ pub struct AdaptiveController {
     /// tier's spin-down consolidation): excluded from planning, always
     /// given a standby action, never woken by a budget.
     pinned: Vec<bool>,
+    /// Devices that serve IO: `Operate` in the last applied plan, or
+    /// given a configuration by [`apply_choices`](Self::apply_choices).
+    serving: Vec<bool>,
+    /// Budget of the last applied plan; `None` (a pin flipped, the feed
+    /// moved, every device refused) makes the next [`replan`](Self::replan) plan.
+    applied_w: Option<f64>,
     rec: RecorderHandle,
 }
 
@@ -254,17 +261,10 @@ impl AdaptiveController {
             health: vec![DeviceHealth::default(); n],
             quarantine: vec![0; n],
             pinned: vec![false; n],
+            serving: vec![false; n],
+            applied_w: None,
             rec: powadapt_obs::current(),
         })
-    }
-
-    /// Attaches a telemetry recorder; each [`apply_budget`] outcome is
-    /// emitted as an [`EventKind::ControllerDecision`] on the `controller`
-    /// track. Recording is write-only — it never changes the plan.
-    ///
-    /// [`apply_budget`]: AdaptiveController::apply_budget
-    pub fn set_recorder(&mut self, rec: RecorderHandle) {
-        self.rec = rec;
     }
 
     /// Replaces the retry policy (builder style).
@@ -301,7 +301,11 @@ impl AdaptiveController {
     ///
     /// Panics if `i` is out of range.
     pub fn set_pinned_standby(&mut self, i: usize, pinned: bool) {
-        self.pinned[i] = pinned && self.devices[i].standby_power_w().is_some();
+        let pinned = pinned && self.devices[i].standby_power_w().is_some();
+        if self.pinned[i] != pinned {
+            self.pinned[i] = pinned;
+            self.applied_w = None;
+        }
     }
 
     /// True while device `i` is pinned into standby.
@@ -311,6 +315,15 @@ impl AdaptiveController {
     /// Panics if `i` is out of range.
     pub fn is_pinned_standby(&self, i: usize) -> bool {
         self.pinned[i]
+    }
+
+    /// True while device `i` serves IO under the active configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn serves(&self, i: usize) -> bool {
+        self.serving[i]
     }
 
     /// The managed devices.
@@ -331,6 +344,11 @@ impl AdaptiveController {
     /// Mutable access to every device, in device order.
     pub fn devices_mut(&mut self) -> impl Iterator<Item = &mut (dyn StorageDevice + 'static)> {
         self.devices.iter_mut().map(|d| &mut **d)
+    }
+
+    /// The power-throughput model of each device, in device order.
+    pub fn models(&self) -> &[PowerThroughputModel] {
+        &self.models
     }
 
     /// Consumes the controller, returning the devices.
@@ -355,6 +373,52 @@ impl AdaptiveController {
                 None => m.min_power_w(),
             })
             .sum()
+    }
+
+    /// Re-plans under `budget_w` through [`apply_budget`](Self::apply_budget)
+    /// (returning `true`, or its error) unless the last applied plan still
+    /// holds: its budget is within 0.05 W, and since it no pin flipped, the
+    /// feed neither tripped nor returned, no attempt was refused, and no
+    /// quarantine is still cooling down (each re-plan ticks the cooldowns,
+    /// so a refuser is probed again on time).
+    pub fn replan(&mut self, budget_w: f64) -> Result<bool, ControlError> {
+        let holds = matches!(self.applied_w, Some(prev) if (prev - budget_w).abs() <= 0.05);
+        if holds && self.quarantine.iter().all(|&q| q == 0) {
+            return Ok(false);
+        }
+        self.apply_budget(budget_w).map(|_| true)
+    }
+
+    /// The enclosure's feed tripped (`up` false) or returned. A trip stops
+    /// every device serving; either way each device is asked into standby
+    /// or awake, best effort (a device mid-transition finishes it first),
+    /// and the next [`replan`](Self::replan) plans whatever the budget.
+    pub fn set_feed(&mut self, up: bool) {
+        if !up {
+            self.serving.fill(false);
+        }
+        for d in &mut self.devices {
+            let _ = if up {
+                d.request_wake()
+            } else {
+                d.request_standby()
+            };
+        }
+        self.applied_w = None;
+    }
+
+    /// Configures device `i` at `choices[i]`'s power state, or leaves it
+    /// idle and serving nothing where that is `None` (one choice per
+    /// device). Every device is configured; the first refusal is returned.
+    pub fn apply_choices(&mut self, choices: &[Option<ConfigPoint>]) -> Result<(), DeviceError> {
+        let mut result = Ok(());
+        for (i, choice) in choices.iter().enumerate() {
+            self.serving[i] = choice.is_some();
+            if let Some(point) = choice {
+                result = result.and(self.devices[i].set_power_state(point.power_state()));
+            }
+        }
+        result
     }
 
     /// Applies `action` to device `i`, retrying transient rejections up to
@@ -455,7 +519,10 @@ impl AdaptiveController {
             let included: Vec<usize> = (0..self.devices.len()).filter(|&i| !excluded[i]).collect();
             if included.is_empty() && pinned_actions.is_empty() {
                 return Err(match last_err {
-                    Some(e) => ControlError::Device(e),
+                    Some(e) => {
+                        self.applied_w = None;
+                        ControlError::Device(e)
+                    }
                     None => ControlError::Infeasible {
                         budget_w,
                         floor_w: self.floor_w(),
@@ -523,10 +590,12 @@ impl AdaptiveController {
                         Vec::with_capacity(included.len() + pinned_actions.len());
                     let mut expected_power_w = reserved_w;
                     let mut expected_throughput_bps = 0.0;
+                    self.serving.fill(false);
                     for (&i, action) in included.iter().zip(&planned) {
                         match action {
                             DeviceAction::Standby { power_w } => expected_power_w += power_w,
                             DeviceAction::Operate(point) => {
+                                self.serving[i] = true;
                                 expected_power_w += point.power_w();
                                 expected_throughput_bps += point.throughput_bps();
                             }
@@ -552,6 +621,7 @@ impl AdaptiveController {
                             degraded: degraded.iter().map(|d| label(d.device)).collect(),
                         }))
                     );
+                    self.applied_w = Some(budget_w);
                     return Ok(AppliedPlan {
                         actions,
                         expected_power_w,
@@ -565,10 +635,12 @@ impl AdaptiveController {
     }
 }
 
-// Every device's state, health EWMAs, quarantine cooldowns, and standby
-// pins; models and retry policy are configuration.
+// Every device's state, health EWMAs, quarantine cooldowns, standby pins,
+// serving set and applied budget; models and retry policy are configuration.
 powadapt_snap::snapshot! {
-    AdaptiveController { devices: seq_state, health: each, quarantine: each, pinned: each }
+    AdaptiveController {
+        devices: seq_state, health: each, quarantine: each, pinned: each, serving: each, applied_w,
+    }
     skip {
         models: "spec config: the power/throughput model tables",
         retry: "spec config: the retry policy",
@@ -579,8 +651,9 @@ powadapt_snap::snapshot! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powadapt_device::{catalog, PowerStateId, KIB};
+    use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, KIB};
     use powadapt_io::Workload;
+    use powadapt_sim::SimTime;
 
     fn mk(device: &str, ps: u8, power: f64, thr: f64) -> ConfigPoint {
         ConfigPoint::new(
@@ -764,7 +837,6 @@ mod tests {
 
     #[test]
     fn plan_names_the_healthy_twin_by_index_when_the_first_is_quarantined() {
-        use powadapt_device::{FaultInjector, FaultPlan};
         let refusing = FaultInjector::seeded(
             Box::new(catalog::ssd2_d7_p5510(1)),
             FaultPlan::none().admin_failures(1.0),
@@ -782,6 +854,130 @@ mod tests {
         assert_eq!(plan.actions.len(), 1);
         assert_eq!(plan.actions[0].0, 1);
         assert!(matches!(plan.actions[0].1, DeviceAction::Operate(_)));
+    }
+
+    fn two_hdds() -> AdaptiveController {
+        AdaptiveController::new(
+            vec![
+                Box::new(catalog::hdd_exos_7e2000(1)),
+                Box::new(catalog::hdd_exos_7e2000(2)),
+            ],
+            vec![hdd_model(), hdd_model()],
+        )
+        .unwrap()
+    }
+
+    /// One SSD2 per fault plan, each behind its own fault injector.
+    fn faulty_ssd2s(plans: Vec<FaultPlan>) -> AdaptiveController {
+        let models = vec![ssd2_model(); plans.len()];
+        let devices: Vec<Box<dyn StorageDevice>> = plans
+            .into_iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let dev = Box::new(catalog::ssd2_d7_p5510(i as u64 + 1));
+                Box::new(FaultInjector::seeded(dev, plan, 7)) as Box<dyn StorageDevice>
+            })
+            .collect();
+        AdaptiveController::new(devices, models).unwrap()
+    }
+
+    fn advance_all(ctl: &mut AdaptiveController, t: SimTime) {
+        for d in ctl.devices_mut() {
+            d.advance_to(t);
+        }
+    }
+
+    #[test]
+    fn an_unchanged_grant_does_not_replan() {
+        let mut ctl = controller();
+        assert!(ctl.replan(30.0).unwrap());
+        assert!(!ctl.replan(30.0).unwrap());
+        assert!(!ctl.replan(30.04).unwrap());
+        assert!(ctl.serves(0) && ctl.serves(1));
+    }
+
+    #[test]
+    fn a_grant_that_moves_more_than_the_hysteresis_replans() {
+        let mut ctl = controller();
+        assert!(ctl.replan(30.0).unwrap());
+        assert!(ctl.replan(30.1).unwrap());
+        assert!(ctl.replan(30.0).unwrap());
+    }
+
+    #[test]
+    fn a_flipped_pin_forces_a_replan_at_an_unchanged_grant() {
+        let mut ctl = controller();
+        ctl.replan(30.0).unwrap();
+        ctl.set_pinned_standby(1, true);
+        assert!(ctl.replan(30.0).unwrap());
+        assert!(ctl.serves(0) && !ctl.serves(1));
+        // Pinning it again flips nothing.
+        ctl.set_pinned_standby(1, true);
+        assert!(!ctl.replan(30.0).unwrap());
+        ctl.set_pinned_standby(1, false);
+        assert!(ctl.replan(30.0).unwrap());
+        assert!(ctl.serves(1));
+    }
+
+    #[test]
+    fn a_feed_trip_then_restore_forces_a_replan_at_an_unchanged_grant() {
+        let mut ctl = two_hdds();
+        ctl.replan(20.0).unwrap();
+        ctl.set_feed(false);
+        ctl.set_feed(true);
+        assert!(ctl.replan(20.0).unwrap());
+        assert!(ctl.serves(0) && ctl.serves(1));
+        assert!(!ctl.replan(20.0).unwrap());
+    }
+
+    #[test]
+    fn a_transient_refusal_forces_a_replan_at_an_unchanged_grant() {
+        // Device 0 refuses admin commands for its first 5 ms, device 1
+        // drops out from 10 to 20 ms (every command refused, transiently).
+        let outage = FaultPlan::none().admin_outage(SimTime::ZERO, SimTime::from_millis(5));
+        let dropout = FaultPlan::none().dropout(SimTime::from_millis(10), SimTime::from_millis(20));
+        let mut ctl = faulty_ssd2s(vec![outage, dropout]);
+        assert!(ctl.replan(40.0).unwrap());
+        // Device 0's cooldown re-plans the same grant; device 1 is the
+        // only one left in service, and it refuses.
+        advance_all(&mut ctl, SimTime::from_millis(12));
+        match ctl.replan(40.0) {
+            Err(ControlError::Device(e)) => assert!(e.is_transient(), "{e}"),
+            other => panic!("expected a transient refusal, got {other:?}"),
+        }
+        // Clear the cooldowns so the refusal alone must force the re-plan.
+        ctl.quarantine.fill(0);
+        advance_all(&mut ctl, SimTime::from_millis(25));
+        assert!(ctl.replan(40.0).unwrap());
+        assert!(ctl.serves(0) && ctl.serves(1));
+    }
+
+    #[test]
+    fn a_quarantine_cooling_down_forces_replans_until_the_probe() {
+        let outage = FaultPlan::none().admin_outage(SimTime::ZERO, SimTime::from_millis(5));
+        let mut ctl = faulty_ssd2s(vec![outage, FaultPlan::none()]);
+        assert!(ctl.replan(40.0).unwrap());
+        assert!(ctl.is_quarantined(0) && !ctl.serves(0) && ctl.serves(1));
+        advance_all(&mut ctl, SimTime::from_millis(10));
+        // The grant never moves: the cooldown alone re-plans, and its end
+        // probes device 0, which now complies.
+        assert!(ctl.replan(40.0).unwrap());
+        assert!(ctl.is_quarantined(0));
+        assert!(ctl.replan(40.0).unwrap());
+        assert!(!ctl.is_quarantined(0) && ctl.serves(0));
+        assert!(!ctl.replan(40.0).unwrap());
+    }
+
+    #[test]
+    fn a_tripped_enclosure_serves_nothing_and_asks_every_device_to_sleep() {
+        let mut ctl = two_hdds();
+        ctl.replan(20.0).unwrap();
+        assert!(ctl.serves(0) && ctl.serves(1));
+        ctl.set_feed(false);
+        for i in 0..2 {
+            assert!(!ctl.serves(i));
+            assert_ne!(ctl.devices()[i].standby_state(), StandbyState::Active);
+        }
     }
 
     #[test]

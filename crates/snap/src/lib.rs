@@ -69,10 +69,11 @@ pub const MAGIC: [u8; 4] = *b"PSNP";
 /// the migration engine keeps the legs awaiting a device as move ids and
 /// derives its start queue and counts from its moves (the cluster's leg
 /// backlog and read/write owner split go), and a `run_to` slice leaves
-/// lagging devices at the cluster clock.
+/// lagging devices at the cluster clock; 7 = each enclosure controller keeps
+/// its serving set and last applied budget (the cluster's copies go).
 /// Older checkpoints are rejected with [`SnapError::UnsupportedVersion`]
 /// rather than mis-parsed.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Typed failures of snapshot decoding. Every malformed input maps to one
 /// of these; decoding never panics.
