@@ -98,14 +98,14 @@ pub struct EnergyLedger {
     audits: u64,
     /// Conservation violations detected (zero on a healthy run).
     violations: u64,
-    /// The recorder installed when the ledger was built; audits emit here.
+    /// The cluster's recorder; audits emit here.
     rec: RecorderHandle,
 }
 
 impl EnergyLedger {
     /// An empty ledger for `n_leaves` tree leaves and `n_tenants`
-    /// tenants, starting accrual at `start`.
-    pub fn new(n_leaves: usize, n_tenants: usize, start: SimTime) -> Self {
+    /// tenants, starting accrual at `start`; audits emit to `rec`.
+    pub fn new(n_leaves: usize, n_tenants: usize, start: SimTime, rec: RecorderHandle) -> Self {
         EnergyLedger {
             leaf_fj: vec![0; n_leaves],
             leaf_uw: vec![0; n_leaves],
@@ -118,7 +118,7 @@ impl EnergyLedger {
             last_accrue: start,
             audits: 0,
             violations: 0,
-            rec: powadapt_obs::current(),
+            rec,
         }
     }
 
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn accrual_is_exact_integer_femtojoules() {
-        let mut ledger = EnergyLedger::new(2, 1, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(2, 1, SimTime::ZERO, RecorderHandle::disabled());
         ledger.set_powers(&[2.0, 0.5]);
         ledger.accrue(SimTime::from_secs(1));
         // 2 W × 1 s = 2 J = 2e15 fJ; 0.5 W × 1 s = 5e14 fJ.
@@ -460,7 +460,7 @@ mod tests {
         let tree = small_tree();
         let leaves = tree.leaves();
         let grants = vec![0.0; tree.len()];
-        let mut ledger = EnergyLedger::new(2, 2, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(2, 2, SimTime::ZERO, RecorderHandle::disabled());
         ledger.set_powers(&[3.0, 7.0]);
         // Bytes split 1:3 — the integer shares floor, the remainder goes
         // idle, and the books still balance exactly.
@@ -520,7 +520,7 @@ mod tests {
         let leaves = tree.leaves();
         let mut grants = vec![0.0; tree.len()];
         grants[tree.root_id().0] = 1000.0; // root cap is 100 W
-        let mut ledger = EnergyLedger::new(2, 0, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(2, 0, SimTime::ZERO, RecorderHandle::disabled());
         ledger.audit(
             SimTime::from_micros(1),
             &tree,
@@ -537,7 +537,7 @@ mod tests {
     fn node_energy_propagates_to_ancestors() {
         let tree = small_tree();
         let leaves = tree.leaves();
-        let mut ledger = EnergyLedger::new(2, 0, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(2, 0, SimTime::ZERO, RecorderHandle::disabled());
         ledger.set_powers(&[1.0, 2.0]);
         ledger.accrue(SimTime::from_secs(1));
         let node = ledger.node_fj(&tree, &leaves);
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_validates() {
-        let mut ledger = EnergyLedger::new(2, 2, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(2, 2, SimTime::ZERO, RecorderHandle::disabled());
         ledger.set_powers(&[3.0, 7.0]);
         let tree = small_tree();
         let leaves = tree.leaves();
@@ -580,7 +580,7 @@ mod tests {
         let mut w = SnapWriter::new();
         ledger.write_state(&mut w).unwrap();
         let payload = w.into_payload();
-        let mut restored = EnergyLedger::new(2, 2, SimTime::ZERO);
+        let mut restored = EnergyLedger::new(2, 2, SimTime::ZERO, RecorderHandle::disabled());
         let mut r = SnapReader::new(&payload);
         restored.read_state(&mut r).unwrap();
         r.finish().unwrap();
@@ -596,14 +596,14 @@ mod tests {
         // tenant_fj[0] low half sits after: len + 2×u128 leaves, len +
         // 2×u64 held powers, len prefix — flip its low byte instead of
         // hand-computing: corrupt by re-reading and re-writing.
-        let mut tampered = EnergyLedger::new(2, 2, SimTime::ZERO);
+        let mut tampered = EnergyLedger::new(2, 2, SimTime::ZERO, RecorderHandle::disabled());
         let mut r = SnapReader::new(&bytes);
         tampered.read_state(&mut r).unwrap();
         tampered.tenant_fj[0] += 1;
         let mut w2 = SnapWriter::new();
         tampered.write_state(&mut w2).unwrap();
         bytes = w2.into_payload();
-        let mut rejected = EnergyLedger::new(2, 2, SimTime::ZERO);
+        let mut rejected = EnergyLedger::new(2, 2, SimTime::ZERO, RecorderHandle::disabled());
         let mut r2 = SnapReader::new(&bytes);
         assert!(rejected.read_state(&mut r2).is_err());
     }

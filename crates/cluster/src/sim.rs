@@ -598,7 +598,7 @@ impl ClusterSim {
         let pending: Vec<Option<Arrival>> = streams.iter_mut().map(Iterator::next).collect();
 
         let n_nodes = tree.len();
-        let ledger = EnergyLedger::new(leaves.len(), tenants.len(), start);
+        let ledger = EnergyLedger::new(leaves.len(), tenants.len(), start, rec.clone());
         let node_tracks = tree_node_tracks(&tree);
 
         // The placement tier sees devices as slots: rack ordinal (the

@@ -239,11 +239,6 @@ impl PowerTree {
         self.nodes[n.0].cap_w
     }
 
-    /// The node's oversubscription ratio.
-    pub fn oversub(&self, n: NodeId) -> f64 {
-        self.nodes[n.0].oversub
-    }
-
     /// The node's level.
     pub fn kind(&self, n: NodeId) -> NodeKind {
         self.nodes[n.0].kind

@@ -10,6 +10,7 @@
 #![allow(clippy::unwrap_used, reason = "tests assert on exact expected values")]
 
 use powadapt_cluster::{EnergyLedger, NodeKind, PowerTree, TenantUsage};
+use powadapt_obs::RecorderHandle;
 use powadapt_sim::SimTime;
 use proptest::prelude::*;
 
@@ -43,7 +44,7 @@ proptest! {
         // Shape-only case: fixed powers/bytes, varying tree.
         let tree = build_tree(&racks);
         let leaves = tree.leaves();
-        let mut ledger = EnergyLedger::new(leaves.len(), n_tenants, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(leaves.len(), n_tenants, SimTime::ZERO, RecorderHandle::disabled());
         let grants = vec![0.0f64; tree.len()];
 
         let mut now = SimTime::ZERO;
@@ -80,7 +81,7 @@ proptest! {
         let tree = build_tree(&racks);
         let leaves = tree.leaves();
         let n_tenants = 3usize;
-        let mut ledger = EnergyLedger::new(leaves.len(), n_tenants, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(leaves.len(), n_tenants, SimTime::ZERO, RecorderHandle::disabled());
         let grants = vec![0.0f64; tree.len()];
 
         // Deterministic per-case trace from the seed: varying powers,
@@ -137,7 +138,7 @@ proptest! {
         let tree = build_tree(&[1]);
         let leaves = tree.leaves();
         let grants = vec![0.0f64; tree.len()];
-        let mut ledger = EnergyLedger::new(leaves.len(), 2, SimTime::ZERO);
+        let mut ledger = EnergyLedger::new(leaves.len(), 2, SimTime::ZERO, RecorderHandle::disabled());
         ledger.set_powers(&[(fj_seed % 1000) as f64 + 1.0]);
         let usage = [
             TenantUsage { name: "a", bytes: 0, p99_latency_us: None, slo_p99_us: None },

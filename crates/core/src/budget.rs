@@ -129,14 +129,6 @@ impl BudgetSchedule {
     pub fn initial_w(&self) -> f64 {
         self.initial_w
     }
-
-    /// The lowest budget anywhere in the schedule.
-    pub fn min_budget_w(&self) -> f64 {
-        self.events
-            .iter()
-            .map(|e| e.available_w)
-            .fold(self.initial_w, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +144,6 @@ mod tests {
         assert_eq!(s.budget_at(SimTime::from_millis(999)), 50.0);
         assert_eq!(s.budget_at(SimTime::from_secs(1)), 30.0);
         assert_eq!(s.budget_at(SimTime::from_secs(3)), 45.0);
-        assert_eq!(s.min_budget_w(), 30.0);
         assert_eq!(s.initial_w(), 50.0);
         assert_eq!(s.events().len(), 2);
     }

@@ -118,11 +118,6 @@ impl PowerDomain {
         &self.name
     }
 
-    /// Breaker limit in watts.
-    pub fn breaker_limit_w(&self) -> f64 {
-        self.breaker_limit_w
-    }
-
     /// Child domains.
     pub fn children(&self) -> &[PowerDomain] {
         &self.children
@@ -293,7 +288,6 @@ mod tests {
     fn accessors() {
         let d = PowerDomain::new("x", 5.0).device("dev", 1.0, true);
         assert_eq!(d.name(), "x");
-        assert_eq!(d.breaker_limit_w(), 5.0);
         assert_eq!(d.devices().len(), 1);
         assert!(d.children().is_empty());
     }

@@ -47,17 +47,6 @@ pub struct MechanismChoice {
     pub redirect_active: usize,
 }
 
-impl MechanismChoice {
-    /// Power saved by the preferred mechanism over the other, in watts
-    /// (0 when only one is feasible).
-    pub fn advantage_w(&self) -> f64 {
-        match (self.cap_shape_w, self.redirect_w) {
-            (Some(a), Some(b)) => (a - b).abs(),
-            _ => 0.0,
-        }
-    }
-}
-
 /// Compares the two mechanism families for a fleet of `n` identical devices
 /// described by `model`, serving `demand_bps` total, where a sleeping
 /// device draws `standby_w`.
@@ -189,7 +178,6 @@ mod tests {
         // cap+shape: 4 × 5.5 = 22 W; redirect: 6.5 + 3 × 1 = 9.5 W.
         assert!((c.cap_shape_w.unwrap() - 22.0).abs() < 1e-9);
         assert!((c.redirect_w.unwrap() - 9.5).abs() < 1e-9);
-        assert!(c.advantage_w() > 10.0);
     }
 
     #[test]
@@ -209,7 +197,6 @@ mod tests {
         let c = choose_mechanism(&model(), 2, 100.0e9, 1.0);
         assert!(c.cap_shape_w.is_none());
         assert!(c.redirect_w.is_none());
-        assert_eq!(c.advantage_w(), 0.0);
     }
 
     #[test]

@@ -118,19 +118,6 @@ impl TieringPolicy {
         self.energy_idle_j(period) - self.energy_standby_j(period)
     }
 
-    /// Can the fast tier absorb the write stream for the whole standby
-    /// period (including the spin-up it must mask on wake)?
-    pub fn can_absorb(&self, write_rate_bps: f64, period: SimDuration) -> bool {
-        if write_rate_bps <= 0.0 {
-            return true;
-        }
-        if write_rate_bps > self.absorb.absorb_bw_bps {
-            return false;
-        }
-        let must_cover = period + self.spin.up;
-        write_rate_bps * must_cover.as_secs_f64() <= self.absorb.absorb_capacity_bytes as f64
-    }
-
     /// The longest standby period the fast tier can mask at the given
     /// write rate. Unlimited (`SimDuration::MAX`) when the rate is zero.
     pub fn max_maskable_period(&self, write_rate_bps: f64) -> SimDuration {
@@ -211,24 +198,31 @@ mod tests {
     #[test]
     fn absorption_limits() {
         let p = policy();
-        // 100 MB/s for 60 s = 6 GB + spin-up margin: fits in 8 GiB.
-        assert!(p.can_absorb(100e6, SimDuration::from_secs(60)));
-        // 100 MB/s for 100 s > 8 GiB: does not fit.
-        assert!(!p.can_absorb(100e6, SimDuration::from_secs(100)));
+        // 100 MB/s fills 8 GiB in ~85.9 s, less the 6 s spin-up it must
+        // mask: a 60 s standby fits, a 100 s one does not.
+        let max = p.max_maskable_period(100e6);
+        assert!(max > SimDuration::from_secs(60), "{max}");
+        assert!(max < SimDuration::from_secs(100), "{max}");
         // Faster than the tier's spare bandwidth: never.
-        assert!(!p.can_absorb(600e6, SimDuration::from_secs(1)));
+        assert_eq!(p.max_maskable_period(600e6), SimDuration::ZERO);
         // No writes: always.
-        assert!(p.can_absorb(0.0, SimDuration::from_secs(100_000)));
+        assert_eq!(p.max_maskable_period(0.0), SimDuration::MAX);
     }
 
     #[test]
-    fn max_maskable_period_is_consistent_with_can_absorb() {
+    fn max_maskable_period_fills_the_capacity_exactly() {
         let p = policy();
-        let rate = 100e6;
-        let max = p.max_maskable_period(rate);
-        assert!(p.can_absorb(rate, max));
-        assert!(!p.can_absorb(rate, max + SimDuration::from_secs(2)));
-        assert_eq!(p.max_maskable_period(0.0), SimDuration::MAX);
+        let capacity = 8.0 * 1024.0 * 1024.0 * 1024.0;
+        for rate in [100e6, 250e6, 500e6] {
+            // The stream over the period plus the masked spin-up writes
+            // exactly the tier's capacity (to within ns rounding).
+            let covered = p.max_maskable_period(rate) + exos().up;
+            let written = rate * covered.as_secs_f64();
+            assert!(
+                (written - capacity).abs() <= rate * 1e-9,
+                "{rate}: {written}"
+            );
+        }
         assert_eq!(p.max_maskable_period(1e12), SimDuration::ZERO);
     }
 

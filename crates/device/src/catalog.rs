@@ -297,16 +297,6 @@ pub fn pm1743(seed: u64) -> Ssd {
     Ssd::new(spec, cfg, seed)
 }
 
-/// The four Table 1 devices (SSD1, SSD2, SSD3, HDD), boxed, in paper order.
-pub fn table1_devices(seed: u64) -> Vec<Box<dyn crate::StorageDevice>> {
-    vec![
-        Box::new(ssd1_pm9a3(seed)),
-        Box::new(ssd2_d7_p5510(seed.wrapping_add(1))),
-        Box::new(ssd3_d3_p4510(seed.wrapping_add(2))),
-        Box::new(hdd_exos_7e2000(seed.wrapping_add(3))),
-    ]
-}
-
 /// Builds a Table 1 device by its paper label ("SSD1", "SSD2", "SSD3",
 /// "HDD", or "860EVO"). Returns `None` for unknown labels.
 pub fn by_label(label: &str, seed: u64) -> Option<Box<dyn crate::StorageDevice>> {
@@ -324,7 +314,7 @@ pub fn by_label(label: &str, seed: u64) -> Option<Box<dyn crate::StorageDevice>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StorageDevice;
+    use crate::{drain, StandbyDepth, StorageDevice};
 
     #[test]
     fn catalog_configs_are_valid() {
@@ -353,13 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn table1_returns_four_devices_in_order() {
-        let devs = table1_devices(9);
-        let labels: Vec<&str> = devs.iter().map(|d| d.spec().label()).collect();
-        assert_eq!(labels, vec!["SSD1", "SSD2", "SSD3", "HDD"]);
-    }
-
-    #[test]
     fn by_label_resolves_known_and_rejects_unknown() {
         for l in ["SSD1", "SSD2", "SSD3", "HDD", "860EVO", "PM1743"] {
             assert_eq!(by_label(l, 1).unwrap().spec().label(), l);
@@ -383,21 +366,42 @@ mod tests {
         assert!(ssd2_d7_p5510(1).config().standby.is_none());
         assert!(ssd3_d3_p4510(1).config().standby.is_none());
         assert!(evo_860(1).config().standby.is_some());
+        // The HDD's one rung is spin-down, whichever depth is asked for.
         let mut hdd = hdd_exos_7e2000(1);
-        assert!(hdd.request_standby().is_ok());
+        assert!(hdd.request_standby_depth(StandbyDepth::Slumber).is_ok());
+        drain(&mut hdd);
+        assert!((hdd.power_w() - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn only_evo_implements_the_full_alpm_ladder() {
-        use crate::power::StandbyDepth;
         let evo = evo_860(1);
         let ladder = evo.config().partial.as_ref().expect("EVO has PARTIAL");
         let slumber = evo.config().standby.as_ref().expect("EVO has SLUMBER");
         // The ladder is ordered: PARTIAL saves less but exits far faster.
         assert!(ladder.standby_w > slumber.standby_w);
         assert!(ladder.exit < slumber.exit);
+        // Each rung settles at its measured floor and wakes back to idle.
+        for (depth, floor_w) in [(StandbyDepth::Partial, 0.26), (StandbyDepth::Slumber, 0.17)] {
+            let mut evo = evo_860(2);
+            evo.request_standby_depth(depth).unwrap();
+            drain(&mut evo);
+            assert!((evo.power_w() - floor_w).abs() < 1e-9, "{depth}");
+            evo.request_wake().unwrap();
+            drain(&mut evo);
+            assert!((evo.power_w() - 0.35).abs() < 1e-9, "{depth}");
+        }
         assert!(ssd1_pm9a3(1).config().partial.is_none());
-        assert!(ssd3_d3_p4510(1).config().partial.is_none());
+        // SSD3 implements neither rung, like most data-center SATA SSDs
+        // the paper surveyed (§3.2.2).
+        let mut ssd3 = ssd3_d3_p4510(1);
+        assert!(ssd3.config().partial.is_none());
+        for depth in [StandbyDepth::Partial, StandbyDepth::Slumber] {
+            assert_eq!(
+                ssd3.request_standby_depth(depth),
+                Err(crate::DeviceError::StandbyUnsupported)
+            );
+        }
         // HDDs expose only the deep (spin-down) rung via the default.
         let mut hdd = hdd_exos_7e2000(1);
         assert_eq!(

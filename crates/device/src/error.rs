@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use crate::power::PowerStateId;
-use crate::spec::Protocol;
 
 /// Errors returned by [`StorageDevice`](crate::StorageDevice) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,14 +26,6 @@ pub enum DeviceError {
     ZeroLength,
     /// A request id was reused while still in flight.
     DuplicateRequest(u64),
-    /// An admin facade was attached to a device speaking a different
-    /// protocol (e.g. NVMe admin commands against a SATA drive).
-    ProtocolMismatch {
-        /// Protocol the facade speaks.
-        expected: Protocol,
-        /// Protocol the device implements.
-        actual: Protocol,
-    },
     /// A transient IO-path error: the device could not accept or complete
     /// the request (media error, internal retry exhaustion). The request
     /// id, if the failure is tied to one, is carried for diagnostics.
@@ -76,9 +67,6 @@ impl fmt::Display for DeviceError {
             DeviceError::ZeroLength => write!(f, "request length must be non-zero"),
             DeviceError::DuplicateRequest(id) => {
                 write!(f, "request id {id} is already in flight")
-            }
-            DeviceError::ProtocolMismatch { expected, actual } => {
-                write!(f, "expected a {expected} device, found {actual}")
             }
             DeviceError::Io { request: Some(id) } => {
                 write!(f, "io error on request {id}")

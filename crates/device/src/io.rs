@@ -33,11 +33,6 @@ pub enum IoKind {
 }
 
 impl IoKind {
-    /// True for writes.
-    pub fn is_write(self) -> bool {
-        matches!(self, IoKind::Write)
-    }
-
     /// The telemetry-schema direction for this kind.
     pub fn obs_dir(self) -> powadapt_obs::IoDir {
         match self {
@@ -250,8 +245,6 @@ mod tests {
 
     #[test]
     fn kind_helpers_and_display() {
-        assert!(IoKind::Write.is_write());
-        assert!(!IoKind::Read.is_write());
         assert_eq!(IoKind::Read.to_string(), "read");
         assert_eq!(IoId(7).to_string(), "io#7");
     }

@@ -55,9 +55,7 @@ mod error;
 mod fault;
 pub mod hdd;
 mod io;
-mod nvme;
 mod power;
-mod sata;
 mod spec;
 pub mod ssd;
 
@@ -66,8 +64,6 @@ pub use error::DeviceError;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, FaultWindow, FaultWindowKind};
 pub use hdd::{Hdd, HddConfig};
 pub use io::{IoCompletion, IoId, IoKind, IoRequest, GIB, KIB, MIB};
-pub use nvme::{IdentifyController, NvmeAdmin, NvmePowerStateDescriptor, FEATURE_POWER_MANAGEMENT};
 pub use power::{PowerStateDesc, PowerStateId, StandbyConfig, StandbyDepth, StandbyState};
-pub use sata::{AhciLink, LinkPowerState};
 pub use spec::{DeviceClass, DeviceSpec, Protocol};
 pub use ssd::{Ssd, SsdConfig};

@@ -92,13 +92,6 @@ pub enum StandbyState {
     ExitingStandby,
 }
 
-impl StandbyState {
-    /// True while the device can start new media work immediately.
-    pub fn is_active(self) -> bool {
-        matches!(self, StandbyState::Active)
-    }
-}
-
 impl fmt::Display for StandbyState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -182,8 +175,6 @@ mod tests {
 
     #[test]
     fn standby_state_predicates() {
-        assert!(StandbyState::Active.is_active());
-        assert!(!StandbyState::Standby.is_active());
         assert_eq!(
             StandbyState::EnteringStandby.to_string(),
             "entering-standby"

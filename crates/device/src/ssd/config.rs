@@ -151,11 +151,6 @@ impl SsdConfig {
     pub fn nand_program_bw(&self) -> f64 {
         self.dies as f64 * self.program_unit_bytes as f64 / self.program_op.as_secs_f64()
     }
-
-    /// Peak NAND read bandwidth in bytes/second (all dies reading).
-    pub fn nand_read_bw(&self) -> f64 {
-        self.dies as f64 * self.page_bytes as f64 / self.read_op.as_secs_f64()
-    }
 }
 
 impl Default for SsdConfig {
@@ -207,7 +202,6 @@ mod tests {
         // 32 dies * 64 KiB / 560 us = ~3.74 GB/s.
         let bw = cfg.nand_program_bw();
         assert!((bw - 32.0 * 65536.0 / 560e-6).abs() < 1.0);
-        assert!(cfg.nand_read_bw() > bw, "reads are faster than programs");
     }
 
     #[test]

@@ -134,12 +134,6 @@ impl<R> CircuitBreakerRouter<R> {
         }
     }
 
-    /// Attaches a telemetry recorder; breaker transitions are emitted on
-    /// per-device `device{i}` tracks.
-    pub fn set_recorder(&mut self, rec: RecorderHandle) {
-        self.rec = rec;
-    }
-
     /// The breaker transitions recorded so far, in time order.
     pub fn events(&self) -> &[QuarantineEvent] {
         &self.events

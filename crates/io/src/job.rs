@@ -51,21 +51,17 @@ impl Workload {
             Workload::RandRead | Workload::RandWrite => AccessPattern::Random,
         }
     }
+}
 
+impl fmt::Display for Workload {
     /// The fio `rw=` name.
-    pub fn fio_name(self) -> &'static str {
-        match self {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             Workload::SeqRead => "read",
             Workload::SeqWrite => "write",
             Workload::RandRead => "randread",
             Workload::RandWrite => "randwrite",
-        }
-    }
-}
-
-impl fmt::Display for Workload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.fio_name())
+        })
     }
 }
 

@@ -46,7 +46,7 @@ pub enum Trigger {
 ///     let t = scope.next_sample();
 ///     scope.observe(t, 2.0);
 /// }
-/// let capture = scope.into_capture().expect("triggered");
+/// let capture = scope.capture().expect("triggered");
 /// assert_eq!(capture.len(), 64);
 /// ```
 #[derive(Debug)]
@@ -141,11 +141,6 @@ impl Oscilloscope {
     pub fn capture(&self) -> Option<&PowerTrace> {
         self.capture.as_ref()
     }
-
-    /// Consumes the scope, returning the capture if the trigger fired.
-    pub fn into_capture(self) -> Option<PowerTrace> {
-        self.capture
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +165,7 @@ mod tests {
         let mut s = scope(Trigger::Immediate);
         feed(&mut s, 1.0, 40);
         assert!(s.is_complete());
-        let c = s.into_capture().expect("captured");
+        let c = s.capture().expect("captured");
         assert_eq!(c.len(), 32);
         assert!((c.mean() - 1.0).abs() < 0.05);
         // 100 kHz period.
@@ -184,7 +179,7 @@ mod tests {
         assert!(s.capture().is_none(), "no edge yet");
         feed(&mut s, 2.0, 40);
         assert!(s.is_complete());
-        let c = s.into_capture().expect("captured");
+        let c = s.capture().expect("captured");
         assert!((c.mean() - 2.0).abs() < 0.1);
     }
 
@@ -229,7 +224,7 @@ mod tests {
             dev.advance_to(t);
             s.observe(t, dev.power_w());
         }
-        let c = s.into_capture().expect("wake spike triggers the scope");
+        let c = s.capture().expect("wake spike triggers the scope");
         // The capture sits on the 1.25 W wake plateau.
         assert!((c.mean() - 1.25).abs() < 0.1, "{}", c.mean());
         // And it resolves 10 µs detail — 100x finer than the rig.

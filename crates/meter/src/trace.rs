@@ -67,16 +67,6 @@ impl PowerTrace {
         self.start
     }
 
-    /// Timestamp of sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn time_of(&self, i: usize) -> SimTime {
-        assert!(i < self.watts.len(), "sample index {i} out of range");
-        self.start + self.period * i as u64
-    }
-
     /// The raw samples in watts.
     pub fn samples(&self) -> &[f64] {
         &self.watts
@@ -150,21 +140,6 @@ impl PowerTrace {
         }
         Ok(())
     }
-
-    /// Downsamples by averaging every `factor` consecutive samples
-    /// (the tail partial window is averaged too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn downsample(&self, factor: usize) -> PowerTrace {
-        assert!(factor > 0, "downsample factor must be non-zero");
-        let mut out = PowerTrace::new(self.start, self.period * factor as u64);
-        for chunk in self.watts.chunks(factor) {
-            out.push(chunk.iter().sum::<f64>() / chunk.len() as f64);
-        }
-        out
-    }
 }
 
 impl fmt::Display for PowerTrace {
@@ -218,8 +193,6 @@ mod tests {
     #[test]
     fn timestamps_advance_by_period() {
         let t = trace(&[1.0, 2.0, 3.0]);
-        assert_eq!(t.time_of(0), SimTime::ZERO);
-        assert_eq!(t.time_of(2).as_millis(), 2);
         let times: Vec<u64> = t.iter().map(|(ts, _)| ts.as_millis()).collect();
         assert_eq!(times, vec![0, 1, 2]);
     }
@@ -229,14 +202,6 @@ mod tests {
         let t = trace(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         let sub = t.between(SimTime::from_millis(1), SimTime::from_millis(4));
         assert_eq!(sub.samples(), &[2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn downsample_averages() {
-        let t = trace(&[1.0, 3.0, 5.0, 7.0, 9.0]);
-        let d = t.downsample(2);
-        assert_eq!(d.samples(), &[2.0, 6.0, 9.0]);
-        assert_eq!(d.period().as_millis(), 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`RollingMean`] tracks the mean of a piecewise-constant signal over a
 //! fixed trailing window with amortized O(1) updates, unlike
 //! [`StepSignal::trailing_mean`](crate::StepSignal::trailing_mean) which
-//! scans retained history. Device power-cap governors query this on every
+//! scans its whole history. Device power-cap governors query this on every
 //! scheduling decision, so it must be cheap.
 //!
 //! Queries must be monotone in time: both [`RollingMean::push`] and

@@ -7,8 +7,6 @@
 //! semantics of an NVMe power cap ("average power over any 10-second
 //! period").
 
-use std::collections::VecDeque;
-
 use crate::time::{SimDuration, SimTime};
 
 /// A right-continuous step function of simulated time.
@@ -16,10 +14,6 @@ use crate::time::{SimDuration, SimTime};
 /// The signal holds an initial value from time zero and a sequence of
 /// `(time, value)` steps. Values are `f64` (watts, in the power use case, but
 /// the type is unit-agnostic).
-///
-/// Memory can be bounded with [`StepSignal::set_retention`]: steps older than
-/// the retention window (relative to the latest step) are compacted away,
-/// which is what long-running experiments use.
 ///
 /// # Examples
 ///
@@ -36,13 +30,10 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone)]
 pub struct StepSignal {
-    /// Value before the first retained step.
+    /// Value before the first step.
     base: f64,
-    /// Time from which `base` holds (start of retained history).
-    base_from: SimTime,
-    /// Retained steps, in strictly increasing time order.
-    steps: VecDeque<(SimTime, f64)>,
-    retention: Option<SimDuration>,
+    /// Steps, in strictly increasing time order.
+    steps: Vec<(SimTime, f64)>,
 }
 
 impl StepSignal {
@@ -50,19 +41,8 @@ impl StepSignal {
     pub fn new(initial: f64) -> Self {
         StepSignal {
             base: initial,
-            base_from: SimTime::ZERO,
-            steps: VecDeque::new(),
-            retention: None,
+            steps: Vec::new(),
         }
-    }
-
-    /// Limits retained history to `window` behind the most recent step.
-    ///
-    /// Queries older than the retained history return the compacted base
-    /// value, so only enable retention when older history is not needed.
-    pub fn set_retention(&mut self, window: SimDuration) {
-        self.retention = Some(window);
-        self.compact();
     }
 
     /// Appends a step: from `at` onward the signal has value `value`.
@@ -77,7 +57,7 @@ impl StepSignal {
         reason = "a step is a no-op only when the stored bits match, never when they are merely close"
     )]
     pub fn step(&mut self, at: SimTime, value: f64) {
-        if let Some(last) = self.steps.back_mut() {
+        if let Some(last) = self.steps.last_mut() {
             let (last_t, last_v) = *last;
             assert!(
                 at >= last_t,
@@ -90,16 +70,15 @@ impl StepSignal {
             if last_v == value {
                 return; // No-op step; keep the history compact.
             }
-        } else if self.base == value && at == self.base_from {
+        } else if self.base == value && at == SimTime::ZERO {
             return;
         }
-        self.steps.push_back((at, value));
-        self.compact();
+        self.steps.push((at, value));
     }
 
     /// Current (latest) value of the signal.
     pub fn current(&self) -> f64 {
-        self.steps.back().map_or(self.base, |&(_, v)| v)
+        self.steps.last().map_or(self.base, |&(_, v)| v)
     }
 
     /// Value at instant `t` (right-continuous: the step at `t` counts).
@@ -168,36 +147,9 @@ impl StepSignal {
         self.mean(from, now)
     }
 
-    /// Number of retained steps (diagnostic).
+    /// Number of recorded steps (diagnostic).
     pub fn step_count(&self) -> usize {
         self.steps.len()
-    }
-
-    fn compact(&mut self) {
-        let Some(window) = self.retention else {
-            return;
-        };
-        let Some(&(latest, _)) = self.steps.back() else {
-            return;
-        };
-        let horizon = latest.saturating_duration_since(SimTime::ZERO);
-        if horizon <= window {
-            return;
-        }
-        let cutoff = latest - window;
-        while let Some(&(t, v)) = self.steps.front() {
-            // Keep one step at or before the cutoff so value_at(cutoff) stays
-            // exact; fold strictly older steps into the base.
-            if let Some(&(t2, _)) = self.steps.get(1) {
-                if t2 <= cutoff {
-                    self.base = v;
-                    self.base_from = t;
-                    self.steps.pop_front();
-                    continue;
-                }
-            }
-            break;
-        }
     }
 }
 
@@ -282,22 +234,6 @@ mod tests {
         let mut s = StepSignal::new(0.0);
         s.step(ms(10), 1.0);
         s.step(ms(5), 2.0);
-    }
-
-    #[test]
-    fn retention_compacts_but_preserves_recent_values() {
-        let mut s = StepSignal::new(0.0);
-        s.set_retention(SimDuration::from_millis(100));
-        for i in 1..=1000u64 {
-            s.step(ms(i), i as f64);
-        }
-        assert!(s.step_count() <= 110, "retained {}", s.step_count());
-        // Recent history still exact.
-        assert_eq!(s.value_at(ms(1000)), 1000.0);
-        assert_eq!(s.value_at(ms(950)), 950.0);
-        // [950, 1000): one ms at each of 950..=999 -> mean 974.5.
-        let m = s.trailing_mean(ms(1000), SimDuration::from_millis(50));
-        assert!((m - 974.5).abs() < 1.0, "{m}");
     }
 
     #[test]

@@ -215,11 +215,6 @@ impl SimDuration {
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

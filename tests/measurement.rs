@@ -104,16 +104,16 @@ fn calibration_survives_device_level_noise() {
 
 #[test]
 fn alpm_ladder_partial_and_slumber_are_both_measurable() {
-    use powadapt::device::{AhciLink, LinkPowerState};
+    use powadapt::device::StandbyDepth;
 
     // Measure each rung of the EVO's ALPM ladder through the metering rig:
     // PARTIAL saves less than SLUMBER but recovers orders of magnitude
     // faster — the trade the paper's §3.2.2 ladder exists to offer.
-    let measure_floor = |state: LinkPowerState, rig_seed: u64| {
+    let measure_floor = |depth: StandbyDepth, rig_seed: u64| {
         let mut dev = catalog::evo_860(5);
-        let mut link = AhciLink::new(&mut dev).expect("SATA device");
-        link.set_link_pm(state).expect("EVO implements the ladder");
-        assert_eq!(link.link_state(), state);
+        dev.request_standby_depth(depth)
+            .expect("EVO implements the ladder");
+        assert_eq!(dev.standby_depth(), depth);
         let mut rng = SimRng::seed_from(rig_seed);
         let mut rig = PowerRig::paper_rig(5.0, &mut rng);
         // Floor levels sit at the bottom of the ADC range, so calibrate
@@ -132,8 +132,8 @@ fn alpm_ladder_partial_and_slumber_are_both_measurable() {
         rig.trace().mean()
     };
 
-    let partial = measure_floor(LinkPowerState::Partial, 21);
-    let slumber = measure_floor(LinkPowerState::Slumber, 22);
+    let partial = measure_floor(StandbyDepth::Partial, 21);
+    let slumber = measure_floor(StandbyDepth::Slumber, 22);
     assert!(
         relative_error(partial, 0.26) < 0.01,
         "PARTIAL floor read as {partial:.4} W"
